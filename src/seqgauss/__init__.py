@@ -37,6 +37,8 @@ from .core import (
     block_projection,
     bracket,
     bullet,
+    check_orthonormal_a,
+    gram_a,
     gram_schmidt,
     gram_schmidt_a,
     hadamard,

@@ -29,8 +29,8 @@ from math import factorial
 
 import numpy as np
 
-from .core import Covariance, bracket, bullet, gram_schmidt, gram_schmidt_a, inner_a
-from .measure import McEstimate, SampleBatch, pairings
+from .core import Covariance, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a, inner_a
+from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, kernel_inner_a, wick_eval
 
 __all__ = [
@@ -91,15 +91,7 @@ class ConditioningSet:
         return cls(basis=tuple(basis))
 
     def validate(self, cov: Covariance, tol: float = ORTHONORMAL_TOL) -> None:
-        for i, bi in enumerate(self.basis):
-            for j in range(i, len(self.basis)):
-                target = 1.0 if i == j else 0.0
-                val = inner_a(bi, self.basis[j], cov)
-                if abs(val - target) > tol:
-                    raise ValueError(
-                        f"conditioning set is not A-orthonormal: "
-                        f"(psi_{i}, psi_{j})_A = {val:.3e}"
-                    )
+        check_orthonormal_a(self.basis, cov, tol, "conditioning set")
 
 
 def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
@@ -126,13 +118,15 @@ def chaos_norm(expansion: ChaosExpansion, cov: Covariance) -> float:
 
 
 def project_onto_set(phi, conditioning: ConditioningSet, cov: Covariance) -> np.ndarray:
-    """A-orthogonal projection of a sequence vector onto the conditioning
-    span: sum_k (phi, psi_k)_A psi_k."""
+    """A-orthogonal projection onto the conditioning span,
+    ``sum_k (phi, psi_k)_A psi_k``, of one (m, d) sequence vector or of
+    every vector in a (T, m, d) stack; the coefficients of the whole stack
+    come from one ``gram_a`` call."""
     p = np.asarray(phi, dtype=float)
-    out = np.zeros_like(p)
-    for psi in conditioning.basis:
-        out = out + inner_a(p, psi, cov) * psi
-    return out
+    stack = p[np.newaxis] if p.ndim == 2 else p
+    basis = np.stack(conditioning.basis)
+    out = np.tensordot(gram_a(stack, basis, cov), basis, axes=1)
+    return out[0] if p.ndim == 2 else out
 
 
 def cond_exp_chaos(
@@ -143,21 +137,19 @@ def cond_exp_chaos(
     """Conditional expectation of a chaos expansion given the linear
     observables of the conditioning set.
 
-    Projects every rank-one base onto the conditioning span, term by term
-    and degree by degree (degree-0 kernels are unchanged).  Idempotent and
-    contractive in the chaos norm; raises if the conditioning set is not
-    A-orthonormal.
+    Projects the stacked rank-one bases of each kernel onto the
+    conditioning span in one call per degree (degree-0 kernels are
+    unchanged).  Idempotent and contractive in the chaos norm; raises if
+    the conditioning set is not A-orthonormal.
     """
     conditioning.validate(cov)
     kernels: dict[int, SymKernel] = {}
     for n, kernel in expansion.kernels.items():
-        if n == 0:
+        if n == 0 or not kernel.terms:
             kernels[n] = kernel
             continue
-        terms = tuple(
-            RankOnePower(t.coeff, project_onto_set(t.base, conditioning, cov), n)
-            for t in kernel.terms
-        )
+        bases = project_onto_set(np.stack([t.base for t in kernel.terms]), conditioning, cov)
+        terms = tuple(RankOnePower(t.coeff, b, n) for t, b in zip(kernel.terms, bases))
         kernels[n] = SymKernel(degree=n, terms=terms)
     return ChaosExpansion(kernels=kernels)
 
@@ -167,16 +159,12 @@ def cond_exp_monomial(f, xs, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     coefficient sequences ``xs`` in R^d.
 
     The inputs are A-orthonormalized first (the result depends only on
-    their span); the projected kernel is
-    ``sum_k bullet(bracket(f, A x_k), x_k)``.  Raises if the conditioning
-    span is degenerate (every input dropped).
+    their span) and stacked as the rows of X; the projected kernel is
+    ``sum_k bullet(bracket(f, A x_k), x_k) = F A X^T X``.  Raises if the
+    conditioning span is degenerate (every input dropped).
     """
-    fm = np.asarray(f, dtype=float)
-    basis = gram_schmidt_a(xs, cov, tol=tol)
-    out = np.zeros_like(fm)
-    for x in basis:
-        out = out + bullet(bracket(fm, cov.apply(x)), x)
-    return out
+    x = np.stack(gram_schmidt_a(xs, cov, tol=tol))
+    return np.asarray(f, dtype=float) @ cov.matrix @ x.T @ x
 
 
 def mc_cond_check(
@@ -208,8 +196,5 @@ def mc_cond_check(
             raise ValueError
     except (TypeError, ValueError):
         gvals = np.array([float(g(row)) for row in coords])
-    values = residual * gvals
-    n = batch.count
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=mean, std_error=se, count=n)
+    mean, se = _mean_estimate(residual * gvals)
+    return McEstimate(value=mean, std_error=se, count=batch.count)

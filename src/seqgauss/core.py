@@ -12,11 +12,13 @@ pieces:
 
 A symmetric positive-definite d-by-d matrix A (the covariance weight)
 induces the weighted inner product ``(f, g)_A = (f, g A)_F`` used
-throughout the package; ``Covariance`` caches its Cholesky factor.  The
-module also provides A-orthogonal Gram-Schmidt, the extension of a d-by-d
-operator to sequence vectors, the block form of the A-orthogonal
-projection onto leading coordinates, and positive-semidefiniteness
-helpers (Schur products preserve PSD).
+throughout the package; ``Covariance`` caches its Cholesky factor.
+``gram_a`` evaluates it between every pair of two (p, m, d) and (q, m, d)
+stacks of sequence vectors as one matrix product.  The module also
+provides A-orthogonal Gram-Schmidt, the extension of a d-by-d operator to
+sequence vectors, the block form of the A-orthogonal projection onto
+leading coordinates, and positive-semidefiniteness helpers (Schur
+products preserve PSD).
 
 All values are immutable after construction; every function is pure.
 """
@@ -37,6 +39,8 @@ __all__ = [
     "inner_l2",
     "inner_a",
     "norm_a",
+    "gram_a",
+    "check_orthonormal_a",
     "apply_matrix",
     "apply_extended",
     "gram_schmidt",
@@ -47,19 +51,10 @@ __all__ = [
 ]
 
 
-def _as_matrix(f, name: str = "f") -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _as_vector(x, name: str = "x") -> np.ndarray:
+def _as_array(x, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -88,7 +83,7 @@ class Covariance:
     SYMMETRY_RTOL = 1e-12
 
     def __init__(self, matrix) -> None:
-        a = _as_matrix(matrix, "covariance matrix")
+        a = _as_array(matrix, 2, "covariance matrix")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"covariance matrix must be square, got {a.shape}")
         scale = np.abs(a).max() or 1.0
@@ -123,11 +118,11 @@ class Covariance:
 
     def apply(self, x) -> np.ndarray:
         """Matrix-vector product A x on coefficient sequences."""
-        return self._matrix @ _as_vector(x)
+        return self._matrix @ _as_array(x, 1, "x")
 
     def inner(self, x, y) -> float:
         """Weighted inner product (x, A y) on R^d."""
-        return float(_as_vector(x) @ self._matrix @ _as_vector(y))
+        return float(_as_array(x, 1, "x") @ self._matrix @ _as_array(y, 1, "y"))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Covariance(dim={self.dim})"
@@ -150,15 +145,15 @@ def bullet(h, x) -> np.ndarray:
 
     Satisfies the norm identity ||bullet(h, x)||_F = ||h|| * ||x||.
     """
-    hv = _as_vector(h, "h")
-    xv = _as_vector(x, "x")
+    hv = _as_array(h, 1, "h")
+    xv = _as_array(x, 1, "x")
     return np.outer(hv, xv)
 
 
 def bracket(f, x) -> np.ndarray:
     """Contraction sum_k x[k] * f_k, i.e. the matrix-vector product F x."""
-    fm = _as_matrix(f, "f")
-    xv = _as_vector(x, "x")
+    fm = _as_array(f, 2, "f")
+    xv = _as_array(x, 1, "x")
     if fm.shape[1] != xv.shape[0]:
         raise ValueError(
             f"sequence length mismatch: f has {fm.shape[1]} columns, x has {xv.shape[0]}"
@@ -168,8 +163,8 @@ def bracket(f, x) -> np.ndarray:
 
 def inner_l2(f, g) -> float:
     """Frobenius inner product sum_k (f_k, g_k)."""
-    fm = _as_matrix(f, "f")
-    gm = _as_matrix(g, "g")
+    fm = _as_array(f, 2, "f")
+    gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
         raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
     return float(np.sum(fm * gm))
@@ -182,8 +177,8 @@ def apply_matrix(m: np.ndarray, f) -> np.ndarray:
     The extension is basis independent: expanding f against any orthonormal
     basis (b_k) of R^d and mapping each b_k through M gives the same matrix.
     """
-    fm = _as_matrix(f, "f")
-    mm = _as_matrix(m, "operator matrix")
+    fm = _as_array(f, 2, "f")
+    mm = _as_array(m, 2, "operator matrix")
     if mm.shape[0] != mm.shape[1] or mm.shape[0] != fm.shape[1]:
         raise ValueError(
             f"operator of shape {mm.shape} cannot act on sequence of length {fm.shape[1]}"
@@ -198,8 +193,8 @@ def apply_extended(cov: Covariance, f) -> np.ndarray:
 
 def inner_a(f, g, cov: Covariance) -> float:
     """Weighted inner product (f, g)_A = trace(F^T G A); symmetric in f, g."""
-    fm = _as_matrix(f, "f")
-    gm = _as_matrix(g, "g")
+    fm = _as_array(f, 2, "f")
+    gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
         raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
     if fm.shape[1] != cov.dim:
@@ -212,6 +207,34 @@ def inner_a(f, g, cov: Covariance) -> float:
 def norm_a(f, cov: Covariance) -> float:
     """Weighted norm ||f||_A; clamps tiny negative rounding to zero."""
     return float(np.sqrt(max(inner_a(f, f, cov), 0.0)))
+
+
+def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
+    """Matrix ``G[i, j] = (f_i, g_j)_A`` between stacks of sequence vectors
+    shaped (p, m, d) and (q, m, d), computed as the single product
+    ``(F A).reshape(p, -1) @ G.reshape(q, -1).T``."""
+    fa = _as_array(fs, 3, "fs")
+    ga = _as_array(gs, 3, "gs")
+    if fa.shape[1:] != ga.shape[1:]:
+        raise ValueError(f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
+    if fa.shape[2] != cov.dim:
+        raise ValueError(
+            f"sequence length {fa.shape[2]} does not match covariance dim {cov.dim}"
+        )
+    return (fa @ cov.matrix).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
+
+
+def check_orthonormal_a(vectors, cov: Covariance, tol: float, what: str) -> None:
+    """Raise ``ValueError`` unless every entry of the Gram matrix of the
+    (p, m, d) stack ``vectors`` is within ``tol`` of the identity; the
+    message names ``what`` and the worst pair."""
+    gram = gram_a(vectors, vectors, cov)
+    deviation = np.triu(np.abs(gram - np.eye(len(gram))))
+    i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
+    if not deviation[i, j] <= tol:
+        raise ValueError(
+            f"{what} is not A-orthonormal: worst pair ({i}, {j})_A = {gram[i, j]:.3e}"
+        )
 
 
 def gram_schmidt(
@@ -246,7 +269,7 @@ def gram_schmidt(
 
 def gram_schmidt_a(xs: Sequence, cov: Covariance, tol: float = 1e-12) -> list[np.ndarray]:
     """A-orthonormalize a list of coefficient sequences in R^d."""
-    vecs = [_as_vector(x, "conditioning vector") for x in xs]
+    vecs = [_as_array(x, 1, "conditioning vector") for x in xs]
     for v in vecs:
         if v.shape[0] != cov.dim:
             raise ValueError(
@@ -293,7 +316,7 @@ def psd_check(m, tol: float = 1e-9) -> bool:
     The tolerance is relative to the spectral norm; raises on non-symmetric
     input (symmetry is checked against the same relative tolerance).
     """
-    mm = _as_matrix(m, "matrix")
+    mm = _as_array(m, 2, "matrix")
     if mm.shape[0] != mm.shape[1]:
         raise ValueError(f"matrix must be square, got {mm.shape}")
     scale = np.abs(mm).max() or 1.0
@@ -306,8 +329,8 @@ def psd_check(m, tol: float = 1e-9) -> bool:
 
 def hadamard(m1, m2) -> np.ndarray:
     """Entrywise (Schur) product; preserves positive semidefiniteness."""
-    a = _as_matrix(m1, "m1")
-    b = _as_matrix(m2, "m2")
+    a = _as_array(m1, 2, "m1")
+    b = _as_array(m2, 2, "m2")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a * b

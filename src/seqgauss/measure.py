@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Covariance, TruncationDims, inner_a
+from .core import Covariance, TruncationDims, check_orthonormal_a, inner_a
 
 __all__ = [
     "SampleBatch",
@@ -218,14 +218,7 @@ def pushforward_check(
     q = len(phis)
     if q == 0:
         raise ValueError("need at least one observable")
-    for i in range(q):
-        for j in range(i, q):
-            target = 1.0 if i == j else 0.0
-            val = inner_a(phis[i], phis[j], cov)
-            if abs(val - target) > orthonormal_tol:
-                raise ValueError(
-                    f"observables are not A-orthonormal: (phi_{i}, phi_{j})_A = {val:.3e}"
-                )
+    check_orthonormal_a(phis, cov, orthonormal_tol, "observable family")
     coords = np.stack([pairings(p, batch) for p in phis], axis=1)
     n = batch.count
     means = coords.mean(axis=0)

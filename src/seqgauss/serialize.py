@@ -64,7 +64,7 @@ def matrix_to_lists(arr) -> list:
 def matrix_from_lists(data, field: str, ndim: int = 2) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, "must be a (nested) array of numbers") from None
     if arr.ndim != ndim:
         raise ConfigError(field, f"must be {ndim}-dimensional, got shape {arr.shape}")
@@ -101,14 +101,17 @@ def expansion_from_jsonable(data, field: str = "expansion") -> ChaosExpansion:
             raise ConfigError(f"{field}[{i}].degree", "must be a non-negative integer")
         if degree in kernels:
             raise ConfigError(f"{field}[{i}].degree", f"duplicate degree {degree}")
+        if not isinstance(entry["terms"], list):
+            raise ConfigError(f"{field}[{i}].terms", "must be a list of {coeff, base} objects")
         terms = []
         for j, term in enumerate(entry["terms"]):
             if not isinstance(term, dict) or "coeff" not in term or "base" not in term:
                 raise ConfigError(
                     f"{field}[{i}].terms[{j}]", "must be an object with coeff and base"
                 )
+            coeff = matrix_from_lists(term["coeff"], f"{field}[{i}].terms[{j}].coeff", ndim=0)
             base = matrix_from_lists(term["base"], f"{field}[{i}].terms[{j}].base")
-            terms.append(RankOnePower(float(term["coeff"]), base, degree))
+            terms.append(RankOnePower(float(coeff), base, degree))
         kernels[degree] = SymKernel(degree=degree, terms=tuple(terms))
     return ChaosExpansion(kernels=kernels)
 
@@ -127,7 +130,15 @@ def _number(doc: dict, field: str, default=None) -> float:
     value = doc[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(field, f"must be a number, got {value!r}")
-    return float(value)
+    return float(matrix_from_lists(value, field, ndim=0))
+
+
+def _cell_values(value, field: str, cells: int) -> np.ndarray:
+    """A per-cell field: one number for every cell or a length-``cells`` array."""
+    arr = matrix_from_lists(value if isinstance(value, list) else [value] * cells, field, 1)
+    if arr.shape != (cells,):
+        raise ConfigError(field, f"must be a number or a length-{cells} array")
+    return arr
 
 
 def _positive_int(doc: dict, field: str, default=None) -> int:
@@ -202,43 +213,26 @@ def load_closure_config(doc: dict) -> dict:
             spec = ClosureSpec(kind=kind, correlation=corr)
         else:
             spec = ClosureSpec(kind=kind)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("closure", str(exc)) from None
 
-    def cell_field(name: str) -> np.ndarray:
-        value = _require(doc, name)
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            return np.full(cells, float(arr))
-        if arr.ndim != 1 or arr.shape[0] != cells:
-            raise ConfigError(name, f"must be a number or a length-{cells} array")
-        return arr
-
-    sigma = cell_field("sigma")
-    kappa = cell_field("kappa")
-    source = cell_field("q")
+    sigma, kappa, source = (
+        _cell_values(_require(doc, name), name, cells) for name in ("sigma", "kappa", "q")
+    )
+    for name, values in (("sigma", sigma), ("kappa", kappa)):
+        if (values < 0).any():
+            raise ConfigError(name, "must be non-negative")
     try:
         params = MaterialParams(
             a=a, b=b, cells=cells, sigma=sigma, kappa=kappa, source=source
         )
     except ValueError as exc:
-        raise ConfigError("sigma", str(exc)) from None
+        raise ConfigError("J", str(exc)) from None
 
     init_raw = _require(doc, "initial")
     if not isinstance(init_raw, list) or len(init_raw) != order + 1:
         raise ConfigError("initial", f"must be a list of {order + 1} moment entries")
-    columns = []
-    for k, entry in enumerate(init_raw):
-        arr = np.asarray(entry, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(cells, float(arr))
-        if arr.shape != (cells,):
-            raise ConfigError(
-                f"initial[{k}]", f"must be a number or a length-{cells} array"
-            )
-        columns.append(arr)
+    columns = [_cell_values(entry, f"initial[{k}]", cells) for k, entry in enumerate(init_raw)]
     initial = MomentGrid(t=0.0, values=np.stack(columns, axis=1))
 
     return {

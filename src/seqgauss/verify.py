@@ -17,7 +17,10 @@ from . import chaos as chaos_mod
 from . import closure as closure_mod
 from . import core, hermite, measure, wick
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
+__all__ = [
+    "CheckResult", "SUITE_NAMES", "run_suite",
+    "random_cov", "random_expansion", "wick_pair_expectation",
+]
 
 SUITE_NAMES = ("core", "hermite", "wick", "measure", "chaos", "closure")
 
@@ -51,7 +54,8 @@ def _assert_close(value, target, tol, label: str) -> None:
         raise AssertionError(f"{label}: error {err:.3e} exceeds {tol:.1e}")
 
 
-def _random_cov(rng: np.random.Generator, d: int) -> core.Covariance:
+def random_cov(rng: np.random.Generator, d: int) -> core.Covariance:
+    """Random well-conditioned covariance ``G G^T / d + I / 2``."""
     g = rng.standard_normal((d, d))
     return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
@@ -74,7 +78,7 @@ def suite_core(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
             h, g = rng.standard_normal(m), rng.standard_normal(m)
             x, y = rng.standard_normal(d), rng.standard_normal(d)
             f = rng.standard_normal((m, d))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             _assert_close(
                 core.bracket(core.bullet(h, x), y),
                 float(x @ y) * h,
@@ -136,7 +140,7 @@ def suite_core(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
             f = rng.standard_normal((m, d))
             h = rng.standard_normal(m)
             x = rng.standard_normal(d)
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             direct = core.apply_extended(cov, f)
             basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
             via_basis = sum(
@@ -176,7 +180,7 @@ def suite_core(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
     def block_projection_algebra():
         for _ in range(20):
             d = int(rng.integers(3, 13))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             cut = int(rng.integers(1, d))
             blocks = core.block_projection(cov, cut)
             p, pt = blocks.p, blocks.pt
@@ -415,7 +419,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
         _assert_close(sym1.array, 0.5 * (arr + arr.T), 1e-14 * tol_scale, "pair average")
 
     def low_degree_values():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         phi = rng.standard_normal((m, d))
         w = rng.standard_normal((m, d))
         p = measure.pairing(phi, w)
@@ -438,7 +442,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
     def recursion_vs_closed_form():
         for _ in range(50):
             n = int(rng.integers(0, 5))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             w = rng.standard_normal((m, d))
             rec = wick.wick_dense_tensor(n, cov, w)
             closed = wick.wick_dense_closed_form(n, cov, w)
@@ -448,7 +452,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
     def dense_vs_polarized_evaluation():
         for _ in range(25):
             n = int(rng.integers(1, 5))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             w = rng.standard_normal((m, d))
             xs = _random_seqvecs(rng, n, m, d)
             kernel = wick.polarize(xs)
@@ -459,7 +463,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
 
     def inverse_relation():
         for n in range(5):
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             w = rng.standard_normal((m, d))
             phi = rng.standard_normal((m, d))
             rebuilt = wick.monomial_dense_from_wick(n, cov, w)
@@ -473,7 +477,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
     def inner_product_routes():
         for _ in range(25):
             n = int(rng.integers(0, 5))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             k1 = wick.polarize(_random_seqvecs(rng, n, m, d)) if n else wick.SymKernel.constant(
                 float(rng.standard_normal()), m, d
             )
@@ -485,7 +489,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
                 wick.dense_from_kernel(k1), wick.dense_from_kernel(k2), cov
             )
             _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         phi, psi = _random_seqvecs(rng, 2, m, d)
         for n in range(1, 5):
             a = wick.kernel_inner_a(
@@ -495,7 +499,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
             _assert_close(a, b, 1e-12 * tol_scale * max(1.0, abs(b)), "rank-one powers")
 
     def repolarization_invariance():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         w = rng.standard_normal((m, d))
         x1, x2 = _random_seqvecs(rng, 2, m, d)
         k_a = wick.polarize([x1, x2])
@@ -532,7 +536,7 @@ def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
 # measure
 
 
-def _wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
+def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
     """E[:phi^n: :psi^m:] by expanding both Wick monomials into plain
     monomials and applying the pair-partition oracle."""
     na2 = core.inner_a(phi, phi, cov)
@@ -556,14 +560,14 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
     dims = core.TruncationDims(m, d)
 
     def determinism():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         b1 = measure.sample_mu_a(cov, dims, 500, seed=1234)
         b2 = measure.sample_mu_a(cov, dims, 500, seed=1234)
         if not np.array_equal(b1.samples, b2.samples):
             raise AssertionError("same seed produced different batches")
 
     def variance_isometry():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 1)
         phi = rng.standard_normal((m, d))
         p = measure.pairings(phi, batch)
@@ -575,7 +579,7 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
         return f"var {var:.5f} ~ {target:.5f}"
 
     def characteristic_function():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 2)
         phi = 0.7 * rng.standard_normal((m, d))
         est = measure.char_function_mc(phi, batch)
@@ -592,7 +596,7 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
             raise AssertionError("characteristic function at zero must be exactly one")
 
     def pair_partition_oracle():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         phi, psi, chi = _random_seqvecs(rng, 3, m, d)
         _assert_close(
             measure.isserlis_moment([phi, psi], cov),
@@ -612,7 +616,7 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
             raise AssertionError("empty product must be one")
 
     def mc_vs_oracle():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 3)
         for n in (2, 3, 4):
             phis = [0.8 * rng.standard_normal((m, d)) for _ in range(n)]
@@ -629,11 +633,11 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
 
     def wick_orthogonality_exact():
         for _ in range(20):
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             phi, psi = _random_seqvecs(rng, 2, m, d)
             for n in range(5):
                 for m_deg in range(5):
-                    val = _wick_pair_expectation(phi, n, psi, m_deg, cov)
+                    val = wick_pair_expectation(phi, n, psi, m_deg, cov)
                     target = (
                         factorial(n) * core.inner_a(phi, psi, cov) ** n
                         if n == m_deg
@@ -645,7 +649,7 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
                         )
 
     def pushforward():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 4)
         raw = _random_seqvecs(rng, 3, m, d)
         basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
@@ -679,7 +683,8 @@ def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
 # chaos
 
 
-def _random_expansion(rng, m, d, max_degree=2) -> chaos_mod.ChaosExpansion:
+def random_expansion(rng, m, d, max_degree=2) -> chaos_mod.ChaosExpansion:
+    """Random constant plus polarized kernels of degrees 1..max_degree."""
     kernels: dict[int, wick.SymKernel] = {
         0: wick.SymKernel.constant(float(rng.standard_normal()), m, d)
     }
@@ -717,8 +722,8 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
 
     def idempotence_and_contraction():
         for _ in range(20):
-            cov = _random_cov(rng, d)
-            expansion = _random_expansion(rng, m, d)
+            cov = random_cov(rng, d)
+            expansion = random_expansion(rng, m, d)
             cond = chaos_mod.ConditioningSet.from_vectors(
                 _random_seqvecs(rng, 2, m, d), cov
             )
@@ -738,7 +743,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
 
     def degree_one_additivity():
         for _ in range(20):
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             f = rng.standard_normal((m, d))
             raw = [rng.standard_normal(d) for _ in range(2)]
             basis = core.gram_schmidt_a(raw, cov)
@@ -748,7 +753,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
 
     def span_invariance():
         for _ in range(20):
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             f = rng.standard_normal((m, d))
             xs = [rng.standard_normal(d) for _ in range(2)]
             mix = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
@@ -762,7 +767,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
 
     def chaos_vs_monomial():
         for _ in range(10):
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             f = rng.standard_normal((m, d))
             xs = [rng.standard_normal(d) for _ in range(2)]
             basis = core.gram_schmidt_a(xs, cov)
@@ -787,7 +792,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
             )
 
     def inner_product_structure():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         phi, psi = _random_seqvecs(rng, 2, m, d)
         e_n = chaos_mod.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(phi, 2)})
         e_m = chaos_mod.ChaosExpansion(kernels={3: wick.SymKernel.rank_one(psi, 3)})
@@ -801,8 +806,8 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
                 val, target, 1e-10 * tol_scale * max(1.0, abs(target)), f"degree {n} norm"
             )
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 11)
-        f_exp = _random_expansion(rng, m, d)
-        g_exp = _random_expansion(rng, m, d)
+        f_exp = random_expansion(rng, m, d)
+        g_exp = random_expansion(rng, m, d)
         prod = chaos_mod.eval_expansion(f_exp, cov, batch.samples) * chaos_mod.eval_expansion(
             g_exp, cov, batch.samples
         )
@@ -813,9 +818,9 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
             raise AssertionError(f"MC {mean:.5f} vs exact {target:.5f} (se {se:.2e})")
 
     def expansion_mean():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 12)
-        expansion = _random_expansion(rng, m, d)
+        expansion = random_expansion(rng, m, d)
         values = chaos_mod.eval_expansion(expansion, cov, batch.samples)
         mean = values.mean()
         se = values.std(ddof=1) / np.sqrt(batch.count)
@@ -824,7 +829,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
             raise AssertionError(f"mean {mean:.5f} vs constant {target:.5f}")
 
     def residual_tests():
-        cov = _random_cov(rng, d)
+        cov = random_cov(rng, d)
         batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 13)
         cond = chaos_mod.ConditioningSet.from_vectors(
             _random_seqvecs(rng, 2, m, d), cov
@@ -836,7 +841,7 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
             lambda c: c[:, 0] ** 2 - 1.0,
         ]
         for i in range(8):
-            expansion = _random_expansion(rng, m, d)
+            expansion = random_expansion(rng, m, d)
             est = chaos_mod.mc_cond_check(expansion, cond, cov, tests[i % len(tests)], batch)
             if abs(est.value) > 4.0 * est.std_error + 1e-12:
                 raise AssertionError(
@@ -851,8 +856,8 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
             raise AssertionError("measurable functional must have zero residual")
 
     def growing_conditioning_rank():
-        cov = _random_cov(rng, d)
-        expansion = _random_expansion(rng, m, d)
+        cov = random_cov(rng, d)
+        expansion = random_expansion(rng, m, d)
         full_norm = chaos_mod.chaos_norm(expansion, cov)
         vectors = _random_seqvecs(rng, 4, m, d)
         prev = -1.0
@@ -1024,7 +1029,7 @@ def suite_closure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
         for _ in range(10):
             d = int(rng.integers(3, 9))
             m = int(rng.integers(1, 4))
-            cov = _random_cov(rng, d)
+            cov = random_cov(rng, d)
             cut = int(rng.integers(1, d))
             blocks = core.block_projection(cov, cut)
             phi = rng.standard_normal((m, d))

@@ -41,7 +41,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import Covariance, inner_a, norm_a
+from .core import Covariance, gram_a, inner_a
 from .hermite import hermite_prob
 
 __all__ = [
@@ -219,36 +219,34 @@ def weight_pairing_matrix(cov: Covariance, m: int) -> np.ndarray:
     return np.kron(np.eye(m), cov.matrix)
 
 
-def _pairings(phi: np.ndarray, w) -> np.ndarray:
-    """Frobenius pairing of phi with one sample (m, d) or a batch (..., m, d)."""
-    return np.einsum("ij,...ij->...", phi, np.asarray(w, dtype=float))
-
-
 def wick_eval(kernel: SymKernel, cov: Covariance, w):
     """Evaluate the Wick-ordered monomial of ``kernel`` at sample(s) ``w``.
 
     Sums ``coeff * ||base||_A^n * H_n(<base, w> / ||base||_A)`` over the
     polarized terms.  ``w`` may be one m-by-d sample or a stacked batch
     with leading axes; the result is a float or an array accordingly.
+    The pairings of every sample with every base form one (..., T) array.
     """
     w_arr = np.asarray(w, dtype=float)
     single = w_arr.ndim == 2
     total = np.zeros(() if single else w_arr.shape[:-2])
-    for t in kernel.terms:
-        if t.base.shape != w_arr.shape[-2:]:
-            raise ValueError(
-                f"kernel dims {t.base.shape} do not match sample dims {w_arr.shape[-2:]}"
-            )
-        n = t.degree
-        if n == 0:
-            total = total + t.coeff
-            continue
-        na = norm_a(t.base, cov)
-        if na == 0.0:
-            continue
-        p = _pairings(t.base, w_arr)
-        total = total + t.coeff * na**n * hermite_prob(n, p / na)
-    return float(total) if single else np.asarray(total)
+    if kernel.terms and kernel.dims != w_arr.shape[-2:]:
+        raise ValueError(
+            f"kernel dims {kernel.dims} do not match sample dims {w_arr.shape[-2:]}"
+        )
+    n = kernel.degree
+    if n == 0:
+        total = total + sum(t.coeff for t in kernel.terms)
+    elif kernel.terms:
+        bases = np.stack([t.base for t in kernel.terms])
+        na = np.sqrt(np.maximum(np.diagonal(gram_a(bases, bases, cov)), 0.0))
+        p = np.tensordot(w_arr, bases, axes=([-2, -1], [1, 2]))
+        # One Hermite call per term: a single call on the whole (..., T)
+        # array holds several (..., T) temporaries of the recurrence at once.
+        for k in np.flatnonzero(na):
+            t = kernel.terms[k]
+            total = total + t.coeff * na[k] ** n * hermite_prob(n, p[..., k] / na[k])
+    return float(total) if single else total
 
 
 def wick_dense_tensor(n: int, cov: Covariance, w) -> np.ndarray:

@@ -12,6 +12,7 @@ from math import comb, factorial
 import numpy as np
 
 from seqgauss import chaos, closure, core, hermite, measure, wick
+from seqgauss.verify import random_cov, random_expansion, wick_pair_expectation
 
 
 @contextmanager
@@ -25,11 +26,6 @@ def criterion(name, budget_s):
     elapsed = time.perf_counter() - start
     print(f"[acceptance] {name}: PASS ({elapsed:.2f} s, budget {budget_s:.0f} s)")
     assert elapsed < budget_s, f"{name} exceeded its {budget_s} s budget"
-
-
-def random_cov(rng, d):
-    g = rng.standard_normal((d, d))
-    return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
 
 def test_criterion_1_hermite_suite():
@@ -99,19 +95,6 @@ def test_criterion_2_wick_equivalence():
             lhs = float(np.sum(rebuilt * power))
             rhs = measure.pairing(phi, w) ** n
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-def wick_pair_expectation(phi, n, psi, m, cov):
-    na2 = core.inner_a(phi, phi, cov)
-    nb2 = core.inner_a(psi, psi, cov)
-    total = 0.0
-    for k in range(n // 2 + 1):
-        ck = (-1) ** k * factorial(n) / (2**k * factorial(k) * factorial(n - 2 * k))
-        for l in range(m // 2 + 1):
-            cl = (-1) ** l * factorial(m) / (2**l * factorial(l) * factorial(m - 2 * l))
-            factors = [phi] * (n - 2 * k) + [psi] * (m - 2 * l)
-            total += ck * cl * na2**k * nb2**l * measure.isserlis_moment(factors, cov)
-    return total
 
 
 def test_criterion_3_exact_wick_orthogonality():
@@ -186,13 +169,7 @@ def test_criterion_5_conditional_expectation():
         m, d = 2, 3
         for _ in range(100):
             cov = random_cov(rng, d)
-            expansion = chaos.ChaosExpansion(
-                kernels={
-                    0: wick.SymKernel.constant(float(rng.standard_normal()), m, d),
-                    1: wick.polarize([0.7 * rng.standard_normal((m, d))]),
-                    2: wick.polarize([0.7 * rng.standard_normal((m, d)) for _ in range(2)]),
-                }
-            )
+            expansion = random_expansion(rng, m, d)
             cond = chaos.ConditioningSet.from_vectors(
                 list(rng.standard_normal((2, m, d))), cov
             )
@@ -233,13 +210,7 @@ def test_criterion_5_conditional_expectation():
             lambda c: c[:, 0] ** 2 - 1.0,
         ]
         for i in range(20):
-            expansion = chaos.ChaosExpansion(
-                kernels={
-                    0: wick.SymKernel.constant(float(rng.standard_normal()), m, d),
-                    1: wick.polarize([0.7 * rng.standard_normal((m, d))]),
-                    2: wick.polarize([0.7 * rng.standard_normal((m, d)) for _ in range(2)]),
-                }
-            )
+            expansion = random_expansion(rng, m, d)
             est = chaos.mc_cond_check(expansion, cond, cov, tests[i % 4], batch)
             assert abs(est.value) <= 4.0 * est.std_error + 1e-12
 

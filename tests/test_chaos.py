@@ -2,21 +2,10 @@ import numpy as np
 import pytest
 
 from seqgauss import chaos, core, measure, wick
+from seqgauss.verify import random_cov, random_expansion
 
 M, D = 2, 3
 DIMS = core.TruncationDims(M, D)
-
-
-def random_cov(rng, d=D):
-    g = rng.standard_normal((d, d))
-    return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
-
-
-def random_expansion(rng, max_degree=2):
-    kernels = {0: wick.SymKernel.constant(float(rng.standard_normal()), M, D)}
-    for n in range(1, max_degree + 1):
-        kernels[n] = wick.polarize([0.7 * rng.standard_normal((M, D)) for _ in range(n)])
-    return chaos.ChaosExpansion(kernels=kernels)
 
 
 def coupled_cov():
@@ -56,7 +45,7 @@ def test_worked_example_later_coordinates_untouched():
 
 def test_full_span_projection_is_identity():
     rng = np.random.default_rng(3)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     f = rng.standard_normal((M, D))
     out = chaos.cond_exp_monomial(f, list(np.eye(D)), cov)
     assert np.allclose(out, f, atol=1e-12)
@@ -71,7 +60,7 @@ def test_cond_exp_monomial_degenerate_span_rejected():
 def test_degree_one_additivity():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         f = rng.standard_normal((M, D))
         basis = core.gram_schmidt_a(list(rng.standard_normal((2, D))), cov)
         joint = chaos.cond_exp_monomial(f, basis, cov)
@@ -82,7 +71,7 @@ def test_degree_one_additivity():
 def test_span_invariance():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         f = rng.standard_normal((M, D))
         xs = list(rng.standard_normal((2, D)))
         mix = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
@@ -100,8 +89,7 @@ def test_cond_exp_monomial_matches_gaussian_regression_oracle():
     rng = np.random.default_rng(42)
     for _ in range(10):
         m, d, q = 3, 5, 2
-        g = rng.standard_normal((d, d))
-        cov = core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
+        cov = random_cov(rng, d)
         f = rng.standard_normal((m, d))
         xs = [rng.standard_normal(d) for _ in range(q)]
         obs = [core.bullet(np.eye(m)[i], x) for x in xs for i in range(m)]
@@ -114,7 +102,7 @@ def test_cond_exp_monomial_matches_gaussian_regression_oracle():
 
 def test_conditioning_set_from_vectors_is_orthonormal():
     rng = np.random.default_rng(6)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((3, M, D))), cov)
     cond.validate(cov)
     assert len(cond.basis) == 3
@@ -130,9 +118,20 @@ def test_cond_exp_chaos_rejects_non_orthonormal_set():
         chaos.cond_exp_chaos(expansion, cond, cov)
 
 
+def test_project_onto_set_stack_matches_single_vectors():
+    rng = np.random.default_rng(21)
+    cov = random_cov(rng, D)
+    cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
+    stack = rng.standard_normal((4, M, D))
+    loop = [sum(core.inner_a(phi, psi, cov) * psi for psi in cond.basis) for phi in stack]
+    assert np.allclose(chaos.project_onto_set(stack, cond, cov), loop, rtol=1e-12, atol=1e-12)
+    single = chaos.project_onto_set(stack[0], cond, cov)
+    assert np.allclose(single, loop[0], rtol=1e-12, atol=1e-12)
+
+
 def test_cond_exp_chaos_fixes_kernels_in_span():
     rng = np.random.default_rng(7)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
     psi = 1.3 * cond.basis[0] - 0.4 * cond.basis[1]
     expansion = chaos.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(psi, 2)})
@@ -157,7 +156,7 @@ def test_cond_exp_chaos_annihilates_orthogonal_kernels():
 
 def test_cond_exp_chaos_keeps_constants():
     rng = np.random.default_rng(9)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     cond = chaos.ConditioningSet.from_vectors([rng.standard_normal((M, D))], cov)
     expansion = chaos.ChaosExpansion(kernels={0: wick.SymKernel.constant(4.2, M, D)})
     out = chaos.cond_exp_chaos(expansion, cond, cov)
@@ -167,8 +166,8 @@ def test_cond_exp_chaos_keeps_constants():
 def test_cond_exp_chaos_idempotent_and_contractive():
     rng = np.random.default_rng(10)
     for _ in range(20):
-        cov = random_cov(rng)
-        expansion = random_expansion(rng)
+        cov = random_cov(rng, D)
+        expansion = random_expansion(rng, M, D)
         cond = chaos.ConditioningSet.from_vectors(
             list(rng.standard_normal((2, M, D))), cov
         )
@@ -183,7 +182,7 @@ def test_cond_exp_chaos_idempotent_and_contractive():
 def test_chaos_and_monomial_projections_agree_for_degree_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         f = rng.standard_normal((M, D))
         xs = list(rng.standard_normal((2, D)))
         basis = core.gram_schmidt_a(xs, cov)
@@ -199,7 +198,7 @@ def test_chaos_and_monomial_projections_agree_for_degree_one():
 
 def test_eval_expansion_low_degrees():
     rng = np.random.default_rng(12)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     w = rng.standard_normal((M, D))
     const = chaos.ChaosExpansion(kernels={0: wick.SymKernel.constant(2.5, M, D)})
     assert chaos.eval_expansion(const, cov, w) == 2.5
@@ -212,9 +211,9 @@ def test_eval_expansion_low_degrees():
 
 def test_expansion_mean_is_constant_coefficient():
     rng = np.random.default_rng(13)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=21)
-    expansion = random_expansion(rng)
+    expansion = random_expansion(rng, M, D)
     values = chaos.eval_expansion(expansion, cov, batch.samples)
     se = values.std(ddof=1) / np.sqrt(batch.count)
     assert abs(values.mean() - expansion.kernels[0].terms[0].coeff) < 4.0 * se
@@ -224,7 +223,7 @@ def test_chaos_inner_structure():
     from math import factorial
 
     rng = np.random.default_rng(14)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     phi, psi = rng.standard_normal((2, M, D))
     e2 = chaos.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(phi, 2)})
     e3 = chaos.ChaosExpansion(kernels={3: wick.SymKernel.rank_one(psi, 3)})
@@ -239,10 +238,10 @@ def test_chaos_inner_structure():
 
 def test_chaos_inner_matches_monte_carlo():
     rng = np.random.default_rng(15)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=22)
-    f_exp = random_expansion(rng)
-    g_exp = random_expansion(rng)
+    f_exp = random_expansion(rng, M, D)
+    g_exp = random_expansion(rng, M, D)
     prod = chaos.eval_expansion(f_exp, cov, batch.samples) * chaos.eval_expansion(
         g_exp, cov, batch.samples
     )
@@ -252,7 +251,7 @@ def test_chaos_inner_matches_monte_carlo():
 
 def test_mc_cond_check_degree_one_with_unit_test_function():
     rng = np.random.default_rng(16)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=23)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
     expansion = chaos.ChaosExpansion(
@@ -264,7 +263,7 @@ def test_mc_cond_check_degree_one_with_unit_test_function():
 
 def test_mc_cond_check_measurable_expansion_has_zero_residual():
     rng = np.random.default_rng(17)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 5_000, seed=24)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
     expansion = chaos.ChaosExpansion(
@@ -281,11 +280,11 @@ def test_mc_cond_check_measurable_expansion_has_zero_residual():
 
 def test_mc_cond_check_quadratic_expansions():
     rng = np.random.default_rng(18)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=25)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
     for _ in range(5):
-        expansion = random_expansion(rng)
+        expansion = random_expansion(rng, M, D)
         est = chaos.mc_cond_check(
             expansion, cond, cov, lambda c: c[:, 0] ** 2 - c[:, 0] * c[:, 1], batch
         )
@@ -294,10 +293,10 @@ def test_mc_cond_check_quadratic_expansions():
 
 def test_mc_cond_check_scalar_test_function():
     rng = np.random.default_rng(19)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 2_000, seed=26)
     cond = chaos.ConditioningSet.from_vectors([rng.standard_normal((M, D))], cov)
-    expansion = random_expansion(rng, max_degree=1)
+    expansion = random_expansion(rng, M, D, max_degree=1)
     est_vec = chaos.mc_cond_check(expansion, cond, cov, lambda c: c[:, 0], batch)
     est_scalar = chaos.mc_cond_check(expansion, cond, cov, lambda row: row[0], batch)
     assert est_vec.value == pytest.approx(est_scalar.value, rel=1e-12, abs=1e-15)

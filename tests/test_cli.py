@@ -176,6 +176,26 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
     assert "'J'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("sigma", "abc", "sigma"),
+        ("initial", ["x", 0.0, 0.0, 0.0], "initial[0]"),
+        ("sigma", float("nan"), "sigma"),
+        ("kappa", -1.0, "kappa"),
+    ],
+)
+def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):
+    doc = base_closure_doc()
+    doc[key] = value
+    cfg = tmp_path / "bad.json"
+    serialize.save_document(cfg, doc)
+    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 2
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err
+
+
 def test_hermite_tabulation(tmp_path, capsys):
     out = tmp_path / "herm.csv"
     code, _, _ = run_cli(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqgauss import closure, core, measure
+from seqgauss.verify import random_cov
 
 
 def make_params(cells=64, sigma=0.0, kappa=0.0, source=0.0):
@@ -288,8 +289,7 @@ def test_weak_form_projection_identity():
     for _ in range(10):
         d = int(rng.integers(3, 9))
         m = int(rng.integers(1, 4))
-        g = rng.standard_normal((d, d))
-        cov = core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
+        cov = random_cov(rng, d)
         cut = int(rng.integers(1, d))
         blocks = core.block_projection(cov, cut)
         phi = rng.standard_normal((m, d))

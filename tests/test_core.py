@@ -115,6 +115,19 @@ def test_inner_a_bracket_identity():
     )
 
 
+def test_gram_a_matches_inner_a_and_validates_stacks():
+    rng = np.random.default_rng(20)
+    g_mat = rng.standard_normal((4, 4))
+    cov = core.Covariance(g_mat @ g_mat.T + 2 * np.eye(4))
+    fs, gs = rng.standard_normal((5, 3, 4)), rng.standard_normal((2, 3, 4))
+    expected = [[core.inner_a(f, g, cov) for g in gs] for f in fs]
+    assert np.allclose(core.gram_a(fs, gs, cov), expected, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="mismatch"):
+        core.gram_a(fs, gs[:, :2], cov)
+    with pytest.raises(ValueError, match="covariance dim"):
+        core.gram_a(fs[..., :3], gs[..., :3], cov)
+
+
 def test_apply_extended_diagonal_weight_scales_columns():
     cov = core.Covariance(np.diag([1.0, 0.25, 1.0 / 9.0]))
     f = np.arange(6.0).reshape(2, 3)

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from seqgauss import core, measure
+from seqgauss.verify import random_cov, wick_pair_expectation
 
 M, D = 2, 3
 DIMS = core.TruncationDims(M, D)
-
-
-def random_cov(rng, d=D):
-    g = rng.standard_normal((d, d))
-    return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
 
 def brute_isserlis(phis, cov):
@@ -43,7 +39,7 @@ def brute_isserlis(phis, cov):
 
 def test_same_seed_reproduces_batch_bitwise():
     rng = np.random.default_rng(0)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     b1 = measure.sample_mu_a(cov, DIMS, 200, seed=99)
     b2 = measure.sample_mu_a(cov, DIMS, 200, seed=99)
     assert np.array_equal(b1.samples, b2.samples)
@@ -85,7 +81,7 @@ def test_pairing_basics():
 
 def test_pairing_variance_matches_weighted_norm():
     rng = np.random.default_rng(2)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=11)
     phi = rng.standard_normal((M, D))
     p = measure.pairings(phi, batch)
@@ -116,7 +112,7 @@ def test_char_function_at_zero_is_exact():
 
 def test_char_function_matches_gaussian_transform():
     rng = np.random.default_rng(4)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=14)
     phi = 0.6 * rng.standard_normal((M, D))
     est = measure.char_function_mc(phi, batch)
@@ -133,7 +129,7 @@ def test_char_function_empty_batch_rejected():
 
 def test_isserlis_pair_and_odd_and_quartic():
     rng = np.random.default_rng(5)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     phi, psi, chi = rng.standard_normal((3, M, D))
     assert measure.isserlis_moment([phi, psi], cov) == pytest.approx(
         core.inner_a(phi, psi, cov), rel=1e-12
@@ -147,7 +143,7 @@ def test_isserlis_pair_and_odd_and_quartic():
 
 def test_isserlis_matches_brute_force_enumeration():
     rng = np.random.default_rng(6)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     for n in (2, 4, 6):
         phis = list(0.8 * rng.standard_normal((n, M, D)))
         assert measure.isserlis_moment(phis, cov) == pytest.approx(
@@ -163,7 +159,7 @@ def test_isserlis_factor_limit():
 
 def test_mc_product_moments_match_oracle():
     rng = np.random.default_rng(7)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=15)
     for n in (2, 3, 4):
         phis = [0.8 * rng.standard_normal((M, D)) for _ in range(n)]
@@ -175,25 +171,10 @@ def test_mc_product_moments_match_oracle():
         assert abs(mean - measure.isserlis_moment(phis, cov)) < 4.0 * se
 
 
-def wick_pair_expectation(phi, n, psi, m, cov):
-    """E[:phi^n: :psi^m:] by expanding Wick monomials into plain monomials
-    (alternating trace-insertion sum) and applying the pair oracle."""
-    na2 = core.inner_a(phi, phi, cov)
-    nb2 = core.inner_a(psi, psi, cov)
-    total = 0.0
-    for k in range(n // 2 + 1):
-        ck = (-1) ** k * factorial(n) / (2**k * factorial(k) * factorial(n - 2 * k))
-        for l in range(m // 2 + 1):
-            cl = (-1) ** l * factorial(m) / (2**l * factorial(l) * factorial(m - 2 * l))
-            factors = [phi] * (n - 2 * k) + [psi] * (m - 2 * l)
-            total += ck * cl * na2**k * nb2**l * measure.isserlis_moment(factors, cov)
-    return total
-
-
 def test_exact_wick_orthogonality_via_oracle():
     rng = np.random.default_rng(8)
     for _ in range(5):
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         phi, psi = rng.standard_normal((2, M, D))
         for n, m in itertools.product(range(5), repeat=2):
             val = wick_pair_expectation(phi, n, psi, m, cov)
@@ -203,7 +184,7 @@ def test_exact_wick_orthogonality_via_oracle():
 
 def test_pushforward_check_passes_for_orthonormal_family():
     rng = np.random.default_rng(9)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=16)
     raw = list(rng.standard_normal((3, M, D)))
     basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
@@ -235,7 +216,7 @@ def test_pushforward_check_rejects_non_orthonormal_input():
 
 def test_product_moments_factorize_for_orthonormal_family():
     rng = np.random.default_rng(10)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=19)
     basis = core.gram_schmidt(
         list(rng.standard_normal((2, M, D))), lambda f, g: core.inner_a(f, g, cov)

@@ -64,6 +64,11 @@ def test_expansion_from_jsonable_errors():
     ]
     with pytest.raises(serialize.ConfigError, match="duplicate"):
         serialize.expansion_from_jsonable(dup)
+    with pytest.raises(serialize.ConfigError, match=r"expansion\[0\]\.terms'"):
+        serialize.expansion_from_jsonable([{"degree": 1, "terms": {"coeff": 1.0}}])
+    bad_coeff = [{"degree": 1, "terms": [{"coeff": "x", "base": [[1.0]]}]}]
+    with pytest.raises(serialize.ConfigError, match=r"terms\[0\]\.coeff"):
+        serialize.expansion_from_jsonable(bad_coeff)
 
 
 def condexp_doc():

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from seqgauss import core, wick
+from seqgauss.verify import random_cov
 
 M, D = 2, 3
-
-
-def random_cov(rng, d=D):
-    g = rng.standard_normal((d, d))
-    return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
 
 def brute_symmetric_product(vectors):
@@ -86,7 +82,7 @@ def test_dense_tensor_size_limits():
 
 def test_wick_eval_low_degrees():
     rng = np.random.default_rng(5)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     phi = rng.standard_normal((M, D))
     w = rng.standard_normal((M, D))
     p = float(np.sum(phi * w))
@@ -106,11 +102,25 @@ def test_wick_eval_zero_norm_base():
     zero = np.zeros((M, D))
     assert wick.wick_eval(wick.SymKernel.rank_one(zero, 3), cov, w) == 0.0
     assert wick.wick_eval(wick.SymKernel.rank_one(zero, 0, coeff=2.5), cov, w) == 2.5
+    empty = wick.SymKernel(degree=2, terms=())
+    assert wick.wick_eval(empty, cov, w) == 0.0
+    assert np.array_equal(wick.wick_eval(empty, cov, np.ones((5, M, D))), np.zeros(5))
+
+
+def test_wick_eval_mixed_zero_norm_terms_match_per_term_sum():
+    rng = np.random.default_rng(22)
+    cov = random_cov(rng, D)
+    bases = [rng.standard_normal((M, D)), np.zeros((M, D)), rng.standard_normal((M, D))]
+    terms = tuple(wick.RankOnePower(c, b, 3) for c, b in zip((0.5, 2.0, -1.5), bases))
+    batch = rng.standard_normal((6, M, D))
+    per_term = sum(wick.wick_eval(wick.SymKernel(3, (t,)), cov, batch) for t in terms)
+    vals = wick.wick_eval(wick.SymKernel(3, terms), cov, batch)
+    assert np.allclose(vals, per_term, rtol=1e-12, atol=1e-12)
 
 
 def test_wick_eval_batch_broadcasting():
     rng = np.random.default_rng(6)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     kernel = wick.polarize(list(rng.standard_normal((2, M, D))))
     batch = rng.standard_normal((7, M, D))
     vals = wick.wick_eval(kernel, cov, batch)
@@ -121,7 +131,7 @@ def test_wick_eval_batch_broadcasting():
 
 def test_wick_eval_dense_degree_one_is_plain_pairing():
     rng = np.random.default_rng(7)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     w = rng.standard_normal((M, D))
     phi = rng.standard_normal((M, D))
     t = wick.dense_from_kernel(wick.SymKernel.rank_one(phi, 1))
@@ -132,7 +142,7 @@ def test_wick_eval_dense_degree_one_is_plain_pairing():
 
 def test_wick_eval_dense_degree_two_unrolled():
     rng = np.random.default_rng(8)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     w = rng.standard_normal((M, D))
     phi = rng.standard_normal((M, D))
     t = wick.dense_from_kernel(wick.SymKernel.rank_one(phi, 2))
@@ -145,7 +155,7 @@ def test_recursion_matches_closed_form():
     rng = np.random.default_rng(9)
     for _ in range(50):
         n = int(rng.integers(0, 5))
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         w = rng.standard_normal((M, D))
         rec = wick.wick_dense_tensor(n, cov, w)
         closed = wick.wick_dense_closed_form(n, cov, w)
@@ -156,7 +166,7 @@ def test_dense_and_polarized_evaluation_agree():
     rng = np.random.default_rng(10)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         w = rng.standard_normal((M, D))
         kernel = wick.polarize(list(rng.standard_normal((n, M, D))))
         a = wick.wick_eval(kernel, cov, w)
@@ -166,7 +176,7 @@ def test_dense_and_polarized_evaluation_agree():
 
 def test_monomials_rebuilt_from_wick_terms():
     rng = np.random.default_rng(11)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     w = rng.standard_normal((M, D))
     phi = rng.standard_normal((M, D))
     for n in range(5):
@@ -181,7 +191,7 @@ def test_monomials_rebuilt_from_wick_terms():
 
 def test_kernel_inner_rank_one_powers():
     rng = np.random.default_rng(12)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     phi, psi = rng.standard_normal((2, M, D))
     for n in range(1, 5):
         val = wick.kernel_inner_a(
@@ -200,7 +210,7 @@ def test_kernel_inner_degree_zero_is_coefficient_product():
 def test_kernel_inner_matches_dense_contraction():
     rng = np.random.default_rng(13)
     for n in range(1, 5):
-        cov = random_cov(rng)
+        cov = random_cov(rng, D)
         k1 = wick.polarize(list(rng.standard_normal((n, M, D))))
         k2 = wick.polarize(list(rng.standard_normal((n, M, D))))
         a = wick.kernel_inner_a(k1, k2, cov)
@@ -220,7 +230,7 @@ def test_kernel_inner_degree_mismatch():
 
 def test_weight_pairing_matrix_reproduces_inner_a():
     rng = np.random.default_rng(14)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     f, g = rng.standard_normal((2, M, D))
     t = wick.weight_pairing_matrix(cov, M)
     assert float(f.ravel() @ t @ g.ravel()) == pytest.approx(
@@ -230,7 +240,7 @@ def test_weight_pairing_matrix_reproduces_inner_a():
 
 def test_repolarization_invariance():
     rng = np.random.default_rng(15)
-    cov = random_cov(rng)
+    cov = random_cov(rng, D)
     w = rng.standard_normal((M, D))
     x1, x2 = rng.standard_normal((2, M, D))
     k_a = wick.polarize([x1, x2])
