@@ -107,6 +107,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV.
+
+    ``rows`` is consumed lazily and holds Python ints and floats (build
+    it with ``.tolist()``, not from numpy scalars).  ``csv`` writes a float
+    as its ``repr``, the shortest string that reads back to the same
+    double, and an int as plain digits.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     results = run_suite(
@@ -147,11 +161,8 @@ def _cmd_sample(args) -> int:
     header = [
         f"w_{i}_{k}" for i in range(args.dim_h) for k in range(args.dim_seq)
     ]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in batch.samples.reshape(args.samples, -1):
-            writer.writerow([repr(float(v)) for v in row])
+    rows = (row.tolist() for row in batch.samples.reshape(args.samples, -1))
+    _write_csv(args.out, header, rows)
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 
@@ -187,18 +198,14 @@ def _cmd_closure(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError("closure run", str(exc)) from None
-    params = cfg["params"]
-    order = cfg["initial"].order
-    x = params.x_centers
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"] + [f"I_{k}" for k in range(order + 1)])
-        for snap in snapshots:
-            for j in range(params.cells):
-                writer.writerow(
-                    [repr(float(snap.t)), repr(float(x[j]))]
-                    + [repr(float(v)) for v in snap.values[j]]
-                )
+    header = ["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)]
+    x = cfg["params"].x_centers.tolist()
+    rows = (
+        [float(snap.t), x_j, *values]
+        for snap in snapshots
+        for x_j, values in zip(x, snap.values.tolist())
+    )
+    _write_csv(args.out, header, rows)
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
 
@@ -210,13 +217,12 @@ def _cmd_hermite(args) -> int:
         raise ConfigError("points", "must be positive")
     eval_fn = hermite_prob if args.kind == "prob" else hermite_phys
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x", "value"])
-        for n in range(args.max_n + 1):
-            values = eval_fn(n, xs)
-            for x, v in zip(xs, np.atleast_1d(values)):
-                writer.writerow([n, repr(float(x)), repr(float(v))])
+    rows = (
+        [n, x, value]
+        for n in range(args.max_n + 1)
+        for x, value in zip(xs.tolist(), np.atleast_1d(eval_fn(n, xs)).tolist())
+    )
+    _write_csv(args.out, ["n", "x", "value"], rows)
     print(f"wrote degrees 0..{args.max_n} to {args.out}")
     return 0
 

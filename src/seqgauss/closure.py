@@ -24,12 +24,16 @@ starting at 1, so a closure at order N corresponds to ``cut = N + 1``.
 
 Time integration is one-step explicit Lax-Friedrichs on a uniform
 periodic grid (conservative: spatial sums of each moment are exact
-invariants of the pure-advection system).  The step enforces the CFL
-bound dt <= cfl * dx / rho(B) with rho the spectral radius of the closed
-advection matrix, computed numerically since the closure row can enlarge
-it (it may even make the closed system non-hyperbolic; blow-up is
-detected and reported, not prevented).  The source is evaluated at the
-step start time.
+invariants of the pure-advection system).  :func:`solve_closure` and
+:func:`step` share one marching loop, which builds the closed advection
+matrix B and its eigenvalues once per run.  The eigenvalues are computed
+numerically since the closure row can enlarge the spectral radius rho(B)
+or even make the closed system non-hyperbolic.  A non-real eigenvalue
+(|imag| > 1e-12 max(rho, 1)) makes the run raise ``ValueError`` before
+any step, since the closure is then ill-posed.  The run enforces the
+CFL bound dt <= cfl * dx / rho; every step evaluates the source at its
+start time, and a blow-up (non-finite moment) is reported with its time
+and cell.
 """
 
 from __future__ import annotations
@@ -228,6 +232,78 @@ def _source_term(params: MaterialParams, order: int, t: float) -> np.ndarray:
     return q
 
 
+def _march(
+    state: MomentGrid,
+    coeffs: MomentSystemCoeffs,
+    params: MaterialParams,
+    spec: ClosureSpec,
+    dt: float | None,
+    cfl: float,
+    t_final: float,
+    output_stride: int,
+) -> list[MomentGrid]:
+    """The one Lax-Friedrichs marching loop behind :func:`step` and
+    :func:`solve_closure`.
+
+    The closed advection matrix and its eigenvalues are computed once;
+    they give the hyperbolicity check, the spectral radius, the default
+    ``dt`` and the CFL check.  Returns ``state`` followed by every
+    ``output_stride``-th step and the final step.
+    """
+    if state.order != coeffs.order:
+        raise ValueError(
+            f"state order {state.order} does not match coefficients order {coeffs.order}"
+        )
+    if state.values.shape[0] != params.cells:
+        raise ValueError(
+            f"state has {state.values.shape[0]} cells, params have {params.cells}"
+        )
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    b_closed = closed_advection_matrix(coeffs, spec)
+    eigenvalues = np.linalg.eigvals(b_closed)
+    rho = float(np.abs(eigenvalues).max())
+    worst = eigenvalues[np.abs(eigenvalues.imag).argmax()]
+    if abs(worst.imag) > 1e-12 * max(rho, 1.0):
+        raise ValueError(
+            f"closed advection matrix is not hyperbolic: eigenvalue "
+            f"{complex(worst):.6g} is not real"
+        )
+    if dt is None:
+        if rho == 0.0:
+            raise ValueError("advection-free system: provide dt explicitly")
+        dt = cfl * params.dx / rho
+    if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
+        raise ValueError(
+            f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * dx / rho = "
+            f"{cfl * params.dx / rho:.6g}"
+        )
+    n_steps = max(1, round(t_final / dt))
+    courant = dt / (2.0 * params.dx)
+    damping = dt * _absorption(params, state.order)
+    snapshots = [state]
+    t, u = state.t, state.values
+    for i in range(1, n_steps + 1):
+        left = np.roll(u, 1, axis=0)
+        right = np.roll(u, -1, axis=0)
+        # overflow here is caught by the finiteness check below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            advected = 0.5 * (left + right) - courant * (right - left) @ b_closed.T
+            new = advected - damping * u
+            new = new + dt * _source_term(params, state.order, t)
+        t = t + dt
+        if not np.all(np.isfinite(new)):
+            bad = np.argwhere(~np.isfinite(new))[0]
+            raise ValueError(
+                f"solution blew up at t = {t:.6g}: non-finite moment {bad[1]} "
+                f"in cell {bad[0]}"
+            )
+        u = new
+        if i % output_stride == 0 or i == n_steps:
+            snapshots.append(MomentGrid(t=t, values=u))
+    return snapshots
+
+
 def step(
     state: MomentGrid,
     coeffs: MomentSystemCoeffs,
@@ -238,45 +314,13 @@ def step(
 ) -> MomentGrid:
     """One explicit Lax-Friedrichs step with periodic boundaries.
 
-    Raises on CFL violation (dt > cfl * dx / rho of the closed advection
-    matrix) and on non-finite output, reporting time and first bad cell.
+    A thin wrapper over the marching loop of :func:`solve_closure`, so a
+    loop of steps reproduces its snapshots bitwise.  Raises on a
+    non-hyperbolic closed advection matrix, on CFL violation (dt > cfl *
+    dx / rho of that matrix) and on non-finite output, reporting time
+    and first bad cell.
     """
-    if state.order != coeffs.order:
-        raise ValueError(
-            f"state order {state.order} does not match coefficients order {coeffs.order}"
-        )
-    if state.values.shape[0] != params.cells:
-        raise ValueError(
-            f"state has {state.values.shape[0]} cells, params have {params.cells}"
-        )
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    b_closed = closed_advection_matrix(coeffs, spec)
-    rho = float(np.abs(np.linalg.eigvals(b_closed)).max())
-    if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
-        raise ValueError(
-            f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * dx / rho = "
-            f"{cfl * params.dx / rho:.6g}"
-        )
-    u = state.values
-    left = np.roll(u, 1, axis=0)
-    right = np.roll(u, -1, axis=0)
-    # overflow here is caught by the finiteness check below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        advected = (
-            0.5 * (left + right)
-            - (dt / (2.0 * params.dx)) * (right - left) @ b_closed.T
-        )
-        new = advected - dt * _absorption(params, state.order) * u
-        new = new + dt * _source_term(params, state.order, state.t)
-    t_new = state.t + dt
-    if not np.all(np.isfinite(new)):
-        bad = np.argwhere(~np.isfinite(new))[0]
-        raise ValueError(
-            f"solution blew up at t = {t_new:.6g}: non-finite moment {bad[1]} "
-            f"in cell {bad[0]}"
-        )
-    return MomentGrid(t=t_new, values=new)
+    return _march(state, coeffs, params, spec, dt, cfl, t_final=dt, output_stride=1)[-1]
 
 
 def solve_closure(
@@ -290,9 +334,12 @@ def solve_closure(
 ) -> list[MomentGrid]:
     """March the closed system to ``t_final``, collecting snapshots.
 
-    With ``dt`` omitted the largest CFL-stable step is used.  The step
-    count is ``round(t_final / dt)`` (at least one), so the reached end
-    time is ``steps * dt``.  Snapshots are the initial state, every
+    The closed advection matrix and its eigenvalues are computed once per
+    call; a matrix with a non-real eigenvalue (an ill-posed closure)
+    raises ``ValueError`` before any step is taken.  With ``dt`` omitted
+    the largest CFL-stable step is used.  The step count is
+    ``round(t_final / dt)`` (at least one), so the reached end time is
+    ``steps * dt``.  Snapshots are the initial state, every
     ``output_stride``-th step, and the final state.
     """
     if t_final <= 0:
@@ -300,17 +347,4 @@ def solve_closure(
     if output_stride < 1:
         raise ValueError(f"output_stride must be >= 1, got {output_stride}")
     coeffs = build_moment_system(initial.order)
-    if dt is None:
-        b_closed = closed_advection_matrix(coeffs, spec)
-        rho = float(np.abs(np.linalg.eigvals(b_closed)).max())
-        if rho == 0.0:
-            raise ValueError("advection-free system: provide dt explicitly")
-        dt = cfl * params.dx / rho
-    n_steps = max(1, round(t_final / dt))
-    snapshots = [initial]
-    state = initial
-    for i in range(1, n_steps + 1):
-        state = step(state, coeffs, params, spec, dt, cfl=cfl)
-        if i % output_stride == 0 or i == n_steps:
-            snapshots.append(state)
-    return snapshots
+    return _march(initial, coeffs, params, spec, dt, cfl, t_final, output_stride)

@@ -61,7 +61,23 @@ def matrix_to_lists(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
+def _is_numeric(data) -> bool:
+    """True for a number or a (nested) list of numbers.  Booleans and
+    strings are not numbers, even though ``np.asarray`` converts them."""
+    if isinstance(data, (list, tuple)):
+        # the set of leaf types keeps long per-cell lists cheap to check
+        return set(map(type, data)) <= _PLAIN_NUMBERS or all(map(_is_numeric, data))
+    if isinstance(data, np.ndarray):
+        return data.dtype.kind in "iuf"
+    return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
+
+
 def matrix_from_lists(data, field: str, ndim: int = 2) -> np.ndarray:
+    if not _is_numeric(data):
+        raise ConfigError(field, "must be a (nested) array of numbers")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):

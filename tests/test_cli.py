@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from seqgauss import cli, serialize
+from seqgauss.closure import solve_closure
+from seqgauss.core import Covariance, TruncationDims
 from seqgauss.hermite import hermite_phys, hermite_prob
+from seqgauss.measure import sample_mu_a
 
 
 def run_cli(args, capsys):
@@ -183,6 +186,11 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
         ("initial", ["x", 0.0, 0.0, 0.0], "initial[0]"),
         ("sigma", float("nan"), "sigma"),
         ("kappa", -1.0, "kappa"),
+        ("sigma", True, "sigma"),
+        ("initial", ["1", 0.0, 0.0, 0.0], "initial[0]"),
+        ("closure", {"kind": "optimal_prediction",
+                     "A": np.eye(5).tolist()[:4] + [[0.0, 0.0, 0.0, 0.0, True]]},
+         "closure.A"),
     ],
 )
 def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):
@@ -194,6 +202,93 @@ def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value
     assert code == 2
     assert f"field '{field}'" in err
     assert "Traceback" not in err
+
+
+def test_closure_non_hyperbolic_config_exits_2_without_output(tmp_path, capsys):
+    doc = base_closure_doc()
+    doc["N"] = 1
+    doc["initial"] = doc["initial"][:2]
+    doc["closure"] = {
+        "kind": "optimal_prediction",
+        "A": [[1.0, 0.0, -0.9], [0.0, 1.0, 0.0], [-0.9, 0.0, 1.0]],
+    }
+    cfg = tmp_path / "ill_posed.json"
+    serialize.save_document(cfg, doc)
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "not hyperbolic" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def read_numeric_csv(path, header):
+    """Rows of ``path`` as floats, after checking the header and that every
+    cell is the shortest round-trip form of its double."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    for row in rows[1:]:
+        for cell in row:
+            assert repr(float(cell)) == cell
+    return np.array(rows[1:], dtype=float)
+
+
+def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    args = ["sample", "--samples", "6", "--dim-h", "2", "--dim-seq", "3", "--seed", "5"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    header = [f"w_{i}_{k}" for i in range(2) for k in range(3)]
+    batch = sample_mu_a(Covariance.identity(3), TruncationDims(2, 3), 6, 5)
+    assert np.array_equal(read_numeric_csv(out, header), batch.samples.reshape(6, -1))
+
+
+def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
+    doc = base_closure_doc()
+    doc["closure"] = {"kind": "optimal_prediction", "A": (np.eye(5) + 0.1).tolist()}
+    cfg = tmp_path / "run.json"
+    serialize.save_document(cfg, doc)
+    out = tmp_path / "run.csv"
+    assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    loaded = serialize.load_closure_config(serialize.load_document(cfg))
+    snapshots = solve_closure(
+        loaded["initial"], loaded["params"], loaded["spec"], t_final=loaded["t_final"],
+        dt=loaded["dt"], output_stride=loaded["output_stride"], cfl=loaded["cfl"],
+    )
+    x = loaded["params"].x_centers
+    expected = np.vstack([
+        np.column_stack([np.full(len(x), snap.t), x, snap.values]) for snap in snapshots
+    ])
+    got = read_numeric_csv(out, ["t", "x", "I_0", "I_1", "I_2", "I_3"])
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "args, eval_fn, max_n, xs",
+    [
+        (["--max-n", "4", "--x-min", "-2", "--x-max", "1.5", "--points", "7"],
+         hermite_prob, 4, np.linspace(-2.0, 1.5, 7)),
+        (["--kind", "phys", "--max-n", "0", "--points", "1"],
+         hermite_phys, 0, np.linspace(-3.0, 3.0, 1)),
+    ],
+)
+def test_hermite_csv_cells_are_exact_round_trip_values(tmp_path, capsys, args, eval_fn, max_n, xs):
+    out = tmp_path / "h.csv"
+    assert cli.main(["hermite", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "x", "value"]
+    for n_cell, x_cell, value_cell in rows[1:]:
+        assert str(int(n_cell)) == n_cell
+        assert repr(float(x_cell)) == x_cell and repr(float(value_cell)) == value_cell
+    expected = np.vstack([
+        np.column_stack([np.full(len(xs), n), xs, np.atleast_1d(eval_fn(n, xs))])
+        for n in range(max_n + 1)
+    ])
+    assert np.array_equal(np.array(rows[1:], dtype=float), expected)
 
 
 def test_hermite_tabulation(tmp_path, capsys):

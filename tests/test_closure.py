@@ -297,3 +297,68 @@ def test_weak_form_projection_identity():
         lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
         rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+# N = 1 with this correlation gives the closed matrix [[0, 1], [1/3 - 0.6, 0]],
+# whose eigenvalues are +-0.516i: the closure is not hyperbolic.
+ILL_POSED_CORRELATION = [[1.0, 0.0, -0.9], [0.0, 1.0, 0.0], [-0.9, 0.0, 1.0]]
+
+
+def test_non_hyperbolic_closure_is_rejected_by_both_entry_points():
+    params = make_params(cells=16)
+    spec = closure.ClosureSpec(
+        kind="optimal_prediction", correlation=np.array(ILL_POSED_CORRELATION)
+    )
+    initial = gaussian_bump(params, 1)
+    pattern = r"not hyperbolic: eigenvalue .*0\.516398j"
+    with pytest.raises(ValueError, match=pattern):
+        closure.solve_closure(initial, params, spec, t_final=0.1)
+    with pytest.raises(ValueError, match=pattern):
+        closure.solve_closure(initial, params, spec, t_final=0.1, dt=0.01)
+    with pytest.raises(ValueError, match=pattern):
+        closure.step(initial, closure.build_moment_system(1), params, spec, dt=0.01)
+
+
+def _step_loop(initial, params, spec, dt, t_final, output_stride):
+    """What solve_closure documents, written as a loop of public steps."""
+    coeffs = closure.build_moment_system(initial.order)
+    n_steps = max(1, round(t_final / dt))
+    state, snapshots = initial, [initial]
+    for i in range(1, n_steps + 1):
+        state = closure.step(state, coeffs, params, spec, dt)
+        if i % output_stride == 0 or i == n_steps:
+            snapshots.append(state)
+    return snapshots
+
+
+@pytest.mark.parametrize("dt, output_stride", [(None, 1), (0.004, 1), (0.004, 7)])
+def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stride):
+    builds = []
+    build = closure.closed_advection_matrix
+
+    def counted_build(coeffs, spec):
+        builds.append(coeffs.order)
+        return build(coeffs, spec)
+
+    monkeypatch.setattr(closure, "closed_advection_matrix", counted_build)
+    order = 3
+    params = closure.MaterialParams(
+        a=0.0, b=1.0, cells=40, sigma=0.3, kappa=0.5,
+        source=lambda x, t: np.cos(2.0 * np.pi * x) * (1.0 + 10.0 * t),
+    )
+    corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
+    spec = closure.ClosureSpec(kind="optimal_prediction", correlation=corr)
+    initial = gaussian_bump(params, order)
+    t_final = 0.1
+    run = closure.solve_closure(
+        initial, params, spec, t_final=t_final, dt=dt, output_stride=output_stride
+    )
+    assert len(builds) == 1
+    step_dt = run[1].t if dt is None else dt
+    looped = _step_loop(initial, params, spec, step_dt, t_final, output_stride)
+    n_steps = max(1, round(t_final / step_dt))
+    assert len(builds) == 1 + n_steps
+    assert len(run) == len(looped) > 3
+    for a, b in zip(run, looped):
+        assert a.t == b.t
+        assert np.array_equal(a.values, b.values)

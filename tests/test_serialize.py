@@ -24,6 +24,30 @@ def test_matrix_from_lists_validation():
         serialize.matrix_from_lists([[np.inf]], "A")
 
 
+@pytest.mark.parametrize(
+    "data, ndim",
+    [
+        (True, 0),
+        ("1.5", 0),
+        (["1", 2.0], 1),
+        ([1.0, True], 1),
+        ([[1.0, 0.0], [0.0, True]], 2),
+        ([[1.0, 0.0], ["0", 1.0]], 2),
+        (np.array([True, False]), 1),
+    ],
+)
+def test_matrix_from_lists_rejects_booleans_and_strings(data, ndim):
+    # np.asarray(..., dtype=float) would read each of these as numbers
+    with pytest.raises(serialize.ConfigError, match="field 'A': must be a .*numbers"):
+        serialize.matrix_from_lists(data, "A", ndim=ndim)
+
+
+def test_matrix_from_lists_accepts_ints_and_numpy_numbers():
+    assert serialize.matrix_from_lists([[1, 2.5]], "A").tolist() == [[1.0, 2.5]]
+    assert serialize.matrix_from_lists(np.eye(2), "A").tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert serialize.matrix_from_lists([np.float64(0.5), np.int64(3)], "v", ndim=1).tolist() == [0.5, 3.0]
+
+
 def test_load_document_errors(tmp_path):
     with pytest.raises(serialize.ConfigError, match="not found"):
         serialize.load_document(tmp_path / "missing.json")
@@ -66,9 +90,10 @@ def test_expansion_from_jsonable_errors():
         serialize.expansion_from_jsonable(dup)
     with pytest.raises(serialize.ConfigError, match=r"expansion\[0\]\.terms'"):
         serialize.expansion_from_jsonable([{"degree": 1, "terms": {"coeff": 1.0}}])
-    bad_coeff = [{"degree": 1, "terms": [{"coeff": "x", "base": [[1.0]]}]}]
-    with pytest.raises(serialize.ConfigError, match=r"terms\[0\]\.coeff"):
-        serialize.expansion_from_jsonable(bad_coeff)
+    for coeff in ("x", "1.5", True):
+        bad_coeff = [{"degree": 1, "terms": [{"coeff": coeff, "base": [[1.0]]}]}]
+        with pytest.raises(serialize.ConfigError, match=r"terms\[0\]\.coeff"):
+            serialize.expansion_from_jsonable(bad_coeff)
 
 
 def condexp_doc():
