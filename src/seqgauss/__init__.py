@@ -18,6 +18,7 @@ from .chaos import (
     mc_cond_check,
 )
 from .closure import (
+    ClosureInputError,
     ClosureSpec,
     MaterialParams,
     MomentGrid,

@@ -18,7 +18,6 @@ full double precision is preserved.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ import sys
 import numpy as np
 
 from .chaos import ChaosExpansion, cond_exp_monomial
-from .closure import solve_closure
+from .closure import ClosureInputError, solve_closure
 from .core import Covariance, TruncationDims
 from .hermite import hermite_phys, hermite_prob
 from .measure import sample_mu_a
@@ -42,6 +41,8 @@ from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
+# config field behind each input a closure run can be rejected for
+_CLOSURE_FIELDS = {"correlation": "closure.A", "dt": "dt"}
 
 
 def _default_seed() -> int:
@@ -111,14 +112,15 @@ def _write_csv(path, header, rows) -> None:
     """Write ``header`` and then ``rows`` to ``path`` as CSV.
 
     ``rows`` is consumed lazily and holds Python ints and floats (build
-    it with ``.tolist()``, not from numpy scalars).  ``csv`` writes a float
-    as its ``repr``, the shortest string that reads back to the same
-    double, and an int as plain digits.
+    it with ``.tolist()``, not from numpy scalars).  Each cell is written
+    as its ``repr``: for a float the shortest string that reads back to
+    the same double, for an int plain digits.  Lines end in CRLF.  No
+    cell needs quoting, so the ``csv`` module is not used; the bytes are
+    the same as ``csv.writer`` would write.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _cmd_verify(args) -> int:
@@ -196,6 +198,8 @@ def _cmd_closure(args) -> int:
             output_stride=cfg["output_stride"],
             cfl=cfg["cfl"],
         )
+    except ClosureInputError as exc:
+        raise ConfigError(_CLOSURE_FIELDS[exc.argument], str(exc)) from None
     except ValueError as exc:
         raise ConfigError("closure run", str(exc)) from None
     header = ["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)]

@@ -29,11 +29,23 @@ invariants of the pure-advection system).  :func:`solve_closure` and
 matrix B and its eigenvalues once per run.  The eigenvalues are computed
 numerically since the closure row can enlarge the spectral radius rho(B)
 or even make the closed system non-hyperbolic.  A non-real eigenvalue
-(|imag| > 1e-12 max(rho, 1)) makes the run raise ``ValueError`` before
-any step, since the closure is then ill-posed.  The run enforces the
-CFL bound dt <= cfl * dx / rho; every step evaluates the source at its
-start time, and a blow-up (non-finite moment) is reported with its time
-and cell.
+(|imag| > 1e-12 max(rho, 1)) makes the run raise
+:class:`ClosureInputError` (a ``ValueError`` naming the correlation
+matrix) before any step, since the closure is then ill-posed; a singular
+leading correlation block does the same.  The run enforces the CFL bound
+dt <= cfl * dx / rho and reports a violation as a ``ClosureInputError``
+naming ``dt``.  A blow-up (non-finite moment) is a plain ``ValueError``
+reporting its time and cell.
+
+The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
+buffer whose two ghost rows are refreshed from the opposite ends before
+each step, so the periodic neighbours are slices of that buffer, not
+rolled copies.  Each step is computed into preallocated arrays with the
+same operations in the same order as 0.5 (left + right) - (courant
+(right - left)) @ B^T - damping u + dt q, so results do not depend on the
+buffering.  ``dt * q`` is computed once for a constant source; a callable
+source is evaluated at the start time of every step.  Returned snapshots
+are read-only copies.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ __all__ = [
     "MaterialParams",
     "ClosureSpec",
     "MomentGrid",
+    "ClosureInputError",
     "build_moment_system",
     "closure_row",
     "closed_advection_matrix",
@@ -58,6 +71,15 @@ __all__ = [
 PN = "pn"
 OPTIMAL_PREDICTION = "optimal_prediction"
 DEFAULT_CFL = 0.9
+
+
+class ClosureInputError(ValueError):
+    """A closure run rejected because of one input.  ``argument`` names
+    it: ``"correlation"`` (the closure's correlation matrix) or ``"dt"``."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        self.argument = argument
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -198,15 +220,16 @@ def closure_row(spec: ClosureSpec, order: int) -> np.ndarray:
         return np.zeros(order + 1)
     corr = spec.correlation
     if corr.shape[0] < order + 2:
-        raise ValueError(
-            f"correlation matrix of size {corr.shape[0]} too small for order {order}"
+        raise ClosureInputError(
+            "correlation",
+            f"correlation matrix of size {corr.shape[0]} too small for order {order}",
         )
     a_cc = corr[: order + 1, : order + 1]
     a_fc = corr[order + 1, : order + 1]
     try:
         return np.linalg.solve(a_cc.T, a_fc)
     except np.linalg.LinAlgError:
-        raise ValueError("leading correlation block is singular") from None
+        raise ClosureInputError("correlation", "leading correlation block is singular") from None
 
 
 def closed_advection_matrix(coeffs: MomentSystemCoeffs, spec: ClosureSpec) -> np.ndarray:
@@ -242,13 +265,13 @@ def _march(
     t_final: float,
     output_stride: int,
 ) -> list[MomentGrid]:
-    """The one Lax-Friedrichs marching loop behind :func:`step` and
-    :func:`solve_closure`.
+    """The one Lax-Friedrichs marching loop behind :func:`step` and :func:`solve_closure`.
 
-    The closed advection matrix and its eigenvalues are computed once;
-    they give the hyperbolicity check, the spectral radius, the default
-    ``dt`` and the CFL check.  Returns ``state`` followed by every
-    ``output_stride``-th step and the final step.
+    B and its eigenvalues are computed once for the hyperbolicity check, rho,
+    the default ``dt`` and the CFL check.  u sits between two ghost rows of one
+    padded buffer and each step fills preallocated arrays (``dt * q`` is computed
+    once for a constant source).  Returns ``state``, every ``output_stride``-th
+    step and the final step.
     """
     if state.order != coeffs.order:
         raise ValueError(
@@ -259,48 +282,48 @@ def _march(
             f"state has {state.values.shape[0]} cells, params have {params.cells}"
         )
     if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ClosureInputError("dt", f"dt must be positive, got {dt}")
     b_closed = closed_advection_matrix(coeffs, spec)
     eigenvalues = np.linalg.eigvals(b_closed)
     rho = float(np.abs(eigenvalues).max())
     worst = eigenvalues[np.abs(eigenvalues.imag).argmax()]
     if abs(worst.imag) > 1e-12 * max(rho, 1.0):
-        raise ValueError(
-            f"closed advection matrix is not hyperbolic: eigenvalue "
-            f"{complex(worst):.6g} is not real"
-        )
+        raise ClosureInputError("correlation", "closed advection matrix is not hyperbolic: "
+                                f"eigenvalue {complex(worst):.6g} is not real")
     if dt is None:
         if rho == 0.0:
-            raise ValueError("advection-free system: provide dt explicitly")
+            raise ClosureInputError("dt", "advection-free system: provide dt explicitly")
         dt = cfl * params.dx / rho
     if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
-        raise ValueError(
-            f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * dx / rho = "
-            f"{cfl * params.dx / rho:.6g}"
-        )
+        raise ClosureInputError("dt", f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * "
+                                f"dx / rho = {cfl * params.dx / rho:.6g}")
     n_steps = max(1, round(t_final / dt))
     courant = dt / (2.0 * params.dx)
     damping = dt * _absorption(params, state.order)
-    snapshots = [state]
-    t, u = state.t, state.values
-    for i in range(1, n_steps + 1):
-        left = np.roll(u, 1, axis=0)
-        right = np.roll(u, -1, axis=0)
-        # overflow here is caught by the finiteness check below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            advected = 0.5 * (left + right) - courant * (right - left) @ b_closed.T
-            new = advected - damping * u
-            new = new + dt * _source_term(params, state.order, t)
-        t = t + dt
-        if not np.all(np.isfinite(new)):
-            bad = np.argwhere(~np.isfinite(new))[0]
-            raise ValueError(
-                f"solution blew up at t = {t:.6g}: non-finite moment {bad[1]} "
-                f"in cell {bad[0]}"
-            )
-        u = new
-        if i % output_stride == 0 or i == n_steps:
-            snapshots.append(MomentGrid(t=t, values=u))
+    b_t = np.ascontiguousarray(b_closed.T)
+    padded = np.concatenate([state.values[-1:], state.values, state.values[:1]])
+    u, left, right = padded[1:-1], padded[:-2], padded[2:]
+    mean, flux, work = np.empty((3, *u.shape))
+    finite = np.empty(u.shape, dtype=bool)
+    snapshots, t = [state], state.t
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports overflow
+        fixed = None if callable(params.source) else dt * _source_term(params, state.order, t)
+        for i in range(1, n_steps + 1):
+            source = fixed if fixed is not None else dt * _source_term(params, state.order, t)
+            padded[0], padded[-1] = padded[-2], padded[1]
+            # 0.5 (left + right) - (courant (right - left)) @ B^T - damping u + dt q
+            np.multiply(0.5, np.add(left, right, out=mean), out=mean)
+            np.multiply(courant, np.subtract(right, left, out=work), out=work)
+            np.subtract(mean, np.matmul(work, b_t, out=flux), out=mean)
+            np.subtract(mean, np.multiply(damping, u, out=work), out=mean)
+            np.add(mean, source, out=u)
+            t = t + dt
+            if not np.isfinite(u, out=finite).all():
+                bad = np.argwhere(~finite)[0]
+                raise ValueError(f"solution blew up at t = {t:.6g}: non-finite moment "
+                                 f"{bad[1]} in cell {bad[0]}")
+            if i % output_stride == 0 or i == n_steps:
+                snapshots.append(MomentGrid(t=t, values=u))
     return snapshots
 
 

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgauss import cli, serialize
 from seqgauss.closure import solve_closure
@@ -191,6 +197,9 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
         ("closure", {"kind": "optimal_prediction",
                      "A": np.eye(5).tolist()[:4] + [[0.0, 0.0, 0.0, 0.0, True]]},
          "closure.A"),
+        # rejected by the solver: singular leading correlation block, dt above the CFL bound
+        ("closure", {"kind": "optimal_prediction", "A": np.ones((5, 5)).tolist()}, "closure.A"),
+        ("dt", 0.05, "dt"),
     ],
 )
 def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):
@@ -198,10 +207,12 @@ def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value
     doc[key] = value
     cfg = tmp_path / "bad.json"
     serialize.save_document(cfg, doc)
-    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys)
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
     assert f"field '{field}'" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_closure_non_hyperbolic_config_exits_2_without_output(tmp_path, capsys):
@@ -217,9 +228,72 @@ def test_closure_non_hyperbolic_config_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "o.csv"
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
+    assert "field 'closure.A'" in err
     assert "not hyperbolic" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _mutated(value, how):
+    if how == "string":
+        return "abc"
+    if how == "nan":
+        return float("nan")
+    if how == "bool":
+        return True
+    if how == "negative":
+        if isinstance(value, list):
+            return [_mutated(v, how) for v in value]
+        return -abs(value) - 1.0 if isinstance(value, (int, float)) else value
+    assert how == "wrong length"
+    return value[:-1] if isinstance(value, list) and value else [value, value]
+
+
+@st.composite
+def mutated_closure_docs(draw):
+    """A valid closure config with one entry (possibly nested) mutated or dropped."""
+    doc = base_closure_doc()
+    doc["sigma"] = [0.1] * 40
+    doc["closure"] = {"kind": "optimal_prediction", "A": (np.eye(5) + 0.1).tolist()}
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (list, dict)) and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    how = draw(st.sampled_from(["string", "nan", "negative", "bool", "wrong length", "drop"]))
+    if how == "drop":
+        if isinstance(parent, dict):
+            del parent[key]
+        else:
+            del parent[key:]
+    else:
+        parent[key] = _mutated(parent[key], how)
+    return doc
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(doc=mutated_closure_docs())
+def test_closure_fuzzed_config_exits_0_or_2_without_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.json"
+        serialize.save_document(cfg, doc)
+        out = Path(tmp) / "o.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["closure", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == ("config error: field '" in err.getvalue())
+
+
+def stdlib_csv_bytes(tmp_path, header, rows):
+    """What the stdlib ``csv.writer`` writes for ``header`` and ``rows``."""
+    path = tmp_path / "stdlib.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
 
 
 def read_numeric_csv(path, header):
@@ -242,6 +316,8 @@ def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
     header = [f"w_{i}_{k}" for i in range(2) for k in range(3)]
     batch = sample_mu_a(Covariance.identity(3), TruncationDims(2, 3), 6, 5)
     assert np.array_equal(read_numeric_csv(out, header), batch.samples.reshape(6, -1))
+    expected_rows = batch.samples.reshape(6, -1).tolist()
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, expected_rows)
 
 
 def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
@@ -261,8 +337,9 @@ def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
     expected = np.vstack([
         np.column_stack([np.full(len(x), snap.t), x, snap.values]) for snap in snapshots
     ])
-    got = read_numeric_csv(out, ["t", "x", "I_0", "I_1", "I_2", "I_3"])
-    assert np.array_equal(got, expected)
+    header = ["t", "x", "I_0", "I_1", "I_2", "I_3"]
+    assert np.array_equal(read_numeric_csv(out, header), expected)
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, expected.tolist())
 
 
 @pytest.mark.parametrize(
@@ -289,6 +366,8 @@ def test_hermite_csv_cells_are_exact_round_trip_values(tmp_path, capsys, args, e
         for n in range(max_n + 1)
     ])
     assert np.array_equal(np.array(rows[1:], dtype=float), expected)
+    expected_rows = [[int(n), x, value] for n, x, value in expected.tolist()]
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, ["n", "x", "value"], expected_rows)
 
 
 def test_hermite_tabulation(tmp_path, capsys):

@@ -96,15 +96,17 @@ def test_closure_row_scale_invariance():
 
 
 def test_closure_row_errors():
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match="too small") as exc:
         closure.closure_row(
             closure.ClosureSpec(kind="optimal_prediction", correlation=np.eye(3)), 3
         )
+    assert exc.value.argument == "correlation"
     singular = np.zeros((4, 4))
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="singular") as exc:
         closure.closure_row(
             closure.ClosureSpec(kind="optimal_prediction", correlation=singular), 2
         )
+    assert exc.value.argument == "correlation"
 
 
 def test_closure_spec_validation():
@@ -159,8 +161,9 @@ def test_step_cfl_violation_raises():
     params = make_params(cells=16)
     coeffs = closure.build_moment_system(2)
     state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
-    with pytest.raises(ValueError, match="CFL"):
+    with pytest.raises(ValueError, match="CFL") as exc:
         closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=1.0)
+    assert exc.value.argument == "dt"
 
 
 def test_step_reports_blowup_location():
@@ -362,3 +365,52 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
     for a, b in zip(run, looped):
         assert a.t == b.t
         assert np.array_equal(a.values, b.values)
+
+
+def _roll_reference(initial, params, spec, dt, t_final, output_stride):
+    """Lax-Friedrichs with two ``np.roll`` copies per step, in the
+    expression order the marching loop must keep."""
+    coeffs = closure.build_moment_system(initial.order)
+    b_closed = closure.closed_advection_matrix(coeffs, spec)
+    n_steps = max(1, round(t_final / dt))
+    courant = dt / (2.0 * params.dx)
+    damping = dt * closure._absorption(params, initial.order)
+    t, u = initial.t, initial.values
+    snapshots = [(t, u)]
+    for i in range(1, n_steps + 1):
+        left = np.roll(u, 1, axis=0)
+        right = np.roll(u, -1, axis=0)
+        advected = 0.5 * (left + right) - courant * (right - left) @ b_closed.T
+        new = advected - damping * u
+        u = new + dt * closure._source_term(params, initial.order, t)
+        t = t + dt
+        if i % output_stride == 0 or i == n_steps:
+            snapshots.append((t, u))
+    return snapshots
+
+
+@pytest.mark.parametrize("kind", ["pn", "optimal_prediction"])
+@pytest.mark.parametrize(
+    "source", [np.linspace(0.0, 2.0, 24), lambda x, t: np.sin(2.0 * np.pi * x) + 5.0 * t],
+    ids=["array", "callable"],
+)
+def test_march_buffers_never_leak_into_results(kind, source):
+    order = 3
+    params = closure.MaterialParams(
+        a=0.0, b=1.0, cells=24, sigma=0.4, kappa=0.6, source=source
+    )
+    corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
+    spec = closure.ClosureSpec(kind=kind, correlation=corr if kind != "pn" else None)
+    initial = gaussian_bump(params, order)
+    before = initial.values.copy()
+    run = closure.solve_closure(initial, params, spec, t_final=0.2, dt=0.01, output_stride=3)
+    assert np.array_equal(initial.values, before)
+    assert all(not snap.values.flags.writeable for snap in run)
+    for i, a in enumerate(run):
+        for b in run[i + 1 :]:
+            assert not np.shares_memory(a.values, b.values)
+    reference = _roll_reference(initial, params, spec, 0.01, 0.2, 3)
+    assert len(run) == len(reference) == 8
+    for snap, (t, values) in zip(run, reference):
+        assert snap.t == t
+        assert np.array_equal(snap.values, values)
