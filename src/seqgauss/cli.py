@@ -42,7 +42,7 @@ from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
 # config field behind each input a closure run can be rejected for
-_CLOSURE_FIELDS = {"correlation": "closure.A", "dt": "dt"}
+_CLOSURE_FIELDS = {"correlation": "closure.A", "dt": "dt", "cfl": "cfl", "t_final": "T"}
 
 
 def _default_seed() -> int:

@@ -34,8 +34,10 @@ or even make the closed system non-hyperbolic.  A non-real eigenvalue
 matrix) before any step, since the closure is then ill-posed; a singular
 leading correlation block does the same.  The run enforces the CFL bound
 dt <= cfl * dx / rho and reports a violation as a ``ClosureInputError``
-naming ``dt``.  A blow-up (non-finite moment) is a plain ``ValueError``
-reporting its time and cell.
+naming ``dt``.  A run of more than ``MAX_STEPS`` steps, or whose
+snapshots would hold more than ``MAX_SNAPSHOT_VALUES`` values, is refused
+up front as a ``ClosureInputError`` naming ``t_final``.  A blow-up
+(non-finite moment) is a plain ``ValueError`` reporting its time and cell.
 
 The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
 buffer whose two ghost rows are refreshed from the opposite ends before
@@ -71,11 +73,20 @@ __all__ = [
 PN = "pn"
 OPTIMAL_PREDICTION = "optimal_prediction"
 DEFAULT_CFL = 0.9
+# A step costs about 10 us on the smallest grid, so this caps a run at
+# minutes; a larger count almost always means T or dt in the wrong units.
+MAX_STEPS = 10**7
+# Snapshots stay in memory until the run returns: 2**24 doubles is 128 MiB
+# (and about 350 MB as CSV text).
+MAX_SNAPSHOT_VALUES = 2**24
 
 
 class ClosureInputError(ValueError):
     """A closure run rejected because of one input.  ``argument`` names
-    it: ``"correlation"`` (the closure's correlation matrix) or ``"dt"``."""
+    it: ``"correlation"`` (the closure's correlation matrix), ``"dt"``,
+    ``"cfl"`` (not positive and finite) or ``"t_final"`` (more than
+    ``MAX_STEPS`` steps, or more than ``MAX_SNAPSHOT_VALUES`` values in
+    the returned snapshots)."""
 
     def __init__(self, argument: str, message: str) -> None:
         self.argument = argument
@@ -283,6 +294,8 @@ def _march(
         )
     if dt is not None and not dt > 0:
         raise ClosureInputError("dt", f"dt must be positive, got {dt}")
+    if not 0.0 < cfl < np.inf:
+        raise ClosureInputError("cfl", f"cfl must be positive and finite, got {cfl}")
     b_closed = closed_advection_matrix(coeffs, spec)
     eigenvalues = np.linalg.eigvals(b_closed)
     rho = float(np.abs(eigenvalues).max())
@@ -297,7 +310,14 @@ def _march(
     if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
         raise ClosureInputError("dt", f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * "
                                 f"dx / rho = {cfl * params.dx / rho:.6g}")
+    if not t_final <= MAX_STEPS * dt:
+        raise ClosureInputError("t_final", f"t_final = {t_final:.6g} is not reached within "
+                                f"{MAX_STEPS} steps of dt = {dt:.6g}")
     n_steps = max(1, round(t_final / dt))
+    kept = 1 + n_steps // output_stride + (n_steps % output_stride > 0)
+    if kept * state.values.size > MAX_SNAPSHOT_VALUES:
+        raise ClosureInputError("t_final", f"{kept} snapshots of {state.values.size} values "
+                                f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
     courant = dt / (2.0 * params.dx)
     damping = dt * _absorption(params, state.order)
     b_t = np.ascontiguousarray(b_closed.T)
@@ -363,7 +383,10 @@ def solve_closure(
     the largest CFL-stable step is used.  The step count is
     ``round(t_final / dt)`` (at least one), so the reached end time is
     ``steps * dt``.  Snapshots are the initial state, every
-    ``output_stride``-th step, and the final state.
+    ``output_stride``-th step, and the final state.  A run of more than
+    ``MAX_STEPS`` steps or with more than ``MAX_SNAPSHOT_VALUES`` snapshot
+    values, and a ``cfl`` that is not positive and finite, raise
+    :class:`ClosureInputError` before any step.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")

@@ -2,13 +2,14 @@
 
 ``hermite_prob`` evaluates the probabilists' polynomials (orthogonal under
 the standard normal distribution with squared norms n!), ``hermite_phys``
-the physicists' ones.  Evaluation uses the stable three-term recurrences
+the physicists' ones.  Both come from one stable three-term recurrence,
+with s = 1 (probabilists') or s = 2 (physicists'),
 
-    H_{n+1}(x) = x H_n(x) - n H_{n-1}(x)
-    G_{n+1}(x) = 2x G_n(x) - 2n G_{n-1}(x)
+    H_{n+1}(x) = s x H_n(x) - s n H_{n-1}(x),    H_0 = 1,  H_1 = s x,
 
 while ``hermite_prob_sum`` keeps the explicit alternating factorial sum as
-an independent cross-check.  The two conventions are linked by
+an independent cross-check.  Writing H_n for the probabilists' and G_n
+for the physicists' polynomials, the two conventions are linked by
 H_n(x) = 2^(-n/2) G_n(x / sqrt(2)) and G_n(x) = 2^(n/2) H_n(sqrt(2) x).
 
 ``gh_expectation`` integrates against the standard normal density by
@@ -46,32 +47,29 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def hermite_prob(n: int, x):
-    """Probabilists' Hermite polynomial of degree n at x (scalar or array)."""
+def _recurrence(n: int, x, s: int):
+    """H_n(x) from H_0 = 1, H_1 = s x and H_{k+1} = s x H_k - s k H_{k-1}."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     xa = np.asarray(x, dtype=float)
     prev = np.ones_like(xa)
     if n == 0:
         return prev if xa.ndim else float(prev)
-    cur = xa.copy()
+    ax = s * xa
+    cur = ax
     for k in range(1, n):
-        prev, cur = cur, xa * cur - k * prev
+        prev, cur = cur, ax * cur - s * k * prev
     return cur if xa.ndim else float(cur)
+
+
+def hermite_prob(n: int, x):
+    """Probabilists' Hermite polynomial of degree n at x (scalar or array)."""
+    return _recurrence(n, x, 1)
 
 
 def hermite_phys(n: int, x):
     """Physicists' Hermite polynomial of degree n at x (scalar or array)."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    xa = np.asarray(x, dtype=float)
-    prev = np.ones_like(xa)
-    if n == 0:
-        return prev if xa.ndim else float(prev)
-    cur = 2.0 * xa
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * xa * cur - 2.0 * k * prev
-    return cur if xa.ndim else float(cur)
+    return _recurrence(n, x, 2)
 
 
 def hermite_prob_sum(n: int, x) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Covariance, TruncationDims, check_orthonormal_a, inner_a
+from .core import Covariance, TruncationDims, check_orthonormal_a, gram_a
 
 __all__ = [
     "SampleBatch",
@@ -147,13 +147,39 @@ def char_function_mc(phi, batch: SampleBatch) -> McEstimate:
     )
 
 
+def _sum_matchings(gram):
+    """Sum over the perfect matchings of the indices 0..n-1 of the products
+    of the paired entries ``gram[i][j]`` (0 for odd n, 1 for n = 0).
+
+    ``gram`` is a nested sequence whose entries may be of any number type
+    (floats, ``fractions.Fraction``); sums and products are formed in the
+    order of the enumeration, which pairs the first unmatched index with
+    each later one in turn.  The sum over the matchings of each set of
+    unmatched indices is computed once and reused.
+    """
+    memo = {}
+
+    def match(indices: tuple[int, ...]):
+        if not indices:
+            return 1
+        if indices not in memo:
+            first, rest = indices[0], indices[1:]
+            total = 0
+            for k in range(len(rest)):
+                total += gram[first][rest[k]] * match(rest[:k] + rest[k + 1 :])
+            memo[indices] = total
+        return memo[indices]
+
+    return match(tuple(range(len(gram))))
+
+
 def isserlis_moment(phis, cov: Covariance) -> float:
     """Exact E[ prod_i <phi_i, W> ] by pair-partition enumeration.
 
     Sums over all perfect matchings of the factor list the products of
-    pairwise weighted inner products; 0 for an odd number of factors, 1
-    for an empty product.  Limited to 10 factors (enumeration grows as
-    (n-1)!!).
+    pairwise weighted inner products, taken from one ``gram_a`` of the
+    factors; 0 for an odd number of factors, 1 for an empty product.
+    Limited to 10 factors.
     """
     phis = [np.asarray(p, dtype=float) for p in phis]
     n = len(phis)
@@ -163,21 +189,8 @@ def isserlis_moment(phis, cov: Covariance) -> float:
         return 0.0
     if n == 0:
         return 1.0
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = inner_a(phis[i], phis[j], cov)
-
-    def match(indices: tuple[int, ...]) -> float:
-        if not indices:
-            return 1.0
-        first, rest = indices[0], indices[1:]
-        total = 0.0
-        for k in range(len(rest)):
-            total += gram[first, rest[k]] * match(rest[:k] + rest[k + 1 :])
-        return total
-
-    return match(tuple(range(n)))
+    stack = np.stack(phis)
+    return float(_sum_matchings(gram_a(stack, stack, cov).tolist()))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,23 @@ Each test prints a single pass/fail line (run pytest with -s to see them
 inline) and enforces the stated numeric tolerance and runtime budget.
 """
 
-import itertools
 import time
 from contextlib import contextmanager
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from seqgauss import chaos, closure, core, hermite, measure, wick
-from seqgauss.verify import random_cov, random_expansion, wick_pair_expectation
+from seqgauss.verify import (
+    check_cond_exp_example,
+    check_divergence_diagnostic,
+    check_gram_schmidt_example,
+    check_hermite_orthogonality,
+    check_monomials_from_wick,
+    check_wick_orthogonality,
+    random_cov,
+    random_expansion,
+)
 
 
 @contextmanager
@@ -30,15 +38,7 @@ def criterion(name, budget_s):
 
 def test_criterion_1_hermite_suite():
     with criterion("1 Hermite orthogonality and relations", 1.0):
-        nmax = 10
-        gram = np.empty((nmax + 1, nmax + 1))
-        for n in range(nmax + 1):
-            for m in range(nmax + 1):
-                gram[n, m] = hermite.gh_expectation(
-                    lambda t: hermite.hermite_prob(n, t) * hermite.hermite_prob(m, t)
-                )
-        target = np.diag([float(factorial(n)) for n in range(nmax + 1)])
-        assert np.abs(gram - target).max() < 1e-8
+        check_hermite_orthogonality()
 
         rng = np.random.default_rng(101)
         for _ in range(100):
@@ -84,34 +84,12 @@ def test_criterion_2_wick_equivalence():
                 b = wick.wick_eval_dense(n, cov, w, dense)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
         # inverse identity rebuilds plain monomials
-        for n in range(5):
-            cov = random_cov(rng, d)
-            w = rng.standard_normal((m, d))
-            phi = rng.standard_normal((m, d))
-            rebuilt = wick.monomial_dense_from_wick(n, cov, w)
-            power = np.array(1.0)
-            for _ in range(n):
-                power = np.multiply.outer(power, phi.ravel())
-            lhs = float(np.sum(rebuilt * power))
-            rhs = measure.pairing(phi, w) ** n
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+        check_monomials_from_wick(rng)
 
 
 def test_criterion_3_exact_wick_orthogonality():
     with criterion("3 exact Wick orthogonality via pair partitions", 10.0):
-        rng = np.random.default_rng(303)
-        m, d = 2, 3
-        for _ in range(20):
-            cov = random_cov(rng, d)
-            phi, psi = rng.standard_normal((2, m, d))
-            for n, m_deg in itertools.product(range(5), repeat=2):
-                val = wick_pair_expectation(phi, n, psi, m_deg, cov)
-                target = (
-                    factorial(n) * core.inner_a(phi, psi, cov) ** n
-                    if n == m_deg
-                    else 0.0
-                )
-                assert abs(val - target) <= 1e-9 * max(1.0, abs(target))
+        check_wick_orthogonality(np.random.default_rng(303))
 
 
 def test_criterion_4_measure_suite():
@@ -149,22 +127,8 @@ def test_criterion_5_conditional_expectation():
     with criterion("5 conditional expectation", 60.0):
         rng = np.random.default_rng(505)
         # worked example with the coupled two-by-two block
-        a = np.eye(4)
-        a[0, 1] = a[1, 0] = 0.5
-        cov4 = core.Covariance(a)
-        f4 = rng.standard_normal((3, 4))
-        e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0, 0.0])
-        single = chaos.cond_exp_monomial(f4, [e1], cov4)
-        assert np.abs(single - core.bullet(f4[:, 0] + 0.5 * f4[:, 1], e1)).max() < 1e-12
-        double = chaos.cond_exp_monomial(f4, [e1, e2], cov4)
-        expected = core.bullet(f4[:, 0], e1) + core.bullet(f4[:, 1], e2)
-        assert np.abs(double - expected).max() < 1e-12
-
-        cov2 = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
-        basis = core.gram_schmidt_a([[1.0, 0.0], [0.0, 1.0]], cov2)
-        target = np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0])
-        assert np.abs(basis[1] - target).max() < 1e-12
+        check_cond_exp_example(rng)
+        check_gram_schmidt_example()
 
         m, d = 2, 3
         for _ in range(100):
@@ -310,15 +274,4 @@ def test_criterion_8_psd_appendix():
 
 def test_criterion_9_divergence_diagnostic():
     with criterion("9 unbounded contraction diagnostic", 30.0):
-        d = 2048
-        k = np.arange(1, d + 1)
-        cov = core.Covariance(np.diag(1.0 / k**2))
-        x = 1.0 / k
-        bound = np.pi / np.sqrt(6.0) + 1e-6
-        for n in (16, 256, 2048):
-            f = np.zeros((1, d))
-            f[0, :n] = 1.0
-            growth = float(np.linalg.norm(core.bracket(f, x)))
-            harmonic = float(np.sum(1.0 / k[:n]))
-            assert abs(growth - harmonic) <= 1e-9
-            assert core.norm_a(f, cov) < bound
+        check_divergence_diagnostic()

@@ -20,7 +20,7 @@ def test_worked_example_single_vector():
     f = rng.standard_normal((3, 4))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     out = chaos.cond_exp_monomial(f, [e1], cov)
-    assert np.allclose(out, core.bullet(f[:, 0] + 0.5 * f[:, 1], e1), atol=1e-12)
+    assert np.allclose(out, core.bullet(f[:, 0] + 0.5 * f[:, 1], e1), atol=1e-12, rtol=0)
 
 
 def test_worked_example_two_vectors():
@@ -31,7 +31,7 @@ def test_worked_example_two_vectors():
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
     out = chaos.cond_exp_monomial(f, [e1, e2], cov)
     expected = core.bullet(f[:, 0], e1) + core.bullet(f[:, 1], e2)
-    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(out, expected, atol=1e-12, rtol=0)
 
 
 def test_worked_example_later_coordinates_untouched():
@@ -40,7 +40,7 @@ def test_worked_example_later_coordinates_untouched():
     f = rng.standard_normal((3, 4))
     e3 = np.array([0.0, 0.0, 1.0, 0.0])
     out = chaos.cond_exp_monomial(f, [e3], cov)
-    assert np.allclose(out, core.bullet(f[:, 2], e3), atol=1e-12)
+    assert np.allclose(out, core.bullet(f[:, 2], e3), atol=1e-12, rtol=0)
 
 
 def test_full_span_projection_is_identity():
@@ -48,7 +48,7 @@ def test_full_span_projection_is_identity():
     cov = random_cov(rng, D)
     f = rng.standard_normal((M, D))
     out = chaos.cond_exp_monomial(f, list(np.eye(D)), cov)
-    assert np.allclose(out, f, atol=1e-12)
+    assert np.allclose(out, f, atol=1e-12, rtol=0)
 
 
 def test_cond_exp_monomial_degenerate_span_rejected():
@@ -65,7 +65,7 @@ def test_degree_one_additivity():
         basis = core.gram_schmidt_a(list(rng.standard_normal((2, D))), cov)
         joint = chaos.cond_exp_monomial(f, basis, cov)
         separate = sum(chaos.cond_exp_monomial(f, [x], cov) for x in basis)
-        assert np.allclose(joint, separate, atol=1e-10)
+        assert np.allclose(joint, separate, atol=1e-10, rtol=0)
 
 
 def test_span_invariance():
@@ -79,7 +79,7 @@ def test_span_invariance():
         assert np.allclose(
             chaos.cond_exp_monomial(f, xs, cov),
             chaos.cond_exp_monomial(f, ys, cov),
-            atol=1e-10,
+            atol=1e-10, rtol=0,
         )
 
 
@@ -97,7 +97,7 @@ def test_cond_exp_monomial_matches_gaussian_regression_oracle():
         gram = np.array([[core.inner_a(a, b, cov) for b in obs] for a in obs])
         coef = np.linalg.solve(gram, c)
         kernel = sum(w * o for w, o in zip(coef, obs))
-        assert np.allclose(chaos.cond_exp_monomial(f, xs, cov), kernel, atol=1e-12)
+        assert np.allclose(chaos.cond_exp_monomial(f, xs, cov), kernel, atol=1e-12, rtol=0)
 
 
 def test_conditioning_set_from_vectors_is_orthonormal():
@@ -136,7 +136,7 @@ def test_cond_exp_chaos_fixes_kernels_in_span():
     psi = 1.3 * cond.basis[0] - 0.4 * cond.basis[1]
     expansion = chaos.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(psi, 2)})
     out = chaos.cond_exp_chaos(expansion, cond, cov)
-    assert np.allclose(out.kernels[2].terms[0].base, psi, atol=1e-12)
+    assert np.allclose(out.kernels[2].terms[0].base, psi, atol=1e-12, rtol=0)
 
 
 def test_cond_exp_chaos_annihilates_orthogonal_kernels():
@@ -175,7 +175,7 @@ def test_cond_exp_chaos_idempotent_and_contractive():
         twice = chaos.cond_exp_chaos(once, cond, cov)
         for n in once.degrees:
             for t1, t2 in zip(once.kernels[n].terms, twice.kernels[n].terms):
-                assert np.allclose(t1.base, t2.base, atol=1e-10)
+                assert np.allclose(t1.base, t2.base, atol=1e-10, rtol=0)
         assert chaos.chaos_norm(once, cov) <= chaos.chaos_norm(expansion, cov) + 1e-10
 
 
@@ -193,7 +193,7 @@ def test_chaos_and_monomial_projections_agree_for_degree_one():
         expansion = chaos.ChaosExpansion(kernels={1: wick.SymKernel.rank_one(f, 1)})
         conditioned = chaos.cond_exp_chaos(expansion, cond, cov)
         kernel_sum = sum(t.coeff * t.base for t in conditioned.kernels[1].terms)
-        assert np.allclose(kernel_sum, chaos.cond_exp_monomial(f, xs, cov), atol=1e-10)
+        assert np.allclose(kernel_sum, chaos.cond_exp_monomial(f, xs, cov), atol=1e-10, rtol=0)
 
 
 def test_eval_expansion_low_degrees():

@@ -50,7 +50,7 @@ def test_time_dependent_source_evaluated_at_step_start():
     coeffs = closure.build_moment_system(0)
     out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.1)
     # q_0 = 2 * kappa * q(x, t_start) = 2 * 1 * 2, applied over dt
-    assert np.allclose(out.values[:, 0], 0.1 * 4.0, atol=1e-15)
+    assert np.allclose(out.values[:, 0], 0.1 * 4.0, atol=1e-15, rtol=0)
 
 
 def test_closure_row_truncation_is_zero():
@@ -66,7 +66,7 @@ def test_closure_row_one_dimensional_block():
     spec = closure.ClosureSpec(
         kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
     )
-    assert np.allclose(closure.closure_row(spec, 0), [0.5], atol=1e-15)
+    assert np.allclose(closure.closure_row(spec, 0), [0.5], atol=1e-15, rtol=0)
 
 
 def test_closure_row_matches_block_projection_adjoint():
@@ -79,7 +79,7 @@ def test_closure_row_matches_block_projection_adjoint():
         spec = closure.ClosureSpec(kind="optimal_prediction", correlation=corr)
         row = closure.closure_row(spec, order)
         blocks = core.block_projection(core.Covariance(corr), order + 1)
-        assert np.allclose(row, blocks.pt[order + 1, : order + 1], atol=1e-12)
+        assert np.allclose(row, blocks.pt[order + 1, : order + 1], atol=1e-12, rtol=0)
 
 
 def test_closure_row_scale_invariance():
@@ -92,7 +92,7 @@ def test_closure_row_scale_invariance():
     r2 = closure.closure_row(
         closure.ClosureSpec(kind="optimal_prediction", correlation=2.5 * corr), 3
     )
-    assert np.allclose(r1, r2, atol=1e-12 * max(1.0, np.abs(r1).max()))
+    assert np.allclose(r1, r2, atol=1e-12 * max(1.0, np.abs(r1).max()), rtol=0)
 
 
 def test_closure_row_errors():
@@ -131,9 +131,13 @@ def test_step_pure_absorption_factor():
     coeffs = closure.build_moment_system(2)
     state = closure.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
     out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.01)
-    assert np.allclose(out.values[:, 0], state.values[:, 0] * (1 - kappa * 0.01), atol=1e-15)
+    assert np.allclose(
+        out.values[:, 0], state.values[:, 0] * (1 - kappa * 0.01), atol=1e-15, rtol=0
+    )
     # higher moments decay with kappa + sigma = kappa here
-    assert np.allclose(out.values[:, 1], state.values[:, 1] * (1 - kappa * 0.01), atol=1e-15)
+    assert np.allclose(
+        out.values[:, 1], state.values[:, 1] * (1 - kappa * 0.01), atol=1e-15, rtol=0
+    )
 
 
 def test_step_source_feeds_only_moment_zero():
@@ -154,7 +158,7 @@ def test_step_conserves_spatial_sums_without_sources():
     spec = closure.ClosureSpec(kind="pn")
     for _ in range(25):
         state = closure.step(state, coeffs, params, spec, dt=0.005)
-        assert np.allclose(state.values.sum(axis=0), sums, atol=1e-12)
+        assert np.allclose(state.values.sum(axis=0), sums, atol=1e-12, rtol=0)
 
 
 def test_step_cfl_violation_raises():
@@ -164,6 +168,43 @@ def test_step_cfl_violation_raises():
     with pytest.raises(ValueError, match="CFL") as exc:
         closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=1.0)
     assert exc.value.argument == "dt"
+
+
+@pytest.mark.parametrize("cfl", [0.0, -0.5, np.nan, np.inf])
+def test_cfl_must_be_positive_and_finite(cfl):
+    params = make_params(cells=16)
+    state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
+    spec = closure.ClosureSpec(kind="pn")
+    coeffs = closure.build_moment_system(2)
+    with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
+        closure.solve_closure(state, params, spec, t_final=0.1, cfl=cfl)
+    assert exc.value.argument == "cfl"
+    with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
+        closure.step(state, coeffs, params, spec, dt=0.01, cfl=cfl)
+    assert exc.value.argument == "cfl"
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, cfl, output_stride, message",
+    [
+        (1e9, 0.005, closure.DEFAULT_CFL, 1000, "steps"),
+        (np.nan, 0.005, closure.DEFAULT_CFL, 1, "steps"),
+        (np.inf, None, closure.DEFAULT_CFL, 1, "steps"),
+        (0.1, None, 1e-300, 1, "steps"),  # the default dt is 1e-300 * dx / rho
+        (0.1, None, 5e-324, 1, "steps"),  # the default dt underflows to 0
+        # 400 001 snapshots of 16 x 3 values, above MAX_SNAPSHOT_VALUES
+        (2000.0, 0.005, closure.DEFAULT_CFL, 1, "snapshots"),
+    ],
+)
+def test_overlong_run_is_refused_before_any_step(t_final, dt, cfl, output_stride, message):
+    params = make_params(cells=16)
+    state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
+    with pytest.raises(closure.ClosureInputError, match=message) as exc:
+        closure.solve_closure(
+            state, params, closure.ClosureSpec(kind="pn"),
+            t_final=t_final, dt=dt, cfl=cfl, output_stride=output_stride,
+        )
+    assert exc.value.argument == "t_final"
 
 
 def test_step_reports_blowup_location():
@@ -249,7 +290,7 @@ def test_nontrivial_closure_row_changes_trajectory():
         t_final=50 * dt,
         dt=dt,
     )
-    assert not np.allclose(pn[-1].values, op[-1].values, atol=1e-8)
+    assert not np.allclose(pn[-1].values, op[-1].values, atol=1e-8, rtol=0)
 
 
 def test_refinement_study_is_monotone():
@@ -299,7 +340,7 @@ def test_weak_form_projection_identity():
         omega = rng.standard_normal((m, d))
         lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
         rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)), rel=0)
 
 
 # N = 1 with this correlation gives the closed matrix [[0, 1], [1/3 - 0.6, 0]],

@@ -83,7 +83,7 @@ def test_inner_a_worked_off_diagonal_value():
     cov = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
     e1 = core.bullet([1.0], [1.0, 0.0])
     e2 = core.bullet([1.0], [0.0, 1.0])
-    assert core.inner_a(e1, e2, cov) == pytest.approx(0.5, abs=1e-15)
+    assert core.inner_a(e1, e2, cov) == pytest.approx(0.5, abs=1e-15, rel=0)
 
 
 def test_inner_a_identity_weight_reduces_to_frobenius():
@@ -144,7 +144,7 @@ def test_apply_extended_commutes_with_embedding():
     assert np.allclose(
         core.apply_extended(cov, core.bullet(h, x)),
         core.bullet(h, cov.apply(x)),
-        atol=1e-12,
+        atol=1e-12, rtol=0,
     )
 
 
@@ -164,7 +164,7 @@ def test_apply_extended_basis_independence():
         core.bullet(core.bracket(f, basis[:, k]), cov.apply(basis[:, k]))
         for k in range(5)
     )
-    assert np.allclose(via_basis, core.apply_extended(cov, f), atol=1e-10)
+    assert np.allclose(via_basis, core.apply_extended(cov, f), atol=1e-10, rtol=0)
 
 
 def test_parseval_over_random_basis():
@@ -172,23 +172,23 @@ def test_parseval_over_random_basis():
     f = rng.standard_normal((4, 6))
     basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     total = sum(np.linalg.norm(core.bracket(f, basis[:, k])) ** 2 for k in range(6))
-    assert total == pytest.approx(np.linalg.norm(f) ** 2, abs=1e-10)
+    assert total == pytest.approx(np.linalg.norm(f) ** 2, abs=1e-10, rel=0)
 
 
 def test_gram_schmidt_a_reproduces_worked_example():
     cov = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
     basis = core.gram_schmidt_a([[1.0, 0.0], [0.0, 1.0]], cov)
-    assert np.allclose(basis[0], [1.0, 0.0], atol=1e-15)
-    assert np.allclose(basis[1], np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0]), atol=1e-12)
+    assert np.allclose(basis[0], [1.0, 0.0], atol=1e-15, rtol=0)
+    assert np.allclose(basis[1], np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0]), atol=1e-12, rtol=0)
     # resulting family is weighted-orthonormal
-    assert cov.inner(basis[0], basis[1]) == pytest.approx(0.0, abs=1e-14)
+    assert cov.inner(basis[0], basis[1]) == pytest.approx(0.0, abs=1e-14, rel=0)
     assert cov.inner(basis[1], basis[1]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gram_schmidt_a_keeps_orthonormal_input():
     cov = core.Covariance.identity(3)
     basis = core.gram_schmidt_a(np.eye(3), cov)
-    assert np.allclose(basis, np.eye(3), atol=1e-15)
+    assert np.allclose(basis, np.eye(3), atol=1e-15, rtol=0)
 
 
 def test_gram_schmidt_a_drops_dependent_vectors():
@@ -196,7 +196,7 @@ def test_gram_schmidt_a_drops_dependent_vectors():
     x = np.array([1.0, 2.0])
     basis = core.gram_schmidt_a([x, 2 * x], cov)
     assert len(basis) == 1
-    assert np.allclose(basis[0], x / np.linalg.norm(x), atol=1e-14)
+    assert np.allclose(basis[0], x / np.linalg.norm(x), atol=1e-14, rtol=0)
 
 
 def test_gram_schmidt_a_rejects_empty_and_zero_input():
@@ -212,9 +212,9 @@ def test_block_projection_worked_example():
     blocks = core.block_projection(cov, 1)
     expected = np.zeros((3, 3))
     expected[0] = [1.0, 0.5, 0.0]
-    assert np.allclose(blocks.p, expected, atol=1e-14)
-    assert np.allclose(blocks.p @ blocks.p, blocks.p, atol=1e-12)
-    assert np.allclose(cov.matrix @ blocks.p, blocks.pt @ cov.matrix, atol=1e-12)
+    assert np.allclose(blocks.p, expected, atol=1e-14, rtol=0)
+    assert np.allclose(blocks.p @ blocks.p, blocks.p, atol=1e-12, rtol=0)
+    assert np.allclose(cov.matrix @ blocks.p, blocks.pt @ cov.matrix, atol=1e-12, rtol=0)
 
 
 def test_block_projection_identity_weight():
@@ -230,7 +230,7 @@ def test_block_projection_fixes_leading_coordinates():
     for k in range(3):
         e = np.zeros(5)
         e[k] = 1.0
-        assert np.allclose(blocks.p @ e, e, atol=1e-14)
+        assert np.allclose(blocks.p @ e, e, atol=1e-14, rtol=0)
 
 
 def test_block_projection_residual_orthogonality():
@@ -244,7 +244,7 @@ def test_block_projection_residual_orthogonality():
         x = rng.standard_normal(d)
         y = np.zeros(d)
         y[:cut] = rng.standard_normal(cut)
-        assert cov.inner(x - blocks.p @ x, y) == pytest.approx(0.0, abs=1e-10)
+        assert cov.inner(x - blocks.p @ x, y) == pytest.approx(0.0, abs=1e-10, rel=0)
         assert np.sqrt(max(cov.inner(blocks.p @ x, blocks.p @ x), 0.0)) <= np.sqrt(
             cov.inner(x, x)
         ) * (1 + 1e-12)
@@ -293,7 +293,7 @@ def test_entrywise_exponential_series_stays_psd():
         power = core.hadamard(power, scaled)
         fact *= j + 1
     assert core.psd_check(series)
-    assert np.allclose(series, np.exp(scaled), atol=1e-12)
+    assert np.allclose(series, np.exp(scaled), atol=1e-12, rtol=0)
 
 
 def test_covariance_validation():
@@ -304,7 +304,7 @@ def test_covariance_validation():
     with pytest.raises(ValueError, match="square"):
         core.Covariance(np.ones((2, 3)))
     cov = core.Covariance([[2.0, 0.4], [0.4, 1.0]])
-    assert np.allclose(cov.chol @ cov.chol.T, cov.matrix, atol=1e-14)
+    assert np.allclose(cov.chol @ cov.chol.T, cov.matrix, atol=1e-14, rtol=0)
 
 
 def test_divergence_diagnostic_small_scale():
@@ -320,13 +320,13 @@ def test_divergence_diagnostic_small_scale():
         f_hi = np.zeros((1, d))
         f_hi[0, :n_hi] = 1.0
         assert core.inner_a(f_hi - f_lo, f_hi - f_lo, cov) == pytest.approx(
-            float(np.sum(1.0 / k[n_lo:n_hi] ** 2)), abs=1e-12
+            float(np.sum(1.0 / k[n_lo:n_hi] ** 2)), abs=1e-12, rel=0
         )
     for n in (8, 64):
         f = np.zeros((1, d))
         f[0, :n] = 1.0
         assert np.linalg.norm(core.bracket(f, x)) == pytest.approx(
-            float(np.sum(1.0 / k[:n])), abs=1e-10
+            float(np.sum(1.0 / k[:n])), abs=1e-10, rel=0
         )
         assert core.norm_a(f, cov) < np.pi / np.sqrt(6.0) + 1e-6
 
@@ -347,4 +347,4 @@ def test_operator_norm_transfer_by_power_iteration():
         g = core.apply_extended(cov, f)
         f = g / np.linalg.norm(g)
     lam_seq = core.inner_l2(f, core.apply_extended(cov, f))
-    assert lam_seq == pytest.approx(lam_vec, abs=1e-8)
+    assert lam_seq == pytest.approx(lam_vec, abs=1e-8, rel=0)

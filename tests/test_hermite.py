@@ -18,9 +18,9 @@ def test_degree_zero_and_one():
 
 
 def test_frozen_values():
-    assert hermite.hermite_prob(2, 2.0) == pytest.approx(3.0, abs=1e-14)
-    assert hermite.hermite_prob(3, 1.0) == pytest.approx(-2.0, abs=1e-14)
-    assert hermite.hermite_phys(2, 1.0) == pytest.approx(2.0, abs=1e-14)
+    assert hermite.hermite_prob(2, 2.0) == pytest.approx(3.0, abs=1e-14, rel=0)
+    assert hermite.hermite_prob(3, 1.0) == pytest.approx(-2.0, abs=1e-14, rel=0)
+    assert hermite.hermite_phys(2, 1.0) == pytest.approx(2.0, abs=1e-14, rel=0)
 
 
 def test_negative_degree_rejected():
@@ -83,8 +83,8 @@ def test_binomial_expansion_degenerate_direction():
 def test_quadrature_rule_invariants():
     rule = hermite.gaussian_quadrature()
     assert (rule.weights > 0).all()
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert hermite.gh_expectation(lambda t: t * t) == pytest.approx(1.0, abs=1e-10)
+    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12, rel=0)
+    assert hermite.gh_expectation(lambda t: t * t) == pytest.approx(1.0, abs=1e-10, rel=0)
 
 
 def test_quadrature_rule_is_cached():
@@ -98,16 +98,16 @@ def test_gh_expectation_orthogonality():
                 lambda t: hermite.hermite_prob(n, t) * hermite.hermite_prob(m, t)
             )
             target = float(math.factorial(n)) if n == m else 0.0
-            assert val == pytest.approx(target, abs=1e-8 * max(1.0, target))
+            assert val == pytest.approx(target, abs=1e-8 * max(1.0, target), rel=0)
 
 
 def test_gh_expectation_centered_polynomials():
     for n in range(1, 13):
         assert hermite.gh_expectation(
             lambda t: hermite.hermite_prob(n, t)
-        ) == pytest.approx(0.0, abs=1e-8)
+        ) == pytest.approx(0.0, abs=1e-8, rel=0)
 
 
 def test_gh_expectation_scalar_only_function():
     val = hermite.gh_expectation(lambda t: math.cos(t))
-    assert val == pytest.approx(np.exp(-0.5), abs=1e-6)
+    assert val == pytest.approx(np.exp(-0.5), abs=1e-6, rel=0)

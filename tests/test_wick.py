@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqgauss import core, wick
-from seqgauss.verify import random_cov
+from seqgauss.verify import check_wick_recursion, random_cov
 
 M, D = 2, 3
 
@@ -30,14 +30,14 @@ def test_polarize_pair_matches_brute_force():
     kernel = wick.polarize([x1, x2])
     assert len(kernel.terms) == 4
     dense = wick.dense_from_kernel(kernel)
-    assert np.allclose(dense.array, brute_symmetric_product([x1, x2]), atol=1e-12)
+    assert np.allclose(dense.array, brute_symmetric_product([x1, x2]), atol=1e-12, rtol=0)
 
 
 def test_polarize_triple_matches_brute_force():
     rng = np.random.default_rng(1)
     xs = list(rng.standard_normal((3, M, D)))
     dense = wick.dense_from_kernel(wick.polarize(xs))
-    assert np.allclose(dense.array, brute_symmetric_product(xs), atol=1e-12)
+    assert np.allclose(dense.array, brute_symmetric_product(xs), atol=1e-12, rtol=0)
 
 
 def test_polarize_repeated_vector_is_plain_power():
@@ -47,7 +47,7 @@ def test_polarize_repeated_vector_is_plain_power():
     power = np.array(1.0)
     for _ in range(3):
         power = np.multiply.outer(power, x.ravel())
-    assert np.allclose(dense.array, power, atol=1e-12)
+    assert np.allclose(dense.array, power, atol=1e-12, rtol=0)
 
 
 def test_polarize_output_is_permutation_invariant():
@@ -55,7 +55,7 @@ def test_polarize_output_is_permutation_invariant():
     xs = list(rng.standard_normal((3, M, D)))
     arr = wick.dense_from_kernel(wick.polarize(xs)).array
     for perm in itertools.permutations(range(3)):
-        assert np.allclose(np.transpose(arr, perm), arr, atol=1e-12)
+        assert np.allclose(np.transpose(arr, perm), arr, atol=1e-12, rtol=0)
 
 
 def test_polarize_rejects_empty_input():
@@ -68,9 +68,9 @@ def test_symmetrize_dense_idempotent_and_pair_average():
     arr = rng.standard_normal((M * D, M * D))
     t = wick.DenseTensor(degree=2, dims=(M, D), array=arr)
     sym1 = wick.symmetrize_dense(t)
-    assert np.allclose(sym1.array, 0.5 * (arr + arr.T), atol=1e-15)
+    assert np.allclose(sym1.array, 0.5 * (arr + arr.T), atol=1e-15, rtol=0)
     sym2 = wick.symmetrize_dense(sym1)
-    assert np.allclose(sym2.array, sym1.array, atol=1e-15)
+    assert np.allclose(sym2.array, sym1.array, atol=1e-15, rtol=0)
 
 
 def test_dense_tensor_size_limits():
@@ -152,14 +152,7 @@ def test_wick_eval_dense_degree_two_unrolled():
 
 
 def test_recursion_matches_closed_form():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        n = int(rng.integers(0, 5))
-        cov = random_cov(rng, D)
-        w = rng.standard_normal((M, D))
-        rec = wick.wick_dense_tensor(n, cov, w)
-        closed = wick.wick_dense_closed_form(n, cov, w)
-        assert np.allclose(rec, closed, atol=1e-10 * max(1.0, np.abs(closed).max()))
+    check_wick_recursion(np.random.default_rng(9))
 
 
 def test_dense_and_polarized_evaluation_agree():
@@ -253,7 +246,7 @@ def test_repolarization_invariance():
         ),
     )
     assert np.allclose(
-        wick.dense_from_kernel(k_a).array, wick.dense_from_kernel(k_b).array, atol=1e-12
+        wick.dense_from_kernel(k_a).array, wick.dense_from_kernel(k_b).array, atol=1e-12, rtol=0
     )
     assert wick.wick_eval(k_a, cov, w) == pytest.approx(
         wick.wick_eval(k_b, cov, w), rel=1e-9, abs=1e-9
