@@ -34,10 +34,12 @@ or even make the closed system non-hyperbolic.  A non-real eigenvalue
 matrix) before any step, since the closure is then ill-posed; a singular
 leading correlation block does the same.  The run enforces the CFL bound
 dt <= cfl * dx / rho and reports a violation as a ``ClosureInputError``
-naming ``dt``.  A run of more than ``MAX_STEPS`` steps, or whose
-snapshots would hold more than ``MAX_SNAPSHOT_VALUES`` values, is refused
-up front as a ``ClosureInputError`` naming ``t_final``.  A blow-up
-(non-finite moment) is a plain ``ValueError`` reporting its time and cell.
+naming ``dt``, as it does a ``dt`` whose Courant number dt / (2 dx) is
+not finite (possible only when rho = 0).  A run of more than
+``MAX_STEPS`` steps, or whose snapshots would hold more than
+``MAX_SNAPSHOT_VALUES`` values, is refused up front as a
+``ClosureInputError`` naming ``t_final``.  A blow-up (non-finite moment)
+is a plain ``ValueError`` reporting its time and cell.
 
 The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
 buffer whose two ghost rows are refreshed from the opposite ends before
@@ -310,6 +312,11 @@ def _march(
     if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
         raise ClosureInputError("dt", f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * "
                                 f"dx / rho = {cfl * params.dx / rho:.6g}")
+    courant = dt / (2.0 * params.dx)
+    if not np.isfinite(courant):
+        # only an advection-free system (rho = 0) gets here with such a dt
+        raise ClosureInputError("dt", f"dt = {dt:.6g} makes the Courant number "
+                                f"dt / (2 dx) = {courant} not finite")
     if not t_final <= MAX_STEPS * dt:
         raise ClosureInputError("t_final", f"t_final = {t_final:.6g} is not reached within "
                                 f"{MAX_STEPS} steps of dt = {dt:.6g}")
@@ -318,8 +325,6 @@ def _march(
     if kept * state.values.size > MAX_SNAPSHOT_VALUES:
         raise ClosureInputError("t_final", f"{kept} snapshots of {state.values.size} values "
                                 f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
-    courant = dt / (2.0 * params.dx)
-    damping = dt * _absorption(params, state.order)
     b_t = np.ascontiguousarray(b_closed.T)
     padded = np.concatenate([state.values[-1:], state.values, state.values[:1]])
     u, left, right = padded[1:-1], padded[:-2], padded[2:]
@@ -327,6 +332,7 @@ def _march(
     finite = np.empty(u.shape, dtype=bool)
     snapshots, t = [state], state.t
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports overflow
+        damping = dt * _absorption(params, state.order)
         fixed = None if callable(params.source) else dt * _source_term(params, state.order, t)
         for i in range(1, n_steps + 1):
             source = fixed if fixed is not None else dt * _source_term(params, state.order, t)

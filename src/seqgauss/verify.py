@@ -6,16 +6,20 @@ deterministic, ``tol_scale`` loosens or tightens all stated tolerances by
 a common factor (the Monte Carlo bounds of 4 or 6 standard errors stay as
 they are), and ``samples`` sizes the Monte Carlo suites.
 
-Every numeric comparison goes through ``_assert_close``, which fails a NaN
-error or tolerance.  The ``check_*`` functions are checks that the test
-suite also runs; each takes the generator to draw from (if it draws) and
-``tol_scale``.
+Every check is a module-level ``check_*`` function that the suites and the
+test suite share; a suite is a flat list of them in a fixed order, all
+drawing from one generator seeded with ``seed``.  A check that draws takes
+that generator first; a Monte Carlo check also takes the sample count and
+the seed of its batch (the suite passes ``seed + k``); a check with a
+tolerance takes ``tol_scale`` last.  Every numeric comparison goes through
+``_assert_close``, which fails a NaN error or tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -26,14 +30,39 @@ from . import core, hermite, measure, wick
 __all__ = [
     "CheckResult", "SUITE_NAMES", "run_suite",
     "random_cov", "random_expansion", "wick_pair_expectation",
-    "check_hermite_orthogonality", "check_wick_recursion", "check_monomials_from_wick",
-    "check_wick_orthogonality", "check_gram_schmidt_example", "check_divergence_diagnostic",
-    "check_cond_exp_example",
+    # core
+    "check_bilinear_identities", "check_norm_identities", "check_parseval",
+    "check_operator_extension", "check_operator_norm_transfer",
+    "check_block_projection_algebra", "check_block_projection_example",
+    "check_gram_schmidt_example", "check_divergence_diagnostic", "check_psd_appendix",
+    # hermite
+    "check_hermite_orthogonality", "check_recurrence_vs_sum", "check_convention_relations",
+    "check_binomial_expansion", "check_quadrature_sanity",
+    # wick
+    "check_polarization", "check_permutation_invariance", "check_symmetrization",
+    "check_low_degree_wick_values", "check_wick_recursion", "check_polarized_evaluation",
+    "check_monomials_from_wick", "check_kernel_inner_routes", "check_repolarization",
+    # measure
+    "check_sampling_determinism", "check_pairing_variance", "check_characteristic_function",
+    "check_isserlis_base_cases", "check_mc_moments", "check_wick_orthogonality",
+    "check_pushforward",
+    # chaos
+    "check_cond_exp_example", "check_cond_exp_idempotence", "check_degree_one_additivity",
+    "check_span_invariance", "check_kernelwise_projection", "check_chaos_inner_structure",
+    "check_expansion_mean", "check_conditional_residuals", "check_growing_conditioning_rank",
+    # closure
+    "check_advection_coefficients", "check_absorption_and_source", "check_closure_rows",
+    "check_identity_correlation_truncation", "check_conservation", "check_local_balance",
+    "check_weak_form_projection", "check_refinement_monotone", "check_cfl_guard",
 ]
 
 SUITE_NAMES = ("core", "hermite", "wick", "measure", "chaos", "closure")
 
 DEFAULT_SAMPLES = 100_000
+
+# shape (m, d) of the sequence vectors drawn by the wick, measure and chaos checks
+_M, _D = 2, 3
+_DIMS = core.TruncationDims(_M, _D)
 
 
 @dataclass
@@ -74,18 +103,189 @@ def random_cov(rng: np.random.Generator, d: int) -> core.Covariance:
     return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
 
+def _outer_power(vectors) -> np.ndarray:
+    """Plain tensor product of the flattened ``vectors``, in order."""
+    out = np.array(1.0)
+    for v in vectors:
+        out = np.multiply.outer(out, np.ravel(v))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # core
 
 
+def check_bilinear_identities(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Embedding/contraction and (weighted) rank-one inner-product identities
+    on 50 random draws with m, d in 1..8."""
+    for _ in range(50):
+        m, d = rng.integers(1, 9, size=2)
+        h, g = rng.standard_normal(m), rng.standard_normal(m)
+        x, y = rng.standard_normal(d), rng.standard_normal(d)
+        f = rng.standard_normal((m, d))
+        cov = random_cov(rng, d)
+        _assert_close(
+            core.bracket(core.bullet(h, x), y),
+            float(x @ y) * h,
+            1e-12 * tol_scale * max(1.0, float(np.abs(x @ y) * np.abs(h).max())),
+            "bracket(bullet(h,x),y) = (x,y) h",
+        )
+        _assert_close(
+            core.inner_l2(core.bullet(h, x), core.bullet(g, y)),
+            float(h @ g) * float(x @ y),
+            1e-12 * tol_scale * max(1.0, abs(float(h @ g) * float(x @ y))),
+            "rank-one inner product factorizes",
+        )
+        _assert_close(
+            core.inner_a(f, core.bullet(h, x), cov),
+            float(core.bracket(f, cov.apply(x)) @ h),
+            1e-12 * tol_scale * max(1.0, abs(core.inner_a(f, core.bullet(h, x), cov))),
+            "weighted pairing against a rank-one embedding",
+        )
+        _assert_close(
+            core.inner_a(core.bullet(h, x), core.bullet(g, y), cov),
+            float(h @ g) * cov.inner(x, y),
+            1e-12 * tol_scale * max(1.0, abs(float(h @ g) * cov.inner(x, y))),
+            "weighted rank-one inner product factorizes",
+        )
+
+
+def check_norm_identities(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """||h . x|| = ||h|| ||x|| and ||[f, x]|| <= ||f|| ||x|| on 50 draws."""
+    for _ in range(50):
+        m, d = rng.integers(1, 9, size=2)
+        h = rng.standard_normal(m)
+        x = rng.standard_normal(d)
+        f = rng.standard_normal((m, d))
+        lhs = np.linalg.norm(core.bullet(h, x))
+        rhs = np.linalg.norm(h) * np.linalg.norm(x)
+        _assert_close(lhs, rhs, 1e-12 * tol_scale * max(1.0, rhs), "embedding norm")
+        if np.linalg.norm(core.bracket(f, x)) > np.linalg.norm(f) * np.linalg.norm(
+            x
+        ) * (1 + 1e-12):
+            raise AssertionError("contraction exceeds Cauchy-Schwarz bound")
+
+
+def check_parseval(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """sum_k ||[f, e_k]||^2 = ||f||^2 over a random orthonormal basis, 20 draws."""
+    for _ in range(20):
+        m, d = rng.integers(2, 9, size=2)
+        f = rng.standard_normal((m, d))
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        total = sum(
+            float(np.linalg.norm(core.bracket(f, basis[:, k])) ** 2)
+            for k in range(d)
+        )
+        _assert_close(
+            total, float(np.linalg.norm(f) ** 2), 1e-10 * tol_scale,
+            "squared norms against an orthonormal basis",
+        )
+
+
+def check_operator_extension(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The extension of A to sequence vectors is basis independent and
+    commutes with the embedding, 20 draws."""
+    for _ in range(20):
+        m, d = rng.integers(2, 9, size=2)
+        f = rng.standard_normal((m, d))
+        h = rng.standard_normal(m)
+        x = rng.standard_normal(d)
+        cov = random_cov(rng, d)
+        direct = core.apply_extended(cov, f)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        via_basis = sum(
+            core.bullet(core.bracket(f, basis[:, k]), cov.apply(basis[:, k]))
+            for k in range(d)
+        )
+        _assert_close(via_basis, direct, 1e-10 * tol_scale, "extension is basis independent")
+        _assert_close(
+            core.apply_extended(cov, core.bullet(h, x)),
+            core.bullet(h, cov.apply(x)),
+            1e-12 * tol_scale,
+            "extension and embedding commute",
+        )
+
+
+def check_operator_norm_transfer(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Power iteration gives the same spectral norm for A on R^d and for its
+    extension to sequence vectors, 5 draws."""
+    for _ in range(5):
+        m, d = int(rng.integers(2, 6)), int(rng.integers(4, 13))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigs = np.linspace(0.5, 2.0, d)
+        a = q @ np.diag(eigs) @ q.T
+        cov = core.Covariance(0.5 * (a + a.T))
+        x = rng.standard_normal(d)
+        for _ in range(4000):
+            y = cov.matrix @ x
+            x = y / np.linalg.norm(y)
+        lam_vec = float(x @ cov.matrix @ x)
+        f = rng.standard_normal((m, d))
+        for _ in range(4000):
+            g = core.apply_extended(cov, f)
+            f = g / np.linalg.norm(g)
+        lam_seq = core.inner_l2(f, core.apply_extended(cov, f))
+        _assert_close(lam_seq, lam_vec, 1e-8 * tol_scale, "matched spectral norms")
+
+
+def check_block_projection_algebra(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The weighted block projection is idempotent, A-self-adjoint, fixes its
+    range, contracts the weighted norm and leaves an orthogonal residual;
+    20 draws of d in 3..12 and one cut each."""
+    for _ in range(20):
+        d = int(rng.integers(3, 13))
+        cov = random_cov(rng, d)
+        cut = int(rng.integers(1, d))
+        blocks = core.block_projection(cov, cut)
+        p, pt = blocks.p, blocks.pt
+        _assert_close(p @ p, p, 1e-10 * tol_scale, "projection is idempotent")
+        _assert_close(
+            cov.matrix @ p, pt @ cov.matrix, 1e-10 * tol_scale,
+            "weighted adjoint relation",
+        )
+        x = rng.standard_normal(d)
+        y = np.zeros(d)
+        y[:cut] = rng.standard_normal(cut)
+        _assert_close(
+            cov.inner(x - p @ x, y), 0.0, 1e-10 * tol_scale,
+            "projection residual is orthogonal to the range",
+        )
+        nx = np.sqrt(cov.inner(x, x))
+        npx = np.sqrt(max(cov.inner(p @ x, p @ x), 0.0))
+        if npx > nx * (1 + 1e-12 * tol_scale):
+            raise AssertionError("projection expands the weighted norm")
+        for k in range(cut):
+            e = np.zeros(d)
+            e[k] = 1.0
+            _assert_close(p @ e, e, 1e-14 * tol_scale, "projection fixes its range")
+
+
+def check_block_projection_example(tol_scale: float = 1.0) -> None:
+    """The block projection of the worked 3-by-3 example at cut 1."""
+    cov = core.Covariance([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    blocks = core.block_projection(cov, 1)
+    expected = np.zeros((3, 3))
+    expected[0] = [1.0, 0.5, 0.0]
+    _assert_close(blocks.p, expected, 1e-14 * tol_scale, "worked 3x3 projection")
+    _assert_close(blocks.p @ blocks.p, blocks.p, 1e-12 * tol_scale, "worked idempotence")
+    _assert_close(
+        cov.matrix @ blocks.p, blocks.pt @ cov.matrix, 1e-12 * tol_scale,
+        "worked adjoint relation",
+    )
+
+
 def check_gram_schmidt_example(tol_scale: float = 1.0) -> None:
-    """Weighted Gram-Schmidt of e1, e2 under A = [[1, .5], [.5, 1]], and a
-    dependent pair reduced to one vector."""
+    """Weighted Gram-Schmidt of e1, e2 under A = [[1, .5], [.5, 1]] gives an
+    A-orthonormal pair, and a dependent pair is reduced to one vector."""
     cov = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
     basis = core.gram_schmidt_a([np.array([1.0, 0.0]), np.array([0.0, 1.0])], cov)
-    _assert_close(basis[0], [1.0, 0.0], 1e-12 * tol_scale, "first vector kept")
+    _assert_close(basis[0], [1.0, 0.0], 1e-15 * tol_scale, "first vector kept")
     target = np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0])
     _assert_close(basis[1], target, 1e-12 * tol_scale, "second orthonormalized vector")
+    _assert_close(
+        [cov.inner(basis[0], basis[1]), cov.inner(basis[1], basis[1])], [0.0, 1.0],
+        1e-14 * tol_scale, "weighted orthonormality",
+    )
     dep = core.gram_schmidt_a(
         [np.array([1.0, 2.0]), np.array([2.0, 4.0])], cov
     )
@@ -127,182 +327,44 @@ def check_divergence_diagnostic(tol_scale: float = 1.0) -> str:
     return "contraction diverges while the weighted norm stays bounded"
 
 
+def check_psd_appendix(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Schur products and entrywise exponential series of Gram matrices stay
+    PSD (20 draws), and an indefinite matrix fails the PSD check."""
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        g1 = rng.standard_normal((n, n))
+        g2 = rng.standard_normal((n, n))
+        m1, m2 = g1 @ g1.T, g2 @ g2.T
+        if not core.psd_check(core.hadamard(m1, m2), tol=1e-9 * tol_scale):
+            raise AssertionError("Schur product lost positive semidefiniteness")
+        scale = np.abs(m1).max() or 1.0
+        scaled = m1 / scale
+        series = np.zeros_like(scaled)
+        power = np.ones_like(scaled)
+        for j in range(30):
+            series = series + power / factorial(j)
+            power = core.hadamard(power, scaled)
+        if not core.psd_check(series, tol=1e-9 * tol_scale):
+            raise AssertionError("entrywise exponential series lost PSD")
+        _assert_close(core.hadamard(m1, np.ones_like(m1)), m1, 0.0, "ones identity")
+    if core.psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-9):
+        raise AssertionError("indefinite matrix passed the PSD check")
+
+
 def suite_core(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-
-    def bilinear_identities():
-        for _ in range(50):
-            m, d = rng.integers(1, 9, size=2)
-            h, g = rng.standard_normal(m), rng.standard_normal(m)
-            x, y = rng.standard_normal(d), rng.standard_normal(d)
-            f = rng.standard_normal((m, d))
-            cov = random_cov(rng, d)
-            _assert_close(
-                core.bracket(core.bullet(h, x), y),
-                float(x @ y) * h,
-                1e-12 * tol_scale * max(1.0, float(np.abs(x @ y) * np.abs(h).max())),
-                "bracket(bullet(h,x),y) = (x,y) h",
-            )
-            _assert_close(
-                core.inner_l2(core.bullet(h, x), core.bullet(g, y)),
-                float(h @ g) * float(x @ y),
-                1e-12 * tol_scale * max(1.0, abs(float(h @ g) * float(x @ y))),
-                "rank-one inner product factorizes",
-            )
-            _assert_close(
-                core.inner_a(f, core.bullet(h, x), cov),
-                float(core.bracket(f, cov.apply(x)) @ h),
-                1e-12 * tol_scale * max(1.0, abs(core.inner_a(f, core.bullet(h, x), cov))),
-                "weighted pairing against a rank-one embedding",
-            )
-            _assert_close(
-                core.inner_a(core.bullet(h, x), core.bullet(g, y), cov),
-                float(h @ g) * cov.inner(x, y),
-                1e-12 * tol_scale * max(1.0, abs(float(h @ g) * cov.inner(x, y))),
-                "weighted rank-one inner product factorizes",
-            )
-
-    def norm_identities():
-        for _ in range(50):
-            m, d = rng.integers(1, 9, size=2)
-            h = rng.standard_normal(m)
-            x = rng.standard_normal(d)
-            f = rng.standard_normal((m, d))
-            lhs = np.linalg.norm(core.bullet(h, x))
-            rhs = np.linalg.norm(h) * np.linalg.norm(x)
-            _assert_close(lhs, rhs, 1e-12 * tol_scale * max(1.0, rhs), "embedding norm")
-            if np.linalg.norm(core.bracket(f, x)) > np.linalg.norm(f) * np.linalg.norm(
-                x
-            ) * (1 + 1e-12):
-                raise AssertionError("contraction exceeds Cauchy-Schwarz bound")
-
-    def parseval():
-        for _ in range(20):
-            m, d = rng.integers(2, 9, size=2)
-            f = rng.standard_normal((m, d))
-            basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            total = sum(
-                float(np.linalg.norm(core.bracket(f, basis[:, k])) ** 2)
-                for k in range(d)
-            )
-            _assert_close(
-                total,
-                float(np.linalg.norm(f) ** 2),
-                1e-10 * tol_scale * max(1.0, np.linalg.norm(f) ** 2),
-                "squared norms against an orthonormal basis",
-            )
-
-    def operator_extension():
-        for _ in range(20):
-            m, d = rng.integers(2, 9, size=2)
-            f = rng.standard_normal((m, d))
-            h = rng.standard_normal(m)
-            x = rng.standard_normal(d)
-            cov = random_cov(rng, d)
-            direct = core.apply_extended(cov, f)
-            basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            via_basis = sum(
-                core.bullet(core.bracket(f, basis[:, k]), cov.apply(basis[:, k]))
-                for k in range(d)
-            )
-            _assert_close(
-                via_basis, direct, 1e-10 * tol_scale * max(1.0, np.abs(direct).max()),
-                "extension is basis independent",
-            )
-            _assert_close(
-                core.apply_extended(cov, core.bullet(h, x)),
-                core.bullet(h, cov.apply(x)),
-                1e-12 * tol_scale * max(1.0, np.abs(core.bullet(h, cov.apply(x))).max()),
-                "extension and embedding commute",
-            )
-
-    def operator_norm_transfer():
-        for _ in range(5):
-            m, d = int(rng.integers(2, 6)), int(rng.integers(4, 13))
-            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            eigs = np.linspace(0.5, 2.0, d)
-            a = q @ np.diag(eigs) @ q.T
-            cov = core.Covariance(0.5 * (a + a.T))
-            x = rng.standard_normal(d)
-            for _ in range(4000):
-                y = cov.matrix @ x
-                x = y / np.linalg.norm(y)
-            lam_vec = float(x @ cov.matrix @ x)
-            f = rng.standard_normal((m, d))
-            for _ in range(4000):
-                g = core.apply_extended(cov, f)
-                f = g / np.linalg.norm(g)
-            lam_seq = core.inner_l2(f, core.apply_extended(cov, f))
-            _assert_close(lam_seq, lam_vec, 1e-8 * tol_scale, "matched spectral norms")
-
-    def block_projection_algebra():
-        for _ in range(20):
-            d = int(rng.integers(3, 13))
-            cov = random_cov(rng, d)
-            cut = int(rng.integers(1, d))
-            blocks = core.block_projection(cov, cut)
-            p, pt = blocks.p, blocks.pt
-            _assert_close(p @ p, p, 1e-10 * tol_scale, "projection is idempotent")
-            _assert_close(
-                cov.matrix @ p, pt @ cov.matrix, 1e-10 * tol_scale,
-                "weighted adjoint relation",
-            )
-            x = rng.standard_normal(d)
-            y = np.zeros(d)
-            y[:cut] = rng.standard_normal(cut)
-            _assert_close(
-                cov.inner(x - p @ x, y), 0.0,
-                1e-10 * tol_scale * max(1.0, np.linalg.norm(x) * np.linalg.norm(y)),
-                "projection residual is orthogonal to the range",
-            )
-            nx = np.sqrt(cov.inner(x, x))
-            npx = np.sqrt(max(cov.inner(p @ x, p @ x), 0.0))
-            if npx > nx * (1 + 1e-10 * tol_scale):
-                raise AssertionError("projection expands the weighted norm")
-            for k in range(cut):
-                e = np.zeros(d)
-                e[k] = 1.0
-                _assert_close(p @ e, e, 1e-12 * tol_scale, "projection fixes its range")
-
-    def block_projection_example():
-        cov = core.Covariance([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        blocks = core.block_projection(cov, 1)
-        expected = np.zeros((3, 3))
-        expected[0] = [1.0, 0.5, 0.0]
-        _assert_close(blocks.p, expected, 1e-12 * tol_scale, "worked 3x3 projection")
-
-    def psd_appendix():
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            g1 = rng.standard_normal((n, n))
-            g2 = rng.standard_normal((n, n))
-            m1, m2 = g1 @ g1.T, g2 @ g2.T
-            if not core.psd_check(core.hadamard(m1, m2), tol=1e-9 * tol_scale):
-                raise AssertionError("Schur product lost positive semidefiniteness")
-            scale = np.abs(m1).max() or 1.0
-            scaled = m1 / scale
-            series = np.zeros_like(scaled)
-            power = np.ones_like(scaled)
-            for j in range(30):
-                series = series + power / factorial(j)
-                power = core.hadamard(power, scaled)
-            if not core.psd_check(series, tol=1e-9 * tol_scale):
-                raise AssertionError("entrywise exponential series lost PSD")
-            _assert_close(core.hadamard(m1, np.ones_like(m1)), m1, 0.0, "ones identity")
-        if core.psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-9):
-            raise AssertionError("indefinite matrix passed the PSD check")
-
-    s.check("bilinear embedding/contraction identities", bilinear_identities)
-    s.check("embedding norm and contraction bound", norm_identities)
-    s.check("norm decomposition over orthonormal bases", parseval)
-    s.check("operator extension to sequence vectors", operator_extension)
-    s.check("operator norm transfer (power iteration)", operator_norm_transfer)
-    s.check("weighted block projection algebra", block_projection_algebra)
-    s.check("worked block projection", block_projection_example)
+    s.check("bilinear embedding/contraction identities", check_bilinear_identities, rng, tol_scale)
+    s.check("embedding norm and contraction bound", check_norm_identities, rng, tol_scale)
+    s.check("norm decomposition over orthonormal bases", check_parseval, rng, tol_scale)
+    s.check("operator extension to sequence vectors", check_operator_extension, rng, tol_scale)
+    s.check("operator norm transfer (power iteration)", check_operator_norm_transfer,
+            rng, tol_scale)
+    s.check("weighted block projection algebra", check_block_projection_algebra, rng, tol_scale)
+    s.check("worked block projection", check_block_projection_example, tol_scale)
     s.check("weighted Gram-Schmidt worked example", check_gram_schmidt_example, tol_scale)
     s.check("unbounded contraction diagnostic", check_divergence_diagnostic, tol_scale)
-    s.check("PSD closure under Schur products", psd_appendix)
+    s.check("PSD closure under Schur products", check_psd_appendix, rng, tol_scale)
     return s.results
 
 
@@ -323,73 +385,76 @@ def check_hermite_orthogonality(tol_scale: float = 1.0) -> None:
     _assert_close(gram, target, 1e-8 * tol_scale, "quadrature Gram matrix")
 
 
+def check_recurrence_vs_sum(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The three-term recurrence equals the alternating sum for n = 0..15 at
+    8 points each in [-5, 5]."""
+    for n in range(16):
+        for x in rng.uniform(-5.0, 5.0, size=8):
+            a = hermite.hermite_prob(n, float(x))
+            b = hermite.hermite_prob_sum(n, float(x))
+            scale = max(1.0, abs(a), abs(b))
+            _assert_close(a, b, 1e-9 * tol_scale * scale, f"n={n}, x={x}")
+
+
+def check_convention_relations(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """He_n(x) = 2^(-n/2) H_n(x / sqrt 2) and H_n(x) = 2^(n/2) He_n(sqrt 2 x)
+    for n = 0..12 at 8 points each in [-3, 3]."""
+    for n in range(13):
+        for x in rng.uniform(-3.0, 3.0, size=8):
+            lhs = hermite.hermite_prob(n, float(x))
+            rhs = 2.0 ** (-n / 2) * hermite.hermite_phys(n, float(x) / np.sqrt(2.0))
+            scale = max(1.0, abs(lhs), abs(rhs))
+            _assert_close(
+                lhs, rhs, 1e-9 * tol_scale * scale,
+                f"probabilists' from physicists', n={n}, x={x}",
+            )
+            lhs2 = hermite.hermite_phys(n, float(x))
+            rhs2 = 2.0 ** (n / 2) * hermite.hermite_prob(n, np.sqrt(2.0) * float(x))
+            scale2 = max(1.0, abs(lhs2), abs(rhs2))
+            _assert_close(
+                lhs2, rhs2, 1e-9 * tol_scale * scale2,
+                f"physicists' from probabilists', n={n}, x={x}",
+            )
+
+
+def check_binomial_expansion(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """He_n(alpha x + beta y) equals its binomial expansion for alpha^2 +
+    beta^2 = 1, on 100 draws of n in 0..10 and x, y in [-3, 3]."""
+    for _ in range(100):
+        n = int(rng.integers(0, 11))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        alpha, beta = np.cos(theta), np.sin(theta)
+        x, y = rng.uniform(-3.0, 3.0, size=2)
+        lhs = hermite.hermite_prob(n, alpha * x + beta * y)
+        rhs = hermite.hermite_binomial_sum(n, alpha, beta, x, y)
+        scale = max(1.0, abs(lhs), abs(rhs))
+        _assert_close(lhs, rhs, 1e-9 * tol_scale * scale, f"n={n}, alpha={alpha}")
+
+
+def check_quadrature_sanity(tol_scale: float = 1.0) -> None:
+    """The Gauss-Hermite rule has positive weights summing to one, second
+    moment one, and zero mean for He_1..He_12."""
+    rule = hermite.gaussian_quadrature()
+    if (rule.weights <= 0).any():
+        raise AssertionError("non-positive quadrature weight")
+    _assert_close(rule.weights.sum(), 1.0, 1e-12 * tol_scale, "weights sum to one")
+    _assert_close(
+        hermite.gh_expectation(lambda t: t * t), 1.0, 1e-10 * tol_scale,
+        "second moment",
+    )
+    for n in range(1, 13):
+        val = hermite.gh_expectation(lambda t: hermite.hermite_prob(n, t))
+        _assert_close(val, 0.0, 1e-8 * tol_scale, f"degree {n} mean")
+
+
 def suite_hermite(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-
-    def recurrence_vs_sum():
-        for n in range(16):
-            for x in rng.uniform(-5.0, 5.0, size=8):
-                a = hermite.hermite_prob(n, float(x))
-                b = hermite.hermite_prob_sum(n, float(x))
-                scale = max(1.0, abs(a), abs(b))
-                _assert_close(a, b, 1e-9 * tol_scale * scale, f"n={n}, x={x}")
-
-    def convention_relations():
-        for n in range(13):
-            for x in rng.uniform(-3.0, 3.0, size=8):
-                lhs = hermite.hermite_prob(n, float(x))
-                rhs = 2.0 ** (-n / 2) * hermite.hermite_phys(n, float(x) / np.sqrt(2.0))
-                scale = max(1.0, abs(lhs), abs(rhs))
-                _assert_close(
-                    lhs, rhs, 1e-9 * tol_scale * scale,
-                    f"probabilists' from physicists', n={n}, x={x}",
-                )
-                lhs2 = hermite.hermite_phys(n, float(x))
-                rhs2 = 2.0 ** (n / 2) * hermite.hermite_prob(n, np.sqrt(2.0) * float(x))
-                scale2 = max(1.0, abs(lhs2), abs(rhs2))
-                _assert_close(
-                    lhs2, rhs2, 1e-9 * tol_scale * scale2,
-                    f"physicists' from probabilists', n={n}, x={x}",
-                )
-
-    def binomial_expansion():
-        for _ in range(100):
-            n = int(rng.integers(0, 11))
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            alpha, beta = np.cos(theta), np.sin(theta)
-            x, y = rng.uniform(-3.0, 3.0, size=2)
-            lhs = hermite.hermite_prob(n, alpha * x + beta * y)
-            rhs = hermite.hermite_binomial_sum(n, alpha, beta, x, y)
-            scale = max(
-                1.0,
-                sum(
-                    abs(comb(n, k) * alpha**k * beta ** (n - k))
-                    * abs(hermite.hermite_prob(k, x))
-                    * abs(hermite.hermite_prob(n - k, y))
-                    for k in range(n + 1)
-                ),
-            )
-            _assert_close(lhs, rhs, 1e-9 * tol_scale * scale, f"n={n}, alpha={alpha}")
-
-    def quadrature_sanity():
-        rule = hermite.gaussian_quadrature()
-        if (rule.weights <= 0).any():
-            raise AssertionError("non-positive quadrature weight")
-        _assert_close(rule.weights.sum(), 1.0, 1e-12 * tol_scale, "weights sum to one")
-        _assert_close(
-            hermite.gh_expectation(lambda t: t * t), 1.0, 1e-10 * tol_scale,
-            "second moment",
-        )
-        for n in range(1, 13):
-            val = hermite.gh_expectation(lambda t: hermite.hermite_prob(n, t))
-            _assert_close(val, 0.0, 1e-8 * tol_scale, f"degree {n} mean")
-
     s.check("orthogonality matrix equals diag(n!)", check_hermite_orthogonality, tol_scale)
-    s.check("recurrence matches alternating sum", recurrence_vs_sum)
-    s.check("convention cross relations", convention_relations)
-    s.check("binomial expansion", binomial_expansion)
-    s.check("quadrature rule sanity", quadrature_sanity)
+    s.check("recurrence matches alternating sum", check_recurrence_vs_sum, rng, tol_scale)
+    s.check("convention cross relations", check_convention_relations, rng, tol_scale)
+    s.check("binomial expansion", check_binomial_expansion, rng, tol_scale)
+    s.check("quadrature rule sanity", check_quadrature_sanity, tol_scale)
     return s.results
 
 
@@ -397,167 +462,171 @@ def suite_hermite(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_
 # wick
 
 
+def check_polarization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Polarized kernels of degree 2 and 3 expand to the symmetrized tensor
+    product of their vectors, and a repeated vector to its plain power."""
+    for n in (2, 3):
+        xs = rng.standard_normal((n, _M, _D))
+        dense = wick.dense_from_kernel(wick.polarize(xs))
+        target = wick._symmetrize_array(_outer_power(xs))
+        _assert_close(dense.array, target, 1e-12 * tol_scale, f"degree {n}")
+    x = rng.standard_normal((_M, _D))
+    dense = wick.dense_from_kernel(wick.polarize([x, x, x]))
+    _assert_close(dense.array, _outer_power([x] * 3), 1e-12 * tol_scale, "repeated vector power")
+
+
+def check_permutation_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The dense expansion of a polarized degree-3 kernel is invariant under
+    every axis permutation."""
+    xs = rng.standard_normal((3, _M, _D))
+    dense = wick.dense_from_kernel(wick.polarize(xs))
+    for perm in itertools.permutations(range(3)):
+        _assert_close(
+            np.transpose(dense.array, perm), dense.array, 1e-12 * tol_scale,
+            f"permutation {perm}",
+        )
+
+
+def check_symmetrization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Symmetrizing a random 2-tensor averages it with its transpose and is
+    idempotent."""
+    arr = rng.standard_normal((_M * _D, _M * _D))
+    t = wick.DenseTensor(degree=2, dims=(_M, _D), array=arr)
+    sym1 = wick.symmetrize_dense(t)
+    sym2 = wick.symmetrize_dense(sym1)
+    _assert_close(sym2.array, sym1.array, 1e-15 * tol_scale, "idempotent")
+    _assert_close(sym1.array, 0.5 * (arr + arr.T), 1e-15 * tol_scale, "pair average")
+
+
+def check_low_degree_wick_values(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """:phi^0: = 1 exactly, :phi^1: = <phi, w> and :phi^2: = <phi, w>^2 - ||phi||_A^2."""
+    cov = random_cov(rng, _D)
+    phi = rng.standard_normal((_M, _D))
+    w = rng.standard_normal((_M, _D))
+    p = measure.pairing(phi, w)
+    na2 = core.inner_a(phi, phi, cov)
+    _assert_close(
+        wick.wick_eval(wick.SymKernel.constant(1.0, _M, _D), cov, w), 1.0, 0.0, "degree 0"
+    )
+    _assert_close(
+        wick.wick_eval(wick.SymKernel.rank_one(phi, 1), cov, w), p,
+        1e-12 * tol_scale * max(1.0, abs(p)), "degree 1",
+    )
+    _assert_close(
+        wick.wick_eval(wick.SymKernel.rank_one(phi, 2), cov, w),
+        p * p - na2,
+        1e-10 * tol_scale * max(1.0, abs(p * p - na2)),
+        "degree 2",
+    )
+
+
 def check_wick_recursion(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
     """The dense Wick recursion equals the closed form on 50 random
     (degree, covariance, point) draws at m, d = 2, 3."""
-    m, d = 2, 3
     for _ in range(50):
         n = int(rng.integers(0, 5))
-        cov = random_cov(rng, d)
-        w = rng.standard_normal((m, d))
+        cov = random_cov(rng, _D)
+        w = rng.standard_normal((_M, _D))
         rec = wick.wick_dense_tensor(n, cov, w)
         closed = wick.wick_dense_closed_form(n, cov, w)
         scale = max(1.0, float(np.abs(closed).max()))
         _assert_close(rec, closed, 1e-10 * tol_scale * scale, f"degree {n}")
 
 
+def check_polarized_evaluation(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Evaluating a polarized kernel term by term equals evaluating its dense
+    expansion, on 25 draws of degree 1..4."""
+    for _ in range(25):
+        n = int(rng.integers(1, 5))
+        cov = random_cov(rng, _D)
+        w = rng.standard_normal((_M, _D))
+        xs = rng.standard_normal((n, _M, _D))
+        kernel = wick.polarize(xs)
+        dense = wick.dense_from_kernel(kernel)
+        a = wick.wick_eval(kernel, cov, w)
+        b = wick.wick_eval_dense(n, cov, w, dense)
+        _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
+
+
 def check_monomials_from_wick(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
     """The inverse Wick identity rebuilds <phi, w>^n for n = 0..4, one random
     covariance, point and phi per degree at m, d = 2, 3."""
-    m, d = 2, 3
     for n in range(5):
-        cov = random_cov(rng, d)
-        w = rng.standard_normal((m, d))
-        phi = rng.standard_normal((m, d))
+        cov = random_cov(rng, _D)
+        w = rng.standard_normal((_M, _D))
+        phi = rng.standard_normal((_M, _D))
         rebuilt = wick.monomial_dense_from_wick(n, cov, w)
-        power = np.array(1.0)
-        for _ in range(n):
-            power = np.multiply.outer(power, phi.ravel())
-        lhs = float(np.sum(rebuilt * power))
+        lhs = float(np.sum(rebuilt * _outer_power([phi] * n)))
         rhs = measure.pairing(phi, w) ** n
         _assert_close(lhs, rhs, 1e-10 * tol_scale * max(1.0, abs(rhs)), f"degree {n}")
+
+
+def check_kernel_inner_routes(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The kernel inner product equals the dense contraction on 25 draws of
+    degree 0..4, and (phi^n, psi^n)_A = (phi, psi)_A^n for n = 1..4."""
+    for _ in range(25):
+        n = int(rng.integers(0, 5))
+        cov = random_cov(rng, _D)
+        k1 = wick.polarize(rng.standard_normal((n, _M, _D))) if n else wick.SymKernel.constant(
+            float(rng.standard_normal()), _M, _D
+        )
+        k2 = wick.polarize(rng.standard_normal((n, _M, _D))) if n else wick.SymKernel.constant(
+            float(rng.standard_normal()), _M, _D
+        )
+        a = wick.kernel_inner_a(k1, k2, cov)
+        b = wick.dense_inner_a(
+            wick.dense_from_kernel(k1), wick.dense_from_kernel(k2), cov
+        )
+        _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
+    cov = random_cov(rng, _D)
+    phi, psi = rng.standard_normal((2, _M, _D))
+    for n in range(1, 5):
+        a = wick.kernel_inner_a(
+            wick.SymKernel.rank_one(phi, n), wick.SymKernel.rank_one(psi, n), cov
+        )
+        b = core.inner_a(phi, psi, cov) ** n
+        _assert_close(a, b, 1e-12 * tol_scale * max(1.0, abs(b)), "rank-one powers")
+
+
+def check_repolarization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The polarized and parallelogram forms of x1 x2 give the same tensor
+    and the same Wick value."""
+    cov = random_cov(rng, _D)
+    w = rng.standard_normal((_M, _D))
+    x1, x2 = rng.standard_normal((2, _M, _D))
+    k_a = wick.polarize([x1, x2])
+    k_b = wick.SymKernel(
+        degree=2,
+        terms=(
+            wick.RankOnePower(0.25, x1 + x2, 2),
+            wick.RankOnePower(-0.25, x1 - x2, 2),
+        ),
+    )
+    _assert_close(
+        wick.dense_from_kernel(k_a).array,
+        wick.dense_from_kernel(k_b).array,
+        1e-12 * tol_scale,
+        "same tensor",
+    )
+    va = wick.wick_eval(k_a, cov, w)
+    vb = wick.wick_eval(k_b, cov, w)
+    _assert_close(va, vb, 1e-9 * tol_scale * max(1.0, abs(va)), "same value")
 
 
 def suite_wick(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-    m, d = 2, 3
-
-    def polarization_vs_symmetrization():
-        for n in (2, 3):
-            xs = rng.standard_normal((n, m, d))
-            kernel = wick.polarize(xs)
-            dense = wick.dense_from_kernel(kernel)
-            plain = np.array(1.0)
-            for v in xs:
-                plain = np.multiply.outer(plain, v.ravel())
-            target = wick._symmetrize_array(plain)
-            _assert_close(dense.array, target, 1e-12 * tol_scale, f"degree {n}")
-        x = rng.standard_normal((m, d))
-        kernel = wick.polarize([x, x, x])
-        dense = wick.dense_from_kernel(kernel)
-        power = np.array(1.0)
-        for _ in range(3):
-            power = np.multiply.outer(power, x.ravel())
-        _assert_close(dense.array, power, 1e-12 * tol_scale, "repeated vector power")
-
-    def permutation_invariance():
-        xs = rng.standard_normal((3, m, d))
-        dense = wick.dense_from_kernel(wick.polarize(xs))
-        import itertools as it
-
-        for perm in it.permutations(range(3)):
-            _assert_close(
-                np.transpose(dense.array, perm), dense.array, 1e-12 * tol_scale,
-                f"permutation {perm}",
-            )
-
-    def symmetrization_properties():
-        arr = rng.standard_normal((m * d, m * d))
-        t = wick.DenseTensor(degree=2, dims=(m, d), array=arr)
-        sym1 = wick.symmetrize_dense(t)
-        sym2 = wick.symmetrize_dense(sym1)
-        _assert_close(sym2.array, sym1.array, 1e-14 * tol_scale, "idempotent")
-        _assert_close(sym1.array, 0.5 * (arr + arr.T), 1e-14 * tol_scale, "pair average")
-
-    def low_degree_values():
-        cov = random_cov(rng, d)
-        phi = rng.standard_normal((m, d))
-        w = rng.standard_normal((m, d))
-        p = measure.pairing(phi, w)
-        na2 = core.inner_a(phi, phi, cov)
-        _assert_close(
-            wick.wick_eval(wick.SymKernel.constant(1.0, m, d), cov, w), 1.0,
-            1e-14 * tol_scale, "degree 0",
-        )
-        _assert_close(
-            wick.wick_eval(wick.SymKernel.rank_one(phi, 1), cov, w), p,
-            1e-12 * tol_scale * max(1.0, abs(p)), "degree 1",
-        )
-        _assert_close(
-            wick.wick_eval(wick.SymKernel.rank_one(phi, 2), cov, w),
-            p * p - na2,
-            1e-10 * tol_scale * max(1.0, abs(p * p - na2)),
-            "degree 2",
-        )
-
-    def dense_vs_polarized_evaluation():
-        for _ in range(25):
-            n = int(rng.integers(1, 5))
-            cov = random_cov(rng, d)
-            w = rng.standard_normal((m, d))
-            xs = rng.standard_normal((n, m, d))
-            kernel = wick.polarize(xs)
-            dense = wick.dense_from_kernel(kernel)
-            a = wick.wick_eval(kernel, cov, w)
-            b = wick.wick_eval_dense(n, cov, w, dense)
-            _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
-
-    def inner_product_routes():
-        for _ in range(25):
-            n = int(rng.integers(0, 5))
-            cov = random_cov(rng, d)
-            k1 = wick.polarize(rng.standard_normal((n, m, d))) if n else wick.SymKernel.constant(
-                float(rng.standard_normal()), m, d
-            )
-            k2 = wick.polarize(rng.standard_normal((n, m, d))) if n else wick.SymKernel.constant(
-                float(rng.standard_normal()), m, d
-            )
-            a = wick.kernel_inner_a(k1, k2, cov)
-            b = wick.dense_inner_a(
-                wick.dense_from_kernel(k1), wick.dense_from_kernel(k2), cov
-            )
-            _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
-        cov = random_cov(rng, d)
-        phi, psi = rng.standard_normal((2, m, d))
-        for n in range(1, 5):
-            a = wick.kernel_inner_a(
-                wick.SymKernel.rank_one(phi, n), wick.SymKernel.rank_one(psi, n), cov
-            )
-            b = core.inner_a(phi, psi, cov) ** n
-            _assert_close(a, b, 1e-12 * tol_scale * max(1.0, abs(b)), "rank-one powers")
-
-    def repolarization_invariance():
-        cov = random_cov(rng, d)
-        w = rng.standard_normal((m, d))
-        x1, x2 = rng.standard_normal((2, m, d))
-        k_a = wick.polarize([x1, x2])
-        k_b = wick.SymKernel(
-            degree=2,
-            terms=(
-                wick.RankOnePower(0.25, x1 + x2, 2),
-                wick.RankOnePower(-0.25, x1 - x2, 2),
-            ),
-        )
-        _assert_close(
-            wick.dense_from_kernel(k_a).array,
-            wick.dense_from_kernel(k_b).array,
-            1e-12 * tol_scale,
-            "same tensor",
-        )
-        va = wick.wick_eval(k_a, cov, w)
-        vb = wick.wick_eval(k_b, cov, w)
-        _assert_close(va, vb, 1e-9 * tol_scale * max(1.0, abs(va)), "same value")
-
-    s.check("polarization matches dense symmetrization", polarization_vs_symmetrization)
-    s.check("dense expansion is permutation invariant", permutation_invariance)
-    s.check("symmetrization properties", symmetrization_properties)
-    s.check("low-degree Wick values", low_degree_values)
+    s.check("polarization matches dense symmetrization", check_polarization, rng, tol_scale)
+    s.check("dense expansion is permutation invariant", check_permutation_invariance,
+            rng, tol_scale)
+    s.check("symmetrization properties", check_symmetrization, rng, tol_scale)
+    s.check("low-degree Wick values", check_low_degree_wick_values, rng, tol_scale)
     s.check("recursion matches closed form", check_wick_recursion, rng, tol_scale)
-    s.check("polarized and dense evaluation agree", dense_vs_polarized_evaluation)
+    s.check("polarized and dense evaluation agree", check_polarized_evaluation, rng, tol_scale)
     s.check("plain monomials rebuilt from Wick terms", check_monomials_from_wick, rng, tol_scale)
-    s.check("kernel inner product matches dense contraction", inner_product_routes)
-    s.check("evaluation invariant under re-polarization", repolarization_invariance)
+    s.check("kernel inner product matches dense contraction", check_kernel_inner_routes,
+            rng, tol_scale)
+    s.check("evaluation invariant under re-polarization", check_repolarization, rng, tol_scale)
     return s.results
 
 
@@ -595,13 +664,96 @@ def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
     return float(total)
 
 
+def _sample(rng: np.random.Generator, samples: int, seed: int):
+    """A random covariance from ``rng`` and a batch of ``samples`` draws of
+    its measure seeded with ``seed``."""
+    cov = random_cov(rng, _D)
+    return cov, measure.sample_mu_a(cov, _DIMS, samples, seed=seed)
+
+
+def check_sampling_determinism(rng: np.random.Generator) -> None:
+    """Batches drawn with the same seed are bitwise equal, and a different
+    seed gives a different batch."""
+    cov, b1 = _sample(rng, 500, 1234)
+    b2 = measure.sample_mu_a(cov, _DIMS, 500, seed=1234)
+    if not np.array_equal(b1.samples, b2.samples):
+        raise AssertionError("same seed produced different batches")
+    if np.array_equal(b1.samples, measure.sample_mu_a(cov, _DIMS, 500, seed=1235).samples):
+        raise AssertionError("different seeds produced the same batch")
+
+
+def check_pairing_variance(rng: np.random.Generator, samples: int, seed: int) -> str:
+    """The sample variance of <phi, W> is ||phi||_A^2 within 4 standard errors."""
+    cov, batch = _sample(rng, samples, seed)
+    phi = rng.standard_normal((_M, _D))
+    p = measure.pairings(phi, batch)
+    var = p.var(ddof=1)
+    se = var * np.sqrt(2.0 / (batch.count - 1))
+    target = core.inner_a(phi, phi, cov)
+    _assert_close(var, target, 4.0 * se, f"variance {var:.5f} vs {target:.5f}")
+    return f"var {var:.5f} ~ {target:.5f}"
+
+
+def check_characteristic_function(rng: np.random.Generator, samples: int, seed: int) -> None:
+    """The empirical characteristic function is exp(-||phi||_A^2 / 2) within
+    4 standard errors, and exactly one at phi = 0."""
+    cov, batch = _sample(rng, samples, seed)
+    phi = 0.7 * rng.standard_normal((_M, _D))
+    est = measure.char_function_mc(phi, batch)
+    target = np.exp(-0.5 * core.inner_a(phi, phi, cov))
+    _assert_close(
+        est.value.real, target, 4.0 * est.std_error.real,
+        f"real part {est.value.real:.5f} vs {target:.5f}",
+    )
+    _assert_close(est.value.imag, 0.0, 4.0 * est.std_error.imag, "imaginary part")
+    zero = measure.char_function_mc(np.zeros((_M, _D)), batch)
+    if zero.value != 1.0 + 0.0j or zero.std_error != 0.0 + 0.0j:
+        raise AssertionError("characteristic function at zero must be exactly one")
+
+
+def check_isserlis_base_cases(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The pair-partition oracle on a pair, an odd product, a fourth power
+    and the empty product."""
+    cov = random_cov(rng, _D)
+    phi, psi, chi = rng.standard_normal((3, _M, _D))
+    _assert_close(
+        measure.isserlis_moment([phi, psi], cov),
+        core.inner_a(phi, psi, cov),
+        1e-12 * tol_scale * max(1.0, abs(core.inner_a(phi, psi, cov))),
+        "pair",
+    )
+    if measure.isserlis_moment([phi, psi, chi], cov) != 0.0:
+        raise AssertionError("odd moment must vanish")
+    _assert_close(
+        measure.isserlis_moment([phi] * 4, cov),
+        3.0 * core.inner_a(phi, phi, cov) ** 2,
+        1e-12 * tol_scale * max(1.0, 3.0 * core.inner_a(phi, phi, cov) ** 2),
+        "quartic",
+    )
+    if measure.isserlis_moment([], cov) != 1.0:
+        raise AssertionError("empty product must be one")
+
+
+def check_mc_moments(rng: np.random.Generator, samples: int, seed: int) -> None:
+    """Monte Carlo means of products of 2, 3 and 4 pairings match the
+    pair-partition oracle within 4 standard errors."""
+    cov, batch = _sample(rng, samples, seed)
+    for n in (2, 3, 4):
+        phis = [0.8 * rng.standard_normal((_M, _D)) for _ in range(n)]
+        prod = np.ones(batch.count)
+        for p in phis:
+            prod = prod * measure.pairings(p, batch)
+        mean, se = measure._mean_estimate(prod)
+        target = measure.isserlis_moment(phis, cov)
+        _assert_close(mean, target, 4.0 * se, f"{n} factors: mean {mean:.5f} vs {target:.5f}")
+
+
 def check_wick_orthogonality(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
     """E[:phi^n: :psi^m:] = n! (phi, psi)_A^n if n = m, else 0, for
     n, m = 0..4 on 20 random (covariance, phi, psi) draws at m, d = 2, 3."""
-    m, d = 2, 3
     for _ in range(20):
-        cov = random_cov(rng, d)
-        phi, psi = rng.standard_normal((2, m, d))
+        cov = random_cov(rng, _D)
+        phi, psi = rng.standard_normal((2, _M, _D))
         for n in range(5):
             for m_deg in range(5):
                 val = wick_pair_expectation(phi, n, psi, m_deg, cov)
@@ -616,104 +768,44 @@ def check_wick_orthogonality(rng: np.random.Generator, tol_scale: float = 1.0) -
                 )
 
 
+def check_pushforward(rng: np.random.Generator, samples: int, seed: int) -> None:
+    """Pairings with an A-orthonormal family of three are empirically
+    independent standard normals (means, variances, covariances within 4
+    standard errors, a product of squares factorizing within 6)."""
+    cov, batch = _sample(rng, samples, seed)
+    raw = rng.standard_normal((3, _M, _D))
+    basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
+    report = measure.pushforward_check(basis, batch, cov)
+    if not report.passed:
+        raise AssertionError("; ".join(report.failures))
+    if report.means.shape != (3,):
+        raise AssertionError(f"report covers {report.means.shape} coordinates, not 3")
+    prod_lhs = np.ones(batch.count)
+    prod_rhs = 1.0
+    for b in basis[:2]:
+        p = measure.pairings(b, batch)
+        prod_lhs = prod_lhs * p**2
+        prod_rhs *= float((p**2).mean())
+    lhs_mean, lhs_se = measure._mean_estimate(prod_lhs)
+    _assert_close(
+        lhs_mean, prod_rhs, 6.0 * lhs_se,
+        f"product moments factorize: {lhs_mean:.4f} vs {prod_rhs:.4f}",
+    )
+
+
 def suite_measure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-    m, d = 2, 3
-    dims = core.TruncationDims(m, d)
-
-    def determinism():
-        cov = random_cov(rng, d)
-        b1 = measure.sample_mu_a(cov, dims, 500, seed=1234)
-        b2 = measure.sample_mu_a(cov, dims, 500, seed=1234)
-        if not np.array_equal(b1.samples, b2.samples):
-            raise AssertionError("same seed produced different batches")
-
-    def variance_isometry():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 1)
-        phi = rng.standard_normal((m, d))
-        p = measure.pairings(phi, batch)
-        var = p.var(ddof=1)
-        se = var * np.sqrt(2.0 / (batch.count - 1))
-        target = core.inner_a(phi, phi, cov)
-        _assert_close(var, target, 4.0 * se, f"variance {var:.5f} vs {target:.5f}")
-        return f"var {var:.5f} ~ {target:.5f}"
-
-    def characteristic_function():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 2)
-        phi = 0.7 * rng.standard_normal((m, d))
-        est = measure.char_function_mc(phi, batch)
-        target = np.exp(-0.5 * core.inner_a(phi, phi, cov))
-        _assert_close(
-            est.value.real, target, 4.0 * est.std_error.real,
-            f"real part {est.value.real:.5f} vs {target:.5f}",
-        )
-        _assert_close(est.value.imag, 0.0, 4.0 * est.std_error.imag, "imaginary part")
-        zero = measure.char_function_mc(np.zeros((m, d)), batch)
-        if zero.value != 1.0 + 0.0j or zero.std_error != 0.0 + 0.0j:
-            raise AssertionError("characteristic function at zero must be exactly one")
-
-    def pair_partition_oracle():
-        cov = random_cov(rng, d)
-        phi, psi, chi = rng.standard_normal((3, m, d))
-        _assert_close(
-            measure.isserlis_moment([phi, psi], cov),
-            core.inner_a(phi, psi, cov),
-            1e-12 * tol_scale * max(1.0, abs(core.inner_a(phi, psi, cov))),
-            "pair",
-        )
-        if measure.isserlis_moment([phi, psi, chi], cov) != 0.0:
-            raise AssertionError("odd moment must vanish")
-        _assert_close(
-            measure.isserlis_moment([phi] * 4, cov),
-            3.0 * core.inner_a(phi, phi, cov) ** 2,
-            1e-12 * tol_scale * max(1.0, 3.0 * core.inner_a(phi, phi, cov) ** 2),
-            "quartic",
-        )
-        if measure.isserlis_moment([], cov) != 1.0:
-            raise AssertionError("empty product must be one")
-
-    def mc_vs_oracle():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 3)
-        for n in (2, 3, 4):
-            phis = [0.8 * rng.standard_normal((m, d)) for _ in range(n)]
-            prod = np.ones(batch.count)
-            for p in phis:
-                prod = prod * measure.pairings(p, batch)
-            mean, se = measure._mean_estimate(prod)
-            target = measure.isserlis_moment(phis, cov)
-            _assert_close(mean, target, 4.0 * se, f"{n} factors: mean {mean:.5f} vs {target:.5f}")
-
-    def pushforward():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 4)
-        raw = rng.standard_normal((3, m, d))
-        basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
-        report = measure.pushforward_check(basis, batch, cov)
-        if not report.passed:
-            raise AssertionError("; ".join(report.failures))
-        prod_lhs = np.ones(batch.count)
-        prod_rhs = 1.0
-        for b in basis[:2]:
-            p = measure.pairings(b, batch)
-            prod_lhs = prod_lhs * p**2
-            prod_rhs *= float((p**2).mean())
-        lhs_mean, lhs_se = measure._mean_estimate(prod_lhs)
-        _assert_close(
-            lhs_mean, prod_rhs, 6.0 * lhs_se,
-            f"product moments factorize: {lhs_mean:.4f} vs {prod_rhs:.4f}",
-        )
-
-    s.check("seeded batches are reproducible", determinism)
-    s.check("pairing variance matches the weighted norm", variance_isometry)
-    s.check("characteristic function", characteristic_function)
-    s.check("pair-partition oracle base cases", pair_partition_oracle)
-    s.check("Monte Carlo product moments match the oracle", mc_vs_oracle)
+    s.check("seeded batches are reproducible", check_sampling_determinism, rng)
+    s.check("pairing variance matches the weighted norm", check_pairing_variance,
+            rng, samples, seed + 1)
+    s.check("characteristic function", check_characteristic_function, rng, samples, seed + 2)
+    s.check("pair-partition oracle base cases", check_isserlis_base_cases, rng, tol_scale)
+    s.check("Monte Carlo product moments match the oracle", check_mc_moments,
+            rng, samples, seed + 3)
     s.check("exact Wick orthogonality via the oracle", check_wick_orthogonality, rng, tol_scale)
-    s.check("orthonormal pushforward is standard normal", pushforward)
+    s.check("orthonormal pushforward is standard normal", check_pushforward,
+            rng, samples, seed + 4)
     return s.results
 
 
@@ -756,169 +848,194 @@ def check_cond_exp_example(rng: np.random.Generator, tol_scale: float = 1.0) -> 
     _assert_close(full, f, 1e-12 * tol_scale, "full span leaves the kernel unchanged")
 
 
+def check_cond_exp_idempotence(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Conditioning a random expansion twice changes no kernel base, and
+    conditioning does not increase the chaos norm; 20 draws."""
+    for _ in range(20):
+        cov = random_cov(rng, _D)
+        expansion = random_expansion(rng, _M, _D)
+        cond = chaos_mod.ConditioningSet.from_vectors(
+            rng.standard_normal((2, _M, _D)), cov
+        )
+        once = chaos_mod.cond_exp_chaos(expansion, cond, cov)
+        twice = chaos_mod.cond_exp_chaos(once, cond, cov)
+        for n in once.degrees:
+            for t1, t2 in zip(once.kernels[n].terms, twice.kernels[n].terms):
+                _assert_close(t2.base, t1.base, 1e-10 * tol_scale, f"degree {n} idempotence")
+        if chaos_mod.chaos_norm(once, cov) > chaos_mod.chaos_norm(
+            expansion, cov
+        ) + 1e-10 * tol_scale:
+            raise AssertionError("conditioning expanded the chaos norm")
+
+
+def check_degree_one_additivity(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Conditioning a degree-1 kernel on an A-orthonormal pair is the sum of
+    conditioning on each vector; 20 draws."""
+    for _ in range(20):
+        cov = random_cov(rng, _D)
+        f = rng.standard_normal((_M, _D))
+        raw = [rng.standard_normal(_D) for _ in range(2)]
+        basis = core.gram_schmidt_a(raw, cov)
+        joint = chaos_mod.cond_exp_monomial(f, basis, cov)
+        separate = sum(chaos_mod.cond_exp_monomial(f, [x], cov) for x in basis)
+        _assert_close(joint, separate, 1e-10 * tol_scale, "additive over vectors")
+
+
+def check_span_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Conditioning depends only on the span of the conditioning vectors;
+    20 draws."""
+    for _ in range(20):
+        cov = random_cov(rng, _D)
+        f = rng.standard_normal((_M, _D))
+        xs = [rng.standard_normal(_D) for _ in range(2)]
+        mix = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        ys = [mix[0, 0] * xs[0] + mix[0, 1] * xs[1], mix[1, 0] * xs[0] + mix[1, 1] * xs[1]]
+        _assert_close(
+            chaos_mod.cond_exp_monomial(f, xs, cov),
+            chaos_mod.cond_exp_monomial(f, ys, cov),
+            1e-10 * tol_scale,
+            "same span, same projection",
+        )
+
+
+def check_kernelwise_projection(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """The chaos projection of a degree-1 kernel onto h_i . x_k equals the
+    direct monomial projection onto x_k; 10 draws."""
+    for _ in range(10):
+        cov = random_cov(rng, _D)
+        f = rng.standard_normal((_M, _D))
+        xs = [rng.standard_normal(_D) for _ in range(2)]
+        basis = core.gram_schmidt_a(xs, cov)
+        h_basis = np.eye(_M)
+        cond = chaos_mod.ConditioningSet(
+            basis=tuple(
+                core.bullet(h_basis[i], x) for i in range(_M) for x in basis
+            )
+        )
+        expansion = chaos_mod.ChaosExpansion(
+            kernels={1: wick.SymKernel.rank_one(f, 1)}
+        )
+        conditioned = chaos_mod.cond_exp_chaos(expansion, cond, cov)
+        kernel_sum = np.zeros((_M, _D))
+        for t in conditioned.kernels[1].terms:
+            kernel_sum = kernel_sum + t.coeff * t.base
+        _assert_close(
+            kernel_sum,
+            chaos_mod.cond_exp_monomial(f, xs, cov),
+            1e-10 * tol_scale,
+            "finite-rank kernel form",
+        )
+
+
+def check_chaos_inner_structure(
+    rng: np.random.Generator, samples: int, seed: int, tol_scale: float = 1.0
+) -> None:
+    """Chaoses of different degree are orthogonal, ||phi^n||^2 = n!
+    ||phi||_A^(2n) for n = 1..3, and the chaos inner product of two random
+    expansions matches its Monte Carlo estimate within 4 standard errors."""
+    cov = random_cov(rng, _D)
+    phi, psi = rng.standard_normal((2, _M, _D))
+    e_n = chaos_mod.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(phi, 2)})
+    e_m = chaos_mod.ChaosExpansion(kernels={3: wick.SymKernel.rank_one(psi, 3)})
+    if chaos_mod.chaos_inner(e_n, e_m, cov) != 0.0:
+        raise AssertionError("different degrees must be orthogonal")
+    for n in range(1, 4):
+        e = chaos_mod.ChaosExpansion(kernels={n: wick.SymKernel.rank_one(phi, n)})
+        val = chaos_mod.chaos_inner(e, e, cov)
+        target = factorial(n) * core.inner_a(phi, phi, cov) ** n
+        _assert_close(
+            val, target, 1e-12 * tol_scale * max(1.0, abs(target)), f"degree {n} norm"
+        )
+    batch = measure.sample_mu_a(cov, _DIMS, samples, seed=seed)
+    f_exp = random_expansion(rng, _M, _D)
+    g_exp = random_expansion(rng, _M, _D)
+    prod = chaos_mod.eval_expansion(f_exp, cov, batch.samples) * chaos_mod.eval_expansion(
+        g_exp, cov, batch.samples
+    )
+    mean, se = measure._mean_estimate(prod)
+    target = chaos_mod.chaos_inner(f_exp, g_exp, cov)
+    _assert_close(mean, target, 4.0 * se, f"MC {mean:.5f} vs exact {target:.5f}")
+
+
+def check_expansion_mean(rng: np.random.Generator, samples: int, seed: int) -> None:
+    """The Monte Carlo mean of a random expansion is its constant term within
+    4 standard errors."""
+    cov, batch = _sample(rng, samples, seed)
+    expansion = random_expansion(rng, _M, _D)
+    values = chaos_mod.eval_expansion(expansion, cov, batch.samples)
+    mean, se = measure._mean_estimate(values)
+    target = expansion.kernels[0].terms[0].coeff
+    _assert_close(mean, target, 4.0 * se, f"mean {mean:.5f} vs constant {target:.5f}")
+
+
+def check_conditional_residuals(rng: np.random.Generator, samples: int, seed: int) -> None:
+    """F - E[F | G] is Monte Carlo orthogonal to four G-measurable test
+    functions for 8 random expansions (4 standard errors), and vanishes to
+    1e-12 for a G-measurable F."""
+    cov, batch = _sample(rng, samples, seed)
+    cond = chaos_mod.ConditioningSet.from_vectors(
+        rng.standard_normal((2, _M, _D)), cov
+    )
+    tests = [
+        lambda c: np.ones(c.shape[0]),
+        lambda c: c[:, 0],
+        lambda c: c[:, 0] * c[:, -1],
+        lambda c: c[:, 0] ** 2 - 1.0,
+    ]
+    for i in range(8):
+        expansion = random_expansion(rng, _M, _D)
+        est = chaos_mod.mc_cond_check(expansion, cond, cov, tests[i % len(tests)], batch)
+        _assert_close(est.value, 0.0, 4.0 * est.std_error + 1e-12, "residual within 4 se")
+    psi = cond.basis[0]
+    measurable = chaos_mod.ChaosExpansion(
+        kernels={2: wick.SymKernel.rank_one(psi, 2)}
+    )
+    est = chaos_mod.mc_cond_check(measurable, cond, cov, tests[2], batch)
+    _assert_close(
+        [est.value, est.std_error], 0.0, 1e-12,
+        "residual of a measurable functional and its standard error",
+    )
+
+
+def check_growing_conditioning_rank(rng: np.random.Generator, tol_scale: float = 1.0) -> str:
+    """The chaos norm of the projection grows with the conditioning rank and
+    stays below the full norm."""
+    cov = random_cov(rng, _D)
+    expansion = random_expansion(rng, _M, _D)
+    full_norm = chaos_mod.chaos_norm(expansion, cov)
+    vectors = rng.standard_normal((4, _M, _D))
+    prev = -1.0
+    for q in range(1, 5):
+        cond = chaos_mod.ConditioningSet.from_vectors(vectors[:q], cov)
+        norm = chaos_mod.chaos_norm(
+            chaos_mod.cond_exp_chaos(expansion, cond, cov), cov
+        )
+        if norm < prev - 1e-10 * tol_scale:
+            raise AssertionError("projection norm decreased as the set grew")
+        if norm > full_norm * (1.0 + 1e-10 * tol_scale):
+            raise AssertionError("projection norm exceeded the full norm")
+        prev = norm
+    return "projection norms stabilize monotonically"
+
+
 def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-    m, d = 2, 3
-    dims = core.TruncationDims(m, d)
-
-    def idempotence_and_contraction():
-        for _ in range(20):
-            cov = random_cov(rng, d)
-            expansion = random_expansion(rng, m, d)
-            cond = chaos_mod.ConditioningSet.from_vectors(
-                rng.standard_normal((2, m, d)), cov
-            )
-            once = chaos_mod.cond_exp_chaos(expansion, cond, cov)
-            twice = chaos_mod.cond_exp_chaos(once, cond, cov)
-            for n in once.degrees:
-                for t1, t2 in zip(once.kernels[n].terms, twice.kernels[n].terms):
-                    scale = max(1.0, float(np.abs(t1.base).max()))
-                    _assert_close(
-                        t2.base, t1.base, 1e-10 * tol_scale * scale,
-                        f"degree {n} idempotence",
-                    )
-            if chaos_mod.chaos_norm(once, cov) > chaos_mod.chaos_norm(
-                expansion, cov
-            ) * (1.0 + 1e-10 * tol_scale) + 1e-10 * tol_scale:
-                raise AssertionError("conditioning expanded the chaos norm")
-
-    def degree_one_additivity():
-        for _ in range(20):
-            cov = random_cov(rng, d)
-            f = rng.standard_normal((m, d))
-            raw = [rng.standard_normal(d) for _ in range(2)]
-            basis = core.gram_schmidt_a(raw, cov)
-            joint = chaos_mod.cond_exp_monomial(f, basis, cov)
-            separate = sum(chaos_mod.cond_exp_monomial(f, [x], cov) for x in basis)
-            _assert_close(joint, separate, 1e-10 * tol_scale, "additive over vectors")
-
-    def span_invariance():
-        for _ in range(20):
-            cov = random_cov(rng, d)
-            f = rng.standard_normal((m, d))
-            xs = [rng.standard_normal(d) for _ in range(2)]
-            mix = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
-            ys = [mix[0, 0] * xs[0] + mix[0, 1] * xs[1], mix[1, 0] * xs[0] + mix[1, 1] * xs[1]]
-            _assert_close(
-                chaos_mod.cond_exp_monomial(f, xs, cov),
-                chaos_mod.cond_exp_monomial(f, ys, cov),
-                1e-10 * tol_scale,
-                "same span, same projection",
-            )
-
-    def chaos_vs_monomial():
-        for _ in range(10):
-            cov = random_cov(rng, d)
-            f = rng.standard_normal((m, d))
-            xs = [rng.standard_normal(d) for _ in range(2)]
-            basis = core.gram_schmidt_a(xs, cov)
-            h_basis = np.eye(m)
-            cond = chaos_mod.ConditioningSet(
-                basis=tuple(
-                    core.bullet(h_basis[i], x) for i in range(m) for x in basis
-                )
-            )
-            expansion = chaos_mod.ChaosExpansion(
-                kernels={1: wick.SymKernel.rank_one(f, 1)}
-            )
-            conditioned = chaos_mod.cond_exp_chaos(expansion, cond, cov)
-            kernel_sum = np.zeros((m, d))
-            for t in conditioned.kernels[1].terms:
-                kernel_sum = kernel_sum + t.coeff * t.base
-            _assert_close(
-                kernel_sum,
-                chaos_mod.cond_exp_monomial(f, xs, cov),
-                1e-10 * tol_scale,
-                "finite-rank kernel form",
-            )
-
-    def inner_product_structure():
-        cov = random_cov(rng, d)
-        phi, psi = rng.standard_normal((2, m, d))
-        e_n = chaos_mod.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(phi, 2)})
-        e_m = chaos_mod.ChaosExpansion(kernels={3: wick.SymKernel.rank_one(psi, 3)})
-        if chaos_mod.chaos_inner(e_n, e_m, cov) != 0.0:
-            raise AssertionError("different degrees must be orthogonal")
-        for n in range(1, 4):
-            e = chaos_mod.ChaosExpansion(kernels={n: wick.SymKernel.rank_one(phi, n)})
-            val = chaos_mod.chaos_inner(e, e, cov)
-            target = factorial(n) * core.inner_a(phi, phi, cov) ** n
-            _assert_close(
-                val, target, 1e-10 * tol_scale * max(1.0, abs(target)), f"degree {n} norm"
-            )
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 11)
-        f_exp = random_expansion(rng, m, d)
-        g_exp = random_expansion(rng, m, d)
-        prod = chaos_mod.eval_expansion(f_exp, cov, batch.samples) * chaos_mod.eval_expansion(
-            g_exp, cov, batch.samples
-        )
-        mean, se = measure._mean_estimate(prod)
-        target = chaos_mod.chaos_inner(f_exp, g_exp, cov)
-        _assert_close(mean, target, 4.0 * se, f"MC {mean:.5f} vs exact {target:.5f}")
-
-    def expansion_mean():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 12)
-        expansion = random_expansion(rng, m, d)
-        values = chaos_mod.eval_expansion(expansion, cov, batch.samples)
-        mean, se = measure._mean_estimate(values)
-        target = expansion.kernels[0].terms[0].coeff
-        _assert_close(mean, target, 4.0 * se, f"mean {mean:.5f} vs constant {target:.5f}")
-
-    def residual_tests():
-        cov = random_cov(rng, d)
-        batch = measure.sample_mu_a(cov, dims, samples, seed=seed + 13)
-        cond = chaos_mod.ConditioningSet.from_vectors(
-            rng.standard_normal((2, m, d)), cov
-        )
-        tests = [
-            lambda c: np.ones(c.shape[0]),
-            lambda c: c[:, 0],
-            lambda c: c[:, 0] * c[:, -1],
-            lambda c: c[:, 0] ** 2 - 1.0,
-        ]
-        for i in range(8):
-            expansion = random_expansion(rng, m, d)
-            est = chaos_mod.mc_cond_check(expansion, cond, cov, tests[i % len(tests)], batch)
-            _assert_close(est.value, 0.0, 4.0 * est.std_error + 1e-12, "residual within 4 se")
-        psi = cond.basis[0]
-        measurable = chaos_mod.ChaosExpansion(
-            kernels={2: wick.SymKernel.rank_one(psi, 2)}
-        )
-        est = chaos_mod.mc_cond_check(measurable, cond, cov, tests[2], batch)
-        _assert_close(
-            [est.value, est.std_error], 0.0, 1e-10,
-            "residual of a measurable functional and its standard error",
-        )
-
-    def growing_conditioning_rank():
-        cov = random_cov(rng, d)
-        expansion = random_expansion(rng, m, d)
-        full_norm = chaos_mod.chaos_norm(expansion, cov)
-        vectors = rng.standard_normal((4, m, d))
-        prev = -1.0
-        for q in range(1, 5):
-            cond = chaos_mod.ConditioningSet.from_vectors(vectors[:q], cov)
-            norm = chaos_mod.chaos_norm(
-                chaos_mod.cond_exp_chaos(expansion, cond, cov), cov
-            )
-            if norm < prev - 1e-10 * tol_scale:
-                raise AssertionError("projection norm decreased as the set grew")
-            if norm > full_norm * (1.0 + 1e-10 * tol_scale):
-                raise AssertionError("projection norm exceeded the full norm")
-            prev = norm
-        return "projection norms stabilize monotonically"
-
     s.check("worked conditional-expectation example", check_cond_exp_example, rng, tol_scale)
-    s.check("projection idempotence and contraction", idempotence_and_contraction)
-    s.check("degree-1 additivity", degree_one_additivity)
-    s.check("span invariance", span_invariance)
-    s.check("kernel-wise and direct degree-1 projections agree", chaos_vs_monomial)
-    s.check("chaos inner product structure", inner_product_structure)
-    s.check("expansion mean equals its constant term", expansion_mean)
-    s.check("conditional residuals vanish weakly", residual_tests)
-    s.check("growing conditioning rank stabilizes", growing_conditioning_rank)
+    s.check("projection idempotence and contraction", check_cond_exp_idempotence,
+            rng, tol_scale)
+    s.check("degree-1 additivity", check_degree_one_additivity, rng, tol_scale)
+    s.check("span invariance", check_span_invariance, rng, tol_scale)
+    s.check("kernel-wise and direct degree-1 projections agree", check_kernelwise_projection,
+            rng, tol_scale)
+    s.check("chaos inner product structure", check_chaos_inner_structure,
+            rng, samples, seed + 11, tol_scale)
+    s.check("expansion mean equals its constant term", check_expansion_mean,
+            rng, samples, seed + 12)
+    s.check("conditional residuals vanish weakly", check_conditional_residuals,
+            rng, samples, seed + 13)
+    s.check("growing conditioning rank stabilizes", check_growing_conditioning_rank,
+            rng, tol_scale)
     return s.results
 
 
@@ -926,190 +1043,202 @@ def suite_chaos(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SA
 # closure
 
 
+def _params(cells: int, sigma=0.0, kappa=0.0, source=0.0) -> closure_mod.MaterialParams:
+    """Material data on a grid of ``cells`` cells over (0, 1)."""
+    return closure_mod.MaterialParams(
+        a=0.0, b=1.0, cells=cells, sigma=sigma, kappa=kappa, source=source
+    )
+
+
+def _bump_initial(params, order):
+    x = params.x_centers
+    values = np.zeros((params.cells, order + 1))
+    values[:, 0] = np.exp(-0.5 * ((x - 0.5) / 0.08) ** 2)
+    return closure_mod.MomentGrid(t=0.0, values=values)
+
+
+def check_advection_coefficients() -> None:
+    """b_{k,k+1} = (k+1)/(2k+1) and b_{k,k-1} = k/(2k+1) exactly at N = 3,
+    zero off the two neighbour diagonals."""
+    b = closure_mod.build_moment_system(3).b
+    for (k, l), value in {
+        (0, 1): 1.0, (1, 0): 1.0 / 3.0, (1, 2): 2.0 / 3.0, (2, 1): 2.0 / 5.0, (3, 4): 4.0 / 7.0,
+    }.items():
+        if b[k, l] != value:
+            raise AssertionError(f"b[{k},{l}] = {b[k, l]!r}, expected {value!r}")
+    for k in range(4):
+        for l in range(5):
+            if l not in (k - 1, k + 1) and b[k, l] != 0.0:
+                raise AssertionError(f"b[{k},{l}] must be zero")
+
+
+def check_absorption_and_source() -> None:
+    """Absorption is kappa for moment 0 and kappa + sigma above; the source
+    2 kappa q feeds only moment 0."""
+    params = _params(4, sigma=2.0, kappa=3.0, source=5.0)
+    c = closure_mod._absorption(params, 2)
+    if not (np.all(c[:, 0] == 3.0) and np.all(c[:, 1:] == 5.0)):
+        raise AssertionError("absorption coefficients mismatch")
+    q = closure_mod._source_term(params, 2, 0.0)
+    if not (np.all(q[:, 0] == 2.0 * 3.0 * 5.0) and np.all(q[:, 1:] == 0.0)):
+        raise AssertionError("source must feed only moment 0")
+
+
+def check_closure_rows(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Truncation and identity correlation give a zero closure row, the 1x1
+    example gives 0.5, and a random row is invariant under rescaling."""
+    n = 2
+    if closure_mod.closure_row(closure_mod.ClosureSpec(kind="pn"), n).any():
+        raise AssertionError("truncation closure row must be zero")
+    ident = closure_mod.ClosureSpec(kind="optimal_prediction", correlation=np.eye(n + 2))
+    if closure_mod.closure_row(ident, n).any():
+        raise AssertionError("identity correlation must reduce to truncation")
+    spec = closure_mod.ClosureSpec(
+        kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
+    )
+    _assert_close(closure_mod.closure_row(spec, 0), [0.5], 1e-15 * tol_scale, "1x1 block")
+    g = rng.standard_normal((n + 2, n + 2))
+    corr = g @ g.T + (n + 2) * np.eye(n + 2)
+    r1 = closure_mod.closure_row(
+        closure_mod.ClosureSpec(kind="optimal_prediction", correlation=corr), n
+    )
+    r2 = closure_mod.closure_row(
+        closure_mod.ClosureSpec(kind="optimal_prediction", correlation=3.7 * corr), n
+    )
+    _assert_close(r1, r2, 1e-12 * tol_scale * max(1.0, np.abs(r1).max()), "scale invariance")
+
+
+def check_identity_correlation_truncation() -> None:
+    """Optimal prediction with an identity (200 steps) or block-diagonal
+    (50 steps) correlation reproduces the truncation run bitwise."""
+    params = _params(100, sigma=0.3, kappa=0.2, source=0.1)
+    order = 3
+    initial = _bump_initial(params, order)
+    dt = 0.004
+    block = np.eye(order + 2)
+    block[: order + 1, : order + 1] += 0.2
+    for steps, correlation, what in (
+        (200, np.eye(order + 2), "identity-correlation run"),
+        (50, block, "block-diagonal correlation"),
+    ):
+        pn = closure_mod.solve_closure(
+            initial, params, closure_mod.ClosureSpec(kind="pn"), t_final=steps * dt, dt=dt
+        )
+        op = closure_mod.solve_closure(
+            initial,
+            params,
+            closure_mod.ClosureSpec(kind="optimal_prediction", correlation=correlation),
+            t_final=steps * dt,
+            dt=dt,
+        )
+        if not len(pn) == len(op) == steps + 1:
+            raise AssertionError(f"{what}: {len(pn)} and {len(op)} snapshots, not {steps + 1}")
+        for g1, g2 in zip(pn, op):
+            if not np.array_equal(g1.values, g2.values):
+                raise AssertionError(f"{what} deviated from truncation")
+
+
+def check_conservation(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """Free streaming of a random 64-cell N = 3 state keeps each moment's
+    spatial sum within 1e-12 over 20 steps."""
+    params = _params(64)
+    order = 3
+    state = closure_mod.MomentGrid(t=0.0, values=rng.standard_normal((64, order + 1)))
+    coeffs = closure_mod.build_moment_system(order)
+    spec = closure_mod.ClosureSpec(kind="pn")
+    sums = state.values.sum(axis=0)
+    for _ in range(20):
+        state = closure_mod.step(state, coeffs, params, spec, dt=0.005)
+        _assert_close(state.values.sum(axis=0), sums, 1e-12 * tol_scale, "per-moment spatial sums")
+
+
+def check_local_balance(tol_scale: float = 1.0) -> None:
+    """One explicit step keeps a free constant state, damps it by 1 - kappa dt
+    under absorption, and a source grows moment 0 only."""
+    order = 2
+    const = closure_mod.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
+    coeffs = closure_mod.build_moment_system(order)
+    spec = closure_mod.ClosureSpec(kind="pn")
+    after = closure_mod.step(const, coeffs, _params(16), spec, dt=0.01)
+    _assert_close(after.values, const.values, 0.0, "free constant state is stationary")
+    kappa = 0.7
+    decayed = closure_mod.step(const, coeffs, _params(16, kappa=kappa), spec, dt=0.01)
+    _assert_close(
+        decayed.values[:, 0], const.values[:, 0] * (1.0 - kappa * 0.01),
+        1e-14 * tol_scale, "explicit absorption factor",
+    )
+    zero = closure_mod.MomentGrid(t=0.0, values=np.zeros((16, order + 1)))
+    sourced = closure_mod.step(
+        zero, coeffs, _params(16, kappa=kappa, source=1.5), spec, dt=0.01
+    )
+    if not (sourced.values[:, 0] > 0).all():
+        raise AssertionError("source must grow moment 0")
+    if sourced.values[:, 1:].any():
+        raise AssertionError("higher moments must stay zero without scattering")
+
+
+def check_weak_form_projection(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+    """<P phi, omega> = <phi, P^T omega> for the block projection; 10 draws."""
+    for _ in range(10):
+        d = int(rng.integers(3, 9))
+        m = int(rng.integers(1, 4))
+        cov = random_cov(rng, d)
+        cut = int(rng.integers(1, d))
+        blocks = core.block_projection(cov, cut)
+        phi = rng.standard_normal((m, d))
+        omega = rng.standard_normal((m, d))
+        lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
+        rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
+        _assert_close(
+            lhs, rhs, 1e-12 * tol_scale * max(1.0, abs(lhs)), "adjoint pairing"
+        )
+
+
+def check_refinement_monotone() -> str:
+    """Free-streaming truncation runs of order 3, 5 and 7 get closer in their
+    first four moments as the order grows."""
+    params = _params(100)
+    finals = {}
+    for order in (3, 5, 7):
+        run = closure_mod.solve_closure(
+            _bump_initial(params, order), params, closure_mod.ClosureSpec(kind="pn"),
+            t_final=0.4, dt=0.004, output_stride=10**9,
+        )
+        finals[order] = run[-1].values
+    d_35 = np.linalg.norm(finals[3][:, :4] - finals[5][:, :4])
+    d_57 = np.linalg.norm(finals[5][:, :4] - finals[7][:, :4])
+    if not d_57 < d_35:
+        raise AssertionError(f"refinement not monotone: {d_35:.3e} then {d_57:.3e}")
+    return f"inter-order distances {d_35:.3e} > {d_57:.3e}"
+
+
+def check_cfl_guard() -> str:
+    """A step above the CFL bound is refused as an error naming ``dt``."""
+    coeffs = closure_mod.build_moment_system(2)
+    state = closure_mod.MomentGrid(t=0.0, values=np.ones((16, 3)))
+    try:
+        closure_mod.step(
+            state, coeffs, _params(16), closure_mod.ClosureSpec(kind="pn"), dt=10.0
+        )
+    except closure_mod.ClosureInputError as exc:
+        if exc.argument != "dt" or "CFL" not in str(exc):
+            raise AssertionError(f"oversized step refused for the wrong reason: {exc}") from None
+        return "oversized step rejected"
+    raise AssertionError("CFL violation went unnoticed")
+
+
 def suite_closure(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
     rng = np.random.default_rng(seed)
     s = _Suite()
-
-    def coefficient_values():
-        coeffs = closure_mod.build_moment_system(3)
-        if coeffs.b[0, 1] != 1.0:
-            raise AssertionError("b[0,1] must be exactly 1")
-        if coeffs.b[1, 0] != 1.0 / 3.0 or coeffs.b[1, 2] != 2.0 / 3.0:
-            raise AssertionError("b[1,*] mismatch")
-        for k in range(4):
-            for l in range(5):
-                if l not in (k - 1, k + 1) and coeffs.b[k, l] != 0.0:
-                    raise AssertionError(f"b[{k},{l}] must be zero")
-
-    def absorption_and_source():
-        params = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=4, sigma=2.0, kappa=3.0, source=5.0
-        )
-        c = closure_mod._absorption(params, 2)
-        if not (np.all(c[:, 0] == 3.0) and np.all(c[:, 1:] == 5.0)):
-            raise AssertionError("absorption coefficients mismatch")
-        q = closure_mod._source_term(params, 2, 0.0)
-        if not (np.all(q[:, 0] == 2.0 * 3.0 * 5.0) and np.all(q[:, 1:] == 0.0)):
-            raise AssertionError("source must feed only moment 0")
-
-    def closure_rows():
-        n = 2
-        if closure_mod.closure_row(closure_mod.ClosureSpec(kind="pn"), n).any():
-            raise AssertionError("truncation closure row must be zero")
-        ident = closure_mod.ClosureSpec(kind="optimal_prediction", correlation=np.eye(n + 2))
-        if closure_mod.closure_row(ident, n).any():
-            raise AssertionError("identity correlation must reduce to truncation")
-        spec = closure_mod.ClosureSpec(
-            kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
-        )
-        _assert_close(closure_mod.closure_row(spec, 0), [0.5], 1e-14 * tol_scale, "1x1 block")
-        g = rng.standard_normal((n + 2, n + 2))
-        corr = g @ g.T + (n + 2) * np.eye(n + 2)
-        r1 = closure_mod.closure_row(
-            closure_mod.ClosureSpec(kind="optimal_prediction", correlation=corr), n
-        )
-        r2 = closure_mod.closure_row(
-            closure_mod.ClosureSpec(kind="optimal_prediction", correlation=3.7 * corr), n
-        )
-        _assert_close(r1, r2, 1e-12 * tol_scale * max(1.0, np.abs(r1).max()), "scale invariance")
-
-    def _bump_initial(params, order):
-        x = params.x_centers
-        values = np.zeros((params.cells, order + 1))
-        values[:, 0] = np.exp(-0.5 * ((x - 0.5) / 0.08) ** 2)
-        return closure_mod.MomentGrid(t=0.0, values=values)
-
-    def truncation_equals_identity_prediction():
-        params = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=100, sigma=0.3, kappa=0.2, source=0.1
-        )
-        order = 3
-        initial = _bump_initial(params, order)
-        dt = 0.004
-        block = np.eye(order + 2)
-        block[: order + 1, : order + 1] += 0.2
-        for steps, correlation, what in (
-            (200, np.eye(order + 2), "identity-correlation run"),
-            (50, block, "block-diagonal correlation"),
-        ):
-            pn = closure_mod.solve_closure(
-                initial, params, closure_mod.ClosureSpec(kind="pn"), t_final=steps * dt, dt=dt
-            )
-            op = closure_mod.solve_closure(
-                initial,
-                params,
-                closure_mod.ClosureSpec(kind="optimal_prediction", correlation=correlation),
-                t_final=steps * dt,
-                dt=dt,
-            )
-            for g1, g2 in zip(pn, op):
-                if not np.array_equal(g1.values, g2.values):
-                    raise AssertionError(f"{what} deviated from truncation")
-
-    def conservation():
-        params = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=64, sigma=0.0, kappa=0.0, source=0.0
-        )
-        order = 3
-        initial_values = rng.standard_normal((64, order + 1))
-        state = closure_mod.MomentGrid(t=0.0, values=initial_values)
-        coeffs = closure_mod.build_moment_system(order)
-        spec = closure_mod.ClosureSpec(kind="pn")
-        sums = state.values.sum(axis=0)
-        for _ in range(20):
-            state = closure_mod.step(state, coeffs, params, spec, dt=0.005)
-            _assert_close(
-                state.values.sum(axis=0), sums,
-                1e-12 * tol_scale * max(1.0, np.abs(sums).max()),
-                "per-moment spatial sums",
-            )
-
-    def local_balance():
-        params0 = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=16, sigma=0.0, kappa=0.0, source=0.0
-        )
-        order = 2
-        const = closure_mod.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-        coeffs = closure_mod.build_moment_system(order)
-        spec = closure_mod.ClosureSpec(kind="pn")
-        after = closure_mod.step(const, coeffs, params0, spec, dt=0.01)
-        _assert_close(after.values, const.values, 0.0, "free constant state is stationary")
-        kappa = 0.7
-        params1 = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=16, sigma=0.0, kappa=kappa, source=0.0
-        )
-        decayed = closure_mod.step(const, coeffs, params1, spec, dt=0.01)
-        _assert_close(
-            decayed.values[:, 0], const.values[:, 0] * (1.0 - kappa * 0.01),
-            1e-14 * tol_scale, "explicit absorption factor",
-        )
-        params2 = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=16, sigma=0.0, kappa=kappa, source=1.5
-        )
-        zero = closure_mod.MomentGrid(t=0.0, values=np.zeros((16, order + 1)))
-        sourced = closure_mod.step(zero, coeffs, params2, spec, dt=0.01)
-        if not (sourced.values[:, 0] > 0).all():
-            raise AssertionError("source must grow moment 0")
-        if sourced.values[:, 1:].any():
-            raise AssertionError("higher moments must stay zero without scattering")
-
-    def weak_form_projection():
-        for _ in range(10):
-            d = int(rng.integers(3, 9))
-            m = int(rng.integers(1, 4))
-            cov = random_cov(rng, d)
-            cut = int(rng.integers(1, d))
-            blocks = core.block_projection(cov, cut)
-            phi = rng.standard_normal((m, d))
-            omega = rng.standard_normal((m, d))
-            lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
-            rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
-            _assert_close(
-                lhs, rhs, 1e-12 * tol_scale * max(1.0, abs(lhs)), "adjoint pairing"
-            )
-
-    def refinement_study():
-        params = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=100, sigma=0.0, kappa=0.0, source=0.0
-        )
-        dt = 0.004
-        finals = {}
-        for order in (3, 5, 7):
-            initial = _bump_initial(params, order)
-            run = closure_mod.solve_closure(
-                initial, params, closure_mod.ClosureSpec(kind="pn"),
-                t_final=0.4, dt=dt, output_stride=10**9,
-            )
-            finals[order] = run[-1].values
-        d_35 = np.linalg.norm(finals[3][:, :4] - finals[5][:, :4])
-        d_57 = np.linalg.norm(finals[5][:, :4] - finals[7][:, :4])
-        if not d_57 < d_35:
-            raise AssertionError(f"refinement not monotone: {d_35:.3e} then {d_57:.3e}")
-        return f"inter-order distances {d_35:.3e} > {d_57:.3e}"
-
-    def cfl_guard():
-        params = closure_mod.MaterialParams(
-            a=0.0, b=1.0, cells=16, sigma=0.0, kappa=0.0, source=0.0
-        )
-        coeffs = closure_mod.build_moment_system(2)
-        state = closure_mod.MomentGrid(t=0.0, values=np.ones((16, 3)))
-        try:
-            closure_mod.step(
-                state, coeffs, params, closure_mod.ClosureSpec(kind="pn"), dt=10.0
-            )
-        except ValueError:
-            return "oversized step rejected"
-        raise AssertionError("CFL violation went unnoticed")
-
-    s.check("advection coefficient values", coefficient_values)
-    s.check("absorption and source structure", absorption_and_source)
-    s.check("closure rows", closure_rows)
-    s.check("identity correlation reproduces truncation", truncation_equals_identity_prediction)
-    s.check("free streaming conserves spatial sums", conservation)
-    s.check("pointwise balance of the explicit step", local_balance)
-    s.check("weak-form projection identity", weak_form_projection)
-    s.check("truncation refinement is monotone", refinement_study)
-    s.check("CFL guard", cfl_guard)
+    s.check("advection coefficient values", check_advection_coefficients)
+    s.check("absorption and source structure", check_absorption_and_source)
+    s.check("closure rows", check_closure_rows, rng, tol_scale)
+    s.check("identity correlation reproduces truncation", check_identity_correlation_truncation)
+    s.check("free streaming conserves spatial sums", check_conservation, rng, tol_scale)
+    s.check("pointwise balance of the explicit step", check_local_balance, tol_scale)
+    s.check("weak-form projection identity", check_weak_form_projection, rng, tol_scale)
+    s.check("truncation refinement is monotone", check_refinement_monotone)
+    s.check("CFL guard", check_cfl_guard)
     return s.results
 
 

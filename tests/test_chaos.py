@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from seqgauss import chaos, core, measure, wick
-from seqgauss.verify import random_cov, random_expansion
+from seqgauss.verify import (
+    check_chaos_inner_structure,
+    check_cond_exp_example,
+    check_cond_exp_idempotence,
+    check_conditional_residuals,
+    check_degree_one_additivity,
+    check_expansion_mean,
+    check_kernelwise_projection,
+    check_span_invariance,
+    random_cov,
+    random_expansion,
+)
 
 M, D = 2, 3
 DIMS = core.TruncationDims(M, D)
@@ -15,23 +26,11 @@ def coupled_cov():
 
 
 def test_worked_example_single_vector():
-    cov = coupled_cov()
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((3, 4))
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    out = chaos.cond_exp_monomial(f, [e1], cov)
-    assert np.allclose(out, core.bullet(f[:, 0] + 0.5 * f[:, 1], e1), atol=1e-12, rtol=0)
+    check_cond_exp_example(np.random.default_rng(0))
 
 
 def test_worked_example_two_vectors():
-    cov = coupled_cov()
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal((3, 4))
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0, 0.0])
-    out = chaos.cond_exp_monomial(f, [e1, e2], cov)
-    expected = core.bullet(f[:, 0], e1) + core.bullet(f[:, 1], e2)
-    assert np.allclose(out, expected, atol=1e-12, rtol=0)
+    check_cond_exp_example(np.random.default_rng(1))
 
 
 def test_worked_example_later_coordinates_untouched():
@@ -58,29 +57,11 @@ def test_cond_exp_monomial_degenerate_span_rejected():
 
 
 def test_degree_one_additivity():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        cov = random_cov(rng, D)
-        f = rng.standard_normal((M, D))
-        basis = core.gram_schmidt_a(list(rng.standard_normal((2, D))), cov)
-        joint = chaos.cond_exp_monomial(f, basis, cov)
-        separate = sum(chaos.cond_exp_monomial(f, [x], cov) for x in basis)
-        assert np.allclose(joint, separate, atol=1e-10, rtol=0)
+    check_degree_one_additivity(np.random.default_rng(4))
 
 
 def test_span_invariance():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        cov = random_cov(rng, D)
-        f = rng.standard_normal((M, D))
-        xs = list(rng.standard_normal((2, D)))
-        mix = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
-        ys = [mix[0, 0] * xs[0] + mix[0, 1] * xs[1], mix[1, 0] * xs[0] + mix[1, 1] * xs[1]]
-        assert np.allclose(
-            chaos.cond_exp_monomial(f, xs, cov),
-            chaos.cond_exp_monomial(f, ys, cov),
-            atol=1e-10, rtol=0,
-        )
+    check_span_invariance(np.random.default_rng(5))
 
 
 def test_cond_exp_monomial_matches_gaussian_regression_oracle():
@@ -164,36 +145,11 @@ def test_cond_exp_chaos_keeps_constants():
 
 
 def test_cond_exp_chaos_idempotent_and_contractive():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        cov = random_cov(rng, D)
-        expansion = random_expansion(rng, M, D)
-        cond = chaos.ConditioningSet.from_vectors(
-            list(rng.standard_normal((2, M, D))), cov
-        )
-        once = chaos.cond_exp_chaos(expansion, cond, cov)
-        twice = chaos.cond_exp_chaos(once, cond, cov)
-        for n in once.degrees:
-            for t1, t2 in zip(once.kernels[n].terms, twice.kernels[n].terms):
-                assert np.allclose(t1.base, t2.base, atol=1e-10, rtol=0)
-        assert chaos.chaos_norm(once, cov) <= chaos.chaos_norm(expansion, cov) + 1e-10
+    check_cond_exp_idempotence(np.random.default_rng(10))
 
 
 def test_chaos_and_monomial_projections_agree_for_degree_one():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        cov = random_cov(rng, D)
-        f = rng.standard_normal((M, D))
-        xs = list(rng.standard_normal((2, D)))
-        basis = core.gram_schmidt_a(xs, cov)
-        h_basis = np.eye(M)
-        cond = chaos.ConditioningSet(
-            basis=tuple(core.bullet(h_basis[i], x) for i in range(M) for x in basis)
-        )
-        expansion = chaos.ChaosExpansion(kernels={1: wick.SymKernel.rank_one(f, 1)})
-        conditioned = chaos.cond_exp_chaos(expansion, cond, cov)
-        kernel_sum = sum(t.coeff * t.base for t in conditioned.kernels[1].terms)
-        assert np.allclose(kernel_sum, chaos.cond_exp_monomial(f, xs, cov), atol=1e-10, rtol=0)
+    check_kernelwise_projection(np.random.default_rng(11))
 
 
 def test_eval_expansion_low_degrees():
@@ -210,43 +166,15 @@ def test_eval_expansion_low_degrees():
 
 
 def test_expansion_mean_is_constant_coefficient():
-    rng = np.random.default_rng(13)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=21)
-    expansion = random_expansion(rng, M, D)
-    values = chaos.eval_expansion(expansion, cov, batch.samples)
-    se = values.std(ddof=1) / np.sqrt(batch.count)
-    assert abs(values.mean() - expansion.kernels[0].terms[0].coeff) < 4.0 * se
+    check_expansion_mean(np.random.default_rng(13), 100_000, 21)
 
 
 def test_chaos_inner_structure():
-    from math import factorial
-
-    rng = np.random.default_rng(14)
-    cov = random_cov(rng, D)
-    phi, psi = rng.standard_normal((2, M, D))
-    e2 = chaos.ChaosExpansion(kernels={2: wick.SymKernel.rank_one(phi, 2)})
-    e3 = chaos.ChaosExpansion(kernels={3: wick.SymKernel.rank_one(psi, 3)})
-    assert chaos.chaos_inner(e2, e3, cov) == 0.0
-    # norm identity: n! * ||phi||_A^(2n)
-    for n in range(1, 4):
-        e = chaos.ChaosExpansion(kernels={n: wick.SymKernel.rank_one(phi, n)})
-        assert chaos.chaos_inner(e, e, cov) == pytest.approx(
-            factorial(n) * core.inner_a(phi, phi, cov) ** n, rel=1e-12
-        )
+    check_chaos_inner_structure(np.random.default_rng(14), 100_000, 20)
 
 
 def test_chaos_inner_matches_monte_carlo():
-    rng = np.random.default_rng(15)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=22)
-    f_exp = random_expansion(rng, M, D)
-    g_exp = random_expansion(rng, M, D)
-    prod = chaos.eval_expansion(f_exp, cov, batch.samples) * chaos.eval_expansion(
-        g_exp, cov, batch.samples
-    )
-    se = prod.std(ddof=1) / np.sqrt(batch.count)
-    assert abs(prod.mean() - chaos.chaos_inner(f_exp, g_exp, cov)) < 4.0 * se
+    check_chaos_inner_structure(np.random.default_rng(15), 100_000, 22)
 
 
 def test_mc_cond_check_degree_one_with_unit_test_function():
@@ -262,20 +190,7 @@ def test_mc_cond_check_degree_one_with_unit_test_function():
 
 
 def test_mc_cond_check_measurable_expansion_has_zero_residual():
-    rng = np.random.default_rng(17)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 5_000, seed=24)
-    cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
-    expansion = chaos.ChaosExpansion(
-        kernels={2: wick.SymKernel.rank_one(cond.basis[0], 2)}
-    )
-    est = chaos.mc_cond_check(
-        expansion, cond, cov, lambda c: c[:, 0] * c[:, 1], batch
-    )
-    # the kernel is reproduced by the projection up to machine rounding,
-    # so the per-sample residual is zero at rounding level rather than bitwise
-    assert abs(est.value) < 1e-12
-    assert est.std_error < 1e-12
+    check_conditional_residuals(np.random.default_rng(17), 5_000, 24)
 
 
 def test_mc_cond_check_quadratic_expansions():

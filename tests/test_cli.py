@@ -238,6 +238,31 @@ def test_closure_overlong_run_exits_2_naming_t_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        # advection-free N = 0: no CFL bound, but dt / (2 dx) overflows
+        ({"N": 0, "initial": [1.0], "dt": 1e308}, "dt"),
+        # the initial and final snapshots alone would hold 8e12 values
+        ({"J": 10**12}, "J"),
+    ],
+    ids=["dt", "J"],
+)
+def test_closure_unrunnable_size_exits_2_naming_the_field(tmp_path, capsys, changes, field):
+    doc = base_closure_doc()
+    doc.update(changes)
+    cfg = tmp_path / "huge.json"
+    serialize.save_document(cfg, doc)
+    out = tmp_path / "o.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_closure_non_hyperbolic_config_exits_2_without_output(tmp_path, capsys):
     doc = base_closure_doc()
     doc["N"] = 1
@@ -268,8 +293,10 @@ def _mutated(value, how):
         if isinstance(value, list):
             return [_mutated(v, how) for v in value]
         return -abs(value) - 1.0 if isinstance(value, (int, float)) else value
-    if how in ("huge", "tiny"):
-        return value * (1e300 if how == "huge" else 1e-300)
+    if how == "huge":
+        return value * (10**12 if isinstance(value, int) else 1e300)
+    if how == "tiny":
+        return value * 1e-300
     assert how == "wrong length"
     return value[:-1] if isinstance(value, list) and value else [value, value]
 
@@ -287,8 +314,7 @@ def mutated_closure_docs(draw):
         key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
                                    else range(len(parent))))
     hows = ["string", "nan", "negative", "bool", "wrong length", "drop"]
-    if parent is doc and key in ("T", "dt", "cfl"):
-        # not J: the per-cell fields are built J long before any run bound applies
+    if parent is doc and key in ("T", "dt", "cfl", "J"):
         hows += ["huge", "tiny"]
     how = draw(st.sampled_from(hows))
     if how == "drop":

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from seqgauss import closure, core, measure
-from seqgauss.verify import random_cov
+from seqgauss import closure, core
+from seqgauss.verify import (
+    check_absorption_and_source,
+    check_advection_coefficients,
+    check_cfl_guard,
+    check_closure_rows,
+    check_conservation,
+    check_identity_correlation_truncation,
+    check_refinement_monotone,
+    check_weak_form_projection,
+)
 
 
 def make_params(cells=64, sigma=0.0, kappa=0.0, source=0.0):
@@ -19,26 +28,11 @@ def gaussian_bump(params, order):
 
 
 def test_advection_coefficients_exact():
-    coeffs = closure.build_moment_system(3)
-    assert coeffs.b[0, 1] == 1.0
-    assert coeffs.b[1, 0] == 1.0 / 3.0
-    assert coeffs.b[1, 2] == 2.0 / 3.0
-    assert coeffs.b[2, 1] == 2.0 / 5.0
-    assert coeffs.b[3, 4] == 4.0 / 7.0
-    for k in range(4):
-        for l in range(5):
-            if l not in (k - 1, k + 1):
-                assert coeffs.b[k, l] == 0.0
+    check_advection_coefficients()
 
 
 def test_absorption_and_source_structure():
-    params = make_params(cells=4, sigma=2.0, kappa=3.0, source=5.0)
-    c = closure._absorption(params, 2)
-    assert np.all(c[:, 0] == 3.0)
-    assert np.all(c[:, 1:] == 5.0)
-    q = closure._source_term(params, 2, 0.0)
-    assert np.all(q[:, 0] == 30.0)
-    assert not q[:, 1:].any()
+    check_absorption_and_source()
 
 
 def test_time_dependent_source_evaluated_at_step_start():
@@ -83,16 +77,7 @@ def test_closure_row_matches_block_projection_adjoint():
 
 
 def test_closure_row_scale_invariance():
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((5, 5))
-    corr = g @ g.T + 5 * np.eye(5)
-    r1 = closure.closure_row(
-        closure.ClosureSpec(kind="optimal_prediction", correlation=corr), 3
-    )
-    r2 = closure.closure_row(
-        closure.ClosureSpec(kind="optimal_prediction", correlation=2.5 * corr), 3
-    )
-    assert np.allclose(r1, r2, atol=1e-12 * max(1.0, np.abs(r1).max()), rtol=0)
+    check_closure_rows(np.random.default_rng(0))
 
 
 def test_closure_row_errors():
@@ -151,23 +136,13 @@ def test_step_source_feeds_only_moment_zero():
 
 def test_step_conserves_spatial_sums_without_sources():
     rng = np.random.default_rng(1)
-    params = make_params(cells=64)
-    coeffs = closure.build_moment_system(3)
-    state = closure.MomentGrid(t=0.0, values=rng.standard_normal((64, 4)))
-    sums = state.values.sum(axis=0)
-    spec = closure.ClosureSpec(kind="pn")
-    for _ in range(25):
-        state = closure.step(state, coeffs, params, spec, dt=0.005)
-        assert np.allclose(state.values.sum(axis=0), sums, atol=1e-12, rtol=0)
+    # 40 steps from two random states
+    check_conservation(rng)
+    check_conservation(rng)
 
 
 def test_step_cfl_violation_raises():
-    params = make_params(cells=16)
-    coeffs = closure.build_moment_system(2)
-    state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
-    with pytest.raises(ValueError, match="CFL") as exc:
-        closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=1.0)
-    assert exc.value.argument == "dt"
+    check_cfl_guard()
 
 
 @pytest.mark.parametrize("cfl", [0.0, -0.5, np.nan, np.inf])
@@ -207,6 +182,21 @@ def test_overlong_run_is_refused_before_any_step(t_final, dt, cfl, output_stride
     assert exc.value.argument == "t_final"
 
 
+@pytest.mark.parametrize("dt", [1e308, np.inf])
+def test_dt_with_non_finite_courant_number_is_refused(dt):
+    # N = 0 truncation has no advection (rho = 0), so no CFL bound applies,
+    # but dt / (2 dx) overflows on this 4-cell grid
+    params = make_params(cells=4)
+    state = closure.MomentGrid(t=0.0, values=np.ones((4, 1)))
+    spec = closure.ClosureSpec(kind="pn")
+    with pytest.raises(closure.ClosureInputError, match="Courant") as exc:
+        closure.solve_closure(state, params, spec, t_final=0.1, dt=dt)
+    assert exc.value.argument == "dt"
+    with pytest.raises(closure.ClosureInputError, match="Courant") as exc:
+        closure.step(state, closure.build_moment_system(0), params, spec, dt=dt)
+    assert exc.value.argument == "dt"
+
+
 def test_step_reports_blowup_location():
     # absorption coefficient large enough to overflow the explicit update
     params = make_params(cells=8, kappa=1e308)
@@ -233,23 +223,7 @@ def test_material_params_validation():
 
 
 def test_truncation_equals_identity_prediction_trajectories():
-    params = make_params(cells=100, sigma=0.3, kappa=0.2, source=0.1)
-    order = 3
-    initial = gaussian_bump(params, order)
-    dt = 0.004
-    pn = closure.solve_closure(
-        initial, params, closure.ClosureSpec(kind="pn"), t_final=200 * dt, dt=dt
-    )
-    op = closure.solve_closure(
-        initial,
-        params,
-        closure.ClosureSpec(kind="optimal_prediction", correlation=np.eye(order + 2)),
-        t_final=200 * dt,
-        dt=dt,
-    )
-    assert len(pn) == len(op) == 201
-    for g1, g2 in zip(pn, op):
-        assert np.array_equal(g1.values, g2.values)
+    check_identity_correlation_truncation()
 
 
 def test_block_diagonal_correlation_equals_truncation_bitwise():
@@ -294,18 +268,7 @@ def test_nontrivial_closure_row_changes_trajectory():
 
 
 def test_refinement_study_is_monotone():
-    params = make_params(cells=100)
-    finals = {}
-    for order in (3, 5, 7):
-        initial = gaussian_bump(params, order)
-        run = closure.solve_closure(
-            initial, params, closure.ClosureSpec(kind="pn"),
-            t_final=0.4, dt=0.004, output_stride=1_000_000,
-        )
-        finals[order] = run[-1].values
-    d_35 = np.linalg.norm(finals[3][:, :4] - finals[5][:, :4])
-    d_57 = np.linalg.norm(finals[5][:, :4] - finals[7][:, :4])
-    assert d_57 < d_35
+    check_refinement_monotone()
 
 
 def test_solve_closure_snapshot_stride():
@@ -329,18 +292,7 @@ def test_solve_closure_default_dt_respects_cfl():
 
 
 def test_weak_form_projection_identity():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        d = int(rng.integers(3, 9))
-        m = int(rng.integers(1, 4))
-        cov = random_cov(rng, d)
-        cut = int(rng.integers(1, d))
-        blocks = core.block_projection(cov, cut)
-        phi = rng.standard_normal((m, d))
-        omega = rng.standard_normal((m, d))
-        lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
-        rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)), rel=0)
+    check_weak_form_projection(np.random.default_rng(2))
 
 
 # N = 1 with this correlation gives the closed matrix [[0, 1], [1/3 - 0.6, 0]],

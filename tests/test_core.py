@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 from seqgauss import core
+from seqgauss.verify import (
+    check_bilinear_identities,
+    check_block_projection_algebra,
+    check_block_projection_example,
+    check_gram_schmidt_example,
+    check_norm_identities,
+    check_operator_extension,
+    check_operator_norm_transfer,
+    check_parseval,
+)
 
 
 def test_bullet_is_outer_product():
@@ -14,13 +24,7 @@ def test_bullet_zero_vector_gives_zero():
 
 
 def test_bullet_norm_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        h = rng.standard_normal(4)
-        x = rng.standard_normal(6)
-        assert np.linalg.norm(core.bullet(h, x)) == pytest.approx(
-            np.linalg.norm(h) * np.linalg.norm(x), rel=1e-12
-        )
+    check_norm_identities(np.random.default_rng(0))
 
 
 def test_bracket_of_embedding_scales_by_squared_norm():
@@ -40,13 +44,7 @@ def test_bracket_with_unit_vector_extracts_column():
 
 
 def test_bracket_respects_cauchy_schwarz():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        f = rng.standard_normal((3, 4))
-        x = rng.standard_normal(4)
-        assert np.linalg.norm(core.bracket(f, x)) <= np.linalg.norm(f) * np.linalg.norm(
-            x
-        ) * (1 + 1e-12)
+    check_norm_identities(np.random.default_rng(2))
 
 
 def test_bracket_dimension_mismatch():
@@ -55,11 +53,7 @@ def test_bracket_dimension_mismatch():
 
 
 def test_inner_l2_rank_one_factorization():
-    rng = np.random.default_rng(3)
-    h, g = rng.standard_normal(3), rng.standard_normal(3)
-    x, y = rng.standard_normal(5), rng.standard_normal(5)
-    val = core.inner_l2(core.bullet(h, x), core.bullet(g, y))
-    assert val == pytest.approx(float(h @ g) * float(x @ y), rel=1e-12)
+    check_bilinear_identities(np.random.default_rng(3))
 
 
 def test_inner_l2_definiteness():
@@ -94,25 +88,11 @@ def test_inner_a_identity_weight_reduces_to_frobenius():
 
 
 def test_inner_a_rank_one_factorization():
-    rng = np.random.default_rng(6)
-    g_mat = rng.standard_normal((4, 4))
-    cov = core.Covariance(g_mat @ g_mat.T + 2 * np.eye(4))
-    h, g = rng.standard_normal(3), rng.standard_normal(3)
-    x, y = rng.standard_normal(4), rng.standard_normal(4)
-    val = core.inner_a(core.bullet(h, x), core.bullet(g, y), cov)
-    assert val == pytest.approx(float(h @ g) * cov.inner(x, y), rel=1e-12)
+    check_bilinear_identities(np.random.default_rng(6))
 
 
 def test_inner_a_bracket_identity():
-    rng = np.random.default_rng(7)
-    g_mat = rng.standard_normal((4, 4))
-    cov = core.Covariance(g_mat @ g_mat.T + 2 * np.eye(4))
-    f = rng.standard_normal((3, 4))
-    h = rng.standard_normal(3)
-    x = rng.standard_normal(4)
-    assert core.inner_a(f, core.bullet(h, x), cov) == pytest.approx(
-        float(core.bracket(f, cov.apply(x)) @ h), rel=1e-12
-    )
+    check_bilinear_identities(np.random.default_rng(7))
 
 
 def test_gram_a_matches_inner_a_and_validates_stacks():
@@ -136,16 +116,7 @@ def test_apply_extended_diagonal_weight_scales_columns():
 
 
 def test_apply_extended_commutes_with_embedding():
-    rng = np.random.default_rng(8)
-    g_mat = rng.standard_normal((4, 4))
-    cov = core.Covariance(g_mat @ g_mat.T + 2 * np.eye(4))
-    h = rng.standard_normal(3)
-    x = rng.standard_normal(4)
-    assert np.allclose(
-        core.apply_extended(cov, core.bullet(h, x)),
-        core.bullet(h, cov.apply(x)),
-        atol=1e-12, rtol=0,
-    )
+    check_operator_extension(np.random.default_rng(8))
 
 
 def test_apply_extended_identity_is_noop():
@@ -155,34 +126,15 @@ def test_apply_extended_identity_is_noop():
 
 
 def test_apply_extended_basis_independence():
-    rng = np.random.default_rng(10)
-    g_mat = rng.standard_normal((5, 5))
-    cov = core.Covariance(g_mat @ g_mat.T + 3 * np.eye(5))
-    f = rng.standard_normal((3, 5))
-    basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    via_basis = sum(
-        core.bullet(core.bracket(f, basis[:, k]), cov.apply(basis[:, k]))
-        for k in range(5)
-    )
-    assert np.allclose(via_basis, core.apply_extended(cov, f), atol=1e-10, rtol=0)
+    check_operator_extension(np.random.default_rng(10))
 
 
 def test_parseval_over_random_basis():
-    rng = np.random.default_rng(11)
-    f = rng.standard_normal((4, 6))
-    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    total = sum(np.linalg.norm(core.bracket(f, basis[:, k])) ** 2 for k in range(6))
-    assert total == pytest.approx(np.linalg.norm(f) ** 2, abs=1e-10, rel=0)
+    check_parseval(np.random.default_rng(11))
 
 
 def test_gram_schmidt_a_reproduces_worked_example():
-    cov = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
-    basis = core.gram_schmidt_a([[1.0, 0.0], [0.0, 1.0]], cov)
-    assert np.allclose(basis[0], [1.0, 0.0], atol=1e-15, rtol=0)
-    assert np.allclose(basis[1], np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0]), atol=1e-12, rtol=0)
-    # resulting family is weighted-orthonormal
-    assert cov.inner(basis[0], basis[1]) == pytest.approx(0.0, abs=1e-14, rel=0)
-    assert cov.inner(basis[1], basis[1]) == pytest.approx(1.0, rel=1e-14)
+    check_gram_schmidt_example()
 
 
 def test_gram_schmidt_a_keeps_orthonormal_input():
@@ -208,13 +160,7 @@ def test_gram_schmidt_a_rejects_empty_and_zero_input():
 
 
 def test_block_projection_worked_example():
-    cov = core.Covariance([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    blocks = core.block_projection(cov, 1)
-    expected = np.zeros((3, 3))
-    expected[0] = [1.0, 0.5, 0.0]
-    assert np.allclose(blocks.p, expected, atol=1e-14, rtol=0)
-    assert np.allclose(blocks.p @ blocks.p, blocks.p, atol=1e-12, rtol=0)
-    assert np.allclose(cov.matrix @ blocks.p, blocks.pt @ cov.matrix, atol=1e-12, rtol=0)
+    check_block_projection_example()
 
 
 def test_block_projection_identity_weight():
@@ -223,31 +169,11 @@ def test_block_projection_identity_weight():
 
 
 def test_block_projection_fixes_leading_coordinates():
-    rng = np.random.default_rng(12)
-    g_mat = rng.standard_normal((5, 5))
-    cov = core.Covariance(g_mat @ g_mat.T + 2 * np.eye(5))
-    blocks = core.block_projection(cov, 3)
-    for k in range(3):
-        e = np.zeros(5)
-        e[k] = 1.0
-        assert np.allclose(blocks.p @ e, e, atol=1e-14, rtol=0)
+    check_block_projection_algebra(np.random.default_rng(12))
 
 
 def test_block_projection_residual_orthogonality():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        d = int(rng.integers(3, 9))
-        g_mat = rng.standard_normal((d, d))
-        cov = core.Covariance(g_mat @ g_mat.T + d * np.eye(d))
-        cut = int(rng.integers(1, d))
-        blocks = core.block_projection(cov, cut)
-        x = rng.standard_normal(d)
-        y = np.zeros(d)
-        y[:cut] = rng.standard_normal(cut)
-        assert cov.inner(x - blocks.p @ x, y) == pytest.approx(0.0, abs=1e-10, rel=0)
-        assert np.sqrt(max(cov.inner(blocks.p @ x, blocks.p @ x), 0.0)) <= np.sqrt(
-            cov.inner(x, x)
-        ) * (1 + 1e-12)
+    check_block_projection_algebra(np.random.default_rng(13))
 
 
 def test_block_projection_rejects_bad_cut():
@@ -332,19 +258,4 @@ def test_divergence_diagnostic_small_scale():
 
 
 def test_operator_norm_transfer_by_power_iteration():
-    rng = np.random.default_rng(16)
-    d, m = 8, 3
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    a = q @ np.diag(np.linspace(0.5, 2.0, d)) @ q.T
-    cov = core.Covariance(0.5 * (a + a.T))
-    x = rng.standard_normal(d)
-    for _ in range(3000):
-        y = cov.matrix @ x
-        x = y / np.linalg.norm(y)
-    lam_vec = float(x @ cov.matrix @ x)
-    f = rng.standard_normal((m, d))
-    for _ in range(3000):
-        g = core.apply_extended(cov, f)
-        f = g / np.linalg.norm(g)
-    lam_seq = core.inner_l2(f, core.apply_extended(cov, f))
-    assert lam_seq == pytest.approx(lam_vec, abs=1e-8, rel=0)
+    check_operator_norm_transfer(np.random.default_rng(16))

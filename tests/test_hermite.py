@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from seqgauss import hermite
+from seqgauss.verify import (
+    check_binomial_expansion,
+    check_convention_relations,
+    check_quadrature_sanity,
+    check_recurrence_vs_sum,
+)
 
 # frozen low-degree values: H2(x) = x^2 - 1, H3(x) = x^3 - 3x,
 # physicists' G2(x) = 4x^2 - 2
@@ -32,11 +38,9 @@ def test_negative_degree_rejected():
 
 def test_recurrence_matches_alternating_sum():
     rng = np.random.default_rng(0)
-    for n in range(16):
-        for x in rng.uniform(-5.0, 5.0, size=10):
-            a = hermite.hermite_prob(n, float(x))
-            b = hermite.hermite_prob_sum(n, float(x))
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+    # 16 degrees at 16 points each
+    check_recurrence_vs_sum(rng)
+    check_recurrence_vs_sum(rng)
 
 
 def test_array_evaluation_matches_scalar():
@@ -48,27 +52,11 @@ def test_array_evaluation_matches_scalar():
 
 
 def test_convention_cross_relations():
-    rng = np.random.default_rng(1)
-    for n in range(13):
-        for x in rng.uniform(-3.0, 3.0, size=6):
-            lhs = hermite.hermite_prob(n, float(x))
-            rhs = 2.0 ** (-n / 2) * hermite.hermite_phys(n, float(x) / np.sqrt(2.0))
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-            lhs2 = hermite.hermite_phys(n, float(x))
-            rhs2 = 2.0 ** (n / 2) * hermite.hermite_prob(n, np.sqrt(2.0) * float(x))
-            assert lhs2 == pytest.approx(rhs2, rel=1e-9, abs=1e-9)
+    check_convention_relations(np.random.default_rng(1))
 
 
 def test_binomial_expansion():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        n = int(rng.integers(0, 11))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        alpha, beta = float(np.cos(theta)), float(np.sin(theta))
-        x, y = rng.uniform(-3.0, 3.0, size=2)
-        lhs = hermite.hermite_prob(n, alpha * x + beta * y)
-        rhs = hermite.hermite_binomial_sum(n, alpha, beta, float(x), float(y))
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+    check_binomial_expansion(np.random.default_rng(2))
 
 
 def test_binomial_expansion_degenerate_direction():
@@ -81,10 +69,7 @@ def test_binomial_expansion_degenerate_direction():
 
 
 def test_quadrature_rule_invariants():
-    rule = hermite.gaussian_quadrature()
-    assert (rule.weights > 0).all()
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12, rel=0)
-    assert hermite.gh_expectation(lambda t: t * t) == pytest.approx(1.0, abs=1e-10, rel=0)
+    check_quadrature_sanity()
 
 
 def test_quadrature_rule_is_cached():
@@ -102,10 +87,7 @@ def test_gh_expectation_orthogonality():
 
 
 def test_gh_expectation_centered_polynomials():
-    for n in range(1, 13):
-        assert hermite.gh_expectation(
-            lambda t: hermite.hermite_prob(n, t)
-        ) == pytest.approx(0.0, abs=1e-8, rel=0)
+    check_quadrature_sanity()
 
 
 def test_gh_expectation_scalar_only_function():

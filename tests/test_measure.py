@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from seqgauss import core, measure
-from seqgauss.verify import check_wick_orthogonality, random_cov, wick_pair_expectation
+from seqgauss.verify import (
+    check_characteristic_function,
+    check_isserlis_base_cases,
+    check_mc_moments,
+    check_pairing_variance,
+    check_pushforward,
+    check_sampling_determinism,
+    check_wick_orthogonality,
+    random_cov,
+    wick_pair_expectation,
+)
 
 M, D = 2, 3
 DIMS = core.TruncationDims(M, D)
@@ -35,13 +45,7 @@ def brute_isserlis(phis, cov):
 
 
 def test_same_seed_reproduces_batch_bitwise():
-    rng = np.random.default_rng(0)
-    cov = random_cov(rng, D)
-    b1 = measure.sample_mu_a(cov, DIMS, 200, seed=99)
-    b2 = measure.sample_mu_a(cov, DIMS, 200, seed=99)
-    assert np.array_equal(b1.samples, b2.samples)
-    b3 = measure.sample_mu_a(cov, DIMS, 200, seed=100)
-    assert not np.array_equal(b1.samples, b3.samples)
+    check_sampling_determinism(np.random.default_rng(0))
 
 
 def test_samples_are_cholesky_transformed_normals():
@@ -77,14 +81,7 @@ def test_pairing_basics():
 
 
 def test_pairing_variance_matches_weighted_norm():
-    rng = np.random.default_rng(2)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=11)
-    phi = rng.standard_normal((M, D))
-    p = measure.pairings(phi, batch)
-    var = p.var(ddof=1)
-    se = var * np.sqrt(2.0 / (batch.count - 1))
-    assert abs(var - core.inner_a(phi, phi, cov)) < 4.0 * se
+    check_pairing_variance(np.random.default_rng(2), 100_000, 11)
 
 
 def test_unit_frobenius_identity_weight_variance_is_one():
@@ -108,14 +105,7 @@ def test_char_function_at_zero_is_exact():
 
 
 def test_char_function_matches_gaussian_transform():
-    rng = np.random.default_rng(4)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=14)
-    phi = 0.6 * rng.standard_normal((M, D))
-    est = measure.char_function_mc(phi, batch)
-    target = float(np.exp(-0.5 * core.inner_a(phi, phi, cov)))
-    assert abs(est.value.real - target) < 4.0 * est.std_error.real
-    assert abs(est.value.imag) < 4.0 * est.std_error.imag
+    check_characteristic_function(np.random.default_rng(4), 100_000, 14)
 
 
 def test_char_function_empty_batch_rejected():
@@ -125,17 +115,7 @@ def test_char_function_empty_batch_rejected():
 
 
 def test_isserlis_pair_and_odd_and_quartic():
-    rng = np.random.default_rng(5)
-    cov = random_cov(rng, D)
-    phi, psi, chi = rng.standard_normal((3, M, D))
-    assert measure.isserlis_moment([phi, psi], cov) == pytest.approx(
-        core.inner_a(phi, psi, cov), rel=1e-12
-    )
-    assert measure.isserlis_moment([phi, psi, chi], cov) == 0.0
-    assert measure.isserlis_moment([phi] * 4, cov) == pytest.approx(
-        3.0 * core.inner_a(phi, phi, cov) ** 2, rel=1e-12
-    )
-    assert measure.isserlis_moment([], cov) == 1.0
+    check_isserlis_base_cases(np.random.default_rng(5))
 
 
 def test_isserlis_matches_brute_force_enumeration():
@@ -155,17 +135,7 @@ def test_isserlis_factor_limit():
 
 
 def test_mc_product_moments_match_oracle():
-    rng = np.random.default_rng(7)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=15)
-    for n in (2, 3, 4):
-        phis = [0.8 * rng.standard_normal((M, D)) for _ in range(n)]
-        prod = np.ones(batch.count)
-        for p in phis:
-            prod = prod * measure.pairings(p, batch)
-        mean = prod.mean()
-        se = prod.std(ddof=1) / np.sqrt(batch.count)
-        assert abs(mean - measure.isserlis_moment(phis, cov)) < 4.0 * se
+    check_mc_moments(np.random.default_rng(7), 100_000, 15)
 
 
 def test_exact_wick_orthogonality_via_oracle():
@@ -186,14 +156,7 @@ def test_wick_pair_expectation_is_exactly_zero_off_the_diagonal():
 
 
 def test_pushforward_check_passes_for_orthonormal_family():
-    rng = np.random.default_rng(9)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=16)
-    raw = list(rng.standard_normal((3, M, D)))
-    basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
-    report = measure.pushforward_check(basis, batch, cov)
-    assert report.passed, report.failures
-    assert report.means.shape == (3,)
+    check_pushforward(np.random.default_rng(9), 100_000, 16)
 
 
 def test_pushforward_identity_weight_unit_entries():
@@ -218,17 +181,7 @@ def test_pushforward_check_rejects_non_orthonormal_input():
 
 
 def test_product_moments_factorize_for_orthonormal_family():
-    rng = np.random.default_rng(10)
-    cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=19)
-    basis = core.gram_schmidt(
-        list(rng.standard_normal((2, M, D))), lambda f, g: core.inner_a(f, g, cov)
-    )
-    p0 = measure.pairings(basis[0], batch)
-    p1 = measure.pairings(basis[1], batch)
-    joint = (p0**2) * (p1**2)
-    se = joint.std(ddof=1) / np.sqrt(batch.count)
-    assert abs(joint.mean() - (p0**2).mean() * (p1**2).mean()) < 6.0 * se
+    check_pushforward(np.random.default_rng(10), 100_000, 19)
 
 
 def test_mc_estimate_rejects_negative_errors():

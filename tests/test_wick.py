@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from seqgauss import core, wick
-from seqgauss.verify import check_wick_recursion, random_cov
+from seqgauss.verify import (
+    check_kernel_inner_routes,
+    check_low_degree_wick_values,
+    check_monomials_from_wick,
+    check_permutation_invariance,
+    check_polarization,
+    check_polarized_evaluation,
+    check_repolarization,
+    check_symmetrization,
+    check_wick_recursion,
+    random_cov,
+)
 
 M, D = 2, 3
 
@@ -41,21 +52,11 @@ def test_polarize_triple_matches_brute_force():
 
 
 def test_polarize_repeated_vector_is_plain_power():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((M, D))
-    dense = wick.dense_from_kernel(wick.polarize([x, x, x]))
-    power = np.array(1.0)
-    for _ in range(3):
-        power = np.multiply.outer(power, x.ravel())
-    assert np.allclose(dense.array, power, atol=1e-12, rtol=0)
+    check_polarization(np.random.default_rng(2))
 
 
 def test_polarize_output_is_permutation_invariant():
-    rng = np.random.default_rng(3)
-    xs = list(rng.standard_normal((3, M, D)))
-    arr = wick.dense_from_kernel(wick.polarize(xs)).array
-    for perm in itertools.permutations(range(3)):
-        assert np.allclose(np.transpose(arr, perm), arr, atol=1e-12, rtol=0)
+    check_permutation_invariance(np.random.default_rng(3))
 
 
 def test_polarize_rejects_empty_input():
@@ -64,13 +65,7 @@ def test_polarize_rejects_empty_input():
 
 
 def test_symmetrize_dense_idempotent_and_pair_average():
-    rng = np.random.default_rng(4)
-    arr = rng.standard_normal((M * D, M * D))
-    t = wick.DenseTensor(degree=2, dims=(M, D), array=arr)
-    sym1 = wick.symmetrize_dense(t)
-    assert np.allclose(sym1.array, 0.5 * (arr + arr.T), atol=1e-15, rtol=0)
-    sym2 = wick.symmetrize_dense(sym1)
-    assert np.allclose(sym2.array, sym1.array, atol=1e-15, rtol=0)
+    check_symmetrization(np.random.default_rng(4))
 
 
 def test_dense_tensor_size_limits():
@@ -81,19 +76,7 @@ def test_dense_tensor_size_limits():
 
 
 def test_wick_eval_low_degrees():
-    rng = np.random.default_rng(5)
-    cov = random_cov(rng, D)
-    phi = rng.standard_normal((M, D))
-    w = rng.standard_normal((M, D))
-    p = float(np.sum(phi * w))
-    na2 = core.inner_a(phi, phi, cov)
-    assert wick.wick_eval(wick.SymKernel.constant(1.0, M, D), cov, w) == 1.0
-    assert wick.wick_eval(wick.SymKernel.rank_one(phi, 1), cov, w) == pytest.approx(
-        p, rel=1e-12
-    )
-    assert wick.wick_eval(wick.SymKernel.rank_one(phi, 2), cov, w) == pytest.approx(
-        p * p - na2, rel=1e-10, abs=1e-10
-    )
+    check_low_degree_wick_values(np.random.default_rng(5))
 
 
 def test_wick_eval_zero_norm_base():
@@ -156,41 +139,15 @@ def test_recursion_matches_closed_form():
 
 
 def test_dense_and_polarized_evaluation_agree():
-    rng = np.random.default_rng(10)
-    for _ in range(25):
-        n = int(rng.integers(1, 5))
-        cov = random_cov(rng, D)
-        w = rng.standard_normal((M, D))
-        kernel = wick.polarize(list(rng.standard_normal((n, M, D))))
-        a = wick.wick_eval(kernel, cov, w)
-        b = wick.wick_eval_dense(n, cov, w, wick.dense_from_kernel(kernel))
-        assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+    check_polarized_evaluation(np.random.default_rng(10))
 
 
 def test_monomials_rebuilt_from_wick_terms():
-    rng = np.random.default_rng(11)
-    cov = random_cov(rng, D)
-    w = rng.standard_normal((M, D))
-    phi = rng.standard_normal((M, D))
-    for n in range(5):
-        rebuilt = wick.monomial_dense_from_wick(n, cov, w)
-        power = np.array(1.0)
-        for _ in range(n):
-            power = np.multiply.outer(power, phi.ravel())
-        lhs = float(np.sum(rebuilt * power))
-        rhs = float(np.sum(phi * w)) ** n
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+    check_monomials_from_wick(np.random.default_rng(11))
 
 
 def test_kernel_inner_rank_one_powers():
-    rng = np.random.default_rng(12)
-    cov = random_cov(rng, D)
-    phi, psi = rng.standard_normal((2, M, D))
-    for n in range(1, 5):
-        val = wick.kernel_inner_a(
-            wick.SymKernel.rank_one(phi, n), wick.SymKernel.rank_one(psi, n), cov
-        )
-        assert val == pytest.approx(core.inner_a(phi, psi, cov) ** n, rel=1e-12)
+    check_kernel_inner_routes(np.random.default_rng(12))
 
 
 def test_kernel_inner_degree_zero_is_coefficient_product():
@@ -201,16 +158,7 @@ def test_kernel_inner_degree_zero_is_coefficient_product():
 
 
 def test_kernel_inner_matches_dense_contraction():
-    rng = np.random.default_rng(13)
-    for n in range(1, 5):
-        cov = random_cov(rng, D)
-        k1 = wick.polarize(list(rng.standard_normal((n, M, D))))
-        k2 = wick.polarize(list(rng.standard_normal((n, M, D))))
-        a = wick.kernel_inner_a(k1, k2, cov)
-        b = wick.dense_inner_a(
-            wick.dense_from_kernel(k1), wick.dense_from_kernel(k2), cov
-        )
-        assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+    check_kernel_inner_routes(np.random.default_rng(13))
 
 
 def test_kernel_inner_degree_mismatch():
@@ -232,25 +180,7 @@ def test_weight_pairing_matrix_reproduces_inner_a():
 
 
 def test_repolarization_invariance():
-    rng = np.random.default_rng(15)
-    cov = random_cov(rng, D)
-    w = rng.standard_normal((M, D))
-    x1, x2 = rng.standard_normal((2, M, D))
-    k_a = wick.polarize([x1, x2])
-    # parallelogram form of the same symmetric pair product
-    k_b = wick.SymKernel(
-        degree=2,
-        terms=(
-            wick.RankOnePower(0.25, x1 + x2, 2),
-            wick.RankOnePower(-0.25, x1 - x2, 2),
-        ),
-    )
-    assert np.allclose(
-        wick.dense_from_kernel(k_a).array, wick.dense_from_kernel(k_b).array, atol=1e-12, rtol=0
-    )
-    assert wick.wick_eval(k_a, cov, w) == pytest.approx(
-        wick.wick_eval(k_b, cov, w), rel=1e-9, abs=1e-9
-    )
+    check_repolarization(np.random.default_rng(15))
 
 
 def test_symkernel_validation():
