@@ -42,7 +42,9 @@ from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
 # config field behind each input a closure run can be rejected for
-_CLOSURE_FIELDS = {"correlation": "closure.A", "dt": "dt", "cfl": "cfl", "t_final": "T"}
+_CLOSURE_FIELDS = {
+    "correlation": "closure.A", "dt": "dt", "cfl": "cfl", "order": "N", "t_final": "T",
+}
 
 
 def _default_seed() -> int:

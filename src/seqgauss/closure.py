@@ -38,7 +38,8 @@ naming ``dt``, as it does a ``dt`` whose Courant number dt / (2 dx) is
 not finite (possible only when rho = 0).  A run of more than
 ``MAX_STEPS`` steps, or whose snapshots would hold more than
 ``MAX_SNAPSHOT_VALUES`` values, is refused up front as a
-``ClosureInputError`` naming ``t_final``.  A blow-up (non-finite moment)
+``ClosureInputError`` naming ``t_final``, and an order N above
+``MAX_ORDER`` as one naming ``order``.  A blow-up (non-finite moment)
 is a plain ``ValueError`` reporting its time and cell.
 
 The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
@@ -81,14 +82,19 @@ MAX_STEPS = 10**7
 # Snapshots stay in memory until the run returns: 2**24 doubles is 128 MiB
 # (and about 350 MB as CSV text).
 MAX_SNAPSHOT_VALUES = 2**24
+# P_N closures run at orders of a few to a few dozen.  The dense (N+1)-sized
+# moment system and its eigenvalues cost O(N^3) before any step (on a 2-vCPU
+# VM about 0.05 s at this bound, 1 s at N = 1000), so a larger N is refused.
+MAX_ORDER = 256
 
 
 class ClosureInputError(ValueError):
     """A closure run rejected because of one input.  ``argument`` names
     it: ``"correlation"`` (the closure's correlation matrix), ``"dt"``,
-    ``"cfl"`` (not positive and finite) or ``"t_final"`` (more than
-    ``MAX_STEPS`` steps, or more than ``MAX_SNAPSHOT_VALUES`` values in
-    the returned snapshots)."""
+    ``"cfl"`` (not positive and finite), ``"order"`` (above
+    ``MAX_ORDER``) or ``"t_final"`` (more than ``MAX_STEPS`` steps, or
+    more than ``MAX_SNAPSHOT_VALUES`` values in the returned
+    snapshots)."""
 
     def __init__(self, argument: str, message: str) -> None:
         self.argument = argument
@@ -209,9 +215,14 @@ class MomentGrid:
 
 
 def build_moment_system(order: int) -> MomentSystemCoeffs:
-    """Advection coefficients b_{k,k+1} = (k+1)/(2k+1), b_{k,k-1} = k/(2k+1)."""
+    """Advection coefficients b_{k,k+1} = (k+1)/(2k+1), b_{k,k-1} = k/(2k+1).
+
+    An order above ``MAX_ORDER`` raises :class:`ClosureInputError`.
+    """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
+    if order > MAX_ORDER:
+        raise ClosureInputError("order", f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
     b = np.zeros((order + 1, order + 2))
     for k in range(order + 1):
         b[k, k + 1] = (k + 1) / (2 * k + 1)

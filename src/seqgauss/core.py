@@ -12,7 +12,9 @@ pieces:
 
 A symmetric positive-definite d-by-d matrix A (the covariance weight)
 induces the weighted inner product ``(f, g)_A = (f, g A)_F`` used
-throughout the package; ``Covariance`` caches its Cholesky factor.
+throughout the package; ``Covariance`` caches its Cholesky factor, taken
+in O(d) from the square roots of a diagonal A and by dense Cholesky for
+any other A.
 ``gram_a`` evaluates it between every pair of two (p, m, d) and (q, m, d)
 stacks of sequence vectors as one matrix product.  The module also
 provides A-orthogonal Gram-Schmidt, the extension of a d-by-d operator to
@@ -55,7 +57,7 @@ def _as_array(x, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -78,22 +80,38 @@ class Covariance:
     Symmetry is required up to 1e-12 relative to the largest entry and the
     matrix must be strictly positive definite; construction fails loudly
     otherwise (no jitter is added, since the weighted norm would degenerate).
+    A diagonal matrix (every off-diagonal entry is zero, of either sign) is
+    positive definite iff its diagonal is positive and is factored in O(d)
+    as ``diag(sqrt(a_kk))``, bitwise equal to the dense factor; any other
+    matrix is symmetrised and factored by dense Cholesky.  ``matrix`` and
+    ``chol`` are dense read-only arrays either way, never the caller's.
     """
 
     SYMMETRY_RTOL = 1e-12
 
     def __init__(self, matrix) -> None:
         a = _as_array(matrix, 2, "covariance matrix")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"covariance matrix must be square, got {a.shape}")
-        scale = np.abs(a).max() or 1.0
-        if np.abs(a - a.T).max() > self.SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        a = 0.5 * (a + a.T)
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance matrix is not positive definite") from None
+        if a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError(f"covariance matrix must be square and non-empty, got {a.shape}")
+        diagonal = np.diagonal(a)
+        if np.count_nonzero(a) == np.count_nonzero(diagonal):
+            if not (diagonal > 0).all():
+                raise ValueError("covariance matrix is not positive definite")
+            a, chol = np.diag(diagonal), np.diag(np.sqrt(diagonal))
+        else:
+            scale = np.abs(a).max()
+            # from 2**1023 up, a + a.T or a - a.T can overflow; halving first is
+            # exact there, and every smaller matrix keeps the bits of 0.5 (a + a.T)
+            halve = scale >= 2.0**1023
+            if halve:
+                a, scale = 0.5 * a, 0.5 * scale
+            if np.abs(a - a.T).max() > self.SYMMETRY_RTOL * scale:
+                raise ValueError("covariance matrix is not symmetric")
+            a = a + a.T if halve else 0.5 * (a + a.T)
+            try:
+                chol = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                raise ValueError("covariance matrix is not positive definite") from None
         a.setflags(write=False)
         chol.setflags(write=False)
         self._matrix = a

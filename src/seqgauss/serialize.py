@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .chaos import ChaosExpansion
-from .closure import MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid
+from .closure import MAX_ORDER, MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid
 from .core import Covariance
 from .wick import RankOnePower, SymKernel
 
@@ -206,6 +206,8 @@ def load_closure_config(doc: dict) -> dict:
     order = _require(doc, "N")
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise ConfigError("N", f"must be a non-negative integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise ConfigError("N", f"order {order} exceeds the largest supported order {MAX_ORDER}")
     # every run keeps the initial and the final snapshot, so a larger grid
     # could never run; refusing it here also bounds the per-cell lists below
     if 2 * cells * (order + 1) > MAX_SNAPSHOT_VALUES:

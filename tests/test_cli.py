@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -245,8 +246,10 @@ def test_closure_overlong_run_exits_2_naming_t_without_output(tmp_path, capsys):
         ({"N": 0, "initial": [1.0], "dt": 1e308}, "dt"),
         # the initial and final snapshots alone would hold 8e12 values
         ({"J": 10**12}, "J"),
+        # refused before the moment system (and the initial list) is built
+        ({"N": 10**9}, "N"),
     ],
-    ids=["dt", "J"],
+    ids=["dt", "J", "N"],
 )
 def test_closure_unrunnable_size_exits_2_naming_the_field(tmp_path, capsys, changes, field):
     doc = base_closure_doc()
@@ -314,7 +317,7 @@ def mutated_closure_docs(draw):
         key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
                                    else range(len(parent))))
     hows = ["string", "nan", "negative", "bool", "wrong length", "drop"]
-    if parent is doc and key in ("T", "dt", "cfl", "J"):
+    if parent is doc and key in ("T", "dt", "cfl", "J", "N"):
         hows += ["huge", "tiny"]
     how = draw(st.sampled_from(hows))
     if how == "drop":
@@ -362,6 +365,18 @@ def read_numeric_csv(path, header):
         for cell in row:
             assert repr(float(cell)) == cell
     return np.array(rows[1:], dtype=float)
+
+
+def test_seeded_sample_csv_bytes_are_pinned(tmp_path, capsys):
+    # default identity covariance: Z @ I.T and the PCG64 draws do not depend
+    # on the BLAS, so these bytes hold on every build
+    out = tmp_path / "s.csv"
+    args = ["sample", "--samples", "3000", "--dim-h", "3", "--dim-seq", "5", "--seed", "7"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3f3964c8e2cfa9c9aec5519c1432dc0c3fd619ef43d42569e2feba910d06524e"
+    )
 
 
 def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):

@@ -182,6 +182,17 @@ def test_overlong_run_is_refused_before_any_step(t_final, dt, cfl, output_stride
     assert exc.value.argument == "t_final"
 
 
+def test_order_above_max_order_is_refused():
+    assert closure.build_moment_system(closure.MAX_ORDER).order == closure.MAX_ORDER
+    with pytest.raises(closure.ClosureInputError, match="MAX_ORDER") as exc:
+        closure.build_moment_system(closure.MAX_ORDER + 1)
+    assert exc.value.argument == "order"
+    state = closure.MomentGrid(t=0.0, values=np.ones((4, closure.MAX_ORDER + 2)))
+    with pytest.raises(closure.ClosureInputError, match="MAX_ORDER") as exc:
+        closure.solve_closure(state, make_params(cells=4), closure.ClosureSpec(kind="pn"), 0.1)
+    assert exc.value.argument == "order"
+
+
 @pytest.mark.parametrize("dt", [1e308, np.inf])
 def test_dt_with_non_finite_courant_number_is_refused(dt):
     # N = 0 truncation has no advection (rho = 0), so no CFL bound applies,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from seqgauss.verify import (
     check_operator_extension,
     check_operator_norm_transfer,
     check_parseval,
+    random_cov,
 )
 
 
@@ -229,8 +232,93 @@ def test_covariance_validation():
         core.Covariance([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="square"):
         core.Covariance(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        core.Covariance(np.zeros((0, 0)))
     cov = core.Covariance([[2.0, 0.4], [0.4, 1.0]])
     assert np.allclose(cov.chol @ cov.chol.T, cov.matrix, atol=1e-14, rtol=0)
+
+
+def dense_reference(a):
+    """The stored matrix and factor of the dense path: the symmetrised
+    input and its LAPACK Cholesky factor."""
+    sym = 0.5 * (a + a.T)
+    return sym, np.linalg.cholesky(sym)
+
+
+def assert_stored_bytes(cov, a):
+    matrix, chol = dense_reference(a)
+    assert cov.matrix.tobytes() == matrix.tobytes()
+    assert cov.chol.tobytes() == chol.tobytes()
+    assert not cov.matrix.flags.writeable and not cov.chol.flags.writeable
+
+
+def test_diagonal_covariance_matches_dense_cholesky_bitwise():
+    rng = np.random.default_rng(21)
+    k = np.arange(1, 2049)
+    diagonals = [np.ones(d) for d in range(1, 65)]
+    diagonals += [rng.uniform(1e-6, 1e6, size=d) for d in (1, 2, 7, 64, 300)]
+    diagonals.append(1.0 / k**2)
+    for diagonal in diagonals:
+        a = np.diag(diagonal)
+        assert_stored_bytes(core.Covariance(a), a)
+
+
+def test_diagonal_covariance_positivity_and_signed_zeros():
+    for bad in ([1.0, 0.0, 2.0], [1.0, -3.0]):
+        with pytest.raises(ValueError, match="positive definite"):
+            core.Covariance(np.diag(bad))
+    a = np.diag([4.0, 9.0, 1.0])
+    a[0, 2] = a[1, 0] = -0.0
+    cov = core.Covariance(a)
+    assert np.array_equal(cov.matrix, a)
+    assert cov.chol.tobytes() == np.diag([2.0, 3.0, 1.0]).tobytes()
+
+
+def test_diagonal_covariance_stores_a_private_copy():
+    a = np.diag([1.0, 2.0, 3.0])
+    cov = core.Covariance(a)
+    assert a.flags.writeable
+    assert not np.shares_memory(a, cov.matrix)
+    a[0, 0] = 5.0
+    assert cov.matrix[0, 0] == 1.0
+
+
+def test_tiny_off_diagonal_entry_takes_the_dense_path():
+    a = np.diag([1.0, 2.0, 3.0])
+    a[0, 1] = 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        core.Covariance(a)
+    a[0, 1] = a[1, 0] = 1e-300
+    cov = core.Covariance(a)
+    assert_stored_bytes(cov, a)
+    assert cov.chol[1, 0] != 0.0
+
+
+def test_dense_covariance_bytes_are_unchanged(monkeypatch):
+    inputs = []
+
+    class Recording(core.Covariance):
+        def __init__(self, matrix):
+            inputs.append(np.array(matrix))
+            super().__init__(matrix)
+
+    monkeypatch.setattr(core, "Covariance", Recording)
+    rng = np.random.default_rng(22)
+    covs = [random_cov(rng, d) for d in rng.integers(2, 12, size=50)]
+    assert len(inputs) == 50
+    for cov, a in zip(covs, inputs):
+        assert_stored_bytes(cov, a)
+
+
+def test_huge_finite_covariance_stays_finite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = core.Covariance([[1e308, 1e307], [1e307, 1e308]])
+        with pytest.raises(ValueError, match="symmetric"):
+            core.Covariance([[1.0, 1e308], [-1e308, 1.0]])
+    assert np.array_equal(cov.matrix, [[1e308, 1e307], [1e307, 1e308]])
+    assert np.isfinite(cov.chol).all()
+    assert np.allclose(cov.chol @ cov.chol.T, cov.matrix, rtol=1e-14, atol=0)
 
 
 def test_divergence_diagnostic_small_scale():

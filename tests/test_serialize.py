@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqgauss import chaos, serialize, wick
+from seqgauss.closure import MAX_ORDER
 
 
 def test_matrix_round_trip(tmp_path):
@@ -174,6 +175,7 @@ def test_closure_config_field_errors():
     for field, value, pattern in [
         ("J", 0, "'J'"),
         ("N", -1, "'N'"),
+        ("N", MAX_ORDER + 1, "'N'"),
         ("T", -2.0, "'T'"),
         ("closure", {"kind": "bogus"}, "closure"),
         ("sigma", [1.0, 2.0], "sigma"),
