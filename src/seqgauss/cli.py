@@ -110,19 +110,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` as CSV.
+def _write_csv(path, header, lines) -> None:
+    """Write ``header`` and then ``lines`` to ``path`` as CSV.
 
-    ``rows`` is consumed lazily and holds Python ints and floats (build
-    it with ``.tolist()``, not from numpy scalars).  Each cell is written
-    as its ``repr``: for a float the shortest string that reads back to
-    the same double, for an int plain digits.  Lines end in CRLF.  No
+    ``lines`` is consumed lazily and holds one string per row, its cells
+    formatted by ``_cells`` and joined by commas.  Lines end in CRLF.  No
     cell needs quoting, so the ``csv`` module is not used; the bytes are
     the same as ``csv.writer`` would write.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(line + "\r\n" for line in lines)
+
+
+def _cells(row) -> str:
+    """One CSV row of Python ints and floats (build it with ``.tolist()``,
+    not from numpy scalars), each cell written as its ``repr``: for a
+    float the shortest string that reads back to the same double, for an
+    int plain digits."""
+    return ",".join(map(repr, row))
 
 
 def _cmd_verify(args) -> int:
@@ -165,8 +171,8 @@ def _cmd_sample(args) -> int:
     header = [
         f"w_{i}_{k}" for i in range(args.dim_h) for k in range(args.dim_seq)
     ]
-    rows = (row.tolist() for row in batch.samples.reshape(args.samples, -1))
-    _write_csv(args.out, header, rows)
+    lines = (_cells(row.tolist()) for row in batch.samples.reshape(args.samples, -1))
+    _write_csv(args.out, header, lines)
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 
@@ -205,15 +211,20 @@ def _cmd_closure(args) -> int:
     except ValueError as exc:
         raise ConfigError("closure run", str(exc)) from None
     header = ["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)]
-    x = cfg["params"].x_centers.tolist()
-    rows = (
-        [float(snap.t), x_j, *values]
-        for snap in snapshots
-        for x_j, values in zip(x, snap.values.tolist())
-    )
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, _closure_lines(snapshots, cfg["params"].x_centers))
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
+
+
+def _closure_lines(snapshots, x_centers):
+    """CSV lines ``t, x, I_0, ..., I_N`` of a closure run, one per cell of
+    each snapshot; each t is formatted once per snapshot and each x once
+    per run."""
+    xs = [x + "," for x in map(repr, x_centers.tolist())]
+    for snap in snapshots:
+        t = repr(float(snap.t)) + ","
+        for x, values in zip(xs, snap.values.tolist()):
+            yield t + x + _cells(values)
 
 
 def _cmd_hermite(args) -> int:
@@ -223,12 +234,12 @@ def _cmd_hermite(args) -> int:
         raise ConfigError("points", "must be positive")
     eval_fn = hermite_prob if args.kind == "prob" else hermite_phys
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rows = (
-        [n, x, value]
+    lines = (
+        _cells([n, x, value])
         for n in range(args.max_n + 1)
         for x, value in zip(xs.tolist(), np.atleast_1d(eval_fn(n, xs)).tolist())
     )
-    _write_csv(args.out, ["n", "x", "value"], rows)
+    _write_csv(args.out, ["n", "x", "value"], lines)
     print(f"wrote degrees 0..{args.max_n} to {args.out}")
     return 0
 

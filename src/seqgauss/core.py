@@ -62,6 +62,21 @@ def _as_array(x, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
+    """``0.5 * (a + a.T)`` of a square matrix; raises ``ValueError("<name>
+    is not symmetric")`` if an entry of ``a - a.T`` exceeds ``rtol`` times
+    the largest absolute entry."""
+    scale = np.abs(a).max()
+    # from 2**1023 up, a + a.T or a - a.T can overflow; halving first is
+    # exact there, and every smaller matrix keeps the bits of 0.5 (a + a.T)
+    halve = scale >= 2.0**1023
+    if halve:
+        a, scale = 0.5 * a, 0.5 * scale
+    if np.abs(a - a.T).max() > rtol * scale:
+        raise ValueError(f"{name} is not symmetric")
+    return a + a.T if halve else 0.5 * (a + a.T)
+
+
 @dataclass(frozen=True)
 class TruncationDims:
     """Truncation sizes: m entries per vector, d sequence positions."""
@@ -99,15 +114,7 @@ class Covariance:
                 raise ValueError("covariance matrix is not positive definite")
             a, chol = np.diag(diagonal), np.diag(np.sqrt(diagonal))
         else:
-            scale = np.abs(a).max()
-            # from 2**1023 up, a + a.T or a - a.T can overflow; halving first is
-            # exact there, and every smaller matrix keeps the bits of 0.5 (a + a.T)
-            halve = scale >= 2.0**1023
-            if halve:
-                a, scale = 0.5 * a, 0.5 * scale
-            if np.abs(a - a.T).max() > self.SYMMETRY_RTOL * scale:
-                raise ValueError("covariance matrix is not symmetric")
-            a = a + a.T if halve else 0.5 * (a + a.T)
+            a = _symmetrized(a, self.SYMMETRY_RTOL, "covariance matrix")
             try:
                 chol = np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
@@ -196,17 +203,22 @@ def apply_matrix(m: np.ndarray, f) -> np.ndarray:
     basis (b_k) of R^d and mapping each b_k through M gives the same matrix.
     """
     fm = _as_array(f, 2, "f")
-    mm = _as_array(m, 2, "operator matrix")
+    return _apply_operator(_as_array(m, 2, "operator matrix"), fm)
+
+
+def apply_extended(cov: Covariance, f) -> np.ndarray:
+    """Apply the covariance weight to a sequence vector (``F @ A``)."""
+    return _apply_operator(cov.matrix, _as_array(f, 2, "f"))
+
+
+def _apply_operator(mm: np.ndarray, fm: np.ndarray) -> np.ndarray:
+    """``fm @ mm.T`` after checking that ``mm`` is square and as wide as
+    ``fm``; both are already finite 2-D arrays."""
     if mm.shape[0] != mm.shape[1] or mm.shape[0] != fm.shape[1]:
         raise ValueError(
             f"operator of shape {mm.shape} cannot act on sequence of length {fm.shape[1]}"
         )
     return fm @ mm.T
-
-
-def apply_extended(cov: Covariance, f) -> np.ndarray:
-    """Apply the covariance weight to a sequence vector (``F @ A``)."""
-    return apply_matrix(cov.matrix, f)
 
 
 def inner_a(f, g, cov: Covariance) -> float:
@@ -219,7 +231,7 @@ def inner_a(f, g, cov: Covariance) -> float:
         raise ValueError(
             f"sequence length {fm.shape[1]} does not match covariance dim {cov.dim}"
         )
-    return float(np.sum(fm * (gm @ cov.matrix)))
+    return float(np.vdot(fm, gm @ cov.matrix))
 
 
 def norm_a(f, cov: Covariance) -> float:
@@ -337,10 +349,7 @@ def psd_check(m, tol: float = 1e-9) -> bool:
     mm = _as_array(m, 2, "matrix")
     if mm.shape[0] != mm.shape[1]:
         raise ValueError(f"matrix must be square, got {mm.shape}")
-    scale = np.abs(mm).max() or 1.0
-    if np.abs(mm - mm.T).max() > max(tol, 1e-12) * scale:
-        raise ValueError("matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (mm + mm.T))
+    eigs = np.linalg.eigvalsh(_symmetrized(mm, max(tol, 1e-12), "matrix"))
     spectral = np.abs(eigs).max() if eigs.size else 0.0
     return bool(eigs.min() >= -tol * spectral)
 

@@ -97,7 +97,7 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
         raise ValueError(f"dims.d={dims.d} does not match covariance dim {cov.dim}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, dims.m, dims.d))
-    samples = z @ cov.chol.T
+    samples = (z.reshape(-1, dims.d) @ cov.chol.T).reshape(z.shape)
     samples.setflags(write=False)
     return SampleBatch(samples=samples, seed=seed, count=count)
 

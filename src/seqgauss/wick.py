@@ -8,12 +8,14 @@ spans the whole symmetric subspace.  Rank-one powers are symmetric by
 construction, hence so is every stored kernel.
 
 Evaluation of the Wick-ordered monomial of a rank-one power against a
-sample W reduces to a scalar Hermite call,
+sample W reduces to a Hermite polynomial of one pairing,
 
     :<phi^(x)n, W^(x)n>:  =  ||phi||_A^n  H_n( <phi, W> / ||phi||_A ),
 
-which is what ``wick_eval`` uses on every term (a zero-norm base
-contributes 0 for n >= 1, and the bare coefficient at degree 0).
+so ``wick_eval`` runs one Hermite recurrence over the (samples, terms)
+array of scaled pairings of a kernel, block by block of samples (a
+zero-norm base contributes 0 for n >= 1, and the bare coefficient at
+degree 0).
 
 For cross-checking at small sizes the module carries a dense
 representation (``DenseTensor``, full (m*d)^n arrays, capped at degree 4
@@ -63,6 +65,9 @@ __all__ = [
 
 DENSE_MAX_DEGREE = 4
 DENSE_MAX_FLAT_DIM = 6
+# (sample, term) values per block of wick_eval: each recurrence temporary
+# stays at 256 KB, so its peak memory does not grow with the sample count
+_BLOCK_VALUES = 32_768
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,9 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     Sums ``coeff * ||base||_A^n * H_n(<base, w> / ||base||_A)`` over the
     polarized terms.  ``w`` may be one m-by-d sample or a stacked batch
     with leading axes; the result is a float or an array accordingly.
-    The pairings of every sample with every base form one (..., T) array.
+    Zero-norm terms are dropped; for the others, each block of samples
+    forms its (rows, T) array of scaled pairings, makes one Hermite call
+    on it and reduces it against the weights ``coeff * ||base||_A^n``.
     """
     w_arr = np.asarray(w, dtype=float)
     single = w_arr.ndim == 2
@@ -240,12 +247,17 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     elif kernel.terms:
         bases = np.stack([t.base for t in kernel.terms])
         na = np.sqrt(np.maximum(np.diagonal(gram_a(bases, bases, cov)), 0.0))
-        p = np.tensordot(w_arr, bases, axes=([-2, -1], [1, 2]))
-        # One Hermite call per term: a single call on the whole (..., T)
-        # array holds several (..., T) temporaries of the recurrence at once.
-        for k in np.flatnonzero(na):
-            t = kernel.terms[k]
-            total = total + t.coeff * na[k] ** n * hermite_prob(n, p[..., k] / na[k])
+        keep = np.flatnonzero(na)
+        if keep.size:
+            na = na[keep]
+            weights = np.array([kernel.terms[k].coeff for k in keep]) * na**n
+            bases_t = bases[keep].reshape(keep.size, -1).T
+            w_flat = w_arr.reshape(-1, bases_t.shape[0])
+            out = total.reshape(-1)  # a view: each block writes into total
+            rows = max(1, _BLOCK_VALUES // keep.size)
+            for start in range(0, len(w_flat), rows):
+                block = slice(start, start + rows)
+                out[block] = hermite_prob(n, (w_flat[block] @ bases_t) / na) @ weights
     return float(total) if single else total
 
 

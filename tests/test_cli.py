@@ -377,6 +377,16 @@ def test_seeded_sample_csv_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3f3964c8e2cfa9c9aec5519c1432dc0c3fd619ef43d42569e2feba910d06524e"
     )
+    # sample_mu_a multiplies all count * m rows of Z in one GEMM; its bits
+    # equal the stacked (count, m, d) product Z @ L^T on the CLI shape above,
+    # the verify shape and the chaos-project benchmark shape
+    rng = np.random.default_rng(3)
+    for count, m, d in ((3000, 3, 5), (100_000, 2, 3), (20_000, 4, 16)):
+        g = rng.standard_normal((d, d))
+        for cov in (Covariance.identity(d), Covariance(g @ g.T / d + np.eye(d))):
+            batch = sample_mu_a(cov, TruncationDims(m, d), count, seed=7)
+            z = np.random.default_rng(7).standard_normal((count, m, d))
+            assert batch.samples.tobytes() == (z @ cov.chol.T).tobytes()
 
 
 def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):

@@ -321,6 +321,27 @@ def test_huge_finite_covariance_stays_finite_without_warnings():
     assert np.allclose(cov.chol @ cov.chol.T, cov.matrix, rtol=1e-14, atol=0)
 
 
+def test_psd_check_huge_finite_matrix_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert core.psd_check([[1e308, 1e307], [1e307, 1e308]])
+        assert not core.psd_check([[1e307, 1e308], [1e308, 1e307]])
+        with pytest.raises(ValueError, match="symmetric"):
+            core.psd_check([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def test_apply_extended_checks_the_sequence_vector():
+    cov = core.Covariance(np.eye(3) + 0.1)
+    with pytest.raises(ValueError, match="operator of shape \\(3, 3\\) cannot act on sequence of length 4"):
+        core.apply_extended(cov, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="f must be a 2-D array"):
+        core.apply_extended(cov, np.ones(3))
+    with pytest.raises(ValueError, match="f contains non-finite"):
+        core.apply_extended(cov, [[1.0, np.inf, 0.0]])
+    f = np.random.default_rng(23).standard_normal((4, 3))
+    assert np.array_equal(core.apply_extended(cov, f), f @ cov.matrix.T)
+
+
 def test_divergence_diagnostic_small_scale():
     # diagonal weight k^-2: weighted increments are summable while the
     # contraction against x_k = 1/k grows like the harmonic series

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqgauss import core, wick
+from seqgauss.hermite import hermite_prob
 from seqgauss.verify import (
     check_kernel_inner_routes,
     check_low_degree_wick_values,
@@ -194,3 +196,87 @@ def test_symkernel_validation():
                 wick.RankOnePower(1.0, np.ones((3, 2)), 1),
             ),
         )
+
+
+def per_term_wick_eval(kernel, cov, w):
+    """Reference: one Hermite call per polarized term, summed term by term.
+    Returns the value and the sum of the absolute term contributions."""
+    w_arr = np.asarray(w, dtype=float)
+    total = np.zeros(w_arr.shape[:-2])
+    magnitude = np.zeros(w_arr.shape[:-2])
+    n = kernel.degree
+    for t in kernel.terms:
+        na = core.norm_a(t.base, cov)
+        if n == 0:
+            part = t.coeff
+        elif na == 0.0:
+            continue
+        else:
+            p = np.tensordot(w_arr, t.base, axes=([-2, -1], [0, 1]))
+            part = t.coeff * na**n * hermite_prob(n, p / na)
+        total = total + part
+        magnitude = magnitude + np.abs(part)
+    return total, magnitude
+
+
+def _kernel(rng, n, count, zero=()):
+    bases = rng.standard_normal((count, M, D))
+    bases[list(zero)] = 0.0
+    coeffs = rng.standard_normal(count)
+    return wick.SymKernel(n, tuple(wick.RankOnePower(c, b, n) for c, b in zip(coeffs, bases)))
+
+
+def _assert_matches_per_term(kernel, cov, w):
+    got = wick.wick_eval(kernel, cov, w)
+    ref, magnitude = per_term_wick_eval(kernel, cov, w)
+    if np.ndim(w) == 2:
+        assert isinstance(got, float)
+    assert np.shape(got) == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-10 * magnitude)
+
+
+# rows of samples per block for a 5-term kernel
+_ROWS_5 = wick._BLOCK_VALUES // 5
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+@pytest.mark.parametrize(
+    "terms, zero, shape",
+    [
+        (5, (), ()),  # one sample
+        (5, (1, 3), (3, 4)),  # two leading axes, mixed zero-norm terms
+        (5, (), (2 * _ROWS_5 + 17,)),  # more than one block, the last one short
+        (3, (0, 1, 2), (6,)),  # every term has zero norm
+        (0, (), (6,)),  # empty kernel
+    ],
+)
+def test_wick_eval_matches_per_term_loop(n, terms, zero, shape):
+    rng = np.random.default_rng(23)
+    cov = random_cov(rng, D)
+    w = rng.standard_normal(shape + (M, D))
+    _assert_matches_per_term(_kernel(rng, n, terms, zero), cov, w)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_wick_eval_more_terms_than_block_values(monkeypatch, n):
+    # 6 nonzero-norm terms against a block of 4 values: one sample per block
+    monkeypatch.setattr(wick, "_BLOCK_VALUES", 4)
+    rng = np.random.default_rng(24)
+    cov = random_cov(rng, D)
+    _assert_matches_per_term(_kernel(rng, n, 7, zero=(2,)), cov, rng.standard_normal((5, M, D)))
+
+
+def test_wick_eval_peak_memory_does_not_grow_with_samples():
+    rng = np.random.default_rng(25)
+    cov = random_cov(rng, D)
+    kernel = _kernel(rng, 6, 32)
+    w = rng.standard_normal((20_000, M, D))
+    tracemalloc.start()
+    try:
+        out = wick.wick_eval(kernel, cov, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output plus a few blocks of (sample, term) values; the (20 000, 32)
+    # pairing array alone would be 5 MB
+    assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
