@@ -14,7 +14,9 @@ each rank-one term ``coeff * base^(x)n`` maps to ``coeff *
 (proj base)^(x)n`` where ``proj`` is the A-orthogonal projection onto
 span{psi_k}.  The operation is idempotent and contractive, and the result
 only depends on the span of the conditioning family (non-orthonormal
-input is orthonormalized internally where noted).
+input is orthonormalized internally where noted).  The family is held as
+one read-only (q, m, d) array, so projecting a stack of bases onto it and
+pairing it with a batch of samples are each one matrix product.
 
 For a single degree-1 functional <f, .> conditioned on coefficient
 sequences x_1, ..., x_q in R^d, the projected kernel has the explicit
@@ -29,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import Covariance, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a, inner_a
+from .core import Covariance, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, kernel_inner_a, wick_eval
 
@@ -67,28 +69,24 @@ class ChaosExpansion:
 @dataclass(frozen=True)
 class ConditioningSet:
     """A-orthonormal family of sequence vectors spanning the conditioning
-    subspace."""
+    subspace, held as one read-only (q, m, d) array."""
 
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(np.array(b, dtype=float) for b in self.basis)
-        if not basis:
+        if len(self.basis) == 0:
             raise ValueError("conditioning set must be non-empty")
-        shape = basis[0].shape
-        for b in basis:
-            if b.shape != shape:
-                raise ValueError("conditioning vectors must share one shape")
-            b.setflags(write=False)
+        if len({np.shape(b) for b in self.basis}) > 1:
+            raise ValueError("conditioning vectors must share one shape")
+        basis = np.array(self.basis, dtype=float)
+        basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_vectors(cls, vectors, cov: Covariance, tol: float = 1e-12) -> "ConditioningSet":
         """Build a conditioning set by A-orthonormalizing arbitrary
         sequence vectors (dependent inputs are dropped)."""
-        vecs = [np.asarray(v, dtype=float) for v in vectors]
-        basis = gram_schmidt(vecs, lambda f, g: inner_a(f, g, cov), tol=tol)
-        return cls(basis=tuple(basis))
+        return cls(basis=gram_schmidt(vectors, cov, tol=tol))
 
     def validate(self, cov: Covariance, tol: float = ORTHONORMAL_TOL) -> None:
         check_orthonormal_a(self.basis, cov, tol, "conditioning set")
@@ -124,8 +122,7 @@ def project_onto_set(phi, conditioning: ConditioningSet, cov: Covariance) -> np.
     come from one ``gram_a`` call."""
     p = np.asarray(phi, dtype=float)
     stack = p[np.newaxis] if p.ndim == 2 else p
-    basis = np.stack(conditioning.basis)
-    out = np.tensordot(gram_a(stack, basis, cov), basis, axes=1)
+    out = np.tensordot(gram_a(stack, conditioning.basis, cov), conditioning.basis, axes=1)
     return out[0] if p.ndim == 2 else out
 
 
@@ -163,7 +160,7 @@ def cond_exp_monomial(f, xs, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     ``sum_k bullet(bracket(f, A x_k), x_k) = F A X^T X``.  Raises if the
     conditioning span is degenerate (every input dropped).
     """
-    x = np.stack(gram_schmidt_a(xs, cov, tol=tol))
+    x = gram_schmidt_a(xs, cov, tol=tol)
     return np.asarray(f, dtype=float) @ cov.matrix @ x.T @ x
 
 
@@ -189,7 +186,7 @@ def mc_cond_check(
     residual = eval_expansion(expansion, cov, batch.samples) - eval_expansion(
         conditioned, cov, batch.samples
     )
-    coords = np.stack([pairings(psi, batch) for psi in conditioning.basis], axis=1)
+    coords = pairings(conditioning.basis, batch)
     try:
         gvals = np.asarray(g(coords), dtype=float)
         if gvals.shape != (batch.count,):

@@ -47,14 +47,19 @@ _CLOSURE_FIELDS = {
 }
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(SEED_ENV_VAR, f"must be an integer, got {raw!r}") from None
+def _seed(flag: int | None) -> int:
+    """The ``--seed`` flag, else the SEQGAUSS_SEED environment variable,
+    else 0; a negative seed is a config error naming where it came from."""
+    field, seed = "seed", flag
+    if flag is None:
+        field, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(field, f"must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(field, f"must be non-negative, got {seed}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +137,11 @@ def _cells(row) -> str:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
+    if args.samples < 2:
+        raise ConfigError("samples", f"must be at least 2, got {args.samples}")
+    if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise ConfigError("tol-scale", f"must be positive and finite, got {args.tol_scale}")
     results = run_suite(
         args.suite, seed=seed, tol_scale=args.tol_scale, samples=args.samples
     )
@@ -148,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     if args.samples <= 0:
         raise ConfigError("samples", "must be positive")
     if args.dim_h <= 0 or args.dim_seq <= 0:
@@ -232,6 +241,9 @@ def _cmd_hermite(args) -> int:
         raise ConfigError("max-n", "must be non-negative")
     if args.points < 1:
         raise ConfigError("points", "must be positive")
+    for field, value in (("x-min", args.x_min), ("x-max", args.x_max)):
+        if not np.isfinite(value):
+            raise ConfigError(field, f"must be finite, got {value}")
     eval_fn = hermite_prob if args.kind == "prob" else hermite_phys
     xs = np.linspace(args.x_min, args.x_max, args.points)
     lines = (

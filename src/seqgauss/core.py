@@ -17,7 +17,8 @@ in O(d) from the square roots of a diagonal A and by dense Cholesky for
 any other A.
 ``gram_a`` evaluates it between every pair of two (p, m, d) and (q, m, d)
 stacks of sequence vectors as one matrix product.  The module also
-provides A-orthogonal Gram-Schmidt, the extension of a d-by-d operator to
+provides A-orthogonal Gram-Schmidt of a (q, m, d) stack (the kept
+vectors come back as one array), the extension of a d-by-d operator to
 sequence vectors, the block form of the A-orthogonal projection onto
 leading coordinates, and positive-semidefiniteness helpers (Schur
 products preserve PSD).
@@ -28,7 +29,7 @@ All values are immutable after construction; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +61,11 @@ def _as_array(x, ndim: int, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_length(x: np.ndarray, cov: Covariance) -> None:
+    if x.shape[-1] != cov.dim:
+        raise ValueError(f"sequence length {x.shape[-1]} does not match covariance dim {cov.dim}")
 
 
 def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
@@ -227,10 +233,7 @@ def inner_a(f, g, cov: Covariance) -> float:
     gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
         raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
-    if fm.shape[1] != cov.dim:
-        raise ValueError(
-            f"sequence length {fm.shape[1]} does not match covariance dim {cov.dim}"
-        )
+    _check_length(fm, cov)
     return float(np.vdot(fm, gm @ cov.matrix))
 
 
@@ -247,10 +250,7 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     ga = _as_array(gs, 3, "gs")
     if fa.shape[1:] != ga.shape[1:]:
         raise ValueError(f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
-    if fa.shape[2] != cov.dim:
-        raise ValueError(
-            f"sequence length {fa.shape[2]} does not match covariance dim {cov.dim}"
-        )
+    _check_length(fa, cov)
     return (fa @ cov.matrix).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
 
@@ -267,45 +267,48 @@ def check_orthonormal_a(vectors, cov: Covariance, tol: float, what: str) -> None
         )
 
 
-def gram_schmidt(
-    vectors: Sequence,
-    inner: Callable[[np.ndarray, np.ndarray], float],
-    tol: float = 1e-12,
-) -> list[np.ndarray]:
-    """Orthonormalize ``vectors`` with respect to an inner product.
+def gram_schmidt(vectors, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
+    """A-orthonormalize a (q, m, d) stack of sequence vectors into a
+    (k, m, d) array.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass.  A vector
-    whose residual norm falls to ``tol`` times its input norm (or to zero)
-    is dropped as dependent; input order is preserved otherwise.  Raises if
-    the input list is empty or every vector is dropped.
+    Modified Gram-Schmidt with one re-orthogonalization pass; the image
+    ``b A`` of each kept vector is formed once, so each coefficient is
+    ``vdot(w, b A)``.  A vector whose residual norm falls to ``tol`` times
+    its input norm (or to zero) is dropped as dependent; input order is
+    preserved otherwise.  Raises if the stack is empty, not finite or not
+    of sequence length ``cov.dim``, or if every vector is dropped.
     """
     if len(vectors) == 0:
         raise ValueError("cannot orthonormalize an empty list")
+    stack = _as_array(vectors, 3, "vectors")
+    _check_length(stack, cov)
     basis: list[np.ndarray] = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        scale = np.sqrt(max(inner(w, w), 0.0))
+    images: list[np.ndarray] = []
+    for w in stack:
+        scale = np.sqrt(max(np.vdot(w, w @ cov.matrix), 0.0))
         for _ in range(2):
-            for b in basis:
-                w = w - inner(w, b) * b
-        residual = np.sqrt(max(inner(w, w), 0.0))
+            for b, b_a in zip(basis, images):
+                w = w - np.vdot(w, b_a) * b
+        residual = np.sqrt(max(np.vdot(w, w @ cov.matrix), 0.0))
         if residual <= tol * scale or residual == 0.0:
             continue
         basis.append(w / residual)
+        images.append(basis[-1] @ cov.matrix)
     if not basis:
         raise ValueError("all input vectors are zero or dependent")
-    return basis
+    return np.array(basis)
 
 
-def gram_schmidt_a(xs: Sequence, cov: Covariance, tol: float = 1e-12) -> list[np.ndarray]:
-    """A-orthonormalize a list of coefficient sequences in R^d."""
+def gram_schmidt_a(xs: Sequence, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
+    """A-orthonormalize a list of coefficient sequences in R^d; the kept
+    vectors are the rows of a (k, d) array."""
     vecs = [_as_array(x, 1, "conditioning vector") for x in xs]
     for v in vecs:
         if v.shape[0] != cov.dim:
             raise ValueError(
                 f"vector of length {v.shape[0]} does not match covariance dim {cov.dim}"
             )
-    return gram_schmidt(vecs, cov.inner, tol=tol)
+    return gram_schmidt(np.reshape(vecs, (len(vecs), 1, cov.dim)), cov, tol=tol)[:, 0]
 
 
 def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:

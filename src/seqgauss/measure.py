@@ -8,7 +8,8 @@ Linear statistics then carry the weighted geometry exactly:
 
 so an A-orthonormal family of sequence vectors pushes the sample forward
 to independent standard normals (``pushforward_check`` verifies this
-empirically on a batch).
+empirically on a batch).  ``pairings`` pairs one sequence vector, or a
+(q, m, d) stack of them in one product, with every sample of a batch.
 
 ``isserlis_moment`` is the exact counterpart: it evaluates
 E[ prod_i <phi_i, W> ] as a sum over perfect matchings of products of
@@ -112,13 +113,14 @@ def pairing(phi, w) -> float:
 
 
 def pairings(phi, batch: SampleBatch) -> np.ndarray:
-    """Vector of pairings <phi, W_i> over a batch."""
+    """Pairings <phi, W_i> over a batch: a (count,) vector for one m-by-d
+    ``phi``, a (count, q) array from one product for a (q, m, d) stack."""
     p = np.asarray(phi, dtype=float)
-    if p.shape != batch.samples.shape[1:]:
+    if p.ndim not in (2, 3) or p.shape[-2:] != batch.samples.shape[1:]:
         raise ValueError(
             f"phi shape {p.shape} does not match batch sample shape {batch.samples.shape[1:]}"
         )
-    return np.einsum("ij,nij->n", p, batch.samples)
+    return np.einsum("...ij,nij->n...", p, batch.samples)
 
 
 def _mean_estimate(values: np.ndarray) -> tuple[float, float]:
@@ -227,12 +229,11 @@ def pushforward_check(
     Flags any mean, variance or pairwise covariance outside ``sigma_band``
     standard errors of (0, 1, 0).
     """
-    phis = [np.asarray(p, dtype=float) for p in phis]
     q = len(phis)
     if q == 0:
         raise ValueError("need at least one observable")
     check_orthonormal_a(phis, cov, orthonormal_tol, "observable family")
-    coords = np.stack([pairings(p, batch) for p in phis], axis=1)
+    coords = pairings(phis, batch)
     n = batch.count
     means = coords.mean(axis=0)
     variances = coords.var(axis=0, ddof=1)

@@ -103,14 +103,6 @@ def random_cov(rng: np.random.Generator, d: int) -> core.Covariance:
     return core.Covariance(g @ g.T / d + 0.5 * np.eye(d))
 
 
-def _outer_power(vectors) -> np.ndarray:
-    """Plain tensor product of the flattened ``vectors``, in order."""
-    out = np.array(1.0)
-    for v in vectors:
-        out = np.multiply.outer(out, np.ravel(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # core
 
@@ -207,25 +199,22 @@ def check_operator_extension(rng: np.random.Generator, tol_scale: float = 1.0) -
 
 
 def check_operator_norm_transfer(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
-    """Power iteration gives the same spectral norm for A on R^d and for its
-    extension to sequence vectors, 5 draws."""
+    """The extension of A to sequence vectors, assembled from its action on
+    the m*d unit sequence vectors, is exactly I_m (x) A, and its spectral
+    norm is that of A on R^d; 5 draws."""
     for _ in range(5):
         m, d = int(rng.integers(2, 6)), int(rng.integers(4, 13))
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         eigs = np.linspace(0.5, 2.0, d)
         a = q @ np.diag(eigs) @ q.T
         cov = core.Covariance(0.5 * (a + a.T))
-        x = rng.standard_normal(d)
-        for _ in range(4000):
-            y = cov.matrix @ x
-            x = y / np.linalg.norm(y)
-        lam_vec = float(x @ cov.matrix @ x)
-        f = rng.standard_normal((m, d))
-        for _ in range(4000):
-            g = core.apply_extended(cov, f)
-            f = g / np.linalg.norm(g)
-        lam_seq = core.inner_l2(f, core.apply_extended(cov, f))
-        _assert_close(lam_seq, lam_vec, 1e-8 * tol_scale, "matched spectral norms")
+        units = np.eye(m * d).reshape(m * d, m, d)
+        extension = np.stack([core.apply_extended(cov, e).ravel() for e in units], axis=1)
+        _assert_close(extension, np.kron(np.eye(m), cov.matrix), 0.0, "extension is I_m (x) A")
+        _assert_close(
+            np.linalg.norm(extension, 2), np.linalg.norm(cov.matrix, 2), 1e-8 * tol_scale,
+            "matched spectral norms",
+        )
 
 
 def check_block_projection_algebra(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
@@ -358,8 +347,7 @@ def suite_core(seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAM
     s.check("embedding norm and contraction bound", check_norm_identities, rng, tol_scale)
     s.check("norm decomposition over orthonormal bases", check_parseval, rng, tol_scale)
     s.check("operator extension to sequence vectors", check_operator_extension, rng, tol_scale)
-    s.check("operator norm transfer (power iteration)", check_operator_norm_transfer,
-            rng, tol_scale)
+    s.check("operator norm transfer", check_operator_norm_transfer, rng, tol_scale)
     s.check("weighted block projection algebra", check_block_projection_algebra, rng, tol_scale)
     s.check("worked block projection", check_block_projection_example, tol_scale)
     s.check("weighted Gram-Schmidt worked example", check_gram_schmidt_example, tol_scale)
@@ -468,11 +456,14 @@ def check_polarization(rng: np.random.Generator, tol_scale: float = 1.0) -> None
     for n in (2, 3):
         xs = rng.standard_normal((n, _M, _D))
         dense = wick.dense_from_kernel(wick.polarize(xs))
-        target = wick._symmetrize_array(_outer_power(xs))
+        target = wick._symmetrize_array(wick._tensor_product([x.ravel() for x in xs]))
         _assert_close(dense.array, target, 1e-12 * tol_scale, f"degree {n}")
     x = rng.standard_normal((_M, _D))
     dense = wick.dense_from_kernel(wick.polarize([x, x, x]))
-    _assert_close(dense.array, _outer_power([x] * 3), 1e-12 * tol_scale, "repeated vector power")
+    _assert_close(
+        dense.array, wick._tensor_product([x.ravel()] * 3), 1e-12 * tol_scale,
+        "repeated vector power",
+    )
 
 
 def check_permutation_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
@@ -556,7 +547,7 @@ def check_monomials_from_wick(rng: np.random.Generator, tol_scale: float = 1.0) 
         w = rng.standard_normal((_M, _D))
         phi = rng.standard_normal((_M, _D))
         rebuilt = wick.monomial_dense_from_wick(n, cov, w)
-        lhs = float(np.sum(rebuilt * _outer_power([phi] * n)))
+        lhs = float(np.sum(rebuilt * wick._tensor_product([phi.ravel()] * n)))
         rhs = measure.pairing(phi, w) ** n
         _assert_close(lhs, rhs, 1e-10 * tol_scale * max(1.0, abs(rhs)), f"degree {n}")
 
@@ -740,10 +731,7 @@ def check_mc_moments(rng: np.random.Generator, samples: int, seed: int) -> None:
     cov, batch = _sample(rng, samples, seed)
     for n in (2, 3, 4):
         phis = [0.8 * rng.standard_normal((_M, _D)) for _ in range(n)]
-        prod = np.ones(batch.count)
-        for p in phis:
-            prod = prod * measure.pairings(p, batch)
-        mean, se = measure._mean_estimate(prod)
+        mean, se = measure._mean_estimate(measure.pairings(phis, batch).prod(axis=1))
         target = measure.isserlis_moment(phis, cov)
         _assert_close(mean, target, 4.0 * se, f"{n} factors: mean {mean:.5f} vs {target:.5f}")
 
@@ -774,19 +762,15 @@ def check_pushforward(rng: np.random.Generator, samples: int, seed: int) -> None
     standard errors, a product of squares factorizing within 6)."""
     cov, batch = _sample(rng, samples, seed)
     raw = rng.standard_normal((3, _M, _D))
-    basis = core.gram_schmidt(raw, lambda f, g: core.inner_a(f, g, cov))
+    basis = core.gram_schmidt(raw, cov)
     report = measure.pushforward_check(basis, batch, cov)
     if not report.passed:
         raise AssertionError("; ".join(report.failures))
     if report.means.shape != (3,):
         raise AssertionError(f"report covers {report.means.shape} coordinates, not 3")
-    prod_lhs = np.ones(batch.count)
-    prod_rhs = 1.0
-    for b in basis[:2]:
-        p = measure.pairings(b, batch)
-        prod_lhs = prod_lhs * p**2
-        prod_rhs *= float((p**2).mean())
-    lhs_mean, lhs_se = measure._mean_estimate(prod_lhs)
+    squares = measure.pairings(basis[:2], batch) ** 2
+    prod_rhs = float(np.prod(squares.mean(axis=0)))
+    lhs_mean, lhs_se = measure._mean_estimate(squares.prod(axis=1))
     _assert_close(
         lhs_mean, prod_rhs, 6.0 * lhs_se,
         f"product moments factorize: {lhs_mean:.4f} vs {prod_rhs:.4f}",

@@ -124,12 +124,6 @@ class SymKernel:
     def constant(cls, value: float, m: int, d: int) -> "SymKernel":
         return cls.rank_one(np.zeros((m, d)), degree=0, coeff=value)
 
-    def scaled(self, factor: float) -> "SymKernel":
-        return SymKernel(
-            degree=self.degree,
-            terms=tuple(RankOnePower(factor * t.coeff, t.base, t.degree) for t in self.terms),
-        )
-
 
 @dataclass(frozen=True)
 class DenseTensor:
@@ -192,6 +186,15 @@ def symmetrize_dense(t: DenseTensor) -> DenseTensor:
     return DenseTensor(degree=t.degree, dims=t.dims, array=arr)
 
 
+def _tensor_product(factors) -> np.ndarray:
+    """Tensor product of ``factors`` in order, built left to right from
+    ``np.array(1.0)`` by ``np.multiply.outer``."""
+    out = np.array(1.0)
+    for factor in factors:
+        out = np.multiply.outer(out, factor)
+    return out
+
+
 def _symmetrize_array(arr: np.ndarray) -> np.ndarray:
     n = arr.ndim
     if n <= 1:
@@ -210,11 +213,7 @@ def dense_from_kernel(kernel: SymKernel) -> DenseTensor:
     _check_dense_limits(kernel.degree, flat)
     arr = np.zeros((flat,) * kernel.degree)
     for t in kernel.terms:
-        v = t.base.ravel()
-        power = np.array(1.0)
-        for _ in range(kernel.degree):
-            power = np.multiply.outer(power, v)
-        arr = arr + t.coeff * power
+        arr = arr + t.coeff * _tensor_product([t.base.ravel()] * kernel.degree)
     return DenseTensor(degree=kernel.degree, dims=(m, d), array=arr)
 
 
@@ -299,11 +298,7 @@ def wick_dense_closed_form(n: int, cov: Covariance, w) -> np.ndarray:
         return np.array(1.0)
     for k in range(n // 2 + 1):
         coeff = (-1) ** k * factorial(n) / (2**k * factorial(k) * factorial(n - 2 * k))
-        piece = np.array(1.0)
-        for _ in range(k):
-            piece = np.multiply.outer(piece, t_mat)
-        for _ in range(n - 2 * k):
-            piece = np.multiply.outer(piece, wf)
+        piece = _tensor_product([t_mat] * k + [wf] * (n - 2 * k))
         total = total + coeff * _symmetrize_array(piece)
     return total
 
@@ -322,10 +317,7 @@ def monomial_dense_from_wick(n: int, cov: Covariance, w) -> np.ndarray:
     total = np.zeros((m * d,) * n)
     for k in range(n // 2 + 1):
         coeff = factorial(n) / (2**k * factorial(k) * factorial(n - 2 * k))
-        piece = np.array(1.0)
-        for _ in range(k):
-            piece = np.multiply.outer(piece, t_mat)
-        piece = np.multiply.outer(piece, wick_dense_tensor(n - 2 * k, cov, w_arr))
+        piece = _tensor_product([t_mat] * k + [wick_dense_tensor(n - 2 * k, cov, w_arr)])
         total = total + coeff * _symmetrize_array(piece)
     return total
 

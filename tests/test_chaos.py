@@ -89,6 +89,19 @@ def test_conditioning_set_from_vectors_is_orthonormal():
     assert len(cond.basis) == 3
 
 
+def test_conditioning_set_basis_is_one_read_only_array():
+    vectors = np.random.default_rng(31).standard_normal((3, M, D))
+    sets = [chaos.ConditioningSet(basis=b) for b in (tuple(vectors), list(vectors), vectors)]
+    for cond in sets:
+        assert cond.basis.shape == (3, M, D) and not cond.basis.flags.writeable
+        assert cond.basis.tobytes() == vectors.tobytes()
+    assert sets[2].basis is not vectors and vectors.flags.writeable
+    with pytest.raises(ValueError, match="must be non-empty"):
+        chaos.ConditioningSet(basis=())
+    with pytest.raises(ValueError, match="must share one shape"):
+        chaos.ConditioningSet(basis=(vectors[0], vectors[1, :, :2]))
+
+
 def test_cond_exp_chaos_rejects_non_orthonormal_set():
     cov = core.Covariance.identity(D)
     phi = np.zeros((M, D))

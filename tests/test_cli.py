@@ -494,6 +494,37 @@ def test_seed_env_var_override(tmp_path, capsys, monkeypatch):
     assert out1.read_bytes() == out3.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, env_seed, field",
+    [
+        (["sample", "--seed", "-1"], None, "seed"),
+        (["verify", "--suite", "core", "--seed", "-1"], None, "seed"),
+        (["sample"], "-4", "SEQGAUSS_SEED"),
+        (["verify", "--suite", "core"], "-4", "SEQGAUSS_SEED"),
+        (["hermite", "--max-n", "2", "--x-min", "nan"], None, "x-min"),
+        (["hermite", "--max-n", "2", "--x-max", "inf"], None, "x-max"),
+        (["verify", "--suite", "core", "--samples", "0"], None, "samples"),
+        (["verify", "--suite", "core", "--samples", "1"], None, "samples"),
+        (["verify", "--suite", "measure", "--samples", "-5"], None, "samples"),
+        (["verify", "--suite", "core", "--tol-scale", "nan"], None, "tol-scale"),
+        (["verify", "--suite", "core", "--tol-scale", "0"], None, "tol-scale"),
+        (["verify", "--suite", "core", "--tol-scale", "-1"], None, "tol-scale"),
+    ],
+)
+def test_out_of_range_number_exits_2_naming_the_field(
+    tmp_path, capsys, monkeypatch, args, env_seed, field
+):
+    if env_seed is not None:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+    out = tmp_path / "out.csv"
+    if args[0] != "verify":
+        args = args + ["--out", str(out)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert f"field '{field}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_all_smoke(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "all", "--seed", "2", "--samples", "20000"], capsys

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqgauss import core
+from seqgauss import chaos, core
 from seqgauss.verify import (
     check_bilinear_identities,
     check_block_projection_algebra,
@@ -160,6 +160,51 @@ def test_gram_schmidt_a_rejects_empty_and_zero_input():
         core.gram_schmidt_a([], cov)
     with pytest.raises(ValueError, match="zero or dependent"):
         core.gram_schmidt_a([np.zeros(2)], cov)
+
+
+def _per_pair_gram_schmidt(vectors, cov, tol=1e-12):
+    """The callable-driven loop gram_schmidt replaced: every coefficient is
+    a fresh inner_a call."""
+    basis = []
+    for v in vectors:
+        w = np.array(v, dtype=float)
+        scale = np.sqrt(max(core.inner_a(w, w, cov), 0.0))
+        for _ in range(2):
+            for b in basis:
+                w = w - core.inner_a(w, b, cov) * b
+        residual = np.sqrt(max(core.inner_a(w, w, cov), 0.0))
+        if residual <= tol * scale or residual == 0.0:
+            continue
+        basis.append(w / residual)
+    return np.stack(basis)
+
+
+def test_gram_schmidt_is_bitwise_the_per_pair_loop():
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        m, d, q = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        cov = random_cov(rng, d)
+        vectors = rng.standard_normal((q, m, d))
+        vectors = np.concatenate([vectors, [vectors[0] - 2.0 * vectors[-1]]])
+        expected = _per_pair_gram_schmidt(vectors, cov).tobytes()
+        assert core.gram_schmidt(vectors, cov).tobytes() == expected
+        assert chaos.ConditioningSet.from_vectors(list(vectors), cov).basis.tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([np.full((2, 3), np.nan)], "contains non-finite entries"),
+        ([np.ones((2, 4))], "sequence length 4 does not match covariance dim 3"),
+        ([], "cannot orthonormalize an empty list"),
+    ],
+)
+def test_gram_schmidt_rejects_bad_stacks_with_the_parent_messages(vectors, message):
+    cov = core.Covariance.identity(3)
+    with pytest.raises(ValueError, match=message):
+        core.gram_schmidt(vectors, cov)
+    with pytest.raises(ValueError, match=message):
+        chaos.ConditioningSet.from_vectors(vectors, cov)
 
 
 def test_block_projection_worked_example():
@@ -366,5 +411,5 @@ def test_divergence_diagnostic_small_scale():
         assert core.norm_a(f, cov) < np.pi / np.sqrt(6.0) + 1e-6
 
 
-def test_operator_norm_transfer_by_power_iteration():
+def test_operator_norm_transfer_by_assembled_extension():
     check_operator_norm_transfer(np.random.default_rng(16))

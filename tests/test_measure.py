@@ -96,6 +96,21 @@ def test_unit_frobenius_identity_weight_variance_is_one():
     assert abs(var - 1.0) < 4.0 * se
 
 
+def test_stacked_pairings_match_per_vector_pairings():
+    rng = np.random.default_rng(32)
+    batch = measure.sample_mu_a(random_cov(rng, D), DIMS, 500, seed=15)
+    phis = rng.standard_normal((4, M, D))
+    stacked = measure.pairings(phis, batch)
+    assert stacked.shape == (500, 4)
+    for k, phi in enumerate(phis):
+        single = measure.pairings(phi, batch)
+        assert np.allclose(stacked[:, k], single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+    with pytest.raises(ValueError, match="does not match batch sample shape"):
+        measure.pairings(phis[:, :, :2], batch)
+    with pytest.raises(ValueError, match="does not match batch sample shape"):
+        measure.pairings(phis[np.newaxis], batch)
+
+
 def test_char_function_at_zero_is_exact():
     cov = core.Covariance.identity(D)
     batch = measure.sample_mu_a(cov, DIMS, 100, seed=13)
