@@ -31,7 +31,9 @@ from math import factorial
 
 import numpy as np
 
-from .core import Covariance, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a
+from .core import (
+    Covariance, apply_extended, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a,
+)
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, kernel_inner_a, wick_eval
 
@@ -69,7 +71,8 @@ class ChaosExpansion:
 @dataclass(frozen=True)
 class ConditioningSet:
     """A-orthonormal family of sequence vectors spanning the conditioning
-    subspace, held as one read-only (q, m, d) array."""
+    subspace, held as one read-only (q, m, d) array; a family that is not
+    a stack of m-by-d sequence vectors is refused when the set is built."""
 
     basis: np.ndarray
 
@@ -79,6 +82,8 @@ class ConditioningSet:
         if len({np.shape(b) for b in self.basis}) > 1:
             raise ValueError("conditioning vectors must share one shape")
         basis = np.array(self.basis, dtype=float)
+        if basis.ndim != 3:
+            raise ValueError(f"basis must be a (q, m, d) stack, got shape {basis.shape}")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
@@ -161,7 +166,7 @@ def cond_exp_monomial(f, xs, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     conditioning span is degenerate (every input dropped).
     """
     x = gram_schmidt_a(xs, cov, tol=tol)
-    return np.asarray(f, dtype=float) @ cov.matrix @ x.T @ x
+    return apply_extended(cov, f) @ x.T @ x
 
 
 def mc_cond_check(

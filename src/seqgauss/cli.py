@@ -9,6 +9,8 @@ Subcommands:
 * ``hermite`` -- tabulate Hermite polynomial values to CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+``sample`` refuses a batch of more than ``MAX_SAMPLE_VALUES`` values
+before it allocates anything.
 The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
 within a build.  CSV values are written in shortest round-trip form, so
@@ -41,6 +43,11 @@ from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
+# ``sample`` holds the whole batch (2**22 doubles is 32 MiB) and formats one
+# CSV row at a time, at about 250 bytes of Python objects per value of the
+# row (526 MB peak RSS for one row of 2**21 values on a 2-vCPU VM), so the
+# widest row allowed stays near 1 GB.
+MAX_SAMPLE_VALUES = 2**22
 # config field behind each input a closure run can be rejected for
 _CLOSURE_FIELDS = {
     "correlation": "closure.A", "dt": "dt", "cfl": "cfl", "order": "N", "t_final": "T",
@@ -162,6 +169,9 @@ def _cmd_sample(args) -> int:
         raise ConfigError("samples", "must be positive")
     if args.dim_h <= 0 or args.dim_seq <= 0:
         raise ConfigError("dim-h/dim-seq", "must be positive")
+    if args.samples * args.dim_h * args.dim_seq > MAX_SAMPLE_VALUES:
+        raise ConfigError("samples/dim-h/dim-seq", f"{args.samples} samples of "
+                          f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
     if args.cov is not None:
         doc = load_document(args.cov)
         matrix = matrix_from_lists(doc.get("A", doc.get("matrix")), "A")

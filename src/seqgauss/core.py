@@ -12,9 +12,10 @@ pieces:
 
 A symmetric positive-definite d-by-d matrix A (the covariance weight)
 induces the weighted inner product ``(f, g)_A = (f, g A)_F`` used
-throughout the package; ``Covariance`` caches its Cholesky factor, taken
-in O(d) from the square roots of a diagonal A and by dense Cholesky for
-any other A.
+throughout the package.  ``Covariance`` holds a diagonal A (given as a
+matrix or as its length-d diagonal) as that vector, so its weighted
+products cost O(d) per row and no d-by-d array exists until ``matrix`` or
+``chol`` is read; any other A is factored once by dense Cholesky.
 ``gram_a`` evaluates it between every pair of two (p, m, d) and (q, m, d)
 stacks of sequence vectors as one matrix product.  The module also
 provides A-orthogonal Gram-Schmidt of a (q, m, d) stack (the kept
@@ -68,6 +69,11 @@ def _check_length(x: np.ndarray, cov: Covariance) -> None:
         raise ValueError(f"sequence length {x.shape[-1]} does not match covariance dim {cov.dim}")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
     """``0.5 * (a + a.T)`` of a square matrix; raises ``ValueError("<name>
     is not symmetric")`` if an entry of ``a - a.T`` exceeds ``rtol`` times
@@ -98,62 +104,80 @@ class TruncationDims:
 class Covariance:
     """Symmetric positive-definite weight matrix with cached Cholesky factor.
 
-    Symmetry is required up to 1e-12 relative to the largest entry and the
-    matrix must be strictly positive definite; construction fails loudly
-    otherwise (no jitter is added, since the weighted norm would degenerate).
-    A diagonal matrix (every off-diagonal entry is zero, of either sign) is
-    positive definite iff its diagonal is positive and is factored in O(d)
-    as ``diag(sqrt(a_kk))``, bitwise equal to the dense factor; any other
-    matrix is symmetrised and factored by dense Cholesky.  ``matrix`` and
-    ``chol`` are dense read-only arrays either way, never the caller's.
+    Takes a d-by-d matrix or, as ``np.diag`` reads it, a length-d vector
+    as its diagonal.  Symmetry is required up to 1e-12 relative to the
+    largest entry and the matrix must be strictly positive definite;
+    construction fails loudly otherwise (no jitter is added, since the
+    weighted norm would degenerate).  A diagonal A (a vector, or a matrix
+    whose every off-diagonal entry is zero, of either sign) is positive
+    definite iff its diagonal is positive and is held as a copy of that
+    vector, applied elementwise (bitwise equal to the dense products).
+    Any other matrix is symmetrised and factored by dense Cholesky.
+    ``matrix`` and ``chol`` are dense read-only arrays, never the caller's;
+    for a diagonal A they are built on first access.
     """
 
     SYMMETRY_RTOL = 1e-12
 
     def __init__(self, matrix) -> None:
-        a = _as_array(matrix, 2, "covariance matrix")
-        if a.shape[0] != a.shape[1] or not a.size:
+        a = _as_array(matrix, 1 if np.ndim(matrix) == 1 else 2, "covariance matrix")
+        if not a.size or (a.ndim == 2 and a.shape[0] != a.shape[1]):
             raise ValueError(f"covariance matrix must be square and non-empty, got {a.shape}")
-        diagonal = np.diagonal(a)
-        if np.count_nonzero(a) == np.count_nonzero(diagonal):
-            if not (diagonal > 0).all():
+        if a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            a = np.diagonal(a)
+        self._matrix = self._chol = self._diag = None
+        if a.ndim == 1:
+            if not (a > 0).all():
                 raise ValueError("covariance matrix is not positive definite")
-            a, chol = np.diag(diagonal), np.diag(np.sqrt(diagonal))
-        else:
-            a = _symmetrized(a, self.SYMMETRY_RTOL, "covariance matrix")
-            try:
-                chol = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                raise ValueError("covariance matrix is not positive definite") from None
-        a.setflags(write=False)
-        chol.setflags(write=False)
-        self._matrix = a
-        self._chol = chol
+            self._diag = _frozen(np.array(a))
+            return
+        a = _symmetrized(a, self.SYMMETRY_RTOL, "covariance matrix")
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance matrix is not positive definite") from None
+        self._matrix, self._chol = _frozen(a), _frozen(chol)
 
     @classmethod
     def identity(cls, d: int) -> "Covariance":
-        return cls(np.eye(d))
+        return cls(np.ones(d))
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _frozen(np.diag(self._diag))
         return self._matrix
 
     @property
     def chol(self) -> np.ndarray:
         """Lower-triangular L with ``matrix = L @ L.T``."""
+        if self._chol is None:
+            self._chol = _frozen(np.diag(np.sqrt(self._diag)))
         return self._chol
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return len(self._diag) if self._matrix is None else len(self._matrix)
+
+    def _weigh(self, x: np.ndarray) -> np.ndarray:
+        """``x @ A`` along the last axis (elementwise for a diagonal A)."""
+        return x @ self._matrix if self._diag is None else x * self._diag
+
+    def _whiten(self, x: np.ndarray) -> np.ndarray:
+        """``x @ L.T`` along the last axis, written over ``x`` for a diagonal A."""
+        if self._diag is None:
+            return x @ self._chol.T
+        return np.multiply(x, np.sqrt(self._diag), out=x)
 
     def apply(self, x) -> np.ndarray:
         """Matrix-vector product A x on coefficient sequences."""
-        return self._matrix @ _as_array(x, 1, "x")
+        xv = _as_array(x, 1, "x")
+        _check_length(xv, self)
+        return self._weigh(xv)
 
     def inner(self, x, y) -> float:
         """Weighted inner product (x, A y) on R^d."""
-        return float(_as_array(x, 1, "x") @ self._matrix @ _as_array(y, 1, "y"))
+        return float(self.apply(x) @ _as_array(y, 1, "y"))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Covariance(dim={self.dim})"
@@ -209,22 +233,25 @@ def apply_matrix(m: np.ndarray, f) -> np.ndarray:
     basis (b_k) of R^d and mapping each b_k through M gives the same matrix.
     """
     fm = _as_array(f, 2, "f")
-    return _apply_operator(_as_array(m, 2, "operator matrix"), fm)
+    mm = _as_array(m, 2, "operator matrix")
+    _check_operator(mm.shape, fm)
+    return fm @ mm.T
 
 
 def apply_extended(cov: Covariance, f) -> np.ndarray:
     """Apply the covariance weight to a sequence vector (``F @ A``)."""
-    return _apply_operator(cov.matrix, _as_array(f, 2, "f"))
+    fm = _as_array(f, 2, "f")
+    _check_operator((cov.dim, cov.dim), fm)
+    return cov._weigh(fm)
 
 
-def _apply_operator(mm: np.ndarray, fm: np.ndarray) -> np.ndarray:
-    """``fm @ mm.T`` after checking that ``mm`` is square and as wide as
-    ``fm``; both are already finite 2-D arrays."""
-    if mm.shape[0] != mm.shape[1] or mm.shape[0] != fm.shape[1]:
+def _check_operator(shape: tuple[int, ...], fm: np.ndarray) -> None:
+    """Raise unless an operator of ``shape`` is square and as wide as the
+    sequence vector ``fm``."""
+    if shape[0] != shape[1] or shape[0] != fm.shape[1]:
         raise ValueError(
-            f"operator of shape {mm.shape} cannot act on sequence of length {fm.shape[1]}"
+            f"operator of shape {shape} cannot act on sequence of length {fm.shape[1]}"
         )
-    return fm @ mm.T
 
 
 def inner_a(f, g, cov: Covariance) -> float:
@@ -234,7 +261,7 @@ def inner_a(f, g, cov: Covariance) -> float:
     if fm.shape != gm.shape:
         raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
     _check_length(fm, cov)
-    return float(np.vdot(fm, gm @ cov.matrix))
+    return float(np.vdot(fm, cov._weigh(gm)))
 
 
 def norm_a(f, cov: Covariance) -> float:
@@ -251,7 +278,7 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     if fa.shape[1:] != ga.shape[1:]:
         raise ValueError(f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
     _check_length(fa, cov)
-    return (fa @ cov.matrix).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
+    return cov._weigh(fa).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
 
 def check_orthonormal_a(vectors, cov: Covariance, tol: float, what: str) -> None:
@@ -285,15 +312,15 @@ def gram_schmidt(vectors, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     basis: list[np.ndarray] = []
     images: list[np.ndarray] = []
     for w in stack:
-        scale = np.sqrt(max(np.vdot(w, w @ cov.matrix), 0.0))
+        scale = np.sqrt(max(np.vdot(w, cov._weigh(w)), 0.0))
         for _ in range(2):
             for b, b_a in zip(basis, images):
                 w = w - np.vdot(w, b_a) * b
-        residual = np.sqrt(max(np.vdot(w, w @ cov.matrix), 0.0))
+        residual = np.sqrt(max(np.vdot(w, cov._weigh(w)), 0.0))
         if residual <= tol * scale or residual == 0.0:
             continue
         basis.append(w / residual)
-        images.append(basis[-1] @ cov.matrix)
+        images.append(cov._weigh(basis[-1]))
     if not basis:
         raise ValueError("all input vectors are zero or dependent")
     return np.array(basis)

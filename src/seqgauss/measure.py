@@ -90,15 +90,16 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
     """Draw ``count`` samples W = Z L^T of the weighted Gaussian measure.
 
     Z has independent standard normal entries, so <phi, W> is centered
-    Gaussian with Cov(<phi, W>, <psi, W>) = (phi, psi)_A.
+    Gaussian with Cov(<phi, W>, <psi, W>) = (phi, psi)_A.  All count * m
+    rows of Z are whitened at once: scaled in place for a diagonal A, so
+    the batch is the only array held, and by one GEMM otherwise.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if dims.d != cov.dim:
         raise ValueError(f"dims.d={dims.d} does not match covariance dim {cov.dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, dims.m, dims.d))
-    samples = (z.reshape(-1, dims.d) @ cov.chol.T).reshape(z.shape)
+    z = np.random.default_rng(seed).standard_normal((count, dims.m, dims.d))
+    samples = cov._whiten(z.reshape(-1, dims.d)).reshape(z.shape)
     samples.setflags(write=False)
     return SampleBatch(samples=samples, seed=seed, count=count)
 
@@ -154,7 +155,7 @@ def _sum_matchings(gram):
     of the paired entries ``gram[i][j]`` (0 for odd n, 1 for n = 0).
 
     ``gram`` is a nested sequence whose entries may be of any number type
-    (floats, ``fractions.Fraction``); sums and products are formed in the
+    (floats, exact Python integers); sums and products are formed in the
     order of the enumeration, which pairs the first unmatched index with
     each later one in turn.  The sum over the matchings of each set of
     unmatched indices is computed once and reused.

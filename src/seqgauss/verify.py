@@ -288,7 +288,7 @@ def check_divergence_diagnostic(tol_scale: float = 1.0) -> str:
     pi / sqrt(6); the weighted Cauchy increments are exact tail sums."""
     d = 2048
     k = np.arange(1, d + 1)
-    cov = core.Covariance(np.diag(1.0 / k**2))
+    cov = core.Covariance(1.0 / k**2)
     h = np.ones(1)
     x = 1.0 / k
     f = np.zeros((1, d))
@@ -629,19 +629,19 @@ def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
     """E[:phi^n: :psi^m:] by expanding both Wick monomials into plain
     monomials and applying the pair-partition oracle.
 
-    The expansion is summed in exact rational arithmetic over the float
-    entries (phi, phi)_A, (psi, psi)_A and (phi, psi)_A, so its terms cancel
-    without rounding: unequal degrees give exactly 0.0, and the one
-    rounding is the final conversion to float.
+    The expansion is homogeneous of degree (n + m) / 2 in the float entries
+    (phi, phi)_A, (psi, psi)_A and (phi, psi)_A.  Each entry is an integer
+    over 2**s, so the expansion is summed exactly in Python integers over
+    the entries scaled by the largest 2**s and divided by that scale to the
+    degree once at the end: its terms cancel without rounding, unequal
+    degrees give exactly 0.0, and the one rounding is that division.
     """
-    # imported here, not at the top: fractions loads decimal, which costs
-    # every CLI command about 1 MB of resident memory
-    from fractions import Fraction
-
-    aa, bb, ab = (
-        Fraction(core.inner_a(f, g, cov)) for f, g in ((phi, phi), (psi, psi), (phi, psi))
-    )
-    total = Fraction(0)
+    entries = [
+        core.inner_a(f, g, cov).as_integer_ratio() for f, g in ((phi, phi), (psi, psi), (phi, psi))
+    ]
+    scale = max(den for _, den in entries)
+    aa, bb, ab = (num * (scale // den) for num, den in entries)
+    total = 0
     for k in range(n // 2 + 1):
         ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
         for l in range(m_deg // 2 + 1):
@@ -652,7 +652,7 @@ def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
             p, q = n - 2 * k, m_deg - 2 * l
             gram = [[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q
             total += ck * cl * aa**k * bb**l * measure._sum_matchings(gram)
-    return float(total)
+    return total / scale ** ((n + m_deg) // 2)
 
 
 def _sample(rng: np.random.Generator, samples: int, seed: int):

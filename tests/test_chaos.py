@@ -228,3 +228,9 @@ def test_mc_cond_check_scalar_test_function():
     est_vec = chaos.mc_cond_check(expansion, cond, cov, lambda c: c[:, 0], batch)
     est_scalar = chaos.mc_cond_check(expansion, cond, cov, lambda row: row[0], batch)
     assert est_vec.value == pytest.approx(est_scalar.value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("basis", [(np.ones(3),), np.ones((2, 3)), np.ones((1, 2, 3, 1))])
+def test_conditioning_set_requires_a_stack_of_sequence_vectors(basis):
+    with pytest.raises(ValueError, match=r"basis must be a \(q, m, d\) stack"):
+        chaos.ConditioningSet(basis=basis)

@@ -534,3 +534,41 @@ def test_verify_all_smoke(capsys):
     assert lines[-1] == "49/49 checks passed"
     names = [line.split("] ", 1)[1].split(" -- ", 1)[0] for line in lines[:-1]]
     assert len(set(names)) == len(names) == 49
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_sample_with_covariance_file_writes_the_factor_product(tmp_path, capsys, kind):
+    rng = np.random.default_rng(44)
+    g = rng.standard_normal((4, 4))
+    a = np.diag(rng.uniform(0.1, 10.0, 4)) if kind == "diagonal" else g @ g.T / 4 + np.eye(4)
+    cov_path = tmp_path / "cov.json"
+    serialize.save_document(cov_path, {"A": a.tolist()})
+    out = tmp_path / "s.csv"
+    args = ["sample", "--seed", "9", "--samples", "50", "--dim-h", "3", "--dim-seq", "4"]
+    assert cli.main(args + ["--cov", str(cov_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    sym = 0.5 * (a + a.T)
+    chol = np.diag(np.sqrt(np.diagonal(a))) if kind == "diagonal" else np.linalg.cholesky(sym)
+    z = np.random.default_rng(9).standard_normal((50 * 3, 4))
+    rows = (z @ chol.T).reshape(50, -1).tolist()
+    header = [f"w_{i}_{k}" for i in range(3) for k in range(4)]
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, rows)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ["--dim-seq", "1000000000", "--samples", "1"],
+        ["--samples", "10000000", "--dim-h", "1", "--dim-seq", "1"],
+        ["--samples", "2048", "--dim-h", "2048", "--dim-seq", "2", "--cov", "missing.json"],
+    ],
+)
+def test_oversized_sample_exits_2_before_allocating(tmp_path, capsys, sizes):
+    out = tmp_path / "s.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["sample", *sizes, "--out", str(out)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "config error: field 'samples/dim-h/dim-seq'" in err and "Traceback" not in err
+    assert str(cli.MAX_SAMPLE_VALUES) in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from seqgauss.verify import (
     check_bilinear_identities,
     check_block_projection_algebra,
     check_block_projection_example,
+    check_divergence_diagnostic,
     check_gram_schmidt_example,
     check_norm_identities,
     check_operator_extension,
@@ -413,3 +415,104 @@ def test_divergence_diagnostic_small_scale():
 
 def test_operator_norm_transfer_by_assembled_extension():
     check_operator_norm_transfer(np.random.default_rng(16))
+
+
+def _wide_diagonals(rng):
+    """Positive diagonals with entries from 1e-150 to 1e150."""
+    return [np.exp(rng.uniform(-345.0, 345.0, size=d)) for d in (1, 2, 5, 16, 33)]
+
+
+def _dense_gram_schmidt(vectors, a, tol=1e-12):
+    """gram_schmidt's loop with every weighted product taken against the
+    explicit matrix ``a``."""
+    basis, images = [], []
+    for w in vectors:
+        scale = np.sqrt(max(np.vdot(w, w @ a), 0.0))
+        for _ in range(2):
+            for b, b_a in zip(basis, images):
+                w = w - np.vdot(w, b_a) * b
+        residual = np.sqrt(max(np.vdot(w, w @ a), 0.0))
+        if residual <= tol * scale or residual == 0.0:
+            continue
+        basis.append(w / residual)
+        images.append(basis[-1] @ a)
+    return np.array(basis)
+
+
+def test_diagonal_covariance_products_equal_the_explicit_matrix_products():
+    rng = np.random.default_rng(40)
+    for diagonal in _wide_diagonals(rng):
+        d = len(diagonal)
+        a = np.diag(diagonal)
+        for cov in (core.Covariance(diagonal), core.Covariance(a)):
+            f, g = rng.standard_normal((2, 3, d))
+            fs, gs = rng.standard_normal((4, 3, d)), rng.standard_normal((2, 3, d))
+            x, y = rng.standard_normal((2, d))
+            assert core.inner_a(f, g, cov) == float(np.vdot(f, g @ a))
+            assert core.norm_a(f, cov) == float(np.sqrt(max(np.vdot(f, f @ a), 0.0)))
+            expected = (fs @ a).reshape(4, -1) @ gs.reshape(2, -1).T
+            assert np.array_equal(core.gram_a(fs, gs, cov), expected)
+            vectors = np.concatenate([fs, [fs[0] - 2.0 * fs[-1]]])
+            assert np.array_equal(core.gram_schmidt(vectors, cov), _dense_gram_schmidt(vectors, a))
+            assert np.array_equal(core.apply_extended(cov, f), f @ a)
+            assert np.array_equal(cov.apply(x), a @ x)
+            assert cov.inner(x, y) == float(x @ a @ y)
+            xs = list(rng.standard_normal((min(d, 2), d)))
+            basis = core.gram_schmidt_a(xs, cov)
+            assert np.array_equal(chaos.cond_exp_monomial(f, xs, cov), f @ a @ basis.T @ basis)
+
+
+@pytest.mark.parametrize(
+    "diagonal, message",
+    [
+        ([1.0, 0.0, 2.0], "covariance matrix is not positive definite"),
+        ([1.0, -3.0], "covariance matrix is not positive definite"),
+        ([1.0, np.nan], "covariance matrix contains non-finite entries"),
+        ([np.inf, 1.0], "covariance matrix contains non-finite entries"),
+        ([], "covariance matrix must be square and non-empty"),
+    ],
+)
+def test_diagonal_vector_input_is_checked_like_a_matrix(diagonal, message):
+    with pytest.raises(ValueError, match=message):
+        core.Covariance(diagonal)
+
+
+def test_diagonal_vector_input_gives_read_only_dense_views_of_a_private_copy():
+    diagonal = np.exp(np.random.default_rng(41).uniform(-345.0, 345.0, size=9))
+    kept = diagonal.copy()
+    cov = core.Covariance(diagonal)
+    assert cov.dim == 9
+    diagonal[:] = 1.0
+    assert cov.matrix.tobytes() == np.diag(kept).tobytes()
+    assert cov.chol.tobytes() == np.diag(np.sqrt(kept)).tobytes()
+    assert cov.matrix is cov.matrix and cov.chol is cov.chol
+    assert not cov.matrix.flags.writeable and not cov.chol.flags.writeable
+    assert diagonal.flags.writeable
+    with pytest.raises(ValueError, match="sequence length 2 does not match covariance dim 9"):
+        cov.apply([1.0, 2.0])
+    message = r"operator of shape \(9, 9\) cannot act on sequence of length 1"
+    with pytest.raises(ValueError, match=message):
+        core.apply_extended(cov, np.ones((2, 1)))
+
+
+def test_divergence_diagnostic_holds_no_dense_weight():
+    tracemalloc.start()
+    try:
+        check_divergence_diagnostic()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one 2048 x 2048 array of doubles is 32 MiB
+
+
+def test_identity_of_a_million_positions_costs_vectors_not_a_matrix():
+    d = 10**6
+    tracemalloc.start()
+    try:
+        cov = core.Covariance.identity(d)
+        f = np.ones((1, d))
+        assert core.inner_a(f, f, cov) == d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * d  # a d x d array would take 8 * d * d bytes

@@ -1,7 +1,11 @@
+import tracemalloc
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
-from seqgauss import core, measure
+from seqgauss import core, measure, verify
 from seqgauss.verify import (
     check_characteristic_function,
     check_isserlis_base_cases,
@@ -202,3 +206,68 @@ def test_product_moments_factorize_for_orthonormal_family():
 def test_mc_estimate_rejects_negative_errors():
     with pytest.raises(ValueError):
         measure.McEstimate(value=0.0, std_error=-1.0, count=10)
+
+
+def test_diagonal_sampling_equals_the_explicit_factor_product():
+    rng = np.random.default_rng(42)
+    for d in (1, 3, 16, 33):
+        diagonal = np.exp(rng.uniform(-345.0, 345.0, size=d))
+        chol = np.diag(np.sqrt(diagonal))
+        for cov in (core.Covariance(diagonal), core.Covariance(np.diag(diagonal))):
+            batch = measure.sample_mu_a(cov, core.TruncationDims(4, d), 500, seed=d)
+            z = np.random.default_rng(d).standard_normal((500, 4, d))
+            expected = (z.reshape(-1, d) @ chol.T).reshape(z.shape)
+            assert np.array_equal(batch.samples, expected)
+            assert batch.samples.tobytes() == expected.tobytes()
+
+
+def test_sampling_is_one_product_on_the_chaos_benchmark_shape():
+    # dense A: one GEMM over all count * m rows (a GEMM split into row
+    # blocks is not bitwise equal to it for every d on every BLAS)
+    cov = random_cov(np.random.default_rng(43), 16)
+    batch = measure.sample_mu_a(cov, core.TruncationDims(4, 16), 20_000, seed=11)
+    z = np.random.default_rng(11).standard_normal((20_000, 4, 16))
+    assert batch.samples.tobytes() == (z.reshape(-1, 16) @ cov.chol.T).reshape(z.shape).tobytes()
+
+
+def test_diagonal_sampling_scales_the_draws_in_place():
+    cov = core.Covariance(np.linspace(0.5, 2.0, 16))
+    nbytes = 20_000 * 4 * 16 * 8
+    tracemalloc.start()
+    try:
+        measure.sample_mu_a(cov, core.TruncationDims(4, 16), 20_000, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * nbytes
+
+
+def _fraction_wick_pair_expectation(phi, n, psi, m_deg, cov):
+    """The expansion of ``wick_pair_expectation`` summed in ``Fraction``."""
+    aa, bb, ab = (
+        Fraction(core.inner_a(f, g, cov)) for f, g in ((phi, phi), (psi, psi), (phi, psi))
+    )
+    total = Fraction(0)
+    for k in range(n // 2 + 1):
+        ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
+        for l in range(m_deg // 2 + 1):
+            cl = (-1) ** l * (factorial(m_deg) // (2**l * factorial(l) * factorial(m_deg - 2 * l)))
+            p, q = n - 2 * k, m_deg - 2 * l
+            gram = [[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q
+            total += ck * cl * aa**k * bb**l * measure._sum_matchings(gram)
+    return float(total)
+
+
+def test_integer_wick_oracle_is_bitwise_the_fraction_sum(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append((args, wick_pair_expectation(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "wick_pair_expectation", recording)
+    for seed in (0, 1, 2, 3, 8, 18):
+        check_wick_orthogonality(np.random.default_rng(seed))
+    assert len(calls) == 6 * 20 * 25
+    for args, value in calls:
+        assert value.hex() == _fraction_wick_pair_expectation(*args).hex()
