@@ -22,7 +22,6 @@ from .closure import (
     ClosureSpec,
     MaterialParams,
     MomentGrid,
-    MomentSystemCoeffs,
     build_moment_system,
     closed_advection_matrix,
     closure_row,

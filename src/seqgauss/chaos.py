@@ -49,8 +49,6 @@ __all__ = [
     "mc_cond_check",
 ]
 
-ORTHONORMAL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ChaosExpansion:
@@ -88,13 +86,13 @@ class ConditioningSet:
         object.__setattr__(self, "basis", basis)
 
     @classmethod
-    def from_vectors(cls, vectors, cov: Covariance, tol: float = 1e-12) -> "ConditioningSet":
+    def from_vectors(cls, vectors, cov: Covariance) -> "ConditioningSet":
         """Build a conditioning set by A-orthonormalizing arbitrary
         sequence vectors (dependent inputs are dropped)."""
-        return cls(basis=gram_schmidt(vectors, cov, tol=tol))
+        return cls(basis=gram_schmidt(vectors, cov))
 
-    def validate(self, cov: Covariance, tol: float = ORTHONORMAL_TOL) -> None:
-        check_orthonormal_a(self.basis, cov, tol, "conditioning set")
+    def validate(self, cov: Covariance) -> None:
+        check_orthonormal_a(self.basis, cov, "conditioning set")
 
 
 def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
@@ -156,7 +154,7 @@ def cond_exp_chaos(
     return ChaosExpansion(kernels=kernels)
 
 
-def cond_exp_monomial(f, xs, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
+def cond_exp_monomial(f, xs, cov: Covariance) -> np.ndarray:
     """Kernel of the conditional expectation of <f, .> given the
     coefficient sequences ``xs`` in R^d.
 
@@ -165,7 +163,7 @@ def cond_exp_monomial(f, xs, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     ``sum_k bullet(bracket(f, A x_k), x_k) = F A X^T X``.  Raises if the
     conditioning span is degenerate (every input dropped).
     """
-    x = gram_schmidt_a(xs, cov, tol=tol)
+    x = gram_schmidt_a(xs, cov)
     return apply_extended(cov, f) @ x.T @ x
 
 

@@ -24,15 +24,15 @@ starting at 1, so a closure at order N corresponds to ``cut = N + 1``.
 
 Time integration is one-step explicit Lax-Friedrichs on a uniform
 periodic grid (conservative: spatial sums of each moment are exact
-invariants of the pure-advection system).  :func:`solve_closure` and
-:func:`step` share one marching loop, which builds the closed advection
-matrix B and its eigenvalues once per run.  The eigenvalues are computed
-numerically since the closure row can enlarge the spectral radius rho(B)
-or even make the closed system non-hyperbolic.  A non-real eigenvalue
-(|imag| > 1e-12 max(rho, 1)) makes the run raise
-:class:`ClosureInputError` (a ``ValueError`` naming the correlation
-matrix) before any step, since the closure is then ill-posed; a singular
-leading correlation block does the same.  The run enforces the CFL bound
+invariants of the pure-advection system).  :func:`solve_closure` holds
+the marching loop and builds the closed advection matrix B and its
+eigenvalues once per run; :func:`step` is a one-step ``solve_closure``.
+The eigenvalues are computed numerically since the closure row can
+enlarge the spectral radius rho(B) or even make the closed system
+non-hyperbolic.  A non-real eigenvalue (|imag| > 1e-12 max(rho, 1))
+makes the run raise :class:`ClosureInputError` (a ``ValueError`` naming
+the correlation matrix) before any step, since the closure is then
+ill-posed; a singular leading correlation block does the same.  The run enforces the CFL bound
 dt <= cfl * dx / rho and reports a violation as a ``ClosureInputError``
 naming ``dt``, as it does a ``dt`` whose Courant number dt / (2 dx) is
 not finite (possible only when rho = 0).  A run of more than
@@ -61,7 +61,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "MomentSystemCoeffs",
     "MaterialParams",
     "ClosureSpec",
     "MomentGrid",
@@ -99,18 +98,6 @@ class ClosureInputError(ValueError):
     def __init__(self, argument: str, message: str) -> None:
         self.argument = argument
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class MomentSystemCoeffs:
-    """Advection coefficients of the moment hierarchy up to order N.
-
-    ``b`` has shape (N+1, N+2): row k holds the couplings of moment k to
-    its neighbours, including the unresolved column N+1.
-    """
-
-    order: int
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,8 +201,11 @@ class MomentGrid:
         return self.values.shape[1] - 1
 
 
-def build_moment_system(order: int) -> MomentSystemCoeffs:
-    """Advection coefficients b_{k,k+1} = (k+1)/(2k+1), b_{k,k-1} = k/(2k+1).
+def build_moment_system(order: int) -> np.ndarray:
+    """Advection coefficients of the moment hierarchy up to order N as a
+    read-only (N+1, N+2) array: row k holds the couplings of moment k to
+    its neighbours, b_{k,k+1} = (k+1)/(2k+1) and b_{k,k-1} = k/(2k+1),
+    including the unresolved column N+1.
 
     An order above ``MAX_ORDER`` raises :class:`ClosureInputError`.
     """
@@ -229,7 +219,7 @@ def build_moment_system(order: int) -> MomentSystemCoeffs:
         if k >= 1:
             b[k, k - 1] = k / (2 * k + 1)
     b.setflags(write=False)
-    return MomentSystemCoeffs(order=order, b=b)
+    return b
 
 
 def closure_row(spec: ClosureSpec, order: int) -> np.ndarray:
@@ -256,12 +246,12 @@ def closure_row(spec: ClosureSpec, order: int) -> np.ndarray:
         raise ClosureInputError("correlation", "leading correlation block is singular") from None
 
 
-def closed_advection_matrix(coeffs: MomentSystemCoeffs, spec: ClosureSpec) -> np.ndarray:
-    """Square advection matrix with the closure row folded into the last
-    equation."""
-    n = coeffs.order
-    mat = coeffs.b[:, : n + 1].copy()
-    mat[n, :] += coeffs.b[n, n + 1] * closure_row(spec, n)
+def closed_advection_matrix(order: int, spec: ClosureSpec) -> np.ndarray:
+    """Square advection matrix of the moments 0..``order`` with the closure
+    row folded into the last equation."""
+    b = build_moment_system(order)
+    mat = b[:, : order + 1].copy()
+    mat[order, :] += b[order, order + 1] * closure_row(spec, order)
     return mat
 
 
@@ -279,37 +269,58 @@ def _source_term(params: MaterialParams, order: int, t: float) -> np.ndarray:
     return q
 
 
-def _march(
+def step(
     state: MomentGrid,
-    coeffs: MomentSystemCoeffs,
     params: MaterialParams,
     spec: ClosureSpec,
-    dt: float | None,
-    cfl: float,
-    t_final: float,
-    output_stride: int,
-) -> list[MomentGrid]:
-    """The one Lax-Friedrichs marching loop behind :func:`step` and :func:`solve_closure`.
-
-    B and its eigenvalues are computed once for the hyperbolicity check, rho,
-    the default ``dt`` and the CFL check.  u sits between two ghost rows of one
-    padded buffer and each step fills preallocated arrays (``dt * q`` is computed
-    once for a constant source).  Returns ``state``, every ``output_stride``-th
-    step and the final step.
+    dt: float,
+    cfl: float = DEFAULT_CFL,
+) -> MomentGrid:
+    """One explicit Lax-Friedrichs step with periodic boundaries: a
+    :func:`solve_closure` run of one step of ``dt``, so a loop of steps
+    reproduces its snapshots bitwise.  Raises as that run does, e.g. on a
+    non-hyperbolic closed advection matrix, on CFL violation (dt > cfl *
+    dx / rho of that matrix) and on non-finite output, reporting time and
+    first bad cell.
     """
-    if state.order != coeffs.order:
-        raise ValueError(
-            f"state order {state.order} does not match coefficients order {coeffs.order}"
-        )
-    if state.values.shape[0] != params.cells:
-        raise ValueError(
-            f"state has {state.values.shape[0]} cells, params have {params.cells}"
-        )
+    return solve_closure(state, params, spec, t_final=dt, dt=dt, cfl=cfl)[-1]
+
+
+def solve_closure(
+    initial: MomentGrid,
+    params: MaterialParams,
+    spec: ClosureSpec,
+    t_final: float,
+    dt: float | None = None,
+    output_stride: int = 1,
+    cfl: float = DEFAULT_CFL,
+) -> list[MomentGrid]:
+    """March the closed system to ``t_final``, collecting snapshots.
+
+    The closed advection matrix and its eigenvalues are computed once per
+    call; a matrix with a non-real eigenvalue (an ill-posed closure)
+    raises ``ValueError`` before any step is taken.  With ``dt`` omitted
+    the largest CFL-stable step is used.  The step count is
+    ``round(t_final / dt)`` (at least one), so the reached end time is
+    ``steps * dt``.  Snapshots are the initial state, every
+    ``output_stride``-th step, and the final state.  A run of more than
+    ``MAX_STEPS`` steps or with more than ``MAX_SNAPSHOT_VALUES`` snapshot
+    values, a ``dt`` that is not positive, and a ``cfl`` that is not
+    positive and finite, raise :class:`ClosureInputError` before any step.
+    """
     if dt is not None and not dt > 0:
         raise ClosureInputError("dt", f"dt must be positive, got {dt}")
+    if t_final <= 0:
+        raise ValueError(f"t_final must be positive, got {t_final}")
+    if output_stride < 1:
+        raise ValueError(f"output_stride must be >= 1, got {output_stride}")
+    if initial.values.shape[0] != params.cells:
+        raise ValueError(
+            f"state has {initial.values.shape[0]} cells, params have {params.cells}"
+        )
     if not 0.0 < cfl < np.inf:
         raise ClosureInputError("cfl", f"cfl must be positive and finite, got {cfl}")
-    b_closed = closed_advection_matrix(coeffs, spec)
+    b_closed = closed_advection_matrix(initial.order, spec)
     eigenvalues = np.linalg.eigvals(b_closed)
     rho = float(np.abs(eigenvalues).max())
     worst = eigenvalues[np.abs(eigenvalues.imag).argmax()]
@@ -333,20 +344,20 @@ def _march(
                                 f"{MAX_STEPS} steps of dt = {dt:.6g}")
     n_steps = max(1, round(t_final / dt))
     kept = 1 + n_steps // output_stride + (n_steps % output_stride > 0)
-    if kept * state.values.size > MAX_SNAPSHOT_VALUES:
-        raise ClosureInputError("t_final", f"{kept} snapshots of {state.values.size} values "
+    if kept * initial.values.size > MAX_SNAPSHOT_VALUES:
+        raise ClosureInputError("t_final", f"{kept} snapshots of {initial.values.size} values "
                                 f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
     b_t = np.ascontiguousarray(b_closed.T)
-    padded = np.concatenate([state.values[-1:], state.values, state.values[:1]])
+    padded = np.concatenate([initial.values[-1:], initial.values, initial.values[:1]])
     u, left, right = padded[1:-1], padded[:-2], padded[2:]
     mean, flux, work = np.empty((3, *u.shape))
     finite = np.empty(u.shape, dtype=bool)
-    snapshots, t = [state], state.t
+    snapshots, t = [initial], initial.t
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports overflow
-        damping = dt * _absorption(params, state.order)
-        fixed = None if callable(params.source) else dt * _source_term(params, state.order, t)
+        damping = dt * _absorption(params, initial.order)
+        fixed = None if callable(params.source) else dt * _source_term(params, initial.order, t)
         for i in range(1, n_steps + 1):
-            source = fixed if fixed is not None else dt * _source_term(params, state.order, t)
+            source = fixed if fixed is not None else dt * _source_term(params, initial.order, t)
             padded[0], padded[-1] = padded[-2], padded[1]
             # 0.5 (left + right) - (courant (right - left)) @ B^T - damping u + dt q
             np.multiply(0.5, np.add(left, right, out=mean), out=mean)
@@ -364,50 +375,3 @@ def _march(
     return snapshots
 
 
-def step(
-    state: MomentGrid,
-    coeffs: MomentSystemCoeffs,
-    params: MaterialParams,
-    spec: ClosureSpec,
-    dt: float,
-    cfl: float = DEFAULT_CFL,
-) -> MomentGrid:
-    """One explicit Lax-Friedrichs step with periodic boundaries.
-
-    A thin wrapper over the marching loop of :func:`solve_closure`, so a
-    loop of steps reproduces its snapshots bitwise.  Raises on a
-    non-hyperbolic closed advection matrix, on CFL violation (dt > cfl *
-    dx / rho of that matrix) and on non-finite output, reporting time
-    and first bad cell.
-    """
-    return _march(state, coeffs, params, spec, dt, cfl, t_final=dt, output_stride=1)[-1]
-
-
-def solve_closure(
-    initial: MomentGrid,
-    params: MaterialParams,
-    spec: ClosureSpec,
-    t_final: float,
-    dt: float | None = None,
-    output_stride: int = 1,
-    cfl: float = DEFAULT_CFL,
-) -> list[MomentGrid]:
-    """March the closed system to ``t_final``, collecting snapshots.
-
-    The closed advection matrix and its eigenvalues are computed once per
-    call; a matrix with a non-real eigenvalue (an ill-posed closure)
-    raises ``ValueError`` before any step is taken.  With ``dt`` omitted
-    the largest CFL-stable step is used.  The step count is
-    ``round(t_final / dt)`` (at least one), so the reached end time is
-    ``steps * dt``.  Snapshots are the initial state, every
-    ``output_stride``-th step, and the final state.  A run of more than
-    ``MAX_STEPS`` steps or with more than ``MAX_SNAPSHOT_VALUES`` snapshot
-    values, and a ``cfl`` that is not positive and finite, raise
-    :class:`ClosureInputError` before any step.
-    """
-    if t_final <= 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
-    if output_stride < 1:
-        raise ValueError(f"output_stride must be >= 1, got {output_stride}")
-    coeffs = build_moment_system(initial.order)
-    return _march(initial, coeffs, params, spec, dt, cfl, t_final, output_stride)

@@ -55,6 +55,13 @@ __all__ = [
 ]
 
 
+# Gram-Schmidt drops a vector whose residual A-norm is at most this
+# fraction of its input A-norm.
+DEPENDENT_TOL = 1e-12
+# A family is A-orthonormal when every Gram entry is within this of the identity.
+ORTHONORMAL_TOL = 1e-8
+
+
 def _as_array(x, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != ndim:
@@ -281,29 +288,30 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     return cov._weigh(fa).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
 
-def check_orthonormal_a(vectors, cov: Covariance, tol: float, what: str) -> None:
+def check_orthonormal_a(vectors, cov: Covariance, what: str) -> None:
     """Raise ``ValueError`` unless every entry of the Gram matrix of the
-    (p, m, d) stack ``vectors`` is within ``tol`` of the identity; the
-    message names ``what`` and the worst pair."""
+    (p, m, d) stack ``vectors`` is within ``ORTHONORMAL_TOL`` of the
+    identity; the message names ``what`` and the worst pair."""
     gram = gram_a(vectors, vectors, cov)
     deviation = np.triu(np.abs(gram - np.eye(len(gram))))
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
-    if not deviation[i, j] <= tol:
+    if not deviation[i, j] <= ORTHONORMAL_TOL:
         raise ValueError(
             f"{what} is not A-orthonormal: worst pair ({i}, {j})_A = {gram[i, j]:.3e}"
         )
 
 
-def gram_schmidt(vectors, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
+def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
     """A-orthonormalize a (q, m, d) stack of sequence vectors into a
     (k, m, d) array.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; the image
     ``b A`` of each kept vector is formed once, so each coefficient is
-    ``vdot(w, b A)``.  A vector whose residual norm falls to ``tol`` times
-    its input norm (or to zero) is dropped as dependent; input order is
-    preserved otherwise.  Raises if the stack is empty, not finite or not
-    of sequence length ``cov.dim``, or if every vector is dropped.
+    ``vdot(w, b A)``.  A vector whose residual norm falls to
+    ``DEPENDENT_TOL`` times its input norm (or to zero) is dropped as
+    dependent; input order is preserved otherwise.  Raises if the stack is
+    empty, not finite or not of sequence length ``cov.dim``, or if every
+    vector is dropped.
     """
     if len(vectors) == 0:
         raise ValueError("cannot orthonormalize an empty list")
@@ -317,7 +325,7 @@ def gram_schmidt(vectors, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
             for b, b_a in zip(basis, images):
                 w = w - np.vdot(w, b_a) * b
         residual = np.sqrt(max(np.vdot(w, cov._weigh(w)), 0.0))
-        if residual <= tol * scale or residual == 0.0:
+        if residual <= DEPENDENT_TOL * scale or residual == 0.0:
             continue
         basis.append(w / residual)
         images.append(cov._weigh(basis[-1]))
@@ -326,7 +334,7 @@ def gram_schmidt(vectors, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
     return np.array(basis)
 
 
-def gram_schmidt_a(xs: Sequence, cov: Covariance, tol: float = 1e-12) -> np.ndarray:
+def gram_schmidt_a(xs: Sequence, cov: Covariance) -> np.ndarray:
     """A-orthonormalize a list of coefficient sequences in R^d; the kept
     vectors are the rows of a (k, d) array."""
     vecs = [_as_array(x, 1, "conditioning vector") for x in xs]
@@ -335,7 +343,7 @@ def gram_schmidt_a(xs: Sequence, cov: Covariance, tol: float = 1e-12) -> np.ndar
             raise ValueError(
                 f"vector of length {v.shape[0]} does not match covariance dim {cov.dim}"
             )
-    return gram_schmidt(np.reshape(vecs, (len(vecs), 1, cov.dim)), cov, tol=tol)[:, 0]
+    return gram_schmidt(np.reshape(vecs, (len(vecs), 1, cov.dim)), cov)[:, 0]
 
 
 def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:

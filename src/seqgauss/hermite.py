@@ -13,7 +13,8 @@ for the physicists' polynomials, the two conventions are linked by
 H_n(x) = 2^(-n/2) G_n(x / sqrt(2)) and G_n(x) = 2^(n/2) H_n(sqrt(2) x).
 
 ``gh_expectation`` integrates against the standard normal density by
-Gauss-Hermite quadrature, exact for polynomials of degree < 2 * order.
+Gauss-Hermite quadrature of ``DEFAULT_QUADRATURE_ORDER`` nodes, exact for
+polynomials of degree < 2 * DEFAULT_QUADRATURE_ORDER.
 """
 
 from __future__ import annotations
@@ -117,13 +118,14 @@ def gaussian_quadrature(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def gh_expectation(g: Callable, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Expectation of g under the standard normal by Gauss-Hermite quadrature.
+def gh_expectation(g: Callable) -> float:
+    """Expectation of g under the standard normal by the Gauss-Hermite rule
+    of ``DEFAULT_QUADRATURE_ORDER`` nodes.
 
-    Exact (to rounding) for polynomial g of degree <= 2 * order - 1.  g may
-    be vectorized over an array of nodes; a scalar-only g also works.
+    Exact (to rounding) for polynomial g of degree < 2 * DEFAULT_QUADRATURE_ORDER.
+    g may be vectorized over an array of nodes; a scalar-only g also works.
     """
-    rule = gaussian_quadrature(order)
+    rule = gaussian_quadrature()
     try:
         values = np.asarray(g(rule.nodes), dtype=float)
         if values.shape != rule.nodes.shape:

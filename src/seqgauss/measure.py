@@ -41,28 +41,30 @@ __all__ = [
 ]
 
 ISSERLIS_MAX_FACTORS = 10
+# pushforward_check flags a statistic this many standard errors from its target
+SIGMA_BAND = 4.0
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Stack of samples with shape (count, m, d), plus the seed that
-    produced it.  Same covariance, dims, seed and count always reproduce
-    the identical batch within a build."""
+    """Read-only stack of samples with shape (count, m, d).  ``sample_mu_a``
+    with the same covariance, dims, seed and count reproduces the identical
+    batch within a build."""
 
     samples: np.ndarray
-    seed: int
-    count: int
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != self.count:
-            raise ValueError(
-                f"samples must have shape (count, m, d) with count={self.count}, got {arr.shape}"
-            )
+        if arr.ndim != 3:
+            raise ValueError(f"samples must have shape (count, m, d), got {arr.shape}")
         if arr is self.samples and arr.flags.writeable:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
     z = np.random.default_rng(seed).standard_normal((count, dims.m, dims.d))
     samples = cov._whiten(z.reshape(-1, dims.d)).reshape(z.shape)
     samples.setflags(write=False)
-    return SampleBatch(samples=samples, seed=seed, count=count)
+    return SampleBatch(samples)
 
 
 def pairing(phi, w) -> float:
@@ -201,7 +203,7 @@ class PushforwardReport:
     """Empirical check that A-orthonormal observables are independent
     standard normals: componentwise means and variances with their
     standard errors, pairwise sample covariances, and the statistics that
-    fell outside four standard errors of (0, 1, 0)."""
+    fell outside ``SIGMA_BAND`` standard errors of (0, 1, 0)."""
 
     means: np.ndarray
     mean_errors: np.ndarray
@@ -216,24 +218,18 @@ class PushforwardReport:
         return not self.failures
 
 
-def pushforward_check(
-    phis,
-    batch: SampleBatch,
-    cov: Covariance,
-    orthonormal_tol: float = 1e-8,
-    sigma_band: float = 4.0,
-) -> PushforwardReport:
+def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardReport:
     """Compare the empirical law of (<phi_i, W>)_i against independent
     standard normals.
 
-    Requires the phis to be A-orthonormal within ``orthonormal_tol``.
-    Flags any mean, variance or pairwise covariance outside ``sigma_band``
+    Requires the phis to be A-orthonormal within ``core.ORTHONORMAL_TOL``.
+    Flags any mean, variance or pairwise covariance outside ``SIGMA_BAND``
     standard errors of (0, 1, 0).
     """
     q = len(phis)
     if q == 0:
         raise ValueError("need at least one observable")
-    check_orthonormal_a(phis, cov, orthonormal_tol, "observable family")
+    check_orthonormal_a(phis, cov, "observable family")
     coords = pairings(phis, batch)
     n = batch.count
     means = coords.mean(axis=0)
@@ -247,14 +243,14 @@ def pushforward_check(
     )
     failures = []
     for i in range(q):
-        if abs(means[i]) > sigma_band * mean_errors[i]:
+        if abs(means[i]) > SIGMA_BAND * mean_errors[i]:
             failures.append(f"mean[{i}] = {means[i]:.4e} (se {mean_errors[i]:.2e})")
-        if abs(variances[i] - 1.0) > sigma_band * variance_errors[i]:
+        if abs(variances[i] - 1.0) > SIGMA_BAND * variance_errors[i]:
             failures.append(
                 f"var[{i}] = {variances[i]:.6f} (se {variance_errors[i]:.2e})"
             )
         for j in range(i + 1, q):
-            if abs(covariances[i, j]) > sigma_band * covariance_errors[i, j]:
+            if abs(covariances[i, j]) > SIGMA_BAND * covariance_errors[i, j]:
                 failures.append(
                     f"cov[{i},{j}] = {covariances[i, j]:.4e} (se {covariance_errors[i, j]:.2e})"
                 )

@@ -13,8 +13,10 @@ import json
 import numpy as np
 
 from .chaos import ChaosExpansion
-from .closure import MAX_ORDER, MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid
-from .core import Covariance
+from .closure import (
+    DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid,
+)
+from .core import Covariance, apply_extended
 from .wick import RankOnePower, SymKernel
 
 __all__ = [
@@ -169,7 +171,8 @@ def _positive_int(doc: dict, field: str, default=None) -> int:
 
 
 def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndarray]]:
-    """Read {A, f, conditioning} for the conditional-expectation command."""
+    """Read {A, f, conditioning} for the conditional-expectation command;
+    an f whose weighted image F A is not finite is refused as field f."""
     a = matrix_from_lists(_require(doc, "A"), "A")
     try:
         cov = Covariance(a)
@@ -178,6 +181,10 @@ def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndar
     f = matrix_from_lists(_require(doc, "f"), "f")
     if f.shape[1] != cov.dim:
         raise ConfigError("f", f"must have {cov.dim} columns to match A, got {f.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = apply_extended(cov, f)
+    if not np.isfinite(weighted).all():
+        raise ConfigError("f", "F A overflows: f is too large for the weight A")
     cond_raw = _require(doc, "conditioning")
     if not isinstance(cond_raw, list) or not cond_raw:
         raise ConfigError("conditioning", "must be a non-empty list of vectors")
@@ -216,14 +223,9 @@ def load_closure_config(doc: dict) -> dict:
     t_final = _number(doc, "T")
     if t_final <= 0:
         raise ConfigError("T", "must be positive")
-    dt = doc.get("dt")
-    if dt is not None:
-        dt = _number(doc, "dt")
-        if dt <= 0:
-            raise ConfigError("dt", "must be positive")
-    cfl = _number(doc, "cfl", default=0.9)
-    if cfl <= 0:
-        raise ConfigError("cfl", "must be positive")
+    # the solver refuses a dt or cfl that is not positive, naming the field
+    dt = None if doc.get("dt") is None else _number(doc, "dt")
+    cfl = _number(doc, "cfl", default=DEFAULT_CFL)
     output_stride = _positive_int(doc, "output_stride", default=1)
 
     closure_doc = _require(doc, "closure")

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,19 @@ def test_condexp_worked_example(tmp_path, capsys):
     assert np.allclose(kernel, expected, atol=1e-12, rtol=0)
 
 
+def test_condexp_overflowing_weighted_f_exits_2_naming_f(tmp_path, capsys):
+    config = tmp_path / "cond.json"
+    serialize.save_document(
+        config, {"A": [[1e200, 0.0], [0.0, 1e200]], "f": [[1e200, 1.0]], "conditioning": [[1, 0]]}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
+    assert code == 2
+    assert "config error: field 'f'" in err and "overflows" in err
+    assert out == "" and not caught
+
+
 def test_condexp_missing_field_is_config_error(tmp_path, capsys):
     config = tmp_path / "cond.json"
     serialize.save_document(config, {"A": [[1.0]]})
@@ -206,9 +220,12 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
         ("closure", {"kind": "optimal_prediction",
                      "A": np.eye(5).tolist()[:4] + [[0.0, 0.0, 0.0, 0.0, True]]},
          "closure.A"),
-        # rejected by the solver: singular leading correlation block, dt above the CFL bound
+        # rejected by the solver: singular leading correlation block, dt above the
+        # CFL bound, dt and cfl not positive
         ("closure", {"kind": "optimal_prediction", "A": np.ones((5, 5)).tolist()}, "closure.A"),
         ("dt", 0.05, "dt"),
+        ("dt", -0.005, "dt"),
+        ("cfl", 0.0, "cfl"),
     ],
 )
 def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):
@@ -296,6 +313,8 @@ def _mutated(value, how):
         if isinstance(value, list):
             return [_mutated(v, how) for v in value]
         return -abs(value) - 1.0 if isinstance(value, (int, float)) else value
+    if how in ("huge", "tiny") and isinstance(value, list):
+        return [_mutated(v, how) for v in value]
     if how == "huge":
         return value * (10**12 if isinstance(value, int) else 1e300)
     if how == "tiny":
@@ -345,6 +364,77 @@ def test_closure_fuzzed_config_exits_0_or_2_without_traceback(doc):
     assert (code == 2) == ("config error: field '" in err.getvalue())
 
 
+@st.composite
+def mutated_numeric_docs(draw, doc):
+    """A copy of ``doc``, whose entries are (nested lists of) numbers, with
+    one entry (possibly nested) mutated, scaled by 1e300 or 1e-300, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], list) and draw(st.booleans()):
+        parent, key = parent[key], draw(st.sampled_from(range(len(parent[key]))))
+    how = draw(st.sampled_from(
+        ["string", "nan", "negative", "bool", "wrong length", "huge", "tiny", "drop"]
+    ))
+    if how != "drop":
+        parent[key] = _mutated(parent[key], how)
+    elif isinstance(parent, dict):
+        del parent[key]
+    else:
+        del parent[key:]
+    return doc
+
+
+def run_fuzzed(args, doc):
+    """Run the CLI on ``args``, with ``{doc}`` standing for a file holding
+    ``doc`` and ``{out}`` for an output path; check that it exits 0 or 2,
+    exits 2 exactly when a config error names a field, and shows no
+    traceback or warning.  Returns the exit code, stdout and the output
+    file's text ("" when none was written)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"doc": str(Path(tmp) / "doc.json"), "out": str(Path(tmp) / "o.csv")}
+        serialize.save_document(paths["doc"], doc)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([arg.format(**paths) for arg in args])
+        written = Path(paths["out"]).read_text() if Path(paths["out"]).exists() else ""
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert (code == 2) == ("config error: field '" in err.getvalue())
+    return code, out.getvalue(), written
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite constant {name} in the output")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(doc=mutated_numeric_docs({
+    "A": [[1.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+          [0.0, 0.0, 0.0, 1.0]],
+    "f": [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]],
+    "conditioning": [[1.0, 0.0, 0.0, 0.0], [0.5, 1.0, 0.0, 2.0]],
+}))
+def test_condexp_fuzzed_config_exits_0_or_2_without_traceback(doc):
+    code, out, _ = run_fuzzed(["condexp", "--config", "{doc}"], doc)
+    if code == 0:
+        json.loads(out[out.index("[") :], parse_constant=_refuse_constant)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(doc=mutated_numeric_docs({"A": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.5]]}))
+def test_sample_fuzzed_covariance_exits_0_or_2_without_traceback(doc):
+    args = ["sample", "--seed", "1", "--samples", "5", "--dim-h", "2", "--dim-seq", "3"]
+    code, _, written = run_fuzzed(args + ["--cov", "{doc}", "--out", "{out}"], doc)
+    if code == 0:
+        values = np.array([row.split(",") for row in written.splitlines()[1:]], dtype=float)
+        assert values.shape == (5, 6) and np.isfinite(values).all()
+    else:
+        assert written == ""
+
+
 def stdlib_csv_bytes(tmp_path, header, rows):
     """What the stdlib ``csv.writer`` writes for ``header`` and ``rows``."""
     path = tmp_path / "stdlib.csv"
@@ -387,6 +477,27 @@ def test_seeded_sample_csv_bytes_are_pinned(tmp_path, capsys):
             batch = sample_mu_a(cov, TruncationDims(m, d), count, seed=7)
             z = np.random.default_rng(7).standard_normal((count, m, d))
             assert batch.samples.tobytes() == (z @ cov.chol.T).tobytes()
+
+
+def test_closure_csv_bytes_are_pinned(tmp_path, capsys):
+    # optimal prediction with scattering, absorption and a source, every third
+    # step kept; the identity leading block makes the closure row exact
+    doc = {
+        "a": 0.0, "b": 1.0, "J": 16, "N": 2, "T": 0.1, "dt": 0.01, "output_stride": 3,
+        "closure": {"kind": "optimal_prediction",
+                    "A": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]},
+        "sigma": 0.5, "kappa": 0.25, "q": 0.75,
+        "initial": [[1.0 if 4 <= j < 12 else 0.25 for j in range(16)], 0.125, 0.0],
+    }
+    cfg = tmp_path / "run.json"
+    serialize.save_document(cfg, doc)
+    out = tmp_path / "run.csv"
+    assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 5 snapshots to {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2a5096dfdba660496c1b3d9d2c28b83713534ea99c897431abd0f46c38071d24"
+    )
 
 
 def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from seqgauss import closure, core
+from seqgauss.verify import _bump_initial as gaussian_bump
+from seqgauss.verify import _params as make_params
 from seqgauss.verify import (
     check_absorption_and_source,
     check_advection_coefficients,
@@ -12,19 +14,6 @@ from seqgauss.verify import (
     check_refinement_monotone,
     check_weak_form_projection,
 )
-
-
-def make_params(cells=64, sigma=0.0, kappa=0.0, source=0.0):
-    return closure.MaterialParams(
-        a=0.0, b=1.0, cells=cells, sigma=sigma, kappa=kappa, source=source
-    )
-
-
-def gaussian_bump(params, order):
-    x = params.x_centers
-    values = np.zeros((params.cells, order + 1))
-    values[:, 0] = np.exp(-0.5 * ((x - 0.5) / 0.08) ** 2)
-    return closure.MomentGrid(t=0.0, values=values)
 
 
 def test_advection_coefficients_exact():
@@ -41,8 +30,7 @@ def test_time_dependent_source_evaluated_at_step_start():
         source=lambda x, t: np.full_like(x, t),
     )
     state = closure.MomentGrid(t=2.0, values=np.zeros((4, 1)))
-    coeffs = closure.build_moment_system(0)
-    out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.1)
+    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.1)
     # q_0 = 2 * kappa * q(x, t_start) = 2 * 1 * 2, applied over dt
     assert np.allclose(out.values[:, 0], 0.1 * 4.0, atol=1e-15, rtol=0)
 
@@ -103,9 +91,8 @@ def test_closure_spec_validation():
 
 def test_step_constant_free_state_is_stationary():
     params = make_params(cells=16)
-    coeffs = closure.build_moment_system(2)
     state = closure.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-    out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
     assert np.array_equal(out.values, state.values)
     assert out.t == pytest.approx(0.01)
 
@@ -113,9 +100,8 @@ def test_step_constant_free_state_is_stationary():
 def test_step_pure_absorption_factor():
     kappa = 0.7
     params = make_params(cells=16, kappa=kappa)
-    coeffs = closure.build_moment_system(2)
     state = closure.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-    out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
     assert np.allclose(
         out.values[:, 0], state.values[:, 0] * (1 - kappa * 0.01), atol=1e-15, rtol=0
     )
@@ -127,9 +113,8 @@ def test_step_pure_absorption_factor():
 
 def test_step_source_feeds_only_moment_zero():
     params = make_params(cells=16, kappa=0.5, source=1.5)
-    coeffs = closure.build_moment_system(3)
     state = closure.MomentGrid(t=0.0, values=np.zeros((16, 4)))
-    out = closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
     assert (out.values[:, 0] > 0).all()
     assert not out.values[:, 1:].any()
 
@@ -150,12 +135,11 @@ def test_cfl_must_be_positive_and_finite(cfl):
     params = make_params(cells=16)
     state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
     spec = closure.ClosureSpec(kind="pn")
-    coeffs = closure.build_moment_system(2)
     with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
         closure.solve_closure(state, params, spec, t_final=0.1, cfl=cfl)
     assert exc.value.argument == "cfl"
     with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
-        closure.step(state, coeffs, params, spec, dt=0.01, cfl=cfl)
+        closure.step(state, params, spec, dt=0.01, cfl=cfl)
     assert exc.value.argument == "cfl"
 
 
@@ -183,7 +167,9 @@ def test_overlong_run_is_refused_before_any_step(t_final, dt, cfl, output_stride
 
 
 def test_order_above_max_order_is_refused():
-    assert closure.build_moment_system(closure.MAX_ORDER).order == closure.MAX_ORDER
+    assert closure.build_moment_system(closure.MAX_ORDER).shape == (
+        closure.MAX_ORDER + 1, closure.MAX_ORDER + 2
+    )
     with pytest.raises(closure.ClosureInputError, match="MAX_ORDER") as exc:
         closure.build_moment_system(closure.MAX_ORDER + 1)
     assert exc.value.argument == "order"
@@ -204,17 +190,16 @@ def test_dt_with_non_finite_courant_number_is_refused(dt):
         closure.solve_closure(state, params, spec, t_final=0.1, dt=dt)
     assert exc.value.argument == "dt"
     with pytest.raises(closure.ClosureInputError, match="Courant") as exc:
-        closure.step(state, closure.build_moment_system(0), params, spec, dt=dt)
+        closure.step(state, params, spec, dt=dt)
     assert exc.value.argument == "dt"
 
 
 def test_step_reports_blowup_location():
     # absorption coefficient large enough to overflow the explicit update
     params = make_params(cells=8, kappa=1e308)
-    coeffs = closure.build_moment_system(0)
     state = closure.MomentGrid(t=0.0, values=np.full((8, 1), 1e308))
     with pytest.raises(ValueError, match="non-finite"):
-        closure.step(state, coeffs, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+        closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
 
 
 def test_moment_grid_rejects_non_finite_values():
@@ -228,9 +213,9 @@ def test_material_params_validation():
     with pytest.raises(ValueError, match="cells"):
         make_params(cells=1)
     with pytest.raises(ValueError, match="non-negative"):
-        make_params(sigma=-1.0)
+        make_params(64, sigma=-1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        make_params(kappa=-0.1)
+        make_params(64, kappa=-0.1)
 
 
 def test_truncation_equals_identity_prediction_trajectories():
@@ -323,16 +308,15 @@ def test_non_hyperbolic_closure_is_rejected_by_both_entry_points():
     with pytest.raises(ValueError, match=pattern):
         closure.solve_closure(initial, params, spec, t_final=0.1, dt=0.01)
     with pytest.raises(ValueError, match=pattern):
-        closure.step(initial, closure.build_moment_system(1), params, spec, dt=0.01)
+        closure.step(initial, params, spec, dt=0.01)
 
 
 def _step_loop(initial, params, spec, dt, t_final, output_stride):
     """What solve_closure documents, written as a loop of public steps."""
-    coeffs = closure.build_moment_system(initial.order)
     n_steps = max(1, round(t_final / dt))
     state, snapshots = initial, [initial]
     for i in range(1, n_steps + 1):
-        state = closure.step(state, coeffs, params, spec, dt)
+        state = closure.step(state, params, spec, dt)
         if i % output_stride == 0 or i == n_steps:
             snapshots.append(state)
     return snapshots
@@ -343,9 +327,9 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
     builds = []
     build = closure.closed_advection_matrix
 
-    def counted_build(coeffs, spec):
-        builds.append(coeffs.order)
-        return build(coeffs, spec)
+    def counted_build(order, spec):
+        builds.append(order)
+        return build(order, spec)
 
     monkeypatch.setattr(closure, "closed_advection_matrix", counted_build)
     order = 3
@@ -374,8 +358,7 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
 def _roll_reference(initial, params, spec, dt, t_final, output_stride):
     """Lax-Friedrichs with two ``np.roll`` copies per step, in the
     expression order the marching loop must keep."""
-    coeffs = closure.build_moment_system(initial.order)
-    b_closed = closure.closed_advection_matrix(coeffs, spec)
+    b_closed = closure.closed_advection_matrix(initial.order, spec)
     n_steps = max(1, round(t_final / dt))
     courant = dt / (2.0 * params.dx)
     damping = dt * closure._absorption(params, initial.order)

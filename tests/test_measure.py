@@ -128,7 +128,7 @@ def test_char_function_matches_gaussian_transform():
 
 
 def test_char_function_empty_batch_rejected():
-    batch = measure.SampleBatch(samples=np.zeros((0, M, D)), seed=0, count=0)
+    batch = measure.SampleBatch(np.zeros((0, M, D)))
     with pytest.raises(ValueError, match="empty"):
         measure.char_function_mc(np.ones((M, D)), batch)
 
