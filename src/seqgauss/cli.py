@@ -43,11 +43,12 @@ from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
-# ``sample`` holds the whole batch (2**22 doubles is 32 MiB) and formats one
-# CSV row at a time, at about 250 bytes of Python objects per value of the
-# row (526 MB peak RSS for one row of 2**21 values on a 2-vCPU VM), so the
-# widest row allowed stays near 1 GB.
+# ``sample`` holds the whole batch (2**22 doubles is 32 MiB) and formats its
+# CSV in pieces of at most _CHUNK_CELLS cells, however wide a row is.
 MAX_SAMPLE_VALUES = 2**22
+# cells per piece of a ``sample`` CSV line; formatting one piece holds
+# about 10 MB of Python objects
+_CHUNK_CELLS = 65_536
 # config field behind each input a closure run can be rejected for
 _CLOSURE_FIELDS = {
     "correlation": "closure.A", "dt": "dt", "cfl": "cfl", "order": "N", "t_final": "T",
@@ -187,13 +188,27 @@ def _cmd_sample(args) -> int:
         cov = Covariance.identity(args.dim_seq)
     dims = TruncationDims(args.dim_h, args.dim_seq)
     batch = sample_mu_a(cov, dims, args.samples, seed)
-    header = [
-        f"w_{i}_{k}" for i in range(args.dim_h) for k in range(args.dim_seq)
-    ]
-    lines = (_cells(row.tolist()) for row in batch.samples.reshape(args.samples, -1))
-    _write_csv(args.out, header, lines)
+    with open(args.out, "w", newline="") as fh:
+        fh.writelines(_sample_pieces(batch.samples.reshape(args.samples, -1), args.dim_seq))
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
+
+
+def _sample_pieces(rows, dim_seq: int):
+    """CSV text of a flattened sample batch: the header ``w_i_k`` (entry i,
+    sequence position k) and then one line per row of ``rows``, each cell
+    as in ``_cells``.  Every line is yielded in pieces of at most
+    ``_CHUNK_CELLS`` cells, each ending in the comma or the CRLF that
+    follows it, so no string or list of a whole wide row is built; the
+    bytes are those ``_write_csv`` writes for the whole lines."""
+    width = rows.shape[1]
+    spans = [(a, min(a + _CHUNK_CELLS, width)) for a in range(0, width, _CHUNK_CELLS)]
+    ends = [","] * (len(spans) - 1) + ["\r\n"]
+    for (a, b), end in zip(spans, ends):
+        yield ",".join(f"w_{j // dim_seq}_{j % dim_seq}" for j in range(a, b)) + end
+    for row in rows:
+        for (a, b), end in zip(spans, ends):
+            yield _cells(row[a:b].tolist()) + end
 
 
 def _cmd_condexp(args) -> int:

@@ -307,16 +307,23 @@ def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
 
     Modified Gram-Schmidt with one re-orthogonalization pass; the image
     ``b A`` of each kept vector is formed once, so each coefficient is
-    ``vdot(w, b A)``.  A vector whose residual norm falls to
-    ``DEPENDENT_TOL`` times its input norm (or to zero) is dropped as
-    dependent; input order is preserved otherwise.  Raises if the stack is
-    empty, not finite or not of sequence length ``cov.dim``, or if every
-    vector is dropped.
+    ``vdot(w, b A)``.  Each input is first scaled by the power of two that
+    brings its largest entry into [0.5, 1), so the norm of a finite vector
+    however large or small neither overflows nor underflows; power-of-two
+    scaling is exact, so wherever the unscaled input would not overflow or
+    underflow the result is bitwise the same.  A vector whose residual
+    norm falls to ``DEPENDENT_TOL`` times its input norm (or to zero) is
+    dropped as dependent; input order is preserved otherwise.  Raises if
+    the stack is empty, not finite or not of sequence length ``cov.dim``,
+    or if every vector is dropped.
     """
     if len(vectors) == 0:
         raise ValueError("cannot orthonormalize an empty list")
     stack = _as_array(vectors, 3, "vectors")
     _check_length(stack, cov)
+    exponents = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
+    # ldexp, not stack * 2.0**-e, which overflows for subnormal entries
+    stack = np.ldexp(stack, -exponents[:, None, None])
     basis: list[np.ndarray] = []
     images: list[np.ndarray] = []
     for w in stack:

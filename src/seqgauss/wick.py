@@ -17,6 +17,11 @@ array of scaled pairings of a kernel, block by block of samples (a
 zero-norm base contributes 0 for n >= 1, and the bare coefficient at
 degree 0).
 
+The weighted inner product of two rank-one powers is the n-th power of
+the inner product of their bases, so that of two kernels is one weighted
+Gram product raised entrywise to n and contracted with the coefficients:
+``kernel_inner_a`` returns ``a @ gram_a(bases_1, bases_2)**n @ b``.
+
 For cross-checking at small sizes the module carries a dense
 representation (``DenseTensor``, full (m*d)^n arrays, capped at degree 4
 and m*d <= 6) together with two independent constructions of the Wick
@@ -43,7 +48,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import Covariance, gram_a, inner_a
+from .core import Covariance, gram_a
 from .hermite import hermite_prob
 
 __all__ = [
@@ -336,16 +341,19 @@ def wick_eval_dense(n: int, cov: Covariance, w, t: DenseTensor) -> float:
 
 
 def kernel_inner_a(k1: SymKernel, k2: SymKernel, cov: Covariance) -> float:
-    """Weighted inner product of two degree-n kernels:
-    ``sum_ij a_i b_j (base_i, base_j)_A^n`` (coefficient product at degree 0)."""
+    """Weighted inner product of two degree-n kernels,
+    ``sum_ij a_i b_j (base_i, base_j)_A^n``, as one product
+    ``a @ G**n @ b`` with ``G = gram_a(bases_1, bases_2, cov)`` raised
+    entrywise to n (at degree 0, the product of the coefficient sums).
+    A kernel with no terms gives 0.0."""
     if k1.degree != k2.degree:
         raise ValueError(f"degree mismatch: {k1.degree} vs {k2.degree}")
-    n = k1.degree
-    total = 0.0
-    for t1 in k1.terms:
-        for t2 in k2.terms:
-            total += t1.coeff * t2.coeff * inner_a(t1.base, t2.base, cov) ** n
-    return total
+    if not (k1.terms and k2.terms):
+        return 0.0
+    gram = gram_a([t.base for t in k1.terms], [t.base for t in k2.terms], cov)
+    c1 = np.array([t.coeff for t in k1.terms])
+    c2 = np.array([t.coeff for t in k2.terms])
+    return float(c1 @ gram**k1.degree @ c2)
 
 
 def dense_inner_a(t1: DenseTensor, t2: DenseTensor, cov: Covariance) -> float:

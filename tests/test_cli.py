@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -134,6 +135,25 @@ def test_condexp_overflowing_weighted_f_exits_2_naming_f(tmp_path, capsys):
     assert code == 2
     assert "config error: field 'f'" in err and "overflows" in err
     assert out == "" and not caught
+
+
+def _condexp_kernel(tmp_path, capsys, conditioning):
+    config = tmp_path / "cond.json"
+    serialize.save_document(
+        config, {"A": [[2.0, 0.5], [0.5, 1.0]], "f": [[1.0, 2.0]], "conditioning": conditioning}
+    )
+    code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
+    assert code == 0, err
+    return np.asarray(json.loads(out[out.index("[") :])[0]["terms"][0]["base"])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310])
+def test_condexp_conditions_on_huge_and_tiny_vectors(tmp_path, capsys, scale):
+    # the span of [scale, 0] is that of [1, 0], though (x, x)_A over- or
+    # underflows for the unscaled vector
+    expected = _condexp_kernel(tmp_path, capsys, [[1.0, 0.0]])
+    kernel = _condexp_kernel(tmp_path, capsys, [[scale, 0.0]])
+    np.testing.assert_allclose(kernel, expected, rtol=1e-15, atol=0)
 
 
 def test_condexp_missing_field_is_config_error(tmp_path, capsys):
@@ -510,6 +530,39 @@ def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
     assert np.array_equal(read_numeric_csv(out, header), batch.samples.reshape(6, -1))
     expected_rows = batch.samples.reshape(6, -1).tolist()
     assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, expected_rows)
+
+
+def test_sample_csv_lines_written_in_pieces_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    # rows of 10 cells in pieces of at most 4: the header and every row span three
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 4)
+    out = tmp_path / "s.csv"
+    args = ["sample", "--samples", "3", "--dim-h", "2", "--dim-seq", "5", "--seed", "5"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    header = [f"w_{i}_{k}" for i in range(2) for k in range(5)]
+    rows = sample_mu_a(Covariance.identity(5), TruncationDims(2, 5), 3, 5).samples.reshape(3, -1)
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, rows.tolist())
+
+
+def test_sample_wide_row_memory_does_not_grow_with_the_row(tmp_path, capsys):
+    # one row of 2**20 values, in 16 pieces; formatting the whole row at
+    # once peaked at 221 MB under tracemalloc
+    width = 2**20
+    out = tmp_path / "s.csv"
+    args = ["sample", "--samples", "1", "--dim-h", "1", "--dim-seq", str(width), "--seed", "3"]
+    tracemalloc.start()
+    try:
+        assert cli.main(args + ["--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 32e6
+    row = sample_mu_a(Covariance.identity(width), TruncationDims(1, width), 1, 3).samples.ravel()
+    with open(out, "rb") as fh:
+        assert fh.readline() == ",".join(f"w_0_{k}" for k in range(width)).encode() + b"\r\n"
+        assert fh.readline() == ",".join(map(repr, row.tolist())).encode() + b"\r\n"
+        assert fh.read() == b""
 
 
 def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):

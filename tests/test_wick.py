@@ -219,8 +219,8 @@ def per_term_wick_eval(kernel, cov, w):
     return total, magnitude
 
 
-def _kernel(rng, n, count, zero=()):
-    bases = rng.standard_normal((count, M, D))
+def _kernel(rng, n, count, zero=(), dims=(M, D)):
+    bases = rng.standard_normal((count, *dims))
     bases[list(zero)] = 0.0
     coeffs = rng.standard_normal(count)
     return wick.SymKernel(n, tuple(wick.RankOnePower(c, b, n) for c, b in zip(coeffs, bases)))
@@ -280,3 +280,57 @@ def test_wick_eval_peak_memory_does_not_grow_with_samples():
     # the output plus a few blocks of (sample, term) values; the (20 000, 32)
     # pairing array alone would be 5 MB
     assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
+
+
+def per_pair_kernel_inner(k1, k2, cov):
+    """Reference: ``sum_ij a_i b_j (base_i, base_j)_A^n`` as a double loop
+    over the term pairs, one ``inner_a`` each.  Returns the value and the
+    sum of the absolute pair terms."""
+    total = magnitude = 0.0
+    for t1 in k1.terms:
+        for t2 in k2.terms:
+            part = t1.coeff * t2.coeff * core.inner_a(t1.base, t2.base, cov) ** k1.degree
+            total += part
+            magnitude += abs(part)
+    return total, magnitude
+
+
+def _assert_inner_matches_per_pair(k1, k2, cov):
+    got = wick.kernel_inner_a(k1, k2, cov)
+    ref, magnitude = per_pair_kernel_inner(k1, k2, cov)
+    assert isinstance(got, float)
+    assert abs(got - ref) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_kernel_inner_matches_per_pair_loop(diagonal):
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        t1, t2 = rng.choice(9, size=2, replace=False)
+        n = int(rng.integers(0, 7))
+        cov = core.Covariance(rng.uniform(0.5, 2.0, D)) if diagonal else random_cov(rng, D)
+        _assert_inner_matches_per_pair(_kernel(rng, n, t1), _kernel(rng, n, t2), cov)
+
+
+def test_kernel_inner_matches_per_pair_loop_at_benchmark_shape():
+    # the chaos-project benchmark's kernels: 32 terms of 4-by-16 bases
+    rng = np.random.default_rng(27)
+    cov = random_cov(rng, 16)
+    for n in (1, 6):
+        k1, k2 = (_kernel(rng, n, 32, dims=(4, 16)) for _ in range(2))
+        _assert_inner_matches_per_pair(k1, k2, cov)
+
+
+def test_kernel_inner_edges():
+    cov = core.Covariance.identity(D)
+    full = wick.SymKernel.rank_one(np.ones((M, D)), 2)
+    empty = wick.SymKernel(degree=2, terms=())
+    assert wick.kernel_inner_a(empty, full, cov) == 0.0
+    assert wick.kernel_inner_a(full, empty, cov) == 0.0
+    wide = wick.SymKernel.rank_one(np.ones((M + 1, D)), 2)
+    with pytest.raises(ValueError, match="shape"):
+        wick.kernel_inner_a(full, wide, cov)
+    bad = np.ones((M, D))
+    bad[0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        wick.kernel_inner_a(full, wick.SymKernel.rank_one(bad, 2), cov)
