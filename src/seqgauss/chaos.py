@@ -35,7 +35,7 @@ from .core import (
     Covariance, apply_extended, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a,
 )
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
-from .wick import RankOnePower, SymKernel, kernel_inner_a, wick_eval
+from .wick import RankOnePower, SymKernel, _eval_terms, _term_arrays, kernel_inner_a
 
 __all__ = [
     "ChaosExpansion",
@@ -96,13 +96,15 @@ class ConditioningSet:
 
 
 def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
-    """Value of the expansion at one sample or a stacked batch of samples."""
-    w_arr = np.asarray(w, dtype=float)
-    single = w_arr.ndim == 2
-    total = np.zeros(() if single else w_arr.shape[:-2])
-    for n in expansion.degrees:
-        total = total + wick_eval(expansion.kernels[n], cov, w_arr)
-    return float(total) if single else np.asarray(total)
+    """Value of the expansion at one sample or a stacked batch of samples.
+
+    Every kernel is evaluated in one pass over the samples: the terms of
+    all degrees are sorted by degree, and each block of samples is one
+    GEMM serving every degree, followed by the homogeneous Hermite
+    recurrence over the degree-sorted prefix of the terms (see
+    ``wick._eval_terms``)."""
+    terms = _term_arrays(expansion.kernels.values(), np.shape(w)[-2:])
+    return _eval_terms(*terms, cov, w)
 
 
 def chaos_inner(e1: ChaosExpansion, e2: ChaosExpansion, cov: Covariance) -> float:
@@ -181,13 +183,23 @@ def mc_cond_check(
     which is zero for any test function of the conditioning coordinates
     (use polynomial g of modest degree, <= 6, so moments exist cleanly).
     ``g`` receives a (count, q) array of coordinates and may return a
-    (count,) array; a per-sample scalar function also works.
+    (count,) array; a per-sample scalar function also works.  The residual
+    F - E[F | conditioning] is evaluated in one pass: the terms of F and
+    those of E[F | conditioning], with their coefficients negated, go to
+    the evaluator together.
     """
     if batch.count == 0:
         raise ValueError("empty batch")
     conditioned = cond_exp_chaos(expansion, conditioning, cov)
-    residual = eval_expansion(expansion, cov, batch.samples) - eval_expansion(
-        conditioned, cov, batch.samples
+    dims = batch.samples.shape[-2:]
+    coeffs, bases, degrees = _term_arrays(expansion.kernels.values(), dims)
+    p_coeffs, p_bases, p_degrees = _term_arrays(conditioned.kernels.values(), dims)
+    residual = _eval_terms(
+        np.concatenate([coeffs, -p_coeffs]),
+        np.concatenate([bases, p_bases]),
+        np.concatenate([degrees, p_degrees]),
+        cov,
+        batch.samples,
     )
     coords = pairings(conditioning.basis, batch)
     try:

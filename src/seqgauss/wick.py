@@ -12,10 +12,17 @@ sample W reduces to a Hermite polynomial of one pairing,
 
     :<phi^(x)n, W^(x)n>:  =  ||phi||_A^n  H_n( <phi, W> / ||phi||_A ),
 
-so ``wick_eval`` runs one Hermite recurrence over the (samples, terms)
-array of scaled pairings of a kernel, block by block of samples (a
-zero-norm base contributes 0 for n >= 1, and the bare coefficient at
-degree 0).
+which is the homogeneous polynomial P_n(x, t) of x = <phi, W> and
+t = ||phi||_A^2 given by
+
+    P_0 = 1,  P_1 = x,  P_{k+1} = x P_k - k t P_{k-1},
+
+so no norm is divided by and a zero base gives P_n = 0 for n >= 1.  One
+private evaluator serves ``wick_eval`` and ``chaos.eval_expansion``: it
+takes the terms of any number of kernels of any degrees, sorts them by
+degree, highest first, and for each block of samples makes one GEMM
+``x = bases @ w_block^T`` for every degree; step k of the recurrence then
+runs on the degree-sorted prefix of terms of degree >= k only.
 
 The weighted inner product of two rank-one powers is the n-th power of
 the inner product of their bases, so that of two kernels is one weighted
@@ -49,7 +56,6 @@ from math import factorial
 import numpy as np
 
 from .core import Covariance, gram_a
-from .hermite import hermite_prob
 
 __all__ = [
     "RankOnePower",
@@ -70,8 +76,9 @@ __all__ = [
 
 DENSE_MAX_DEGREE = 4
 DENSE_MAX_FLAT_DIM = 6
-# (sample, term) values per block of wick_eval: each recurrence temporary
-# stays at 256 KB, so its peak memory does not grow with the sample count
+# (term, sample) values per block of the evaluator: each recurrence
+# temporary stays at 256 KB, so its peak memory does not grow with the
+# sample count
 _BLOCK_VALUES = 32_768
 
 
@@ -234,35 +241,80 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     Sums ``coeff * ||base||_A^n * H_n(<base, w> / ||base||_A)`` over the
     polarized terms.  ``w`` may be one m-by-d sample or a stacked batch
     with leading axes; the result is a float or an array accordingly.
-    Zero-norm terms are dropped; for the others, each block of samples
-    forms its (rows, T) array of scaled pairings, makes one Hermite call
-    on it and reduces it against the weights ``coeff * ||base||_A^n``.
+    Runs the one-pass evaluator of ``chaos.eval_expansion`` on the terms of
+    this one kernel: one GEMM per block of samples, then the homogeneous
+    Hermite recurrence, which never divides by ``||base||_A``.
+    """
+    return _eval_terms(*_term_arrays([kernel], np.shape(w)[-2:]), cov, w)
+
+
+def _term_arrays(kernels, dims):
+    """Coefficients (T,), bases (T, m, d) and degrees (T,) of every term of
+    ``kernels``, in order; raises unless each kernel with terms has the
+    sample dims ``dims``."""
+    for kernel in kernels:
+        if kernel.terms and kernel.dims != dims:
+            raise ValueError(f"kernel dims {kernel.dims} do not match sample dims {dims}")
+    terms = [t for kernel in kernels for t in kernel.terms]
+    coeffs = np.array([t.coeff for t in terms], dtype=float)
+    bases = np.array([t.base for t in terms], dtype=float).reshape(len(terms), *dims)
+    degrees = np.array([t.degree for t in terms], dtype=int)
+    return coeffs, bases, degrees
+
+
+def _eval_terms(coeffs, bases, degrees, cov: Covariance, w):
+    """Sum of ``coeff_i * :base_i^(x)deg_i:`` over terms of any degrees at
+    sample(s) ``w``, in one pass over the samples (see the module
+    docstring for the recurrence).
+
+    Degree-0 coefficients add up to a constant.  The other terms are
+    sorted by degree, highest first, and their ``t = ||base||_A^2`` is the
+    diagonal of one ``gram_a``, which checks every base.  Each block of
+    samples is one GEMM ``x = bases @ w_block^T`` of shape (terms, rows);
+    step k of the recurrence runs on the leading rows of degree >= k and
+    adds ``coeffs[deg == k] @ P_k[deg == k]`` to the block's values.
     """
     w_arr = np.asarray(w, dtype=float)
     single = w_arr.ndim == 2
-    total = np.zeros(() if single else w_arr.shape[:-2])
-    if kernel.terms and kernel.dims != w_arr.shape[-2:]:
-        raise ValueError(
-            f"kernel dims {kernel.dims} do not match sample dims {w_arr.shape[-2:]}"
-        )
-    n = kernel.degree
-    if n == 0:
-        total = total + sum(t.coeff for t in kernel.terms)
-    elif kernel.terms:
-        bases = np.stack([t.base for t in kernel.terms])
-        na = np.sqrt(np.maximum(np.diagonal(gram_a(bases, bases, cov)), 0.0))
-        keep = np.flatnonzero(na)
-        if keep.size:
-            na = na[keep]
-            weights = np.array([kernel.terms[k].coeff for k in keep]) * na**n
-            bases_t = bases[keep].reshape(keep.size, -1).T
-            w_flat = w_arr.reshape(-1, bases_t.shape[0])
-            out = total.reshape(-1)  # a view: each block writes into total
-            rows = max(1, _BLOCK_VALUES // keep.size)
-            for start in range(0, len(w_flat), rows):
-                block = slice(start, start + rows)
-                out[block] = hermite_prob(n, (w_flat[block] @ bases_t) / na) @ weights
+    total = np.full(() if single else w_arr.shape[:-2], coeffs[degrees == 0].sum())
+    order = np.argsort(-degrees, kind="stable")[: np.count_nonzero(degrees)]
+    if order.size:
+        coeffs, bases, degrees = coeffs[order], bases[order], degrees[order]
+        t = np.diagonal(gram_a(bases, bases, cov))[:, np.newaxis]
+        # ends[k]: the number of leading rows of degree >= k, for k = 0..top+1
+        ends = np.searchsorted(-degrees, -np.arange(degrees[0] + 2), side="right")
+        bases_flat = bases.reshape(len(bases), -1)
+        w_flat = w_arr.reshape(-1, bases_flat.shape[1])
+        out = total.reshape(-1)  # a view: each block adds into total
+        rows = max(1, _BLOCK_VALUES // len(bases))
+        for start in range(0, len(w_flat), rows):
+            block = slice(start, start + rows)
+            out[block] += _block_values(bases_flat @ w_flat[block].T, t, coeffs, ends)
     return float(total) if single else total
+
+
+def _block_values(x, t, coeffs, ends):
+    """``sum_i coeffs_i P_{deg_i}`` over one block of pairings ``x``, with
+    the terms sorted by degree, highest first, and ``ends`` as in
+    ``_eval_terms``.  ``x`` is P_1 and is never overwritten: P_3 is taken
+    as ``x (P_2 - 2t)``, and from P_4 on, P_{k+1} is written over P_{k-1}."""
+    values = coeffs[ends[2]:ends[1]] @ x[ends[2]:ends[1]]
+    prev, cur = None, x
+    for k in range(1, len(ends) - 2):
+        r = ends[k + 1]
+        if k == 1:
+            nxt = x[:r] * x[:r]
+            nxt -= t[:r]
+        elif k == 2:
+            nxt = cur[:r] - 2 * t[:r]
+            nxt *= x[:r]
+        else:
+            nxt = prev[:r]
+            nxt *= -k * t[:r]
+            nxt += x[:r] * cur[:r]
+        prev, cur = cur, nxt
+        values += coeffs[ends[k + 2]:r] @ cur[ends[k + 2]:r]
+    return values
 
 
 def wick_dense_tensor(n: int, cov: Covariance, w) -> np.ndarray:

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_wick import _kernel, per_term_wick_eval
 
 from seqgauss import chaos, core, measure, wick
 from seqgauss.verify import (
@@ -176,6 +179,112 @@ def test_eval_expansion_low_degrees():
     assert chaos.eval_expansion(linear, cov, w) == pytest.approx(
         measure.pairing(phi, w), rel=1e-12
     )
+
+
+# term counts of degrees 0..6: degree 2 is an empty kernel and degree 5
+# is absent, so the degree-sorted prefix skips both
+_MIXED_COUNTS = {0: 2, 1: 3, 2: 0, 3: 4, 4: 1, 6: 2}
+_MIXED_ZERO = {1: (0,), 3: (1, 2), 6: (1,)}  # zero-norm terms
+# rows of samples per block for the 10 terms of degree >= 1
+_ROWS_MIXED = wick._BLOCK_VALUES // 10
+
+
+def _mixed_expansion(rng):
+    return chaos.ChaosExpansion(
+        kernels={
+            n: _kernel(rng, n, count, _MIXED_ZERO.get(n, ()))
+            for n, count in _MIXED_COUNTS.items()
+        }
+    )
+
+
+def _assert_matches_per_degree(expansion, cov, w):
+    got = chaos.eval_expansion(expansion, cov, w)
+    ref = magnitude = 0.0
+    for kernel in expansion.kernels.values():
+        value, size = per_term_wick_eval(kernel, cov, w)
+        ref, magnitude = ref + value, magnitude + size
+    if np.ndim(w) == 2:
+        assert isinstance(got, float)
+    assert np.shape(got) == np.shape(ref)
+    assert np.all(np.abs(got - ref) <= 1e-10 * magnitude)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (),  # one sample
+        (3, 4),  # two leading axes
+        (2 * _ROWS_MIXED + 17,),  # more than one block, the last one short
+    ],
+)
+def test_eval_expansion_matches_per_degree_sum(shape):
+    rng = np.random.default_rng(28)
+    cov = random_cov(rng, D)
+    expansion = _mixed_expansion(rng)
+    _assert_matches_per_degree(expansion, cov, rng.standard_normal(shape + (M, D)))
+
+
+def test_eval_expansion_more_terms_than_block_values(monkeypatch):
+    # 10 terms of degree >= 1 against a block of 4 values: one sample per block
+    monkeypatch.setattr(wick, "_BLOCK_VALUES", 4)
+    rng = np.random.default_rng(29)
+    cov = random_cov(rng, D)
+    _assert_matches_per_degree(_mixed_expansion(rng), cov, rng.standard_normal((5, M, D)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_eval_expansion_rejects_a_kernel_of_other_dims(n):
+    rng = np.random.default_rng(30)
+    cov = random_cov(rng, D)
+    kernels = {k: _kernel(rng, k, 2) for k in range(4)}
+    kernels[n] = _kernel(rng, n, 2, dims=(M + 1, D))
+    with pytest.raises(ValueError, match="do not match sample dims"):
+        chaos.eval_expansion(
+            chaos.ChaosExpansion(kernels=kernels), cov, rng.standard_normal((M, D))
+        )
+
+
+def test_eval_expansion_rejects_a_non_finite_base():
+    rng = np.random.default_rng(31)
+    cov = random_cov(rng, D)
+    base = rng.standard_normal((M, D))
+    base[0, 2] = np.nan
+    expansion = chaos.ChaosExpansion(
+        kernels={1: _kernel(rng, 1, 2), 3: wick.SymKernel.rank_one(base, 3)}
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        chaos.eval_expansion(expansion, cov, rng.standard_normal((4, M, D)))
+
+
+def test_eval_expansion_peak_memory_does_not_grow_with_samples():
+    rng = np.random.default_rng(32)
+    cov = random_cov(rng, D)
+    expansion = chaos.ChaosExpansion(kernels={n: _kernel(rng, n, 32) for n in range(1, 7)})
+    w = rng.standard_normal((20_000, M, D))
+    tracemalloc.start()
+    try:
+        out = chaos.eval_expansion(expansion, cov, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the same bound as wick_eval's: the output plus a few blocks of values
+    assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
+
+
+def test_mc_cond_check_residual_is_f_minus_its_conditional_expectation():
+    rng = np.random.default_rng(33)
+    cov = random_cov(rng, D)
+    batch = measure.sample_mu_a(cov, DIMS, 3_000, seed=34)
+    cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
+    expansion = _mixed_expansion(rng)
+    est = chaos.mc_cond_check(expansion, cond, cov, lambda c: c[:, 1], batch)
+    conditioned = chaos.cond_exp_chaos(expansion, cond, cov)
+    f_vals = chaos.eval_expansion(expansion, cov, batch.samples)
+    p_vals = chaos.eval_expansion(conditioned, cov, batch.samples)
+    gvals = measure.pairings(cond.basis, batch)[:, 1]
+    scale = np.mean(np.abs(f_vals * gvals)) + np.mean(np.abs(p_vals * gvals))
+    assert abs(est.value - np.mean((f_vals - p_vals) * gvals)) <= 1e-12 * scale
 
 
 def test_expansion_mean_is_constant_coefficient():

@@ -282,6 +282,20 @@ def test_wick_eval_peak_memory_does_not_grow_with_samples():
     assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
 
 
+@pytest.mark.parametrize("n, e", [(1, -600), (1, -540), (2, -500), (3, -300)])
+def test_wick_eval_keeps_terms_whose_squared_norm_underflows(n, e):
+    # ||2^e phi||_A^2 underflows to 0 for e <= -540; at every e the term is
+    # 2^(n e) times that of phi, since scaling by a power of two is exact
+    rng = np.random.default_rng(26)
+    cov = random_cov(rng, D)
+    phi = rng.standard_normal((M, D))
+    w = rng.standard_normal((4, M, D))
+    got = wick.wick_eval(wick.SymKernel.rank_one(np.ldexp(phi, e), n), cov, w)
+    ref = np.ldexp(wick.wick_eval(wick.SymKernel.rank_one(phi, n), cov, w), n * e)
+    assert np.all(ref != 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 def per_pair_kernel_inner(k1, k2, cov):
     """Reference: ``sum_ij a_i b_j (base_i, base_j)_A^n`` as a double loop
     over the term pairs, one ``inner_a`` each.  Returns the value and the
