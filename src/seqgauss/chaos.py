@@ -182,11 +182,11 @@ def mc_cond_check(
 
     which is zero for any test function of the conditioning coordinates
     (use polynomial g of modest degree, <= 6, so moments exist cleanly).
-    ``g`` receives a (count, q) array of coordinates and may return a
-    (count,) array; a per-sample scalar function also works.  The residual
-    F - E[F | conditioning] is evaluated in one pass: the terms of F and
-    those of E[F | conditioning], with their coefficients negated, go to
-    the evaluator together.
+    ``g`` receives a column-major (count, q) array of coordinates and may
+    return a (count,) array; a per-sample scalar function also works.  The
+    residual F - E[F | conditioning] is evaluated in one pass: the terms of
+    F and those of E[F | conditioning], with their coefficients negated, go
+    to the evaluator together.
     """
     if batch.count == 0:
         raise ValueError("empty batch")

@@ -176,14 +176,15 @@ def _cmd_sample(args) -> int:
     if args.cov is not None:
         doc = load_document(args.cov)
         matrix = matrix_from_lists(doc.get("A", doc.get("matrix")), "A")
+        # shapes before the factorization: a mismatch costs no Cholesky
+        if matrix.shape[0] == matrix.shape[1] != args.dim_seq:
+            raise ConfigError(
+                "A", f"covariance dim {matrix.shape[0]} does not match --dim-seq {args.dim_seq}"
+            )
         try:
             cov = Covariance(matrix)
         except ValueError as exc:
             raise ConfigError("A", str(exc)) from None
-        if cov.dim != args.dim_seq:
-            raise ConfigError(
-                "A", f"covariance dim {cov.dim} does not match --dim-seq {args.dim_seq}"
-            )
     else:
         cov = Covariance.identity(args.dim_seq)
     dims = TruncationDims(args.dim_h, args.dim_seq)

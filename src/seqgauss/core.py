@@ -62,13 +62,17 @@ DEPENDENT_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-8
 
 
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def _as_array(x, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite(arr, name)
 
 
 def _check_length(x: np.ndarray, cov: Covariance) -> None:

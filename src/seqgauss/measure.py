@@ -9,7 +9,9 @@ Linear statistics then carry the weighted geometry exactly:
 so an A-orthonormal family of sequence vectors pushes the sample forward
 to independent standard normals (``pushforward_check`` verifies this
 empirically on a batch).  ``pairings`` pairs one sequence vector, or a
-(q, m, d) stack of them in one product, with every sample of a batch.
+(q, m, d) stack of them, with every sample of a batch in one GEMM over
+the flattened (count, m*d) samples; a stack's (count, q) result is
+column-major, so each observable's coordinates are contiguous.
 
 ``isserlis_moment`` is the exact counterpart: it evaluates
 E[ prod_i <phi_i, W> ] as a sum over perfect matchings of products of
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Covariance, TruncationDims, check_orthonormal_a, gram_a
+from .core import Covariance, TruncationDims, _finite, check_orthonormal_a, gram_a
 
 __all__ = [
     "SampleBatch",
@@ -107,23 +109,29 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
 
 
 def pairing(phi, w) -> float:
-    """Frobenius pairing <phi, w> of two m-by-d matrices."""
+    """Frobenius pairing <phi, w> of two finite m-by-d matrices."""
     p = np.asarray(phi, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     if p.shape != w_arr.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {w_arr.shape}")
-    return float(np.sum(p * w_arr))
+    return float(np.sum(_finite(p, "phi") * _finite(w_arr, "w")))
 
 
 def pairings(phi, batch: SampleBatch) -> np.ndarray:
-    """Pairings <phi, W_i> over a batch: a (count,) vector for one m-by-d
-    ``phi``, a (count, q) array from one product for a (q, m, d) stack."""
+    """Pairings <phi, W_i> of a finite ``phi`` with every sample of a batch:
+    a (count,) vector for one m-by-d ``phi``, a column-major (count, q)
+    array for a (q, m, d) stack.  Either is one product with the flattened
+    (count, m*d) samples; a stack's is the (q, count) product seen through
+    its transpose."""
     p = np.asarray(phi, dtype=float)
-    if p.ndim not in (2, 3) or p.shape[-2:] != batch.samples.shape[1:]:
-        raise ValueError(
-            f"phi shape {p.shape} does not match batch sample shape {batch.samples.shape[1:]}"
-        )
-    return np.einsum("...ij,nij->n...", p, batch.samples)
+    count, m, d = batch.samples.shape
+    if p.ndim not in (2, 3) or p.shape[-2:] != (m, d):
+        raise ValueError(f"phi shape {p.shape} does not match batch sample shape {(m, d)}")
+    _finite(p, "phi")
+    flat = batch.samples.reshape(count, m * d)
+    if p.ndim == 2:
+        return flat @ p.ravel()
+    return (p.reshape(len(p), m * d) @ flat.T).T
 
 
 def _mean_estimate(values: np.ndarray) -> tuple[float, float]:
@@ -222,13 +230,16 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     """Compare the empirical law of (<phi_i, W>)_i against independent
     standard normals.
 
-    Requires the phis to be A-orthonormal within ``core.ORTHONORMAL_TOL``.
+    Requires the phis to be A-orthonormal within ``core.ORTHONORMAL_TOL``
+    and a batch of at least 2 samples.
     Flags any mean, variance or pairwise covariance outside ``SIGMA_BAND``
-    standard errors of (0, 1, 0).
+    standard errors of (0, 1, 0), and any that is NaN.
     """
     q = len(phis)
     if q == 0:
         raise ValueError("need at least one observable")
+    if batch.count < 2:
+        raise ValueError(f"need at least 2 samples, got {batch.count}")
     check_orthonormal_a(phis, cov, "observable family")
     coords = pairings(phis, batch)
     n = batch.count
@@ -243,14 +254,14 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     )
     failures = []
     for i in range(q):
-        if abs(means[i]) > SIGMA_BAND * mean_errors[i]:
+        if not abs(means[i]) <= SIGMA_BAND * mean_errors[i]:
             failures.append(f"mean[{i}] = {means[i]:.4e} (se {mean_errors[i]:.2e})")
-        if abs(variances[i] - 1.0) > SIGMA_BAND * variance_errors[i]:
+        if not abs(variances[i] - 1.0) <= SIGMA_BAND * variance_errors[i]:
             failures.append(
                 f"var[{i}] = {variances[i]:.6f} (se {variance_errors[i]:.2e})"
             )
         for j in range(i + 1, q):
-            if abs(covariances[i, j]) > SIGMA_BAND * covariance_errors[i, j]:
+            if not abs(covariances[i, j]) <= SIGMA_BAND * covariance_errors[i, j]:
                 failures.append(
                     f"cov[{i},{j}] = {covariances[i, j]:.4e} (se {covariance_errors[i, j]:.2e})"
                 )

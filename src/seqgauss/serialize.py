@@ -172,30 +172,32 @@ def _positive_int(doc: dict, field: str, default=None) -> int:
 
 def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndarray]]:
     """Read {A, f, conditioning} for the conditional-expectation command;
-    an f whose weighted image F A is not finite is refused as field f."""
+    an f whose weighted image F A is not finite is refused as field f.
+    Every shape is compared with A's before A is factored."""
     a = matrix_from_lists(_require(doc, "A"), "A")
-    try:
-        cov = Covariance(a)
-    except ValueError as exc:
-        raise ConfigError("A", str(exc)) from None
+    if a.shape[0] != a.shape[1]:
+        raise ConfigError("A", f"must be square, got shape {a.shape}")
+    dim = len(a)
     f = matrix_from_lists(_require(doc, "f"), "f")
-    if f.shape[1] != cov.dim:
-        raise ConfigError("f", f"must have {cov.dim} columns to match A, got {f.shape[1]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = apply_extended(cov, f)
-    if not np.isfinite(weighted).all():
-        raise ConfigError("f", "F A overflows: f is too large for the weight A")
+    if f.shape[1] != dim:
+        raise ConfigError("f", f"must have {dim} columns to match A, got {f.shape[1]}")
     cond_raw = _require(doc, "conditioning")
     if not isinstance(cond_raw, list) or not cond_raw:
         raise ConfigError("conditioning", "must be a non-empty list of vectors")
     conditioning = []
     for i, vec in enumerate(cond_raw):
         v = matrix_from_lists(vec, f"conditioning[{i}]", ndim=1)
-        if v.shape[0] != cov.dim:
-            raise ConfigError(
-                f"conditioning[{i}]", f"must have length {cov.dim} to match A"
-            )
+        if v.shape[0] != dim:
+            raise ConfigError(f"conditioning[{i}]", f"must have length {dim} to match A")
         conditioning.append(v)
+    try:
+        cov = Covariance(a)
+    except ValueError as exc:
+        raise ConfigError("A", str(exc)) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = apply_extended(cov, f)
+    if not np.isfinite(weighted).all():
+        raise ConfigError("f", "F A overflows: f is too large for the weight A")
     return cov, f, conditioning
 
 

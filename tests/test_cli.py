@@ -97,6 +97,45 @@ def test_sample_dimension_mismatch_is_config_error(tmp_path, capsys):
     assert "config error" in err and "'A'" in err
 
 
+def _refuse_cholesky(monkeypatch):
+    def refuse(a):
+        raise AssertionError("factored a covariance of a mismatched config")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+
+
+def test_sample_shape_mismatch_exits_2_before_factoring(tmp_path, capsys, monkeypatch):
+    _refuse_cholesky(monkeypatch)
+    args = ["sample", "--seed", "1", "--samples", "5", "--dim-h", "1", "--dim-seq", "3"]
+    for matrix in ([[2.0, 0.5], [0.5, 1.0]], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0]]):
+        cov_path = tmp_path / "cov.json"
+        serialize.save_document(cov_path, {"A": matrix})
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(args + ["--cov", str(cov_path), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config error: field 'A'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field, change", [
+    ("f", {"f": [[1.0, 2.0, 3.0]]}),
+    ("conditioning[1]", {"conditioning": [[1.0, 0.0], [1.0, 0.0, 0.0]]}),
+    ("A", {"A": [[2.0, 0.5], [0.5, 1.0], [0.0, 0.0]]}),
+    # a shape mismatch is reported before an indefinite A could be found
+    ("f", {"A": [[1.0, 2.0], [2.0, 1.0]], "f": [[1.0, 2.0, 3.0]]}),
+])
+def test_condexp_shape_mismatch_exits_2_before_factoring(
+    tmp_path, capsys, monkeypatch, field, change
+):
+    _refuse_cholesky(monkeypatch)
+    config = tmp_path / "cond.json"
+    doc = {"A": [[2.0, 0.5], [0.5, 1.0]], "f": [[1.0, 2.0]], "conditioning": [[1.0, 0.0]]}
+    serialize.save_document(config, {**doc, **change})
+    code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert f"config error: field '{field}'" in err and "Traceback" not in err
+
+
 def test_condexp_worked_example(tmp_path, capsys):
     config = tmp_path / "cond.json"
     serialize.save_document(

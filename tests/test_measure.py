@@ -115,6 +115,41 @@ def test_stacked_pairings_match_per_vector_pairings():
         measure.pairings(phis[np.newaxis], batch)
 
 
+def test_pairings_match_the_per_sample_pairing_oracle():
+    rng = np.random.default_rng(33)
+    batch = measure.sample_mu_a(random_cov(rng, D), DIMS, 300, seed=16)
+    phis = rng.standard_normal((4, M, D))
+    stacked = measure.pairings(phis, batch)
+    assert stacked.shape == (300, 4)
+    assert stacked.flags.f_contiguous
+    for k, phi in enumerate(phis):
+        single = measure.pairings(phi, batch)
+        assert single.shape == (300,)
+        for i, w in enumerate(batch.samples):
+            expected = measure.pairing(phi, w)
+            bound = 1e-12 * np.abs(phi * w).sum()
+            assert abs(single[i] - expected) <= bound
+            assert abs(stacked[i, k] - expected) <= bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_phi_is_refused(bad):
+    cov = core.Covariance.identity(D)
+    batch = measure.sample_mu_a(cov, DIMS, 20, seed=5)
+    phi = np.ones((M, D))
+    phi[1, 2] = bad
+    with pytest.raises(ValueError, match="phi contains non-finite"):
+        measure.pairing(phi, batch.samples[0])
+    with pytest.raises(ValueError, match="w contains non-finite"):
+        measure.pairing(np.ones((M, D)), phi)
+    with pytest.raises(ValueError, match="phi contains non-finite"):
+        measure.pairings(phi, batch)
+    with pytest.raises(ValueError, match="phi contains non-finite"):
+        measure.pairings(np.stack([np.ones((M, D)), phi]), batch)
+    with pytest.raises(ValueError, match="phi contains non-finite"):
+        measure.char_function_mc(phi, batch)
+
+
 def test_char_function_at_zero_is_exact():
     cov = core.Covariance.identity(D)
     batch = measure.sample_mu_a(cov, DIMS, 100, seed=13)
@@ -197,6 +232,31 @@ def test_pushforward_check_rejects_non_orthonormal_input():
     phi[0, 0] = 2.0
     with pytest.raises(ValueError, match="orthonormal"):
         measure.pushforward_check([phi], batch, cov)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_pushforward_check_refuses_fewer_than_two_samples(count):
+    cov = core.Covariance.identity(D)
+    phi = np.zeros((M, D))
+    phi[0, 0] = 1.0
+    batch = measure.SampleBatch(np.zeros((count, M, D)))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        measure.pushforward_check([phi], batch, cov)
+
+
+def test_pushforward_check_fails_on_a_non_finite_batch():
+    cov = core.Covariance.identity(D)
+    basis = np.zeros((2, M, D))
+    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
+    samples = measure.sample_mu_a(cov, DIMS, 100, seed=19).samples.copy()
+    samples[3, 0, 0] = np.nan
+    samples[5, 1, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        report = measure.pushforward_check(basis, measure.SampleBatch(samples), cov)
+    assert not report.passed
+    assert any(f.startswith("mean[0]") for f in report.failures)
+    assert any(f.startswith("var[1]") for f in report.failures)
+    assert any(f.startswith("cov[0,1]") for f in report.failures)
 
 
 def test_product_moments_factorize_for_orthonormal_family():

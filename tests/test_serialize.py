@@ -119,7 +119,8 @@ def test_condexp_config_field_errors():
     with pytest.raises(serialize.ConfigError, match="'f'"):
         serialize.load_condexp_config(doc)
     doc = condexp_doc()
-    doc["A"] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
+    doc["A"] = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]  # indefinite
     with pytest.raises(serialize.ConfigError, match="'A'"):
         serialize.load_condexp_config(doc)
     doc = condexp_doc()
