@@ -9,8 +9,10 @@ Subcommands:
 * ``hermite`` -- tabulate Hermite polynomial values to CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-``sample`` refuses a batch of more than ``MAX_SAMPLE_VALUES`` values
-before it allocates anything.
+``sample`` and ``verify`` refuse a batch of more than ``MAX_SAMPLE_VALUES``
+values, and ``hermite`` a table of more than ``MAX_HERMITE_CELLS`` values,
+before they allocate anything; ``hermite`` writes no table holding a
+non-finite value.
 The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
 within a build.  CSV values are written in shortest round-trip form, so
@@ -39,13 +41,15 @@ from .serialize import (
     load_document,
     matrix_from_lists,
 )
-from .verify import DEFAULT_SAMPLES, SUITE_NAMES, run_suite
+from .verify import _DIMS, DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
 # ``sample`` holds the whole batch (2**22 doubles is 32 MiB) and formats its
 # CSV in pieces of at most _CHUNK_CELLS cells, however wide a row is.
 MAX_SAMPLE_VALUES = 2**22
+# ``hermite`` holds and checks its whole table before it writes it
+MAX_HERMITE_CELLS = 2**22
 # cells per piece of a ``sample`` CSV line; formatting one piece holds
 # about 10 MB of Python objects
 _CHUNK_CELLS = 65_536
@@ -148,6 +152,9 @@ def _cmd_verify(args) -> int:
     seed = _seed(args.seed)
     if args.samples < 2:
         raise ConfigError("samples", f"must be at least 2, got {args.samples}")
+    if args.samples * _DIMS.m * _DIMS.d > MAX_SAMPLE_VALUES:
+        raise ConfigError("samples", f"{args.samples} samples of {_DIMS.m} x {_DIMS.d} values "
+                          f"exceed {MAX_SAMPLE_VALUES} values")
     if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
         raise ConfigError("tol-scale", f"must be positive and finite, got {args.tol_scale}")
     results = run_suite(
@@ -267,15 +274,31 @@ def _cmd_hermite(args) -> int:
         raise ConfigError("max-n", "must be non-negative")
     if args.points < 1:
         raise ConfigError("points", "must be positive")
+    if args.points * (args.max_n + 1) > MAX_HERMITE_CELLS:
+        raise ConfigError("points/max-n", f"{args.points} points of degrees 0..{args.max_n} "
+                          f"exceed {MAX_HERMITE_CELLS} values")
     for field, value in (("x-min", args.x_min), ("x-max", args.x_max)):
         if not np.isfinite(value):
             raise ConfigError(field, f"must be finite, got {value}")
     eval_fn = hermite_prob if args.kind == "prob" else hermite_phys
-    xs = np.linspace(args.x_min, args.x_max, args.points)
+    # the whole table is checked before the file is opened
+    table = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(args.x_min, args.x_max, args.points)
+        if not np.isfinite(xs).all():
+            raise ConfigError("x-min/x-max", "the grid spacing overflows")
+        for n in range(args.max_n + 1):
+            values = np.atleast_1d(eval_fn(n, xs))
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise ConfigError("max-n/x-min/x-max", f"degree {n} overflows at x = "
+                                  f"{xs[bad.argmax()].item()!r}")
+            table.append(values)
+    x_list = xs.tolist()
     lines = (
         _cells([n, x, value])
-        for n in range(args.max_n + 1)
-        for x, value in zip(xs.tolist(), np.atleast_1d(eval_fn(n, xs)).tolist())
+        for n, values in enumerate(table)
+        for x, value in zip(x_list, values.tolist())
     )
     _write_csv(args.out, ["n", "x", "value"], lines)
     print(f"wrote degrees 0..{args.max_n} to {args.out}")

@@ -49,9 +49,9 @@ SIGMA_BAND = 4.0
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Read-only stack of samples with shape (count, m, d).  ``sample_mu_a``
-    with the same covariance, dims, seed and count reproduces the identical
-    batch within a build."""
+    """Read-only stack of finite samples with shape (count, m, d).
+    ``sample_mu_a`` with the same covariance, dims, seed and count
+    reproduces the identical batch within a build."""
 
     samples: np.ndarray
 
@@ -59,6 +59,9 @@ class SampleBatch:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 3:
             raise ValueError(f"samples must have shape (count, m, d), got {arr.shape}")
+        # min and max carry a NaN and show an inf without the batch-sized
+        # temporary that np.isfinite(arr) would hold
+        _finite(np.array([arr.min(initial=0.0), arr.max(initial=0.0)]), "samples")
         if arr is self.samples and arr.flags.writeable:
             arr = arr.copy()
         arr.setflags(write=False)

@@ -583,20 +583,32 @@ def test_sample_csv_lines_written_in_pieces_keep_their_bytes(tmp_path, capsys, m
     assert out.read_bytes() == stdlib_csv_bytes(tmp_path, header, rows.tolist())
 
 
-def test_sample_wide_row_memory_does_not_grow_with_the_row(tmp_path, capsys):
-    # one row of 2**20 values, in 16 pieces; formatting the whole row at
-    # once peaked at 221 MB under tracemalloc
-    width = 2**20
+def test_sample_wide_row_memory_does_not_grow_with_the_row(tmp_path, capsys, monkeypatch):
+    # rows of 2**13 and 2**15 values in pieces of 1024: the traced peak
+    # grew 21 bytes per added value, about the three width-long arrays of a
+    # one-sample batch of identity covariance; formatting each row at once
+    # grew it 144 bytes per value.  (The ratio of the two peaks tells these
+    # apart poorly, 2.7 against 3.9, because those arrays grow too.)
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 1024)
     out = tmp_path / "s.csv"
-    args = ["sample", "--samples", "1", "--dim-h", "1", "--dim-seq", str(width), "--seed", "3"]
-    tracemalloc.start()
-    try:
+
+    def run(width):
+        args = ["sample", "--samples", "1", "--dim-h", "1", "--dim-seq", str(width), "--seed", "3"]
         assert cli.main(args + ["--out", str(out)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def traced_peak(width):
+        tracemalloc.start()
+        try:
+            run(width)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(2**13)  # untraced, so that no first-call allocation is counted
+    narrow, width = 2**13, 2**15
+    narrow_peak = traced_peak(narrow)
+    assert traced_peak(width) - narrow_peak < 6 * 8 * (width - narrow)
     capsys.readouterr()
-    assert peak < 32e6
     row = sample_mu_a(Covariance.identity(width), TruncationDims(1, width), 1, 3).samples.ravel()
     with open(out, "rb") as fh:
         assert fh.readline() == ",".join(f"w_0_{k}" for k in range(width)).encode() + b"\r\n"
@@ -774,4 +786,60 @@ def test_oversized_sample_exits_2_before_allocating(tmp_path, capsys, sizes):
     assert code == 2
     assert "config error: field 'samples/dim-h/dim-seq'" in err and "Traceback" not in err
     assert str(cli.MAX_SAMPLE_VALUES) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples", [str(cli.MAX_SAMPLE_VALUES // 6 + 1), "1000000000000"]
+)
+def test_oversized_verify_batch_exits_2_before_allocating(capsys, samples):
+    # each Monte Carlo batch of verify holds samples x 2 x 3 values
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "--suite", "measure", "--samples", samples], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "config error: field 'samples'" in err and "Traceback" not in err
+    assert str(cli.MAX_SAMPLE_VALUES) in err
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ["--max-n", "1000000000", "--points", "1"],
+        ["--max-n", "0", "--points", "100000000"],
+        ["--max-n", "2047", "--points", "2049"],
+    ],
+)
+def test_oversized_hermite_table_exits_2_before_allocating(tmp_path, capsys, sizes):
+    out = tmp_path / "h.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["hermite", *sizes, "--out", str(out)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "config error: field 'points/max-n'" in err and "Traceback" not in err
+    assert str(cli.MAX_HERMITE_CELLS) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        # wrote 294 nan and 5 inf cells after three RuntimeWarnings, and exited 0
+        (["--max-n", "400", "--points", "3"],
+         "field 'max-n/x-min/x-max': degree 301 overflows at x = -3.0"),
+        # wrote inf from n = 2 on
+        (["--max-n", "5", "--x-min", "1e300", "--x-max", "1e300"],
+         "field 'max-n/x-min/x-max': degree 2 overflows at x = 1e+300"),
+        # wrote nan and inf x values
+        (["--max-n", "0", "--x-min=-1e308", "--x-max", "1e308"],
+         "field 'x-min/x-max': the grid spacing overflows"),
+    ],
+)
+def test_hermite_overflow_exits_2_without_writing(tmp_path, capsys, args, error):
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["hermite", *args, "--out", str(out)], capsys)
+    assert code == 2
+    assert f"config error: {error}" in err and "Traceback" not in err
     assert not out.exists()

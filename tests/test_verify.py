@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 
@@ -37,3 +38,24 @@ def test_every_shared_check_runs_in_a_suite(monkeypatch):
     results = verify.run_suite("all", samples=2000)
     assert [name for name in names if not calls[name]] == []
     assert len({r.name for r in results}) == len(results)
+    # "all" is the six suites in order, each name prefixed with its suite
+    assert results == [
+        verify.CheckResult(f"{suite}: {r.name}", r.passed, r.detail)
+        for suite in verify.SUITE_NAMES
+        for r in verify.run_suite(suite, samples=2000)
+    ]
+
+
+def test_each_row_declares_what_its_check_takes():
+    # the runner passes a row's inputs positionally, so they must be the
+    # check's own parameters in order; batch seeds must not repeat
+    offsets = []
+    for _, _, check, inputs in verify._CHECKS:
+        tokens = [token.partition("+") for token in inputs.split()]
+        params = list(inspect.signature(getattr(verify, check)).parameters)
+        assert [name for name, _, _ in tokens] == params, check
+        offsets += [int(k) for name, _, k in tokens if name == "seed"]
+    assert len(offsets) == len(set(offsets)) == 7
+    assert list(dict.fromkeys(suite for suite, *_ in verify._CHECKS)) == list(verify.SUITE_NAMES)
+    checks = sorted(check for _, _, check, _ in verify._CHECKS)
+    assert checks == sorted(name for name in vars(verify) if name.startswith("check_"))
