@@ -32,7 +32,7 @@ from math import factorial
 import numpy as np
 
 from .core import (
-    Covariance, apply_extended, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a,
+    Covariance, _finite, apply_extended, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a,
 )
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, _eval_terms, _term_arrays, kernel_inner_a
@@ -96,15 +96,15 @@ class ConditioningSet:
 
 
 def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
-    """Value of the expansion at one sample or a stacked batch of samples.
+    """Value of the expansion at one finite sample or a stacked batch of them.
 
     Every kernel is evaluated in one pass over the samples: the terms of
     all degrees are sorted by degree, and each block of samples is one
     GEMM serving every degree, followed by the homogeneous Hermite
     recurrence over the degree-sorted prefix of the terms (see
     ``wick._eval_terms``)."""
-    terms = _term_arrays(expansion.kernels.values(), np.shape(w)[-2:])
-    return _eval_terms(*terms, cov, w)
+    w = _finite(np.asarray(w, dtype=float), "w")
+    return _eval_terms(*_term_arrays(expansion.kernels.values(), w.shape[-2:]), cov, w)
 
 
 def chaos_inner(e1: ChaosExpansion, e2: ChaosExpansion, cov: Covariance) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from .chaos import ChaosExpansion, cond_exp_monomial
 from .closure import ClosureInputError, solve_closure
 from .core import Covariance, TruncationDims
-from .hermite import hermite_phys, hermite_prob
+from .hermite import _degrees
 from .measure import sample_mu_a
 from .serialize import (
     ConfigError,
@@ -90,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES,
         help="Monte Carlo sample count for the stochastic suites",
-    )
-    p_verify.add_argument(
-        "--tol-scale", type=float, default=1.0,
-        help="multiply every stated tolerance by this factor",
     )
 
     p_sample = sub.add_parser("sample", help="draw a sample batch to CSV")
@@ -155,11 +151,7 @@ def _cmd_verify(args) -> int:
     if args.samples * _DIMS.m * _DIMS.d > MAX_SAMPLE_VALUES:
         raise ConfigError("samples", f"{args.samples} samples of {_DIMS.m} x {_DIMS.d} values "
                           f"exceed {MAX_SAMPLE_VALUES} values")
-    if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
-        raise ConfigError("tol-scale", f"must be positive and finite, got {args.tol_scale}")
-    results = run_suite(
-        args.suite, seed=seed, tol_scale=args.tol_scale, samples=args.samples
-    )
+    results = run_suite(args.suite, seed=seed, samples=args.samples)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -280,15 +272,14 @@ def _cmd_hermite(args) -> int:
     for field, value in (("x-min", args.x_min), ("x-max", args.x_max)):
         if not np.isfinite(value):
             raise ConfigError(field, f"must be finite, got {value}")
-    eval_fn = hermite_prob if args.kind == "prob" else hermite_phys
     # the whole table is checked before the file is opened
     table = []
     with np.errstate(over="ignore", invalid="ignore"):
         xs = np.linspace(args.x_min, args.x_max, args.points)
         if not np.isfinite(xs).all():
             raise ConfigError("x-min/x-max", "the grid spacing overflows")
-        for n in range(args.max_n + 1):
-            values = np.atleast_1d(eval_fn(n, xs))
+        degrees = _degrees(xs, 1 if args.kind == "prob" else 2)
+        for n, values in zip(range(args.max_n + 1), degrees):
             bad = ~np.isfinite(values)
             if bad.any():
                 raise ConfigError("max-n/x-min/x-max", f"degree {n} overflows at x = "

@@ -60,6 +60,7 @@ __all__ = [
 DEPENDENT_TOL = 1e-12
 # A family is A-orthonormal when every Gram entry is within this of the identity.
 ORTHONORMAL_TOL = 1e-8
+PSD_TOL = 1e-9  # psd_check's tolerance, relative to the spectral norm
 
 
 def _finite(arr: np.ndarray, name: str) -> np.ndarray:
@@ -389,8 +390,8 @@ def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:
     return ProjectionBlocks(cut=cut, p=p, pt=pt)
 
 
-def psd_check(m, tol: float = 1e-9) -> bool:
-    """True iff the symmetric matrix m has smallest eigenvalue >= -tol * ||m||.
+def psd_check(m) -> bool:
+    """True iff the symmetric matrix m has smallest eigenvalue >= -PSD_TOL * ||m||.
 
     The tolerance is relative to the spectral norm; raises on non-symmetric
     input (symmetry is checked against the same relative tolerance).
@@ -398,9 +399,9 @@ def psd_check(m, tol: float = 1e-9) -> bool:
     mm = _as_array(m, 2, "matrix")
     if mm.shape[0] != mm.shape[1]:
         raise ValueError(f"matrix must be square, got {mm.shape}")
-    eigs = np.linalg.eigvalsh(_symmetrized(mm, max(tol, 1e-12), "matrix"))
+    eigs = np.linalg.eigvalsh(_symmetrized(mm, PSD_TOL, "matrix"))
     spectral = np.abs(eigs).max() if eigs.size else 0.0
-    return bool(eigs.min() >= -tol * spectral)
+    return bool(eigs.min() >= -PSD_TOL * spectral)
 
 
 def hadamard(m1, m2) -> np.ndarray:

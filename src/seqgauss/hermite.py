@@ -13,14 +13,15 @@ for the physicists' polynomials, the two conventions are linked by
 H_n(x) = 2^(-n/2) G_n(x / sqrt(2)) and G_n(x) = 2^(n/2) H_n(sqrt(2) x).
 
 ``gh_expectation`` integrates against the standard normal density by
-Gauss-Hermite quadrature of ``DEFAULT_QUADRATURE_ORDER`` nodes, exact for
-polynomials of degree < 2 * DEFAULT_QUADRATURE_ORDER.
+Gauss-Hermite quadrature of ``QUADRATURE_ORDER`` nodes, exact for
+polynomials of degree < 2 * QUADRATURE_ORDER.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from itertools import count, islice
 from math import comb, factorial
 from typing import Callable
 
@@ -36,7 +37,7 @@ __all__ = [
     "gh_expectation",
 ]
 
-DEFAULT_QUADRATURE_ORDER = 40
+QUADRATURE_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,24 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+def _degrees(xa: np.ndarray, s: int):
+    """Yield H_0(xa), H_1(xa), ... by the recurrence, each degree when it is asked for."""
+    prev = np.ones_like(xa)
+    yield prev
+    ax = s * xa
+    cur = ax
+    for k in count(1):
+        yield cur
+        prev, cur = cur, ax * cur - s * k * prev
+
+
 def _recurrence(n: int, x, s: int):
-    """H_n(x) from H_0 = 1, H_1 = s x and H_{k+1} = s x H_k - s k H_{k-1}."""
+    """H_n(x) for s = 1 (probabilists') or s = 2 (physicists')."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     xa = np.asarray(x, dtype=float)
-    prev = np.ones_like(xa)
-    if n == 0:
-        return prev if xa.ndim else float(prev)
-    ax = s * xa
-    cur = ax
-    for k in range(1, n):
-        prev, cur = cur, ax * cur - s * k * prev
-    return cur if xa.ndim else float(cur)
+    value = next(islice(_degrees(xa, s), n, None))
+    return value if xa.ndim else float(value)
 
 
 def hermite_prob(n: int, x):
@@ -106,12 +112,10 @@ def hermite_binomial_sum(n: int, alpha: float, beta: float, x: float, y: float) 
     return total
 
 
-@lru_cache(maxsize=None)
-def gaussian_quadrature(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule:
-    """Gauss-Hermite rule for the standard normal, cached per order."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+@cache
+def gaussian_quadrature() -> QuadratureRule:
+    """Gauss-Hermite rule of ``QUADRATURE_ORDER`` nodes for the standard normal."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(QUADRATURE_ORDER)
     weights = weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -120,9 +124,9 @@ def gaussian_quadrature(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule
 
 def gh_expectation(g: Callable) -> float:
     """Expectation of g under the standard normal by the Gauss-Hermite rule
-    of ``DEFAULT_QUADRATURE_ORDER`` nodes.
+    of ``QUADRATURE_ORDER`` nodes.
 
-    Exact (to rounding) for polynomial g of degree < 2 * DEFAULT_QUADRATURE_ORDER.
+    Exact (to rounding) for polynomial g of degree < 2 * QUADRATURE_ORDER.
     g may be vectorized over an array of nodes; a scalar-only g also works.
     """
     rule = gaussian_quadrature()

@@ -236,7 +236,7 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     Requires the phis to be A-orthonormal within ``core.ORTHONORMAL_TOL``
     and a batch of at least 2 samples.
     Flags any mean, variance or pairwise covariance outside ``SIGMA_BAND``
-    standard errors of (0, 1, 0), and any that is NaN.
+    standard errors of (0, 1, 0), or with a non-finite value or error.
     """
     q = len(phis)
     if q == 0:
@@ -246,28 +246,25 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     check_orthonormal_a(phis, cov, "observable family")
     coords = pairings(phis, batch)
     n = batch.count
-    means = coords.mean(axis=0)
-    variances = coords.var(axis=0, ddof=1)
-    mean_errors = np.sqrt(variances / n)
-    variance_errors = variances * np.sqrt(2.0 / (n - 1))
-    centered = coords - means
-    covariances = (centered.T @ centered) / (n - 1)
-    covariance_errors = np.sqrt(
-        (np.outer(variances, variances) + covariances**2) / n
-    )
-    failures = []
-    for i in range(q):
-        if not abs(means[i]) <= SIGMA_BAND * mean_errors[i]:
-            failures.append(f"mean[{i}] = {means[i]:.4e} (se {mean_errors[i]:.2e})")
-        if not abs(variances[i] - 1.0) <= SIGMA_BAND * variance_errors[i]:
-            failures.append(
-                f"var[{i}] = {variances[i]:.6f} (se {variance_errors[i]:.2e})"
-            )
-        for j in range(i + 1, q):
-            if not abs(covariances[i, j]) <= SIGMA_BAND * covariance_errors[i, j]:
-                failures.append(
-                    f"cov[{i},{j}] = {covariances[i, j]:.4e} (se {covariance_errors[i, j]:.2e})"
-                )
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = coords.mean(axis=0)
+        variances = coords.var(axis=0, ddof=1)
+        mean_errors = np.sqrt(variances / n)
+        variance_errors = variances * np.sqrt(2.0 / (n - 1))
+        centered = coords - means
+        covariances = (centered.T @ centered) / (n - 1)
+        covariance_errors = np.sqrt((np.outer(variances, variances) + covariances**2) / n)
+        failures = []
+        for i in range(q):
+            if not abs(means[i]) <= SIGMA_BAND * mean_errors[i] < np.inf:
+                failures.append(f"mean[{i}] = {means[i]:.4e} (se {mean_errors[i]:.2e})")
+            if not abs(variances[i] - 1.0) <= SIGMA_BAND * variance_errors[i] < np.inf:
+                failures.append(f"var[{i}] = {variances[i]:.6f} (se {variance_errors[i]:.2e})")
+            for j in range(i + 1, q):
+                if not abs(covariances[i, j]) <= SIGMA_BAND * covariance_errors[i, j] < np.inf:
+                    failures.append(
+                        f"cov[{i},{j}] = {covariances[i, j]:.4e} (se {covariance_errors[i, j]:.2e})"
+                    )
     return PushforwardReport(
         means=means,
         mean_errors=mean_errors,

@@ -2,9 +2,8 @@
 
 Each suite returns a list of named check results; a check that raises is
 reported as failed with the exception text.  Seeds make every suite
-deterministic, ``tol_scale`` loosens or tightens all stated tolerances by
-a common factor (the Monte Carlo bounds of 4 or 6 standard errors stay as
-they are), and ``samples`` sizes the Monte Carlo suites.
+deterministic, every check holds to the tolerance written in it, and
+``samples`` sizes the Monte Carlo suites.
 
 Every check is a module-level ``check_*`` function that the suites and the
 test suite share.  ``_CHECKS`` at the end of the module is the one list of
@@ -12,10 +11,9 @@ checks: a row per check names its suite, its display name, the function
 and what the function takes, and a suite runs its rows in table order, all
 drawing from one generator seeded with ``seed``.  A check that draws takes
 that generator first; a Monte Carlo check also takes the sample count and
-the seed of its batch (``seed + k``, with k given in its row); a check
-with a tolerance takes ``tol_scale`` last.  Adding a check is one
-``check_*`` function plus one row.  Every numeric comparison goes through
-``_assert_close``, which fails a NaN error or tolerance.
+the seed of its batch (``seed + k``, with k given in its row).  Adding a
+check is one ``check_*`` function plus one row.  Every numeric comparison
+goes through ``_assert_close``, which fails a NaN error or tolerance.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def random_cov(rng: np.random.Generator, d: int) -> core.Covariance:
 # core
 
 
-def check_bilinear_identities(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_bilinear_identities(rng: np.random.Generator) -> None:
     """Embedding/contraction and (weighted) rank-one inner-product identities
     on 50 random draws with m, d in 1..8."""
     for _ in range(50):
@@ -86,30 +84,30 @@ def check_bilinear_identities(rng: np.random.Generator, tol_scale: float = 1.0) 
         _assert_close(
             core.bracket(core.bullet(h, x), y),
             float(x @ y) * h,
-            1e-12 * tol_scale * max(1.0, float(np.abs(x @ y) * np.abs(h).max())),
+            1e-12 * max(1.0, float(np.abs(x @ y) * np.abs(h).max())),
             "bracket(bullet(h,x),y) = (x,y) h",
         )
         _assert_close(
             core.inner_l2(core.bullet(h, x), core.bullet(g, y)),
             float(h @ g) * float(x @ y),
-            1e-12 * tol_scale * max(1.0, abs(float(h @ g) * float(x @ y))),
+            1e-12 * max(1.0, abs(float(h @ g) * float(x @ y))),
             "rank-one inner product factorizes",
         )
         _assert_close(
             core.inner_a(f, core.bullet(h, x), cov),
             float(core.bracket(f, cov.apply(x)) @ h),
-            1e-12 * tol_scale * max(1.0, abs(core.inner_a(f, core.bullet(h, x), cov))),
+            1e-12 * max(1.0, abs(core.inner_a(f, core.bullet(h, x), cov))),
             "weighted pairing against a rank-one embedding",
         )
         _assert_close(
             core.inner_a(core.bullet(h, x), core.bullet(g, y), cov),
             float(h @ g) * cov.inner(x, y),
-            1e-12 * tol_scale * max(1.0, abs(float(h @ g) * cov.inner(x, y))),
+            1e-12 * max(1.0, abs(float(h @ g) * cov.inner(x, y))),
             "weighted rank-one inner product factorizes",
         )
 
 
-def check_norm_identities(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_norm_identities(rng: np.random.Generator) -> None:
     """||h . x|| = ||h|| ||x|| and ||[f, x]|| <= ||f|| ||x|| on 50 draws."""
     for _ in range(50):
         m, d = rng.integers(1, 9, size=2)
@@ -118,12 +116,12 @@ def check_norm_identities(rng: np.random.Generator, tol_scale: float = 1.0) -> N
         f = rng.standard_normal((m, d))
         lhs = np.linalg.norm(core.bullet(h, x))
         rhs = np.linalg.norm(h) * np.linalg.norm(x)
-        _assert_close(lhs, rhs, 1e-12 * tol_scale * max(1.0, rhs), "embedding norm")
+        _assert_close(lhs, rhs, 1e-12 * max(1.0, rhs), "embedding norm")
         if np.linalg.norm(core.bracket(f, x)) > np.linalg.norm(f) * np.linalg.norm(x) * (1 + 1e-12):
             raise AssertionError("contraction exceeds Cauchy-Schwarz bound")
 
 
-def check_parseval(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_parseval(rng: np.random.Generator) -> None:
     """sum_k ||[f, e_k]||^2 = ||f||^2 over a random orthonormal basis, 20 draws."""
     for _ in range(20):
         m, d = rng.integers(2, 9, size=2)
@@ -131,12 +129,12 @@ def check_parseval(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         total = sum(float(np.linalg.norm(core.bracket(f, basis[:, k])) ** 2) for k in range(d))
         _assert_close(
-            total, float(np.linalg.norm(f) ** 2), 1e-10 * tol_scale,
+            total, float(np.linalg.norm(f) ** 2), 1e-10,
             "squared norms against an orthonormal basis",
         )
 
 
-def check_operator_extension(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_operator_extension(rng: np.random.Generator) -> None:
     """The extension of A to sequence vectors is basis independent and
     commutes with the embedding, 20 draws."""
     for _ in range(20):
@@ -151,16 +149,16 @@ def check_operator_extension(rng: np.random.Generator, tol_scale: float = 1.0) -
             core.bullet(core.bracket(f, basis[:, k]), cov.apply(basis[:, k]))
             for k in range(d)
         )
-        _assert_close(via_basis, direct, 1e-10 * tol_scale, "extension is basis independent")
+        _assert_close(via_basis, direct, 1e-10, "extension is basis independent")
         _assert_close(
             core.apply_extended(cov, core.bullet(h, x)),
             core.bullet(h, cov.apply(x)),
-            1e-12 * tol_scale,
+            1e-12,
             "extension and embedding commute",
         )
 
 
-def check_operator_norm_transfer(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_operator_norm_transfer(rng: np.random.Generator) -> None:
     """The extension of A to sequence vectors, assembled from its action on
     the m*d unit sequence vectors, is exactly I_m (x) A, and its spectral
     norm is that of A on R^d; 5 draws."""
@@ -174,12 +172,12 @@ def check_operator_norm_transfer(rng: np.random.Generator, tol_scale: float = 1.
         extension = np.stack([core.apply_extended(cov, e).ravel() for e in units], axis=1)
         _assert_close(extension, np.kron(np.eye(m), cov.matrix), 0.0, "extension is I_m (x) A")
         _assert_close(
-            np.linalg.norm(extension, 2), np.linalg.norm(cov.matrix, 2), 1e-8 * tol_scale,
+            np.linalg.norm(extension, 2), np.linalg.norm(cov.matrix, 2), 1e-8,
             "matched spectral norms",
         )
 
 
-def check_block_projection_algebra(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_block_projection_algebra(rng: np.random.Generator) -> None:
     """The weighted block projection is idempotent, A-self-adjoint, fixes its
     range, contracts the weighted norm and leaves an orthogonal residual;
     20 draws of d in 3..12 and one cut each."""
@@ -189,58 +187,58 @@ def check_block_projection_algebra(rng: np.random.Generator, tol_scale: float = 
         cut = int(rng.integers(1, d))
         blocks = core.block_projection(cov, cut)
         p, pt = blocks.p, blocks.pt
-        _assert_close(p @ p, p, 1e-10 * tol_scale, "projection is idempotent")
+        _assert_close(p @ p, p, 1e-10, "projection is idempotent")
         _assert_close(
-            cov.matrix @ p, pt @ cov.matrix, 1e-10 * tol_scale,
+            cov.matrix @ p, pt @ cov.matrix, 1e-10,
             "weighted adjoint relation",
         )
         x = rng.standard_normal(d)
         y = np.zeros(d)
         y[:cut] = rng.standard_normal(cut)
         _assert_close(
-            cov.inner(x - p @ x, y), 0.0, 1e-10 * tol_scale,
+            cov.inner(x - p @ x, y), 0.0, 1e-10,
             "projection residual is orthogonal to the range",
         )
         nx = np.sqrt(cov.inner(x, x))
         npx = np.sqrt(max(cov.inner(p @ x, p @ x), 0.0))
-        if npx > nx * (1 + 1e-12 * tol_scale):
+        if npx > nx * (1 + 1e-12):
             raise AssertionError("projection expands the weighted norm")
         range_basis = np.eye(d)[:, :cut]
-        _assert_close(p @ range_basis, range_basis, 1e-14 * tol_scale, "projection fixes its range")
+        _assert_close(p @ range_basis, range_basis, 1e-14, "projection fixes its range")
 
 
-def check_block_projection_example(tol_scale: float = 1.0) -> None:
+def check_block_projection_example() -> None:
     """The block projection of the worked 3-by-3 example at cut 1."""
     cov = core.Covariance([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
     blocks = core.block_projection(cov, 1)
     expected = np.zeros((3, 3))
     expected[0] = [1.0, 0.5, 0.0]
-    _assert_close(blocks.p, expected, 1e-14 * tol_scale, "worked 3x3 projection")
-    _assert_close(blocks.p @ blocks.p, blocks.p, 1e-12 * tol_scale, "worked idempotence")
+    _assert_close(blocks.p, expected, 1e-14, "worked 3x3 projection")
+    _assert_close(blocks.p @ blocks.p, blocks.p, 1e-12, "worked idempotence")
     _assert_close(
-        cov.matrix @ blocks.p, blocks.pt @ cov.matrix, 1e-12 * tol_scale,
+        cov.matrix @ blocks.p, blocks.pt @ cov.matrix, 1e-12,
         "worked adjoint relation",
     )
 
 
-def check_gram_schmidt_example(tol_scale: float = 1.0) -> None:
+def check_gram_schmidt_example() -> None:
     """Weighted Gram-Schmidt of e1, e2 under A = [[1, .5], [.5, 1]] gives an
     A-orthonormal pair, and a dependent pair is reduced to one vector."""
     cov = core.Covariance([[1.0, 0.5], [0.5, 1.0]])
     basis = core.gram_schmidt_a([np.array([1.0, 0.0]), np.array([0.0, 1.0])], cov)
-    _assert_close(basis[0], [1.0, 0.0], 1e-15 * tol_scale, "first vector kept")
+    _assert_close(basis[0], [1.0, 0.0], 1e-15, "first vector kept")
     target = np.sqrt(4.0 / 3.0) * np.array([-0.5, 1.0])
-    _assert_close(basis[1], target, 1e-12 * tol_scale, "second orthonormalized vector")
+    _assert_close(basis[1], target, 1e-12, "second orthonormalized vector")
     _assert_close(
         [cov.inner(basis[0], basis[1]), cov.inner(basis[1], basis[1])], [0.0, 1.0],
-        1e-14 * tol_scale, "weighted orthonormality",
+        1e-14, "weighted orthonormality",
     )
     dep = core.gram_schmidt_a([np.array([1.0, 2.0]), np.array([2.0, 4.0])], cov)
     if len(dep) != 1:
         raise AssertionError(f"dependent input not dropped: got {len(dep)} vectors")
 
 
-def check_divergence_diagnostic(tol_scale: float = 1.0) -> str:
+def check_divergence_diagnostic() -> str:
     """Under A = diag(1/k^2), d = 2048, the contraction of f = (1, ..., 1, 0, ...)
     against x = 1/k grows like the harmonic sum while ||f||_A stays below
     pi / sqrt(6); the weighted Cauchy increments are exact tail sums."""
@@ -259,7 +257,7 @@ def check_divergence_diagnostic(tol_scale: float = 1.0) -> str:
         _assert_close(
             diff2,
             float(np.sum(1.0 / k[n_lo:n_hi] ** 2)),
-            1e-10 * tol_scale,
+            1e-10,
             "weighted Cauchy increments",
         )
     bound = np.pi / np.sqrt(6.0) + 1e-6
@@ -268,13 +266,13 @@ def check_divergence_diagnostic(tol_scale: float = 1.0) -> str:
         f[0, :n] = h[0]
         growth = float(np.linalg.norm(core.bracket(f, x)))
         harmonic = float(np.sum(1.0 / k[:n]))
-        _assert_close(growth, harmonic, 1e-9 * tol_scale, "harmonic growth")
+        _assert_close(growth, harmonic, 1e-9, "harmonic growth")
         if core.norm_a(f, cov) > bound:
             raise AssertionError("weighted norm escaped its bound")
     return "contraction diverges while the weighted norm stays bounded"
 
 
-def check_psd_appendix(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_psd_appendix(rng: np.random.Generator) -> None:
     """Schur products and entrywise exponential series of Gram matrices stay
     PSD (20 draws), and an indefinite matrix fails the PSD check."""
     for _ in range(20):
@@ -282,7 +280,7 @@ def check_psd_appendix(rng: np.random.Generator, tol_scale: float = 1.0) -> None
         g1 = rng.standard_normal((n, n))
         g2 = rng.standard_normal((n, n))
         m1, m2 = g1 @ g1.T, g2 @ g2.T
-        if not core.psd_check(core.hadamard(m1, m2), tol=1e-9 * tol_scale):
+        if not core.psd_check(core.hadamard(m1, m2)):
             raise AssertionError("Schur product lost positive semidefiniteness")
         scale = np.abs(m1).max() or 1.0
         scaled = m1 / scale
@@ -291,10 +289,10 @@ def check_psd_appendix(rng: np.random.Generator, tol_scale: float = 1.0) -> None
         for j in range(30):
             series = series + power / factorial(j)
             power = core.hadamard(power, scaled)
-        if not core.psd_check(series, tol=1e-9 * tol_scale):
+        if not core.psd_check(series):
             raise AssertionError("entrywise exponential series lost PSD")
         _assert_close(core.hadamard(m1, np.ones_like(m1)), m1, 0.0, "ones identity")
-    if core.psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-9):
+    if core.psd_check(np.array([[1.0, 2.0], [2.0, 1.0]])):
         raise AssertionError("indefinite matrix passed the PSD check")
 
 
@@ -302,7 +300,7 @@ def check_psd_appendix(rng: np.random.Generator, tol_scale: float = 1.0) -> None
 # hermite
 
 
-def check_hermite_orthogonality(tol_scale: float = 1.0) -> None:
+def check_hermite_orthogonality() -> None:
     """Gauss-Hermite Gram matrix of H_0, ..., H_10 equals diag(n!)."""
     nmax = 10
     gram = np.empty((nmax + 1, nmax + 1))
@@ -312,10 +310,10 @@ def check_hermite_orthogonality(tol_scale: float = 1.0) -> None:
                 lambda t: hermite.hermite_prob(n, t) * hermite.hermite_prob(m, t)
             )
     target = np.diag([factorial(n) for n in range(nmax + 1)])
-    _assert_close(gram, target, 1e-8 * tol_scale, "quadrature Gram matrix")
+    _assert_close(gram, target, 1e-8, "quadrature Gram matrix")
 
 
-def check_recurrence_vs_sum(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_recurrence_vs_sum(rng: np.random.Generator) -> None:
     """The three-term recurrence equals the alternating sum for n = 0..15 at
     8 points each in [-5, 5]."""
     for n in range(16):
@@ -323,10 +321,10 @@ def check_recurrence_vs_sum(rng: np.random.Generator, tol_scale: float = 1.0) ->
             a = hermite.hermite_prob(n, float(x))
             b = hermite.hermite_prob_sum(n, float(x))
             scale = max(1.0, abs(a), abs(b))
-            _assert_close(a, b, 1e-9 * tol_scale * scale, f"n={n}, x={x}")
+            _assert_close(a, b, 1e-9 * scale, f"n={n}, x={x}")
 
 
-def check_convention_relations(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_convention_relations(rng: np.random.Generator) -> None:
     """He_n(x) = 2^(-n/2) H_n(x / sqrt 2) and H_n(x) = 2^(n/2) He_n(sqrt 2 x)
     for n = 0..12 at 8 points each in [-3, 3]."""
     for n in range(13):
@@ -335,19 +333,19 @@ def check_convention_relations(rng: np.random.Generator, tol_scale: float = 1.0)
             rhs = 2.0 ** (-n / 2) * hermite.hermite_phys(n, float(x) / np.sqrt(2.0))
             scale = max(1.0, abs(lhs), abs(rhs))
             _assert_close(
-                lhs, rhs, 1e-9 * tol_scale * scale,
+                lhs, rhs, 1e-9 * scale,
                 f"probabilists' from physicists', n={n}, x={x}",
             )
             lhs2 = hermite.hermite_phys(n, float(x))
             rhs2 = 2.0 ** (n / 2) * hermite.hermite_prob(n, np.sqrt(2.0) * float(x))
             scale2 = max(1.0, abs(lhs2), abs(rhs2))
             _assert_close(
-                lhs2, rhs2, 1e-9 * tol_scale * scale2,
+                lhs2, rhs2, 1e-9 * scale2,
                 f"physicists' from probabilists', n={n}, x={x}",
             )
 
 
-def check_binomial_expansion(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_binomial_expansion(rng: np.random.Generator) -> None:
     """He_n(alpha x + beta y) equals its binomial expansion for alpha^2 +
     beta^2 = 1, on 100 draws of n in 0..10 and x, y in [-3, 3]."""
     for _ in range(100):
@@ -358,66 +356,66 @@ def check_binomial_expansion(rng: np.random.Generator, tol_scale: float = 1.0) -
         lhs = hermite.hermite_prob(n, alpha * x + beta * y)
         rhs = hermite.hermite_binomial_sum(n, alpha, beta, x, y)
         scale = max(1.0, abs(lhs), abs(rhs))
-        _assert_close(lhs, rhs, 1e-9 * tol_scale * scale, f"n={n}, alpha={alpha}")
+        _assert_close(lhs, rhs, 1e-9 * scale, f"n={n}, alpha={alpha}")
 
 
-def check_quadrature_sanity(tol_scale: float = 1.0) -> None:
+def check_quadrature_sanity() -> None:
     """The Gauss-Hermite rule has positive weights summing to one, second
     moment one, and zero mean for He_1..He_12."""
     rule = hermite.gaussian_quadrature()
     if (rule.weights <= 0).any():
         raise AssertionError("non-positive quadrature weight")
-    _assert_close(rule.weights.sum(), 1.0, 1e-12 * tol_scale, "weights sum to one")
-    _assert_close(hermite.gh_expectation(lambda t: t * t), 1.0, 1e-10 * tol_scale, "second moment")
+    _assert_close(rule.weights.sum(), 1.0, 1e-12, "weights sum to one")
+    _assert_close(hermite.gh_expectation(lambda t: t * t), 1.0, 1e-10, "second moment")
     for n in range(1, 13):
         val = hermite.gh_expectation(lambda t: hermite.hermite_prob(n, t))
-        _assert_close(val, 0.0, 1e-8 * tol_scale, f"degree {n} mean")
+        _assert_close(val, 0.0, 1e-8, f"degree {n} mean")
 
 
 # ---------------------------------------------------------------------------
 # wick
 
 
-def check_polarization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_polarization(rng: np.random.Generator) -> None:
     """Polarized kernels of degree 2 and 3 expand to the symmetrized tensor
     product of their vectors, and a repeated vector to its plain power."""
     for n in (2, 3):
         xs = rng.standard_normal((n, _M, _D))
         dense = wick.dense_from_kernel(wick.polarize(xs))
         target = wick._symmetrize_array(wick._tensor_product([x.ravel() for x in xs]))
-        _assert_close(dense.array, target, 1e-12 * tol_scale, f"degree {n}")
+        _assert_close(dense.array, target, 1e-12, f"degree {n}")
     x = rng.standard_normal((_M, _D))
     dense = wick.dense_from_kernel(wick.polarize([x, x, x]))
     _assert_close(
-        dense.array, wick._tensor_product([x.ravel()] * 3), 1e-12 * tol_scale,
+        dense.array, wick._tensor_product([x.ravel()] * 3), 1e-12,
         "repeated vector power",
     )
 
 
-def check_permutation_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_permutation_invariance(rng: np.random.Generator) -> None:
     """The dense expansion of a polarized degree-3 kernel is invariant under
     every axis permutation."""
     xs = rng.standard_normal((3, _M, _D))
     dense = wick.dense_from_kernel(wick.polarize(xs))
     for perm in itertools.permutations(range(3)):
         _assert_close(
-            np.transpose(dense.array, perm), dense.array, 1e-12 * tol_scale,
+            np.transpose(dense.array, perm), dense.array, 1e-12,
             f"permutation {perm}",
         )
 
 
-def check_symmetrization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_symmetrization(rng: np.random.Generator) -> None:
     """Symmetrizing a random 2-tensor averages it with its transpose and is
     idempotent."""
     arr = rng.standard_normal((_M * _D, _M * _D))
     t = wick.DenseTensor(degree=2, dims=(_M, _D), array=arr)
     sym1 = wick.symmetrize_dense(t)
     sym2 = wick.symmetrize_dense(sym1)
-    _assert_close(sym2.array, sym1.array, 1e-15 * tol_scale, "idempotent")
-    _assert_close(sym1.array, 0.5 * (arr + arr.T), 1e-15 * tol_scale, "pair average")
+    _assert_close(sym2.array, sym1.array, 1e-15, "idempotent")
+    _assert_close(sym1.array, 0.5 * (arr + arr.T), 1e-15, "pair average")
 
 
-def check_low_degree_wick_values(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_low_degree_wick_values(rng: np.random.Generator) -> None:
     """:phi^0: = 1 exactly, :phi^1: = <phi, w> and :phi^2: = <phi, w>^2 - ||phi||_A^2."""
     cov = random_cov(rng, _D)
     phi = rng.standard_normal((_M, _D))
@@ -429,17 +427,17 @@ def check_low_degree_wick_values(rng: np.random.Generator, tol_scale: float = 1.
     )
     _assert_close(
         wick.wick_eval(wick.SymKernel.rank_one(phi, 1), cov, w), p,
-        1e-12 * tol_scale * max(1.0, abs(p)), "degree 1",
+        1e-12 * max(1.0, abs(p)), "degree 1",
     )
     _assert_close(
         wick.wick_eval(wick.SymKernel.rank_one(phi, 2), cov, w),
         p * p - na2,
-        1e-10 * tol_scale * max(1.0, abs(p * p - na2)),
+        1e-10 * max(1.0, abs(p * p - na2)),
         "degree 2",
     )
 
 
-def check_wick_recursion(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_wick_recursion(rng: np.random.Generator) -> None:
     """The dense Wick recursion equals the closed form on 50 random
     (degree, covariance, point) draws at m, d = 2, 3."""
     for _ in range(50):
@@ -449,10 +447,10 @@ def check_wick_recursion(rng: np.random.Generator, tol_scale: float = 1.0) -> No
         rec = wick.wick_dense_tensor(n, cov, w)
         closed = wick.wick_dense_closed_form(n, cov, w)
         scale = max(1.0, float(np.abs(closed).max()))
-        _assert_close(rec, closed, 1e-10 * tol_scale * scale, f"degree {n}")
+        _assert_close(rec, closed, 1e-10 * scale, f"degree {n}")
 
 
-def check_polarized_evaluation(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_polarized_evaluation(rng: np.random.Generator) -> None:
     """Evaluating a polarized kernel term by term equals evaluating its dense
     expansion, on 25 draws of degree 1..4."""
     for _ in range(25):
@@ -464,10 +462,10 @@ def check_polarized_evaluation(rng: np.random.Generator, tol_scale: float = 1.0)
         dense = wick.dense_from_kernel(kernel)
         a = wick.wick_eval(kernel, cov, w)
         b = wick.wick_eval_dense(n, cov, w, dense)
-        _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
+        _assert_close(a, b, 1e-10 * max(1.0, abs(a)), f"degree {n}")
 
 
-def check_monomials_from_wick(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_monomials_from_wick(rng: np.random.Generator) -> None:
     """The inverse Wick identity rebuilds <phi, w>^n for n = 0..4, one random
     covariance, point and phi per degree at m, d = 2, 3."""
     for n in range(5):
@@ -477,10 +475,10 @@ def check_monomials_from_wick(rng: np.random.Generator, tol_scale: float = 1.0) 
         rebuilt = wick.monomial_dense_from_wick(n, cov, w)
         lhs = float(np.sum(rebuilt * wick._tensor_product([phi.ravel()] * n)))
         rhs = measure.pairing(phi, w) ** n
-        _assert_close(lhs, rhs, 1e-10 * tol_scale * max(1.0, abs(rhs)), f"degree {n}")
+        _assert_close(lhs, rhs, 1e-10 * max(1.0, abs(rhs)), f"degree {n}")
 
 
-def check_kernel_inner_routes(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_kernel_inner_routes(rng: np.random.Generator) -> None:
     """The kernel inner product equals the dense contraction on 25 draws of
     degree 0..4, and (phi^n, psi^n)_A = (phi, psi)_A^n for n = 1..4."""
     for _ in range(25):
@@ -493,7 +491,7 @@ def check_kernel_inner_routes(rng: np.random.Generator, tol_scale: float = 1.0) 
         )
         a = wick.kernel_inner_a(k1, k2, cov)
         b = wick.dense_inner_a(wick.dense_from_kernel(k1), wick.dense_from_kernel(k2), cov)
-        _assert_close(a, b, 1e-10 * tol_scale * max(1.0, abs(a)), f"degree {n}")
+        _assert_close(a, b, 1e-10 * max(1.0, abs(a)), f"degree {n}")
     cov = random_cov(rng, _D)
     phi, psi = rng.standard_normal((2, _M, _D))
     for n in range(1, 5):
@@ -501,10 +499,10 @@ def check_kernel_inner_routes(rng: np.random.Generator, tol_scale: float = 1.0) 
             wick.SymKernel.rank_one(phi, n), wick.SymKernel.rank_one(psi, n), cov
         )
         b = core.inner_a(phi, psi, cov) ** n
-        _assert_close(a, b, 1e-12 * tol_scale * max(1.0, abs(b)), "rank-one powers")
+        _assert_close(a, b, 1e-12 * max(1.0, abs(b)), "rank-one powers")
 
 
-def check_repolarization(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_repolarization(rng: np.random.Generator) -> None:
     """The polarized and parallelogram forms of x1 x2 give the same tensor
     and the same Wick value."""
     cov = random_cov(rng, _D)
@@ -521,12 +519,12 @@ def check_repolarization(rng: np.random.Generator, tol_scale: float = 1.0) -> No
     _assert_close(
         wick.dense_from_kernel(k_a).array,
         wick.dense_from_kernel(k_b).array,
-        1e-12 * tol_scale,
+        1e-12,
         "same tensor",
     )
     va = wick.wick_eval(k_a, cov, w)
     vb = wick.wick_eval(k_b, cov, w)
-    _assert_close(va, vb, 1e-9 * tol_scale * max(1.0, abs(va)), "same value")
+    _assert_close(va, vb, 1e-9 * max(1.0, abs(va)), "same value")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +606,7 @@ def check_characteristic_function(rng: np.random.Generator, samples: int, seed: 
         raise AssertionError("characteristic function at zero must be exactly one")
 
 
-def check_isserlis_base_cases(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_isserlis_base_cases(rng: np.random.Generator) -> None:
     """The pair-partition oracle on a pair, an odd product, a fourth power
     and the empty product."""
     cov = random_cov(rng, _D)
@@ -616,7 +614,7 @@ def check_isserlis_base_cases(rng: np.random.Generator, tol_scale: float = 1.0) 
     _assert_close(
         measure.isserlis_moment([phi, psi], cov),
         core.inner_a(phi, psi, cov),
-        1e-12 * tol_scale * max(1.0, abs(core.inner_a(phi, psi, cov))),
+        1e-12 * max(1.0, abs(core.inner_a(phi, psi, cov))),
         "pair",
     )
     if measure.isserlis_moment([phi, psi, chi], cov) != 0.0:
@@ -624,7 +622,7 @@ def check_isserlis_base_cases(rng: np.random.Generator, tol_scale: float = 1.0) 
     _assert_close(
         measure.isserlis_moment([phi] * 4, cov),
         3.0 * core.inner_a(phi, phi, cov) ** 2,
-        1e-12 * tol_scale * max(1.0, 3.0 * core.inner_a(phi, phi, cov) ** 2),
+        1e-12 * max(1.0, 3.0 * core.inner_a(phi, phi, cov) ** 2),
         "quartic",
     )
     if measure.isserlis_moment([], cov) != 1.0:
@@ -642,7 +640,7 @@ def check_mc_moments(rng: np.random.Generator, samples: int, seed: int) -> None:
         _assert_close(mean, target, 4.0 * se, f"{n} factors: mean {mean:.5f} vs {target:.5f}")
 
 
-def check_wick_orthogonality(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_wick_orthogonality(rng: np.random.Generator) -> None:
     """E[:phi^n: :psi^m:] = n! (phi, psi)_A^n if n = m, else 0, for
     n, m = 0..4 on 20 random (covariance, phi, psi) draws at m, d = 2, 3."""
     for _ in range(20):
@@ -653,7 +651,7 @@ def check_wick_orthogonality(rng: np.random.Generator, tol_scale: float = 1.0) -
                 val = wick_pair_expectation(phi, n, psi, m_deg, cov)
                 target = factorial(n) * core.inner_a(phi, psi, cov) ** n if n == m_deg else 0.0
                 _assert_close(
-                    val, target, 1e-9 * tol_scale * max(1.0, abs(target)),
+                    val, target, 1e-9 * max(1.0, abs(target)),
                     f"n={n}, m={m_deg}: {val} vs {target}",
                 )
 
@@ -693,7 +691,7 @@ def random_expansion(rng, m, d, max_degree=2) -> chaos_mod.ChaosExpansion:
     return chaos_mod.ChaosExpansion(kernels=kernels)
 
 
-def check_cond_exp_example(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_cond_exp_example(rng: np.random.Generator) -> None:
     """Conditional expectation of a random 3-by-4 kernel f under A = I with
     a coupled leading 2-by-2 block [[1, .5], [.5, 1]], conditioned on e1, on
     e1 and e2, and on the full span."""
@@ -705,19 +703,19 @@ def check_cond_exp_example(rng: np.random.Generator, tol_scale: float = 1.0) -> 
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
     target1 = core.bullet(f[:, 0] + 0.5 * f[:, 1], e1)
     _assert_close(
-        chaos_mod.cond_exp_monomial(f, [e1], cov), target1, 1e-12 * tol_scale,
+        chaos_mod.cond_exp_monomial(f, [e1], cov), target1, 1e-12,
         "single conditioning vector",
     )
     target2 = core.bullet(f[:, 0], e1) + core.bullet(f[:, 1], e2)
     _assert_close(
-        chaos_mod.cond_exp_monomial(f, [e1, e2], cov), target2, 1e-12 * tol_scale,
+        chaos_mod.cond_exp_monomial(f, [e1, e2], cov), target2, 1e-12,
         "two conditioning vectors",
     )
     full = chaos_mod.cond_exp_monomial(f, [np.eye(4)[k] for k in range(4)], cov)
-    _assert_close(full, f, 1e-12 * tol_scale, "full span leaves the kernel unchanged")
+    _assert_close(full, f, 1e-12, "full span leaves the kernel unchanged")
 
 
-def check_cond_exp_idempotence(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_cond_exp_idempotence(rng: np.random.Generator) -> None:
     """Conditioning a random expansion twice changes no kernel base, and
     conditioning does not increase the chaos norm; 20 draws."""
     for _ in range(20):
@@ -728,14 +726,12 @@ def check_cond_exp_idempotence(rng: np.random.Generator, tol_scale: float = 1.0)
         twice = chaos_mod.cond_exp_chaos(once, cond, cov)
         for n in once.degrees:
             for t1, t2 in zip(once.kernels[n].terms, twice.kernels[n].terms):
-                _assert_close(t2.base, t1.base, 1e-10 * tol_scale, f"degree {n} idempotence")
-        if chaos_mod.chaos_norm(once, cov) > chaos_mod.chaos_norm(
-            expansion, cov
-        ) + 1e-10 * tol_scale:
+                _assert_close(t2.base, t1.base, 1e-10, f"degree {n} idempotence")
+        if chaos_mod.chaos_norm(once, cov) > chaos_mod.chaos_norm(expansion, cov) + 1e-10:
             raise AssertionError("conditioning expanded the chaos norm")
 
 
-def check_degree_one_additivity(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_degree_one_additivity(rng: np.random.Generator) -> None:
     """Conditioning a degree-1 kernel on an A-orthonormal pair is the sum of
     conditioning on each vector; 20 draws."""
     for _ in range(20):
@@ -745,10 +741,10 @@ def check_degree_one_additivity(rng: np.random.Generator, tol_scale: float = 1.0
         basis = core.gram_schmidt_a(raw, cov)
         joint = chaos_mod.cond_exp_monomial(f, basis, cov)
         separate = sum(chaos_mod.cond_exp_monomial(f, [x], cov) for x in basis)
-        _assert_close(joint, separate, 1e-10 * tol_scale, "additive over vectors")
+        _assert_close(joint, separate, 1e-10, "additive over vectors")
 
 
-def check_span_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_span_invariance(rng: np.random.Generator) -> None:
     """Conditioning depends only on the span of the conditioning vectors;
     20 draws."""
     for _ in range(20):
@@ -760,12 +756,12 @@ def check_span_invariance(rng: np.random.Generator, tol_scale: float = 1.0) -> N
         _assert_close(
             chaos_mod.cond_exp_monomial(f, xs, cov),
             chaos_mod.cond_exp_monomial(f, ys, cov),
-            1e-10 * tol_scale,
+            1e-10,
             "same span, same projection",
         )
 
 
-def check_kernelwise_projection(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_kernelwise_projection(rng: np.random.Generator) -> None:
     """The chaos projection of a degree-1 kernel onto h_i . x_k equals the
     direct monomial projection onto x_k; 10 draws."""
     for _ in range(10):
@@ -787,14 +783,12 @@ def check_kernelwise_projection(rng: np.random.Generator, tol_scale: float = 1.0
         _assert_close(
             kernel_sum,
             chaos_mod.cond_exp_monomial(f, xs, cov),
-            1e-10 * tol_scale,
+            1e-10,
             "finite-rank kernel form",
         )
 
 
-def check_chaos_inner_structure(
-    rng: np.random.Generator, samples: int, seed: int, tol_scale: float = 1.0
-) -> None:
+def check_chaos_inner_structure(rng: np.random.Generator, samples: int, seed: int) -> None:
     """Chaoses of different degree are orthogonal, ||phi^n||^2 = n!
     ||phi||_A^(2n) for n = 1..3, and the chaos inner product of two random
     expansions matches its Monte Carlo estimate within 4 standard errors."""
@@ -808,7 +802,7 @@ def check_chaos_inner_structure(
         e = chaos_mod.ChaosExpansion(kernels={n: wick.SymKernel.rank_one(phi, n)})
         val = chaos_mod.chaos_inner(e, e, cov)
         target = factorial(n) * core.inner_a(phi, phi, cov) ** n
-        _assert_close(val, target, 1e-12 * tol_scale * max(1.0, abs(target)), f"degree {n} norm")
+        _assert_close(val, target, 1e-12 * max(1.0, abs(target)), f"degree {n} norm")
     batch = measure.sample_mu_a(cov, _DIMS, samples, seed=seed)
     f_exp = random_expansion(rng, _M, _D)
     g_exp = random_expansion(rng, _M, _D)
@@ -856,7 +850,7 @@ def check_conditional_residuals(rng: np.random.Generator, samples: int, seed: in
     )
 
 
-def check_growing_conditioning_rank(rng: np.random.Generator, tol_scale: float = 1.0) -> str:
+def check_growing_conditioning_rank(rng: np.random.Generator) -> str:
     """The chaos norm of the projection grows with the conditioning rank and
     stays below the full norm."""
     cov = random_cov(rng, _D)
@@ -867,9 +861,9 @@ def check_growing_conditioning_rank(rng: np.random.Generator, tol_scale: float =
     for q in range(1, 5):
         cond = chaos_mod.ConditioningSet.from_vectors(vectors[:q], cov)
         norm = chaos_mod.chaos_norm(chaos_mod.cond_exp_chaos(expansion, cond, cov), cov)
-        if norm < prev - 1e-10 * tol_scale:
+        if norm < prev - 1e-10:
             raise AssertionError("projection norm decreased as the set grew")
-        if norm > full_norm * (1.0 + 1e-10 * tol_scale):
+        if norm > full_norm * (1.0 + 1e-10):
             raise AssertionError("projection norm exceeded the full norm")
         prev = norm
     return "projection norms stabilize monotonically"
@@ -920,7 +914,7 @@ def check_absorption_and_source() -> None:
         raise AssertionError("source must feed only moment 0")
 
 
-def check_closure_rows(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_closure_rows(rng: np.random.Generator) -> None:
     """Truncation and identity correlation give a zero closure row, the 1x1
     example gives 0.5, and a random row is invariant under rescaling."""
     n = 2
@@ -932,7 +926,7 @@ def check_closure_rows(rng: np.random.Generator, tol_scale: float = 1.0) -> None
     spec = closure_mod.ClosureSpec(
         kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
     )
-    _assert_close(closure_mod.closure_row(spec, 0), [0.5], 1e-15 * tol_scale, "1x1 block")
+    _assert_close(closure_mod.closure_row(spec, 0), [0.5], 1e-15, "1x1 block")
     g = rng.standard_normal((n + 2, n + 2))
     corr = g @ g.T + (n + 2) * np.eye(n + 2)
     r1 = closure_mod.closure_row(
@@ -941,7 +935,7 @@ def check_closure_rows(rng: np.random.Generator, tol_scale: float = 1.0) -> None
     r2 = closure_mod.closure_row(
         closure_mod.ClosureSpec(kind="optimal_prediction", correlation=3.7 * corr), n
     )
-    _assert_close(r1, r2, 1e-12 * tol_scale * max(1.0, np.abs(r1).max()), "scale invariance")
+    _assert_close(r1, r2, 1e-12 * max(1.0, np.abs(r1).max()), "scale invariance")
 
 
 def check_identity_correlation_truncation() -> None:
@@ -974,7 +968,7 @@ def check_identity_correlation_truncation() -> None:
                 raise AssertionError(f"{what} deviated from truncation")
 
 
-def check_conservation(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_conservation(rng: np.random.Generator) -> None:
     """Free streaming of a random 64-cell N = 3 state keeps each moment's
     spatial sum within 1e-12 over 20 steps."""
     params = _params(64)
@@ -984,10 +978,10 @@ def check_conservation(rng: np.random.Generator, tol_scale: float = 1.0) -> None
     sums = state.values.sum(axis=0)
     for _ in range(20):
         state = closure_mod.step(state, params, spec, dt=0.005)
-        _assert_close(state.values.sum(axis=0), sums, 1e-12 * tol_scale, "per-moment spatial sums")
+        _assert_close(state.values.sum(axis=0), sums, 1e-12, "per-moment spatial sums")
 
 
-def check_local_balance(tol_scale: float = 1.0) -> None:
+def check_local_balance() -> None:
     """One explicit step keeps a free constant state, damps it by 1 - kappa dt
     under absorption, and a source grows moment 0 only."""
     order = 2
@@ -999,7 +993,7 @@ def check_local_balance(tol_scale: float = 1.0) -> None:
     decayed = closure_mod.step(const, _params(16, kappa=kappa), spec, dt=0.01)
     _assert_close(
         decayed.values[:, 0], const.values[:, 0] * (1.0 - kappa * 0.01),
-        1e-14 * tol_scale, "explicit absorption factor",
+        1e-14, "explicit absorption factor",
     )
     zero = closure_mod.MomentGrid(t=0.0, values=np.zeros((16, order + 1)))
     sourced = closure_mod.step(zero, _params(16, kappa=kappa, source=1.5), spec, dt=0.01)
@@ -1009,7 +1003,7 @@ def check_local_balance(tol_scale: float = 1.0) -> None:
         raise AssertionError("higher moments must stay zero without scattering")
 
 
-def check_weak_form_projection(rng: np.random.Generator, tol_scale: float = 1.0) -> None:
+def check_weak_form_projection(rng: np.random.Generator) -> None:
     """<P phi, omega> = <phi, P^T omega> for the block projection; 10 draws."""
     for _ in range(10):
         d = int(rng.integers(3, 9))
@@ -1021,7 +1015,7 @@ def check_weak_form_projection(rng: np.random.Generator, tol_scale: float = 1.0)
         omega = rng.standard_normal((m, d))
         lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
         rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
-        _assert_close(lhs, rhs, 1e-12 * tol_scale * max(1.0, abs(lhs)), "adjoint pairing")
+        _assert_close(lhs, rhs, 1e-12 * max(1.0, abs(lhs)), "adjoint pairing")
 
 
 def check_refinement_monotone() -> str:
@@ -1061,76 +1055,64 @@ def check_cfl_guard() -> str:
 
 # One row per check: (suite, display name, check, inputs).  ``inputs`` names
 # what the check takes, in its positional order: "rng" the suite's
-# generator, "samples" the Monte Carlo sample count, "seed+k" the batch seed
-# ``seed + k``, and "tol_scale".  A suite runs its rows in this order.
+# generator, "samples" the Monte Carlo sample count and "seed+k" the batch
+# seed ``seed + k``.  A suite runs its rows in this order.
 _CHECKS = [
-    ("core", "bilinear embedding/contraction identities", "check_bilinear_identities",
-     "rng tol_scale"),
-    ("core", "embedding norm and contraction bound", "check_norm_identities", "rng tol_scale"),
-    ("core", "norm decomposition over orthonormal bases", "check_parseval", "rng tol_scale"),
-    ("core", "operator extension to sequence vectors", "check_operator_extension",
-     "rng tol_scale"),
-    ("core", "operator norm transfer", "check_operator_norm_transfer", "rng tol_scale"),
-    ("core", "weighted block projection algebra", "check_block_projection_algebra",
-     "rng tol_scale"),
-    ("core", "worked block projection", "check_block_projection_example", "tol_scale"),
-    ("core", "weighted Gram-Schmidt worked example", "check_gram_schmidt_example", "tol_scale"),
-    ("core", "unbounded contraction diagnostic", "check_divergence_diagnostic", "tol_scale"),
-    ("core", "PSD closure under Schur products", "check_psd_appendix", "rng tol_scale"),
-    ("hermite", "orthogonality matrix equals diag(n!)", "check_hermite_orthogonality",
-     "tol_scale"),
-    ("hermite", "recurrence matches alternating sum", "check_recurrence_vs_sum", "rng tol_scale"),
-    ("hermite", "convention cross relations", "check_convention_relations", "rng tol_scale"),
-    ("hermite", "binomial expansion", "check_binomial_expansion", "rng tol_scale"),
-    ("hermite", "quadrature rule sanity", "check_quadrature_sanity", "tol_scale"),
-    ("wick", "polarization matches dense symmetrization", "check_polarization", "rng tol_scale"),
-    ("wick", "dense expansion is permutation invariant", "check_permutation_invariance",
-     "rng tol_scale"),
-    ("wick", "symmetrization properties", "check_symmetrization", "rng tol_scale"),
-    ("wick", "low-degree Wick values", "check_low_degree_wick_values", "rng tol_scale"),
-    ("wick", "recursion matches closed form", "check_wick_recursion", "rng tol_scale"),
-    ("wick", "polarized and dense evaluation agree", "check_polarized_evaluation",
-     "rng tol_scale"),
-    ("wick", "plain monomials rebuilt from Wick terms", "check_monomials_from_wick",
-     "rng tol_scale"),
-    ("wick", "kernel inner product matches dense contraction", "check_kernel_inner_routes",
-     "rng tol_scale"),
-    ("wick", "evaluation invariant under re-polarization", "check_repolarization",
-     "rng tol_scale"),
+    ("core", "bilinear embedding/contraction identities", "check_bilinear_identities", "rng"),
+    ("core", "embedding norm and contraction bound", "check_norm_identities", "rng"),
+    ("core", "norm decomposition over orthonormal bases", "check_parseval", "rng"),
+    ("core", "operator extension to sequence vectors", "check_operator_extension", "rng"),
+    ("core", "operator norm transfer", "check_operator_norm_transfer", "rng"),
+    ("core", "weighted block projection algebra", "check_block_projection_algebra", "rng"),
+    ("core", "worked block projection", "check_block_projection_example", ""),
+    ("core", "weighted Gram-Schmidt worked example", "check_gram_schmidt_example", ""),
+    ("core", "unbounded contraction diagnostic", "check_divergence_diagnostic", ""),
+    ("core", "PSD closure under Schur products", "check_psd_appendix", "rng"),
+    ("hermite", "orthogonality matrix equals diag(n!)", "check_hermite_orthogonality", ""),
+    ("hermite", "recurrence matches alternating sum", "check_recurrence_vs_sum", "rng"),
+    ("hermite", "convention cross relations", "check_convention_relations", "rng"),
+    ("hermite", "binomial expansion", "check_binomial_expansion", "rng"),
+    ("hermite", "quadrature rule sanity", "check_quadrature_sanity", ""),
+    ("wick", "polarization matches dense symmetrization", "check_polarization", "rng"),
+    ("wick", "dense expansion is permutation invariant", "check_permutation_invariance", "rng"),
+    ("wick", "symmetrization properties", "check_symmetrization", "rng"),
+    ("wick", "low-degree Wick values", "check_low_degree_wick_values", "rng"),
+    ("wick", "recursion matches closed form", "check_wick_recursion", "rng"),
+    ("wick", "polarized and dense evaluation agree", "check_polarized_evaluation", "rng"),
+    ("wick", "plain monomials rebuilt from Wick terms", "check_monomials_from_wick", "rng"),
+    ("wick", "kernel inner product matches dense contraction", "check_kernel_inner_routes", "rng"),
+    ("wick", "evaluation invariant under re-polarization", "check_repolarization", "rng"),
     ("measure", "seeded batches are reproducible", "check_sampling_determinism", "rng"),
     ("measure", "pairing variance matches the weighted norm", "check_pairing_variance",
      "rng samples seed+1"),
     ("measure", "characteristic function", "check_characteristic_function", "rng samples seed+2"),
-    ("measure", "pair-partition oracle base cases", "check_isserlis_base_cases", "rng tol_scale"),
+    ("measure", "pair-partition oracle base cases", "check_isserlis_base_cases", "rng"),
     ("measure", "Monte Carlo product moments match the oracle", "check_mc_moments",
      "rng samples seed+3"),
-    ("measure", "exact Wick orthogonality via the oracle", "check_wick_orthogonality",
-     "rng tol_scale"),
+    ("measure", "exact Wick orthogonality via the oracle", "check_wick_orthogonality", "rng"),
     ("measure", "orthonormal pushforward is standard normal", "check_pushforward",
      "rng samples seed+4"),
-    ("chaos", "worked conditional-expectation example", "check_cond_exp_example", "rng tol_scale"),
-    ("chaos", "projection idempotence and contraction", "check_cond_exp_idempotence",
-     "rng tol_scale"),
-    ("chaos", "degree-1 additivity", "check_degree_one_additivity", "rng tol_scale"),
-    ("chaos", "span invariance", "check_span_invariance", "rng tol_scale"),
+    ("chaos", "worked conditional-expectation example", "check_cond_exp_example", "rng"),
+    ("chaos", "projection idempotence and contraction", "check_cond_exp_idempotence", "rng"),
+    ("chaos", "degree-1 additivity", "check_degree_one_additivity", "rng"),
+    ("chaos", "span invariance", "check_span_invariance", "rng"),
     ("chaos", "kernel-wise and direct degree-1 projections agree", "check_kernelwise_projection",
-     "rng tol_scale"),
+     "rng"),
     ("chaos", "chaos inner product structure", "check_chaos_inner_structure",
-     "rng samples seed+11 tol_scale"),
+     "rng samples seed+11"),
     ("chaos", "expansion mean equals its constant term", "check_expansion_mean",
      "rng samples seed+12"),
     ("chaos", "conditional residuals vanish weakly", "check_conditional_residuals",
      "rng samples seed+13"),
-    ("chaos", "growing conditioning rank stabilizes", "check_growing_conditioning_rank",
-     "rng tol_scale"),
+    ("chaos", "growing conditioning rank stabilizes", "check_growing_conditioning_rank", "rng"),
     ("closure", "advection coefficient values", "check_advection_coefficients", ""),
     ("closure", "absorption and source structure", "check_absorption_and_source", ""),
-    ("closure", "closure rows", "check_closure_rows", "rng tol_scale"),
+    ("closure", "closure rows", "check_closure_rows", "rng"),
     ("closure", "identity correlation reproduces truncation",
      "check_identity_correlation_truncation", ""),
-    ("closure", "free streaming conserves spatial sums", "check_conservation", "rng tol_scale"),
-    ("closure", "pointwise balance of the explicit step", "check_local_balance", "tol_scale"),
-    ("closure", "weak-form projection identity", "check_weak_form_projection", "rng tol_scale"),
+    ("closure", "free streaming conserves spatial sums", "check_conservation", "rng"),
+    ("closure", "pointwise balance of the explicit step", "check_local_balance", ""),
+    ("closure", "weak-form projection identity", "check_weak_form_projection", "rng"),
     ("closure", "truncation refinement is monotone", "check_refinement_monotone", ""),
     ("closure", "CFL guard", "check_cfl_guard", ""),
 ]
@@ -1138,12 +1120,12 @@ _CHECKS = [
 __all__ += [check for _, _, check, _ in _CHECKS]
 
 
-def _run(suite: str, seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAULT_SAMPLES):
+def _run(suite: str, seed: int = 0, samples: int = DEFAULT_SAMPLES):
     """Run the rows of ``suite`` in table order, all drawing from one
     generator seeded with ``seed``; a check that raises is a failure that
     reports the exception text.  Each check is looked up by name when it
     is called."""
-    given = {"rng": np.random.default_rng(seed), "samples": samples, "tol_scale": tol_scale}
+    given = {"rng": np.random.default_rng(seed), "samples": samples}
     results = []
     for _, name, check, inputs in (row for row in _CHECKS if row[0] == suite):
         args = [
@@ -1159,19 +1141,14 @@ def _run(suite: str, seed: int = 0, tol_scale: float = 1.0, samples: int = DEFAU
 _SUITES = {suite: functools.partial(_run, suite) for suite in SUITE_NAMES}
 
 
-def run_suite(
-    name: str,
-    seed: int = 0,
-    tol_scale: float = 1.0,
-    samples: int = DEFAULT_SAMPLES,
-) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[CheckResult]:
     """Run one module suite (or all of them) and return its check results."""
     if name == "all":
         return [
             CheckResult(f"{suite}: {res.name}", res.passed, res.detail)
             for suite in SUITE_NAMES
-            for res in _SUITES[suite](seed=seed, tol_scale=tol_scale, samples=samples)
+            for res in _SUITES[suite](seed=seed, samples=samples)
         ]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](seed=seed, tol_scale=tol_scale, samples=samples)
+    return _SUITES[name](seed=seed, samples=samples)

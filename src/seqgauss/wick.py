@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
-from .core import Covariance, gram_a
+from .core import Covariance, _finite, gram_a
 
 __all__ = [
     "RankOnePower",
@@ -84,8 +84,8 @@ _BLOCK_VALUES = 32_768
 
 @dataclass(frozen=True)
 class RankOnePower:
-    """One polarized term: ``coeff * base^(x)degree`` with base an m-by-d
-    sequence vector."""
+    """One polarized term: ``coeff * base^(x)degree`` with a finite coeff
+    and base an m-by-d finite sequence vector."""
 
     coeff: float
     base: np.ndarray
@@ -97,9 +97,12 @@ class RankOnePower:
         base = np.array(self.base, dtype=float)
         if base.ndim != 2:
             raise ValueError(f"base must be an m-by-d matrix, got shape {base.shape}")
+        coeff = float(self.coeff)
+        if not isfinite(coeff):
+            raise ValueError(f"coeff must be finite, got {coeff}")
         base.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "base", _finite(base, "base"))
+        object.__setattr__(self, "coeff", coeff)
 
 
 @dataclass(frozen=True)
@@ -239,13 +242,14 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     """Evaluate the Wick-ordered monomial of ``kernel`` at sample(s) ``w``.
 
     Sums ``coeff * ||base||_A^n * H_n(<base, w> / ||base||_A)`` over the
-    polarized terms.  ``w`` may be one m-by-d sample or a stacked batch
-    with leading axes; the result is a float or an array accordingly.
+    polarized terms.  ``w`` may be one finite m-by-d sample or a stacked
+    batch with leading axes; the result is a float or an array accordingly.
     Runs the one-pass evaluator of ``chaos.eval_expansion`` on the terms of
     this one kernel: one GEMM per block of samples, then the homogeneous
     Hermite recurrence, which never divides by ``||base||_A``.
     """
-    return _eval_terms(*_term_arrays([kernel], np.shape(w)[-2:]), cov, w)
+    w = _finite(np.asarray(w, dtype=float), "w")
+    return _eval_terms(*_term_arrays([kernel], w.shape[-2:]), cov, w)
 
 
 def _term_arrays(kernels, dims):

@@ -73,7 +73,7 @@ def test_quadrature_rule_invariants():
 
 
 def test_quadrature_rule_is_cached():
-    assert hermite.gaussian_quadrature(32) is hermite.gaussian_quadrature(32)
+    assert hermite.gaussian_quadrature() is hermite.gaussian_quadrature()
 
 
 def test_gh_expectation_orthogonality():

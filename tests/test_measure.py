@@ -244,6 +244,20 @@ def test_pushforward_check_refuses_fewer_than_two_samples(count):
         measure.pushforward_check([phi], batch, cov)
 
 
+def test_pushforward_check_flags_statistics_that_overflow():
+    # a finite sample of 1e200 overflows the variance to inf, so its standard
+    # error was inf too and |x| <= 4 * inf passed every statistic
+    cov = core.Covariance.identity(D)
+    samples = measure.sample_mu_a(cov, DIMS, 1000, seed=1).samples.copy()
+    samples[3, 0, 0] = 1e200
+    basis = np.zeros((2, M, D))
+    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
+    report = measure.pushforward_check(basis, measure.SampleBatch(samples), cov)
+    assert not report.passed
+    assert np.isinf(report.variances[0])
+    assert "var[0] = inf (se inf)" in report.failures
+
+
 def test_sample_batch_refuses_non_finite_samples():
     # such a batch reached the estimators: char_function_mc returned
     # (nan+nanj) and only pushforward_check flagged it

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqgauss import core, wick
+from seqgauss import chaos, core, wick
 from seqgauss.hermite import hermite_prob
 from seqgauss.verify import (
     check_kernel_inner_routes,
@@ -348,3 +348,31 @@ def test_kernel_inner_edges():
     bad[0, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         wick.kernel_inner_a(full, wick.SymKernel.rank_one(bad, 2), cov)
+
+
+def _sample_with(value):
+    w = np.ones((M, D))
+    w[0, 1] = value
+    return w
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda k, cov: wick.wick_eval(k, cov, _sample_with(np.nan)), "w"),
+        (lambda k, cov: wick.wick_eval(k, cov, np.stack([_sample_with(1.0), _sample_with(np.inf)])),
+         "w"),
+        (lambda k, cov: chaos.eval_expansion(
+            chaos.ChaosExpansion(kernels={2: k}), cov, _sample_with(np.nan)), "w"),
+        (lambda k, cov: wick.SymKernel.rank_one(np.ones((M, D)), 2, coeff=np.nan), "coeff"),
+        (lambda k, cov: wick.SymKernel.rank_one(_sample_with(-np.inf), 2), "base"),
+    ],
+    ids=["wick_eval-nan", "wick_eval-inf-batch", "eval_expansion-nan", "coeff-nan", "base-inf"],
+)
+def test_non_finite_input_is_refused_naming_its_field(call, field):
+    # each was accepted: the sample cases returned nan or inf, the NaN
+    # coefficient gave a kernel whose inner product is nan, and the
+    # infinite base was refused only later under an internal name
+    kernel = wick.SymKernel.rank_one(np.ones((M, D)), 2)
+    with pytest.raises(ValueError, match=rf"^{field} .*finite"):
+        call(kernel, core.Covariance.identity(D))
