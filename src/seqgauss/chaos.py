@@ -122,13 +122,13 @@ def chaos_norm(expansion: ChaosExpansion, cov: Covariance) -> float:
 
 def project_onto_set(phi, conditioning: ConditioningSet, cov: Covariance) -> np.ndarray:
     """A-orthogonal projection onto the conditioning span,
-    ``sum_k (phi, psi_k)_A psi_k``, of one (m, d) sequence vector or of
-    every vector in a (T, m, d) stack; the coefficients of the whole stack
-    come from one ``gram_a`` call."""
-    p = np.asarray(phi, dtype=float)
-    stack = p[np.newaxis] if p.ndim == 2 else p
-    out = np.tensordot(gram_a(stack, conditioning.basis, cov), conditioning.basis, axes=1)
-    return out[0] if p.ndim == 2 else out
+    ``sum_k (phi, psi_k)_A psi_k``, of every vector in a (T, m, d) stack
+    ``phi`` (one vector is a stack of one); the coefficients of the whole
+    stack come from one ``gram_a`` call."""
+    stack = np.asarray(phi, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError(f"phi must be a (T, m, d) stack, got shape {stack.shape}")
+    return np.tensordot(gram_a(stack, conditioning.basis, cov), conditioning.basis, axes=1)
 
 
 def cond_exp_chaos(
@@ -182,11 +182,11 @@ def mc_cond_check(
 
     which is zero for any test function of the conditioning coordinates
     (use polynomial g of modest degree, <= 6, so moments exist cleanly).
-    ``g`` receives a column-major (count, q) array of coordinates and may
-    return a (count,) array; a per-sample scalar function also works.  The
-    residual F - E[F | conditioning] is evaluated in one pass: the terms of
-    F and those of E[F | conditioning], with their coefficients negated, go
-    to the evaluator together.
+    ``g`` is called once, on the column-major (count, q) array of
+    coordinates, and must return a (count,) array; any other shape raises
+    ``ValueError``.  The residual F - E[F | conditioning] is evaluated in
+    one pass: the terms of F and those of E[F | conditioning], with their
+    coefficients negated, go to the evaluator together.
     """
     if batch.count == 0:
         raise ValueError("empty batch")
@@ -202,11 +202,8 @@ def mc_cond_check(
         batch.samples,
     )
     coords = pairings(conditioning.basis, batch)
-    try:
-        gvals = np.asarray(g(coords), dtype=float)
-        if gvals.shape != (batch.count,):
-            raise ValueError
-    except (TypeError, ValueError):
-        gvals = np.array([float(g(row)) for row in coords])
+    gvals = np.asarray(g(coords), dtype=float)
+    if gvals.shape != (batch.count,):
+        raise ValueError(f"g must return one value per sample, got shape {gvals.shape}")
     mean, se = _mean_estimate(residual * gvals)
     return McEstimate(value=mean, std_error=se, count=batch.count)

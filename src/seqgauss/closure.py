@@ -48,15 +48,13 @@ each step, so the periodic neighbours are slices of that buffer, not
 rolled copies.  Each step is computed into preallocated arrays with the
 same operations in the same order as 0.5 (left + right) - (courant
 (right - left)) @ B^T - damping u + dt q, so results do not depend on the
-buffering.  ``dt * q`` is computed once for a constant source; a callable
-source is evaluated at the start time of every step.  Returned snapshots
-are read-only copies.
+buffering.  The source is a fixed per-cell array, so ``dt * q`` is
+computed once per run.  Returned snapshots are read-only copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -104,9 +102,9 @@ class ClosureInputError(ValueError):
 class MaterialParams:
     """Material data on a uniform grid of J cells over (a, b).
 
-    ``sigma`` (scattering) and ``kappa`` (absorption) are per-cell arrays;
-    ``source`` is a per-cell array or a callable (x_centers, t) -> array
-    evaluated at the start of each step.
+    ``sigma`` (scattering), ``kappa`` (absorption) and ``source`` are
+    each one number for every cell or a per-cell array; anything else,
+    a callable included, is refused.
     """
 
     a: float
@@ -114,25 +112,18 @@ class MaterialParams:
     cells: int
     sigma: np.ndarray
     kappa: np.ndarray
-    source: np.ndarray | Callable[[np.ndarray, float], np.ndarray]
+    source: np.ndarray
 
     def __post_init__(self):
         if self.cells < 2:
             raise ValueError(f"need at least 2 cells, got {self.cells}")
         if not self.b > self.a:
             raise ValueError(f"domain ({self.a}, {self.b}) is empty")
-        sigma = _per_cell(self.sigma, self.cells, "sigma")
-        kappa = _per_cell(self.kappa, self.cells, "kappa")
-        if (sigma < 0).any():
-            raise ValueError("sigma must be non-negative")
-        if (kappa < 0).any():
-            raise ValueError("kappa must be non-negative")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "kappa", kappa)
-        if not callable(self.source):
-            object.__setattr__(
-                self, "source", _per_cell(self.source, self.cells, "source")
-            )
+        for name in ("sigma", "kappa", "source"):
+            values = _per_cell(getattr(self, name), self.cells, name)
+            if name != "source" and (values < 0).any():
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, values)
 
     @property
     def dx(self) -> float:
@@ -142,14 +133,12 @@ class MaterialParams:
     def x_centers(self) -> np.ndarray:
         return self.a + (np.arange(self.cells) + 0.5) * self.dx
 
-    def source_values(self, t: float) -> np.ndarray:
-        if callable(self.source):
-            return _per_cell(self.source(self.x_centers, t), self.cells, "source")
-        return self.source
-
 
 def _per_cell(values, cells: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be scalar or length-{cells}, got {type(values)}") from None
     if arr.ndim == 0:
         arr = np.full(cells, float(arr))
     if arr.shape != (cells,):
@@ -263,9 +252,9 @@ def _absorption(params: MaterialParams, order: int) -> np.ndarray:
     return c
 
 
-def _source_term(params: MaterialParams, order: int, t: float) -> np.ndarray:
+def _source_term(params: MaterialParams, order: int) -> np.ndarray:
     q = np.zeros((params.cells, order + 1))
-    q[:, 0] = 2.0 * params.kappa * params.source_values(t)
+    q[:, 0] = 2.0 * params.kappa * params.source
     return q
 
 
@@ -274,16 +263,15 @@ def step(
     params: MaterialParams,
     spec: ClosureSpec,
     dt: float,
-    cfl: float = DEFAULT_CFL,
 ) -> MomentGrid:
     """One explicit Lax-Friedrichs step with periodic boundaries: a
     :func:`solve_closure` run of one step of ``dt``, so a loop of steps
     reproduces its snapshots bitwise.  Raises as that run does, e.g. on a
-    non-hyperbolic closed advection matrix, on CFL violation (dt > cfl *
-    dx / rho of that matrix) and on non-finite output, reporting time and
-    first bad cell.
+    non-hyperbolic closed advection matrix, on CFL violation (dt >
+    ``DEFAULT_CFL`` * dx / rho of that matrix) and on non-finite output,
+    reporting time and first bad cell.
     """
-    return solve_closure(state, params, spec, t_final=dt, dt=dt, cfl=cfl)[-1]
+    return solve_closure(state, params, spec, t_final=dt, dt=dt)[-1]
 
 
 def solve_closure(
@@ -355,9 +343,8 @@ def solve_closure(
     snapshots, t = [initial], initial.t
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports overflow
         damping = dt * _absorption(params, initial.order)
-        fixed = None if callable(params.source) else dt * _source_term(params, initial.order, t)
+        source = dt * _source_term(params, initial.order)
         for i in range(1, n_steps + 1):
-            source = fixed if fixed is not None else dt * _source_term(params, initial.order, t)
             padded[0], padded[-1] = padded[-2], padded[1]
             # 0.5 (left + right) - (courant (right - left)) @ B^T - damping u + dt q
             np.multiply(0.5, np.add(left, right, out=mean), out=mean)

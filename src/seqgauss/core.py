@@ -397,11 +397,10 @@ def psd_check(m) -> bool:
     input (symmetry is checked against the same relative tolerance).
     """
     mm = _as_array(m, 2, "matrix")
-    if mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"matrix must be square, got {mm.shape}")
+    if mm.shape[0] != mm.shape[1] or not mm.size:
+        raise ValueError(f"matrix must be square and non-empty, got {mm.shape}")
     eigs = np.linalg.eigvalsh(_symmetrized(mm, PSD_TOL, "matrix"))
-    spectral = np.abs(eigs).max() if eigs.size else 0.0
-    return bool(eigs.min() >= -PSD_TOL * spectral)
+    return bool(eigs.min() >= -PSD_TOL * np.abs(eigs).max())
 
 
 def hadamard(m1, m2) -> np.ndarray:

@@ -99,16 +99,14 @@ def hermite_binomial_sum(n: int, alpha: float, beta: float, x: float, y: float) 
 
     sum_k C(n, k) alpha^k beta^(n-k) H_k(x) H_{n-k}(y)
     """
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    hx = [float(h) for h in islice(_degrees(np.asarray(x, dtype=float), 1), n + 1)]
+    hy = [float(h) for h in islice(_degrees(np.asarray(y, dtype=float), 1), n + 1)]
     total = 0.0
     for k in range(n + 1):
         # float exponentiation already follows 0.0 ** 0 == 1.0
-        total += (
-            comb(n, k)
-            * alpha**k
-            * beta ** (n - k)
-            * hermite_prob(k, x)
-            * hermite_prob(n - k, y)
-        )
+        total += comb(n, k) * alpha**k * beta ** (n - k) * hx[k] * hy[n - k]
     return total
 
 
@@ -127,13 +125,11 @@ def gh_expectation(g: Callable) -> float:
     of ``QUADRATURE_ORDER`` nodes.
 
     Exact (to rounding) for polynomial g of degree < 2 * QUADRATURE_ORDER.
-    g may be vectorized over an array of nodes; a scalar-only g also works.
+    g is called once, on the array of all nodes, and must return one value
+    per node; any other shape raises ``ValueError``.
     """
     rule = gaussian_quadrature()
-    try:
-        values = np.asarray(g(rule.nodes), dtype=float)
-        if values.shape != rule.nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        values = np.array([float(g(t)) for t in rule.nodes])
+    values = np.asarray(g(rule.nodes), dtype=float)
+    if values.shape != rule.nodes.shape:
+        raise ValueError(f"g must return one value per node, got shape {values.shape}")
     return float(np.sum(rule.weights * values))

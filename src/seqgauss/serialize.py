@@ -1,4 +1,4 @@
-"""JSON (de)serialization for matrices, chaos expansions, and CLI configs.
+"""JSON for matrices, chaos expansions (written only), and CLI configs.
 
 Matrices and vectors travel as nested lists of numbers in row-major
 order.  A chaos expansion becomes a list of ``{"degree": n, "terms":
@@ -17,7 +17,6 @@ from .closure import (
     DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid,
 )
 from .core import Covariance, apply_extended
-from .wick import RankOnePower, SymKernel
 
 __all__ = [
     "ConfigError",
@@ -26,7 +25,6 @@ __all__ = [
     "matrix_to_lists",
     "matrix_from_lists",
     "expansion_to_jsonable",
-    "expansion_from_jsonable",
     "load_condexp_config",
     "load_closure_config",
 ]
@@ -105,33 +103,6 @@ def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
             }
         )
     return out
-
-
-def expansion_from_jsonable(data, field: str = "expansion") -> ChaosExpansion:
-    if not isinstance(data, list):
-        raise ConfigError(field, "must be a list of {degree, terms} objects")
-    kernels: dict[int, SymKernel] = {}
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "degree" not in entry or "terms" not in entry:
-            raise ConfigError(f"{field}[{i}]", "must be an object with degree and terms")
-        degree = entry["degree"]
-        if not isinstance(degree, int) or degree < 0:
-            raise ConfigError(f"{field}[{i}].degree", "must be a non-negative integer")
-        if degree in kernels:
-            raise ConfigError(f"{field}[{i}].degree", f"duplicate degree {degree}")
-        if not isinstance(entry["terms"], list):
-            raise ConfigError(f"{field}[{i}].terms", "must be a list of {coeff, base} objects")
-        terms = []
-        for j, term in enumerate(entry["terms"]):
-            if not isinstance(term, dict) or "coeff" not in term or "base" not in term:
-                raise ConfigError(
-                    f"{field}[{i}].terms[{j}]", "must be an object with coeff and base"
-                )
-            coeff = matrix_from_lists(term["coeff"], f"{field}[{i}].terms[{j}].coeff", ndim=0)
-            base = matrix_from_lists(term["base"], f"{field}[{i}].terms[{j}].base")
-            terms.append(RankOnePower(float(coeff), base, degree))
-        kernels[degree] = SymKernel(degree=degree, terms=tuple(terms))
-    return ChaosExpansion(kernels=kernels)
 
 
 def _require(doc: dict, field: str):

@@ -122,8 +122,14 @@ def test_project_onto_set_stack_matches_single_vectors():
     stack = rng.standard_normal((4, M, D))
     loop = [sum(core.inner_a(phi, psi, cov) * psi for psi in cond.basis) for phi in stack]
     assert np.allclose(chaos.project_onto_set(stack, cond, cov), loop, rtol=1e-12, atol=1e-12)
-    single = chaos.project_onto_set(stack[0], cond, cov)
-    assert np.allclose(single, loop[0], rtol=1e-12, atol=1e-12)
+
+
+def test_project_onto_set_refuses_a_single_vector():
+    rng = np.random.default_rng(21)
+    cov = random_cov(rng, D)
+    cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
+    with pytest.raises(ValueError, match=r"phi must be a \(T, m, d\) stack, got shape \(2, 3\)"):
+        chaos.project_onto_set(rng.standard_normal((M, D)), cond, cov)
 
 
 def test_cond_exp_chaos_fixes_kernels_in_span():
@@ -322,22 +328,29 @@ def test_mc_cond_check_quadratic_expansions():
     batch = measure.sample_mu_a(cov, DIMS, 100_000, seed=25)
     cond = chaos.ConditioningSet.from_vectors(list(rng.standard_normal((2, M, D))), cov)
     for _ in range(5):
-        expansion = random_expansion(rng, M, D)
+        expansion = random_expansion(rng)
         est = chaos.mc_cond_check(
             expansion, cond, cov, lambda c: c[:, 0] ** 2 - c[:, 0] * c[:, 1], batch
         )
         assert abs(est.value) <= 4.0 * est.std_error + 1e-12
 
 
-def test_mc_cond_check_scalar_test_function():
+@pytest.mark.parametrize(
+    "g, shape",
+    [
+        (lambda c: c, r"\(200, 1\)"),
+        (lambda c: 1.0, r"\(\)"),
+        (lambda row: row[0], r"\(1,\)"),
+    ],
+    ids=["the coordinates", "one value", "a per-sample function"],
+)
+def test_mc_cond_check_refuses_g_of_the_wrong_shape(g, shape):
     rng = np.random.default_rng(19)
     cov = random_cov(rng, D)
-    batch = measure.sample_mu_a(cov, DIMS, 2_000, seed=26)
+    batch = measure.sample_mu_a(cov, DIMS, 200, seed=26)
     cond = chaos.ConditioningSet.from_vectors([rng.standard_normal((M, D))], cov)
-    expansion = random_expansion(rng, M, D, max_degree=1)
-    est_vec = chaos.mc_cond_check(expansion, cond, cov, lambda c: c[:, 0], batch)
-    est_scalar = chaos.mc_cond_check(expansion, cond, cov, lambda row: row[0], batch)
-    assert est_vec.value == pytest.approx(est_scalar.value, rel=1e-12, abs=1e-15)
+    with pytest.raises(ValueError, match=r"g must return one value per sample, got shape " + shape):
+        chaos.mc_cond_check(random_expansion(rng), cond, cov, g, batch)
 
 
 @pytest.mark.parametrize("basis", [(np.ones(3),), np.ones((2, 3)), np.ones((1, 2, 3, 1))])

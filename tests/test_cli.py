@@ -498,6 +498,31 @@ def test_sample_fuzzed_covariance_exits_0_or_2_without_traceback(doc):
         assert written == ""
 
 
+_EDGE_FLOATS = [0.0, -2.5, 3.0, 5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    max_n=st.sampled_from([-1, 0, 1, 7, 300, 400, 10**6, 10**30]),
+    points=st.sampled_from([-1, 0, 1, 2, 5, cli.MAX_HERMITE_CELLS + 1, 10**30]),
+    x_min=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-10.0, 10.0)),
+    x_max=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-10.0, 10.0)),
+    kind=st.sampled_from(["prob", "phys"]),
+)
+def test_hermite_fuzzed_arguments_exit_0_or_2_without_traceback(max_n, points, x_min, x_max,
+                                                                  kind):
+    args = ["hermite", f"--max-n={max_n}", f"--points={points}", f"--x-min={x_min!r}",
+            f"--x-max={x_max!r}", f"--kind={kind}", "--out", "{out}"]
+    code, _, written = run_fuzzed(args, {})
+    if code == 0:
+        rows = [line.split(",") for line in written.splitlines()]
+        assert rows[0] == ["n", "x", "value"]
+        values = np.array(rows[1:], dtype=float)
+        assert values.shape == (points * (max_n + 1), 3) and np.isfinite(values).all()
+    else:
+        assert written == ""
+
+
 def stdlib_csv_bytes(tmp_path, header, rows):
     """What the stdlib ``csv.writer`` writes for ``header`` and ``rows``."""
     path = tmp_path / "stdlib.csv"

@@ -24,15 +24,13 @@ def test_absorption_and_source_structure():
     check_absorption_and_source()
 
 
-def test_time_dependent_source_evaluated_at_step_start():
-    params = closure.MaterialParams(
-        a=0.0, b=1.0, cells=4, sigma=0.0, kappa=1.0,
-        source=lambda x, t: np.full_like(x, t),
-    )
-    state = closure.MomentGrid(t=2.0, values=np.zeros((4, 1)))
-    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.1)
-    # q_0 = 2 * kappa * q(x, t_start) = 2 * 1 * 2, applied over dt
-    assert np.allclose(out.values[:, 0], 0.1 * 4.0, atol=1e-15, rtol=0)
+@pytest.mark.parametrize("name", ["sigma", "kappa", "source"])
+def test_material_params_refuse_a_callable(name):
+    fields = dict(a=0.0, b=1.0, cells=4, sigma=0.0, kappa=1.0, source=0.0)
+    fields[name] = lambda x, t: np.full_like(x, t)
+    message = f"{name} must be scalar or length-4, got <class 'function'>"
+    with pytest.raises(ValueError, match=message):
+        closure.MaterialParams(**fields)
 
 
 def test_closure_row_truncation_is_zero():
@@ -138,9 +136,13 @@ def test_cfl_must_be_positive_and_finite(cfl):
     with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
         closure.solve_closure(state, params, spec, t_final=0.1, cfl=cfl)
     assert exc.value.argument == "cfl"
-    with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
-        closure.step(state, params, spec, dt=0.01, cfl=cfl)
-    assert exc.value.argument == "cfl"
+
+
+def test_step_takes_no_cfl():
+    params = make_params(cells=16)
+    state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
+    with pytest.raises(TypeError, match="cfl"):
+        closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01, cfl=0.5)
 
 
 @pytest.mark.parametrize(
@@ -335,7 +337,7 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
     order = 3
     params = closure.MaterialParams(
         a=0.0, b=1.0, cells=40, sigma=0.3, kappa=0.5,
-        source=lambda x, t: np.cos(2.0 * np.pi * x) * (1.0 + 10.0 * t),
+        source=np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 40)),
     )
     corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
     spec = closure.ClosureSpec(kind="optimal_prediction", correlation=corr)
@@ -369,7 +371,7 @@ def _roll_reference(initial, params, spec, dt, t_final, output_stride):
         right = np.roll(u, -1, axis=0)
         advected = 0.5 * (left + right) - courant * (right - left) @ b_closed.T
         new = advected - damping * u
-        u = new + dt * closure._source_term(params, initial.order, t)
+        u = new + dt * closure._source_term(params, initial.order)
         t = t + dt
         if i % output_stride == 0 or i == n_steps:
             snapshots.append((t, u))
@@ -377,10 +379,7 @@ def _roll_reference(initial, params, spec, dt, t_final, output_stride):
 
 
 @pytest.mark.parametrize("kind", ["pn", "optimal_prediction"])
-@pytest.mark.parametrize(
-    "source", [np.linspace(0.0, 2.0, 24), lambda x, t: np.sin(2.0 * np.pi * x) + 5.0 * t],
-    ids=["array", "callable"],
-)
+@pytest.mark.parametrize("source", [np.linspace(0.0, 2.0, 24)], ids=["array"])
 def test_march_buffers_never_leak_into_results(kind, source):
     order = 3
     params = closure.MaterialParams(

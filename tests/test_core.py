@@ -240,6 +240,13 @@ def test_psd_check_examples():
     assert core.psd_check(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (0, 3)], ids=str)
+def test_psd_check_refuses_empty_and_non_square_matrices(shape):
+    message = fr"matrix must be square and non-empty, got \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(ValueError, match=message):
+        core.psd_check(np.zeros(shape))
+
+
 def test_psd_check_rejects_non_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         core.psd_check([[1.0, 2.0], [0.0, 1.0]])

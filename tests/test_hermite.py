@@ -68,6 +68,25 @@ def test_binomial_expansion_degenerate_direction():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def test_binomial_sum_is_bitwise_the_per_degree_sum():
+    """One pass over the degrees gives the bytes of the sum that evaluates
+    H_k(x) and H_{n-k}(y) from scratch for every k."""
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        n = int(rng.integers(0, 40))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        alpha, beta = [(np.cos(theta), np.sin(theta)), (0.0, 1.0), (1.0, 0.0)][i % 3]
+        x, y = rng.uniform(-4.0, 4.0, size=2)
+        per_degree = 0.0
+        for k in range(n + 1):
+            per_degree += (math.comb(n, k) * alpha**k * beta ** (n - k)
+                           * hermite.hermite_prob(k, x) * hermite.hermite_prob(n - k, y))
+        fast = hermite.hermite_binomial_sum(n, alpha, beta, x, y)
+        assert np.float64(fast).tobytes() == np.float64(per_degree).tobytes(), (n, alpha, x, y)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        hermite.hermite_binomial_sum(-1, 0.6, 0.8, 0.0, 0.0)
+
+
 def test_quadrature_rule_invariants():
     check_quadrature_sanity()
 
@@ -90,6 +109,24 @@ def test_gh_expectation_centered_polynomials():
     check_quadrature_sanity()
 
 
-def test_gh_expectation_scalar_only_function():
-    val = hermite.gh_expectation(lambda t: math.cos(t))
+@pytest.mark.parametrize(
+    "g, shape",
+    [
+        (lambda t: np.ones(3), r"\(3,\)"),
+        (lambda t: 1.0, r"\(\)"),
+        (lambda t: np.outer(t, t), r"\(40, 40\)"),
+    ],
+    ids=["three values", "one value", "a matrix"],
+)
+def test_gh_expectation_refuses_g_of_the_wrong_shape(g, shape):
+    with pytest.raises(ValueError, match=r"g must return one value per node, got shape " + shape):
+        hermite.gh_expectation(g)
+
+
+def test_gh_expectation_calls_g_once_on_every_node():
+    calls = []
+    val = hermite.gh_expectation(lambda t: calls.append(t.shape) or np.cos(t))
+    assert calls == [(hermite.QUADRATURE_ORDER,)]
     assert val == pytest.approx(np.exp(-0.5), abs=1e-6, rel=0)
+    with pytest.raises(TypeError):  # a scalar-only g fails inside g, on the node array
+        hermite.gh_expectation(lambda t: math.cos(t))
