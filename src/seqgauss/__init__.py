@@ -19,7 +19,6 @@ from .chaos import (
 )
 from .closure import (
     ClosureInputError,
-    ClosureSpec,
     MaterialParams,
     MomentGrid,
     build_moment_system,

@@ -70,7 +70,8 @@ class ChaosExpansion:
 class ConditioningSet:
     """A-orthonormal family of sequence vectors spanning the conditioning
     subspace, held as one read-only (q, m, d) array; a family that is not
-    a stack of m-by-d sequence vectors is refused when the set is built."""
+    a stack of finite m-by-d sequence vectors is refused when the set is
+    built."""
 
     basis: np.ndarray
 
@@ -82,6 +83,7 @@ class ConditioningSet:
         basis = np.array(self.basis, dtype=float)
         if basis.ndim != 3:
             raise ValueError(f"basis must be a (q, m, d) stack, got shape {basis.shape}")
+        _finite(basis, "basis")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 

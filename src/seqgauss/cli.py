@@ -55,7 +55,9 @@ MAX_HERMITE_CELLS = 2**22
 _CHUNK_CELLS = 65_536
 # config field behind each input a closure run can be rejected for
 _CLOSURE_FIELDS = {
+    "a": "a", "b": "b", "cells": "J", "sigma": "sigma", "kappa": "kappa", "source": "q",
     "correlation": "closure.A", "dt": "dt", "cfl": "cfl", "order": "N", "t_final": "T",
+    "output_stride": "output_stride", "initial": "initial",
 }
 
 
@@ -229,17 +231,9 @@ def _cmd_condexp(args) -> int:
 
 def _cmd_closure(args) -> int:
     doc = load_document(args.config)
-    cfg = load_closure_config(doc)
     try:
-        snapshots = solve_closure(
-            cfg["initial"],
-            cfg["params"],
-            cfg["spec"],
-            t_final=cfg["t_final"],
-            dt=cfg["dt"],
-            output_stride=cfg["output_stride"],
-            cfl=cfg["cfl"],
-        )
+        cfg = load_closure_config(doc)
+        snapshots = solve_closure(**cfg)
     except ClosureInputError as exc:
         raise ConfigError(_CLOSURE_FIELDS[exc.argument], str(exc)) from None
     except ValueError as exc:

@@ -8,15 +8,16 @@ Projecting the transfer equation onto Legendre polynomials (squared norms
 with advection weights b_{k,k+1} = (k+1)/(2k+1) and b_{k,k-1} = k/(2k+1),
 absorption c_0 = kappa and c_k = kappa + sigma for k > 0, and source
 q_0 = 2 kappa q (higher moments unsourced).  Keeping moments 0..N leaves
-the unresolved I_{N+1} in the last equation.  Two closures are offered:
+the unresolved I_{N+1} in the last equation.  The closure is chosen by
+the ``correlation`` argument:
 
-* ``pn``: truncate, I_{N+1} = 0.
-* ``optimal_prediction``: given a correlation matrix A over the moment
-  indices, replace I_{N+1} by its best linear prediction from the
-  resolved moments, r I_C with r = A_fc A_cc^{-1} (the row of the block
-  coupling for index N+1).  The row is invariant under positive scaling
-  of A, and a block-diagonal A (no resolved/unresolved coupling) gives
-  r = 0, i.e. exactly the truncation closure.
+* ``correlation=None``: truncate, I_{N+1} = 0 (P_N).
+* a correlation matrix A over the moment indices (optimal prediction):
+  replace I_{N+1} by its best linear prediction from the resolved
+  moments, r I_C with r = A_fc A_cc^{-1} (the row of the block coupling
+  for index N+1).  The row is invariant under positive scaling of A, and
+  a block-diagonal A (no resolved/unresolved coupling) gives r = 0, i.e.
+  exactly the truncation closure.
 
 Moments are numbered 0..N here, matching the physics convention; the
 block projection in :mod:`seqgauss.core` counts leading coordinates
@@ -29,18 +30,30 @@ the marching loop and builds the closed advection matrix B and its
 eigenvalues once per run; :func:`step` is a one-step ``solve_closure``.
 The eigenvalues are computed numerically since the closure row can
 enlarge the spectral radius rho(B) or even make the closed system
-non-hyperbolic.  A non-real eigenvalue (|imag| > 1e-12 max(rho, 1))
-makes the run raise :class:`ClosureInputError` (a ``ValueError`` naming
-the correlation matrix) before any step, since the closure is then
-ill-posed; a singular leading correlation block does the same.  The run enforces the CFL bound
-dt <= cfl * dx / rho and reports a violation as a ``ClosureInputError``
-naming ``dt``, as it does a ``dt`` whose Courant number dt / (2 dx) is
-not finite (possible only when rho = 0).  A run of more than
-``MAX_STEPS`` steps, or whose snapshots would hold more than
-``MAX_SNAPSHOT_VALUES`` values, is refused up front as a
-``ClosureInputError`` naming ``t_final``, and an order N above
-``MAX_ORDER`` as one naming ``order``.  A blow-up (non-finite moment)
-is a plain ``ValueError`` reporting its time and cell.
+non-hyperbolic; such a closure is ill-posed and is refused before any
+step.  The run enforces the CFL bound dt <= cfl * dx / rho.  A blow-up
+(non-finite moment) is a plain ``ValueError`` reporting its time and
+cell.
+
+Each refusal of an input, these two included, is a
+:class:`ClosureInputError` (a ``ValueError``) whose ``argument`` names
+it:
+
+* ``"a"``: not finite; ``"b"``: b - a not positive and finite;
+* ``"cells"``: not an integer of at least 2;
+* ``"sigma"``, ``"kappa"``, ``"source"``: not one number or a per-cell
+  array, or not finite; ``sigma`` and ``kappa`` also negative;
+* ``"correlation"``: not square or not finite, too small for the order,
+  a singular leading block, or a closed advection matrix with a non-real
+  eigenvalue (|imag| > 1e-12 max(rho, 1));
+* ``"order"``: N negative or above ``MAX_ORDER``;
+* ``"initial"``: a cell count other than the material's;
+* ``"t_final"``: not positive, more than ``MAX_STEPS`` steps, or more
+  than ``MAX_SNAPSHOT_VALUES`` values in the returned snapshots;
+* ``"dt"``: not positive, above the CFL bound, or making the Courant
+  number dt / (2 dx) not finite (possible only when rho = 0);
+* ``"cfl"``: not positive and finite;
+* ``"output_stride"``: not an integer of at least 1.
 
 The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
 buffer whose two ghost rows are refreshed from the opposite ends before
@@ -60,7 +73,6 @@ import numpy as np
 
 __all__ = [
     "MaterialParams",
-    "ClosureSpec",
     "MomentGrid",
     "ClosureInputError",
     "build_moment_system",
@@ -70,8 +82,6 @@ __all__ = [
     "solve_closure",
 ]
 
-PN = "pn"
-OPTIMAL_PREDICTION = "optimal_prediction"
 DEFAULT_CFL = 0.9
 # A step costs about 10 us on the smallest grid, so this caps a run at
 # minutes; a larger count almost always means T or dt in the wrong units.
@@ -86,12 +96,8 @@ MAX_ORDER = 256
 
 
 class ClosureInputError(ValueError):
-    """A closure run rejected because of one input.  ``argument`` names
-    it: ``"correlation"`` (the closure's correlation matrix), ``"dt"``,
-    ``"cfl"`` (not positive and finite), ``"order"`` (above
-    ``MAX_ORDER``) or ``"t_final"`` (more than ``MAX_STEPS`` steps, or
-    more than ``MAX_SNAPSHOT_VALUES`` values in the returned
-    snapshots)."""
+    """A closure input refused; ``argument`` names it (the module
+    docstring lists every name and what each is refused for)."""
 
     def __init__(self, argument: str, message: str) -> None:
         self.argument = argument
@@ -103,8 +109,10 @@ class MaterialParams:
     """Material data on a uniform grid of J cells over (a, b).
 
     ``sigma`` (scattering), ``kappa`` (absorption) and ``source`` are
-    each one number for every cell or a per-cell array; anything else,
-    a callable included, is refused.
+    each one finite number for every cell or a per-cell array of them;
+    anything else, a callable included, raises :class:`ClosureInputError`
+    naming the field, as does a negative ``sigma`` or ``kappa``, a domain
+    that is empty or not finite, and fewer than 2 cells.
     """
 
     a: float
@@ -115,14 +123,19 @@ class MaterialParams:
     source: np.ndarray
 
     def __post_init__(self):
-        if self.cells < 2:
-            raise ValueError(f"need at least 2 cells, got {self.cells}")
-        if not self.b > self.a:
-            raise ValueError(f"domain ({self.a}, {self.b}) is empty")
+        if not np.isfinite(self.a):
+            raise ClosureInputError("a", f"a must be finite, got {self.a}")
+        if not 0.0 < self.b - self.a < np.inf:
+            raise ClosureInputError("b", f"domain ({self.a}, {self.b}) is empty or not finite")
+        if not (isinstance(self.cells, (int, np.integer)) and self.cells >= 2):
+            raise ClosureInputError("cells", f"need an integer of at least 2 cells, "
+                                    f"got {self.cells!r}")
         for name in ("sigma", "kappa", "source"):
             values = _per_cell(getattr(self, name), self.cells, name)
+            if not np.isfinite(values).all():
+                raise ClosureInputError(name, f"{name} must be finite")
             if name != "source" and (values < 0).any():
-                raise ValueError(f"{name} must be non-negative")
+                raise ClosureInputError(name, f"{name} must be non-negative")
             object.__setattr__(self, name, values)
 
     @property
@@ -137,34 +150,15 @@ class MaterialParams:
 def _per_cell(values, cells: int, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
-    except TypeError:
-        raise ValueError(f"{name} must be scalar or length-{cells}, got {type(values)}") from None
+    except (TypeError, ValueError):
+        raise ClosureInputError(name, f"{name} must be scalar or length-{cells}, "
+                                f"got {type(values)}") from None
     if arr.ndim == 0:
         arr = np.full(cells, float(arr))
     if arr.shape != (cells,):
-        raise ValueError(f"{name} must be scalar or length-{cells}, got shape {arr.shape}")
+        raise ClosureInputError(name, f"{name} must be scalar or length-{cells}, "
+                                f"got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class ClosureSpec:
-    """Closure choice: plain truncation (``pn``) or best linear prediction
-    of the first unresolved moment from a correlation matrix
-    (``optimal_prediction``)."""
-
-    kind: str
-    correlation: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (PN, OPTIMAL_PREDICTION):
-            raise ValueError(f"unknown closure kind {self.kind!r}")
-        if self.kind == OPTIMAL_PREDICTION:
-            if self.correlation is None:
-                raise ValueError("optimal_prediction closure requires a correlation matrix")
-            corr = np.asarray(self.correlation, dtype=float)
-            if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-                raise ValueError(f"correlation matrix must be square, got {corr.shape}")
-            object.__setattr__(self, "correlation", corr)
 
 
 @dataclass(frozen=True)
@@ -196,10 +190,11 @@ def build_moment_system(order: int) -> np.ndarray:
     its neighbours, b_{k,k+1} = (k+1)/(2k+1) and b_{k,k-1} = k/(2k+1),
     including the unresolved column N+1.
 
-    An order above ``MAX_ORDER`` raises :class:`ClosureInputError`.
+    A negative order or one above ``MAX_ORDER`` raises
+    :class:`ClosureInputError`.
     """
     if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+        raise ClosureInputError("order", f"order must be non-negative, got {order}")
     if order > MAX_ORDER:
         raise ClosureInputError("order", f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
     b = np.zeros((order + 1, order + 2))
@@ -211,17 +206,23 @@ def build_moment_system(order: int) -> np.ndarray:
     return b
 
 
-def closure_row(spec: ClosureSpec, order: int) -> np.ndarray:
+def closure_row(correlation: np.ndarray | None, order: int) -> np.ndarray:
     """Row r with I_{N+1} ~ r @ (I_0, ..., I_N); zero for the truncation
-    closure.
+    closure (``correlation=None``).
 
-    For optimal prediction the correlation matrix must cover indices
-    0..N+1 and its leading (N+1) x (N+1) block must be invertible; r is
-    invariant under positive rescaling of the matrix.
+    For optimal prediction the correlation matrix must be square and
+    finite, cover indices 0..N+1, and have an invertible leading
+    (N+1) x (N+1) block; r is invariant under positive rescaling of the
+    matrix.
     """
-    if spec.kind == PN:
+    if correlation is None:
         return np.zeros(order + 1)
-    corr = spec.correlation
+    corr = np.asarray(correlation, dtype=float)
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+        raise ClosureInputError("correlation", f"correlation matrix must be square, "
+                                f"got shape {corr.shape}")
+    if not np.isfinite(corr).all():
+        raise ClosureInputError("correlation", "correlation matrix contains non-finite entries")
     if corr.shape[0] < order + 2:
         raise ClosureInputError(
             "correlation",
@@ -235,12 +236,12 @@ def closure_row(spec: ClosureSpec, order: int) -> np.ndarray:
         raise ClosureInputError("correlation", "leading correlation block is singular") from None
 
 
-def closed_advection_matrix(order: int, spec: ClosureSpec) -> np.ndarray:
+def closed_advection_matrix(order: int, correlation: np.ndarray | None) -> np.ndarray:
     """Square advection matrix of the moments 0..``order`` with the closure
     row folded into the last equation."""
     b = build_moment_system(order)
     mat = b[:, : order + 1].copy()
-    mat[order, :] += b[order, order + 1] * closure_row(spec, order)
+    mat[order, :] += b[order, order + 1] * closure_row(correlation, order)
     return mat
 
 
@@ -261,7 +262,7 @@ def _source_term(params: MaterialParams, order: int) -> np.ndarray:
 def step(
     state: MomentGrid,
     params: MaterialParams,
-    spec: ClosureSpec,
+    correlation: np.ndarray | None,
     dt: float,
 ) -> MomentGrid:
     """One explicit Lax-Friedrichs step with periodic boundaries: a
@@ -271,44 +272,42 @@ def step(
     ``DEFAULT_CFL`` * dx / rho of that matrix) and on non-finite output,
     reporting time and first bad cell.
     """
-    return solve_closure(state, params, spec, t_final=dt, dt=dt)[-1]
+    return solve_closure(state, params, correlation, t_final=dt, dt=dt)[-1]
 
 
 def solve_closure(
     initial: MomentGrid,
     params: MaterialParams,
-    spec: ClosureSpec,
+    correlation: np.ndarray | None,
     t_final: float,
     dt: float | None = None,
     output_stride: int = 1,
     cfl: float = DEFAULT_CFL,
 ) -> list[MomentGrid]:
-    """March the closed system to ``t_final``, collecting snapshots.
+    """March the closure chosen by ``correlation`` (``None`` for
+    truncation) to ``t_final``, collecting snapshots.
 
     The closed advection matrix and its eigenvalues are computed once per
-    call; a matrix with a non-real eigenvalue (an ill-posed closure)
-    raises ``ValueError`` before any step is taken.  With ``dt`` omitted
-    the largest CFL-stable step is used.  The step count is
-    ``round(t_final / dt)`` (at least one), so the reached end time is
-    ``steps * dt``.  Snapshots are the initial state, every
-    ``output_stride``-th step, and the final state.  A run of more than
-    ``MAX_STEPS`` steps or with more than ``MAX_SNAPSHOT_VALUES`` snapshot
-    values, a ``dt`` that is not positive, and a ``cfl`` that is not
-    positive and finite, raise :class:`ClosureInputError` before any step.
+    call.  With ``dt`` omitted the largest CFL-stable step is used.  The
+    step count is ``round(t_final / dt)`` (at least one), so the reached
+    end time is ``steps * dt``.  Snapshots are the initial state, every
+    ``output_stride``-th step, and the final state.  Every input the
+    module docstring lists is checked before any step, and a refused one
+    raises :class:`ClosureInputError` naming it.
     """
     if dt is not None and not dt > 0:
         raise ClosureInputError("dt", f"dt must be positive, got {dt}")
     if t_final <= 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
-    if output_stride < 1:
-        raise ValueError(f"output_stride must be >= 1, got {output_stride}")
+        raise ClosureInputError("t_final", f"t_final must be positive, got {t_final}")
+    if not (isinstance(output_stride, (int, np.integer)) and output_stride >= 1):
+        raise ClosureInputError("output_stride", f"output_stride must be an integer >= 1, "
+                                f"got {output_stride!r}")
     if initial.values.shape[0] != params.cells:
-        raise ValueError(
-            f"state has {initial.values.shape[0]} cells, params have {params.cells}"
-        )
+        raise ClosureInputError("initial", f"state has {initial.values.shape[0]} cells, "
+                                f"params have {params.cells}")
     if not 0.0 < cfl < np.inf:
         raise ClosureInputError("cfl", f"cfl must be positive and finite, got {cfl}")
-    b_closed = closed_advection_matrix(initial.order, spec)
+    b_closed = closed_advection_matrix(initial.order, correlation)
     eigenvalues = np.linalg.eigvals(b_closed)
     rho = float(np.abs(eigenvalues).max())
     worst = eigenvalues[np.abs(eigenvalues.imag).argmax()]

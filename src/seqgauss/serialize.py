@@ -13,9 +13,7 @@ import json
 import numpy as np
 
 from .chaos import ChaosExpansion
-from .closure import (
-    DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, ClosureSpec, MaterialParams, MomentGrid,
-)
+from .closure import DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, MaterialParams, MomentGrid
 from .core import Covariance, apply_extended
 
 __all__ = [
@@ -130,14 +128,14 @@ def _cell_values(value, field: str, cells: int) -> np.ndarray:
     return arr
 
 
-def _positive_int(doc: dict, field: str, default=None) -> int:
+def _integer(doc: dict, field: str, default=None) -> int:
     if field not in doc:
         if default is None:
             raise ConfigError(field, "missing")
         return default
     value = doc[field]
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(field, f"must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
     return value
 
 
@@ -173,59 +171,50 @@ def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndar
 
 
 def load_closure_config(doc: dict) -> dict:
-    """Read the moment-solver config document.
+    """Read the moment-solver config document into the keyword arguments
+    of :func:`~seqgauss.closure.solve_closure`: initial, params,
+    correlation (None for ``{"kind": "pn"}``), t_final, dt (None for the
+    CFL-stable default), output_stride and cfl.
 
-    Returns a dict with keys params, spec, initial, t_final, dt, cfl,
-    output_stride (dt may be None, meaning the CFL-stable default).
+    Only the JSON is checked here (types, shapes, finite numbers and the
+    closure kind), with the bounds on N and J that the lists built here
+    need.  Every other value is checked by the library: ``MaterialParams``
+    (built here) and the run raise
+    :class:`~seqgauss.closure.ClosureInputError` naming the argument.
     """
     a = _number(doc, "a")
     b = _number(doc, "b")
-    if not b > a:
-        raise ConfigError("b", f"domain ({a}, {b}) is empty")
-    cells = _positive_int(doc, "J")
-    order = _require(doc, "N")
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ConfigError("N", f"must be a non-negative integer, got {order!r}")
-    if order > MAX_ORDER:
-        raise ConfigError("N", f"order {order} exceeds the largest supported order {MAX_ORDER}")
-    # every run keeps the initial and the final snapshot, so a larger grid
-    # could never run; refusing it here also bounds the per-cell lists below
+    cells = _integer(doc, "J")
+    order = _integer(doc, "N")
+    # N and J size the lists built below.  Every run keeps the initial and
+    # the final snapshot, so a grid above the snapshot bound could never run.
+    if not 0 <= order <= MAX_ORDER:
+        raise ConfigError("N", f"must be an integer in 0..{MAX_ORDER}, got {order}")
+    if cells < 1:
+        raise ConfigError("J", f"must be positive, got {cells}")
     if 2 * cells * (order + 1) > MAX_SNAPSHOT_VALUES:
         raise ConfigError("J", f"{cells} cells of {order + 1} moments exceed "
                           f"{MAX_SNAPSHOT_VALUES} values in the initial and final snapshots")
     t_final = _number(doc, "T")
-    if t_final <= 0:
-        raise ConfigError("T", "must be positive")
-    # the solver refuses a dt or cfl that is not positive, naming the field
     dt = None if doc.get("dt") is None else _number(doc, "dt")
     cfl = _number(doc, "cfl", default=DEFAULT_CFL)
-    output_stride = _positive_int(doc, "output_stride", default=1)
+    output_stride = _integer(doc, "output_stride", default=1)
 
     closure_doc = _require(doc, "closure")
     if not isinstance(closure_doc, dict) or "kind" not in closure_doc:
         raise ConfigError("closure", "must be an object with a 'kind' entry")
     kind = closure_doc["kind"]
-    try:
-        if kind == "optimal_prediction":
-            corr = matrix_from_lists(_require(closure_doc, "A"), "closure.A")
-            spec = ClosureSpec(kind=kind, correlation=corr)
-        else:
-            spec = ClosureSpec(kind=kind)
-    except ValueError as exc:
-        raise ConfigError("closure", str(exc)) from None
+    if kind == "pn":
+        correlation = None
+    elif kind == "optimal_prediction":
+        correlation = matrix_from_lists(_require(closure_doc, "A"), "closure.A")
+    else:
+        raise ConfigError("closure", f"unknown closure kind {kind!r}")
 
     sigma, kappa, source = (
         _cell_values(_require(doc, name), name, cells) for name in ("sigma", "kappa", "q")
     )
-    for name, values in (("sigma", sigma), ("kappa", kappa)):
-        if (values < 0).any():
-            raise ConfigError(name, "must be non-negative")
-    try:
-        params = MaterialParams(
-            a=a, b=b, cells=cells, sigma=sigma, kappa=kappa, source=source
-        )
-    except ValueError as exc:
-        raise ConfigError("J", str(exc)) from None
+    params = MaterialParams(a=a, b=b, cells=cells, sigma=sigma, kappa=kappa, source=source)
 
     init_raw = _require(doc, "initial")
     if not isinstance(init_raw, list) or len(init_raw) != order + 1:
@@ -234,11 +223,11 @@ def load_closure_config(doc: dict) -> dict:
     initial = MomentGrid(t=0.0, values=np.stack(columns, axis=1))
 
     return {
-        "params": params,
-        "spec": spec,
         "initial": initial,
+        "params": params,
+        "correlation": correlation,
         "t_final": t_final,
         "dt": dt,
-        "cfl": cfl,
         "output_stride": output_stride,
+        "cfl": cfl,
     }

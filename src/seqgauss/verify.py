@@ -918,23 +918,16 @@ def check_closure_rows(rng: np.random.Generator) -> None:
     """Truncation and identity correlation give a zero closure row, the 1x1
     example gives 0.5, and a random row is invariant under rescaling."""
     n = 2
-    if closure_mod.closure_row(closure_mod.ClosureSpec(kind="pn"), n).any():
+    if closure_mod.closure_row(None, n).any():
         raise AssertionError("truncation closure row must be zero")
-    ident = closure_mod.ClosureSpec(kind="optimal_prediction", correlation=np.eye(n + 2))
-    if closure_mod.closure_row(ident, n).any():
+    if closure_mod.closure_row(np.eye(n + 2), n).any():
         raise AssertionError("identity correlation must reduce to truncation")
-    spec = closure_mod.ClosureSpec(
-        kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
-    )
-    _assert_close(closure_mod.closure_row(spec, 0), [0.5], 1e-15, "1x1 block")
+    row = closure_mod.closure_row(np.array([[1.0, 0.5], [0.5, 1.0]]), 0)
+    _assert_close(row, [0.5], 1e-15, "1x1 block")
     g = rng.standard_normal((n + 2, n + 2))
     corr = g @ g.T + (n + 2) * np.eye(n + 2)
-    r1 = closure_mod.closure_row(
-        closure_mod.ClosureSpec(kind="optimal_prediction", correlation=corr), n
-    )
-    r2 = closure_mod.closure_row(
-        closure_mod.ClosureSpec(kind="optimal_prediction", correlation=3.7 * corr), n
-    )
+    r1 = closure_mod.closure_row(corr, n)
+    r2 = closure_mod.closure_row(3.7 * corr, n)
     _assert_close(r1, r2, 1e-12 * max(1.0, np.abs(r1).max()), "scale invariance")
 
 
@@ -951,16 +944,8 @@ def check_identity_correlation_truncation() -> None:
         (200, np.eye(order + 2), "identity-correlation run"),
         (50, block, "block-diagonal correlation"),
     ):
-        pn = closure_mod.solve_closure(
-            initial, params, closure_mod.ClosureSpec(kind="pn"), t_final=steps * dt, dt=dt
-        )
-        op = closure_mod.solve_closure(
-            initial,
-            params,
-            closure_mod.ClosureSpec(kind="optimal_prediction", correlation=correlation),
-            t_final=steps * dt,
-            dt=dt,
-        )
+        pn = closure_mod.solve_closure(initial, params, None, t_final=steps * dt, dt=dt)
+        op = closure_mod.solve_closure(initial, params, correlation, t_final=steps * dt, dt=dt)
         if not len(pn) == len(op) == steps + 1:
             raise AssertionError(f"{what}: {len(pn)} and {len(op)} snapshots, not {steps + 1}")
         for g1, g2 in zip(pn, op):
@@ -974,10 +959,9 @@ def check_conservation(rng: np.random.Generator) -> None:
     params = _params(64)
     order = 3
     state = closure_mod.MomentGrid(t=0.0, values=rng.standard_normal((64, order + 1)))
-    spec = closure_mod.ClosureSpec(kind="pn")
     sums = state.values.sum(axis=0)
     for _ in range(20):
-        state = closure_mod.step(state, params, spec, dt=0.005)
+        state = closure_mod.step(state, params, None, dt=0.005)
         _assert_close(state.values.sum(axis=0), sums, 1e-12, "per-moment spatial sums")
 
 
@@ -986,17 +970,16 @@ def check_local_balance() -> None:
     under absorption, and a source grows moment 0 only."""
     order = 2
     const = closure_mod.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-    spec = closure_mod.ClosureSpec(kind="pn")
-    after = closure_mod.step(const, _params(16), spec, dt=0.01)
+    after = closure_mod.step(const, _params(16), None, dt=0.01)
     _assert_close(after.values, const.values, 0.0, "free constant state is stationary")
     kappa = 0.7
-    decayed = closure_mod.step(const, _params(16, kappa=kappa), spec, dt=0.01)
+    decayed = closure_mod.step(const, _params(16, kappa=kappa), None, dt=0.01)
     _assert_close(
         decayed.values[:, 0], const.values[:, 0] * (1.0 - kappa * 0.01),
         1e-14, "explicit absorption factor",
     )
     zero = closure_mod.MomentGrid(t=0.0, values=np.zeros((16, order + 1)))
-    sourced = closure_mod.step(zero, _params(16, kappa=kappa, source=1.5), spec, dt=0.01)
+    sourced = closure_mod.step(zero, _params(16, kappa=kappa, source=1.5), None, dt=0.01)
     if not (sourced.values[:, 0] > 0).all():
         raise AssertionError("source must grow moment 0")
     if sourced.values[:, 1:].any():
@@ -1025,8 +1008,7 @@ def check_refinement_monotone() -> str:
     finals = {}
     for order in (3, 5, 7):
         run = closure_mod.solve_closure(
-            _bump_initial(params, order), params, closure_mod.ClosureSpec(kind="pn"),
-            t_final=0.4, dt=0.004, output_stride=10**9,
+            _bump_initial(params, order), params, None, t_final=0.4, dt=0.004, output_stride=10**9,
         )
         finals[order] = run[-1].values
     d_35 = np.linalg.norm(finals[3][:, :4] - finals[5][:, :4])
@@ -1040,7 +1022,7 @@ def check_cfl_guard() -> str:
     """A step above the CFL bound is refused as an error naming ``dt``."""
     state = closure_mod.MomentGrid(t=0.0, values=np.ones((16, 3)))
     try:
-        closure_mod.step(state, _params(16), closure_mod.ClosureSpec(kind="pn"), dt=10.0)
+        closure_mod.step(state, _params(16), None, dt=10.0)
     except closure_mod.ClosureInputError as exc:
         if exc.argument != "dt" or "CFL" not in str(exc):
             raise AssertionError(f"oversized step refused for the wrong reason: {exc}") from None

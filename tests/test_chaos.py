@@ -103,6 +103,9 @@ def test_conditioning_set_basis_is_one_read_only_array():
         chaos.ConditioningSet(basis=())
     with pytest.raises(ValueError, match="must share one shape"):
         chaos.ConditioningSet(basis=(vectors[0], vectors[1, :, :2]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="basis contains non-finite entries"):
+            chaos.ConditioningSet(basis=np.where(vectors > 1.0, bad, vectors))
 
 
 def test_cond_exp_chaos_rejects_non_orthonormal_set():

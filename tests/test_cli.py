@@ -289,6 +289,12 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
         ("dt", 0.05, "dt"),
         ("dt", -0.005, "dt"),
         ("cfl", 0.0, "cfl"),
+        # rejected by the library: t_final not positive, an empty domain, too
+        # few cells and a negative sigma
+        ("T", -2.0, "T"),
+        ("b", 0.0, "b"),
+        ("J", 1, "J"),
+        ("sigma", -1.0, "sigma"),
     ],
 )
 def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):
@@ -399,7 +405,7 @@ def mutated_closure_docs(draw):
         key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
                                    else range(len(parent))))
     hows = ["string", "nan", "negative", "bool", "wrong length", "drop"]
-    if parent is doc and key in ("T", "dt", "cfl", "J", "N"):
+    if parent is doc and key in ("a", "b", "T", "dt", "cfl", "J", "N"):
         hows += ["huge", "tiny"]
     how = draw(st.sampled_from(hows))
     if how == "drop":
@@ -654,10 +660,7 @@ def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
     assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     loaded = serialize.load_closure_config(serialize.load_document(cfg))
-    snapshots = solve_closure(
-        loaded["initial"], loaded["params"], loaded["spec"], t_final=loaded["t_final"],
-        dt=loaded["dt"], output_stride=loaded["output_stride"], cfl=loaded["cfl"],
-    )
+    snapshots = solve_closure(**loaded)
     x = loaded["params"].x_centers
     expected = np.vstack([
         np.column_stack([np.full(len(x), snap.t), x, snap.values]) for snap in snapshots

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqgauss import closure, core
+from seqgauss import cli, closure, core
 from seqgauss.verify import _bump_initial as gaussian_bump
 from seqgauss.verify import _params as make_params
 from seqgauss.verify import (
@@ -33,20 +33,69 @@ def test_material_params_refuse_a_callable(name):
         closure.MaterialParams(**fields)
 
 
+# Every input the library refuses at nan, +-inf and, where one is refused,
+# a negative value; each refusal must name the input it refuses.
+REFUSED_INPUTS = [
+    (name, value)
+    for name, negative_refused in (
+        ("a", False), ("b", True), ("cells", True), ("sigma", True), ("kappa", True),
+        ("source", False), ("correlation", False), ("t_final", True), ("dt", True),
+        ("cfl", True), ("output_stride", True),
+    )
+    for value in (np.nan, np.inf, -np.inf) + ((-1,) if negative_refused else ())
+]
+
+
+def _run_with(name, value):
+    """An N = 2 optimal-prediction run on 8 cells, valid but for ``name``."""
+    material = dict(a=0.0, b=1.0, cells=8, sigma=0.1, kappa=0.2, source=0.3)
+    run = dict(correlation=np.eye(4), t_final=0.1, dt=0.01, cfl=0.9, output_stride=1)
+    if name == "correlation":
+        run[name][0, 3] = run[name][3, 0] = value
+    else:
+        (material if name in material else run)[name] = value
+    initial = closure.MomentGrid(t=0.0, values=np.ones((8, 3)))
+    return closure.solve_closure(initial, closure.MaterialParams(**material), **run)
+
+
+def test_run_with_no_bad_input_succeeds():
+    assert len(_run_with("a", -1)) == 11
+
+
+@pytest.mark.parametrize("name, value", REFUSED_INPUTS)
+def test_each_refused_input_is_named(name, value):
+    with pytest.raises(closure.ClosureInputError) as exc:
+        _run_with(name, value)
+    assert exc.value.argument == name
+
+
+def test_every_refused_input_has_a_config_field():
+    # the CLI maps each refusal to a config field through this table; a
+    # missing name would escape ``main`` as a KeyError
+    arguments = set()
+    for name, value in REFUSED_INPUTS:
+        with pytest.raises(closure.ClosureInputError) as exc:
+            _run_with(name, value)
+        arguments.add(exc.value.argument)
+    for cells, moments in ((4, 3), (8, closure.MAX_ORDER + 2)):  # initial, order
+        grid = closure.MomentGrid(t=0.0, values=np.ones((cells, moments)))
+        with pytest.raises(closure.ClosureInputError) as exc:
+            closure.solve_closure(grid, make_params(8), None, 0.1)
+        arguments.add(exc.value.argument)
+    assert arguments == set(cli._CLOSURE_FIELDS)
+
+
 def test_closure_row_truncation_is_zero():
-    assert not closure.closure_row(closure.ClosureSpec(kind="pn"), 3).any()
+    assert not closure.closure_row(None, 3).any()
 
 
 def test_closure_row_identity_correlation_is_zero():
-    spec = closure.ClosureSpec(kind="optimal_prediction", correlation=np.eye(5))
-    assert not closure.closure_row(spec, 3).any()
+    assert not closure.closure_row(np.eye(5), 3).any()
 
 
 def test_closure_row_one_dimensional_block():
-    spec = closure.ClosureSpec(
-        kind="optimal_prediction", correlation=np.array([[1.0, 0.5], [0.5, 1.0]])
-    )
-    assert np.allclose(closure.closure_row(spec, 0), [0.5], atol=1e-15, rtol=0)
+    row = closure.closure_row(np.array([[1.0, 0.5], [0.5, 1.0]]), 0)
+    assert np.allclose(row, [0.5], atol=1e-15, rtol=0)
 
 
 def test_closure_row_matches_block_projection_adjoint():
@@ -56,8 +105,7 @@ def test_closure_row_matches_block_projection_adjoint():
     for order in (0, 1, 3):
         g = rng.standard_normal((order + 2, order + 2))
         corr = g @ g.T + (order + 2) * np.eye(order + 2)
-        spec = closure.ClosureSpec(kind="optimal_prediction", correlation=corr)
-        row = closure.closure_row(spec, order)
+        row = closure.closure_row(corr, order)
         blocks = core.block_projection(core.Covariance(corr), order + 1)
         assert np.allclose(row, blocks.pt[order + 1, : order + 1], atol=1e-12, rtol=0)
 
@@ -68,29 +116,18 @@ def test_closure_row_scale_invariance():
 
 def test_closure_row_errors():
     with pytest.raises(ValueError, match="too small") as exc:
-        closure.closure_row(
-            closure.ClosureSpec(kind="optimal_prediction", correlation=np.eye(3)), 3
-        )
+        closure.closure_row(np.eye(3), 3)
     assert exc.value.argument == "correlation"
     singular = np.zeros((4, 4))
     with pytest.raises(ValueError, match="singular") as exc:
-        closure.closure_row(
-            closure.ClosureSpec(kind="optimal_prediction", correlation=singular), 2
-        )
+        closure.closure_row(singular, 2)
     assert exc.value.argument == "correlation"
-
-
-def test_closure_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        closure.ClosureSpec(kind="bogus")
-    with pytest.raises(ValueError, match="correlation"):
-        closure.ClosureSpec(kind="optimal_prediction")
 
 
 def test_step_constant_free_state_is_stationary():
     params = make_params(cells=16)
     state = closure.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, None, dt=0.01)
     assert np.array_equal(out.values, state.values)
     assert out.t == pytest.approx(0.01)
 
@@ -99,7 +136,7 @@ def test_step_pure_absorption_factor():
     kappa = 0.7
     params = make_params(cells=16, kappa=kappa)
     state = closure.MomentGrid(t=0.0, values=np.tile([2.0, -1.0, 0.5], (16, 1)))
-    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, None, dt=0.01)
     assert np.allclose(
         out.values[:, 0], state.values[:, 0] * (1 - kappa * 0.01), atol=1e-15, rtol=0
     )
@@ -112,7 +149,7 @@ def test_step_pure_absorption_factor():
 def test_step_source_feeds_only_moment_zero():
     params = make_params(cells=16, kappa=0.5, source=1.5)
     state = closure.MomentGrid(t=0.0, values=np.zeros((16, 4)))
-    out = closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+    out = closure.step(state, params, None, dt=0.01)
     assert (out.values[:, 0] > 0).all()
     assert not out.values[:, 1:].any()
 
@@ -132,9 +169,8 @@ def test_step_cfl_violation_raises():
 def test_cfl_must_be_positive_and_finite(cfl):
     params = make_params(cells=16)
     state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
-    spec = closure.ClosureSpec(kind="pn")
     with pytest.raises(closure.ClosureInputError, match="cfl") as exc:
-        closure.solve_closure(state, params, spec, t_final=0.1, cfl=cfl)
+        closure.solve_closure(state, params, None, t_final=0.1, cfl=cfl)
     assert exc.value.argument == "cfl"
 
 
@@ -142,7 +178,7 @@ def test_step_takes_no_cfl():
     params = make_params(cells=16)
     state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
     with pytest.raises(TypeError, match="cfl"):
-        closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01, cfl=0.5)
+        closure.step(state, params, None, dt=0.01, cfl=0.5)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +198,7 @@ def test_overlong_run_is_refused_before_any_step(t_final, dt, cfl, output_stride
     state = closure.MomentGrid(t=0.0, values=np.ones((16, 3)))
     with pytest.raises(closure.ClosureInputError, match=message) as exc:
         closure.solve_closure(
-            state, params, closure.ClosureSpec(kind="pn"),
+            state, params, None,
             t_final=t_final, dt=dt, cfl=cfl, output_stride=output_stride,
         )
     assert exc.value.argument == "t_final"
@@ -177,7 +213,7 @@ def test_order_above_max_order_is_refused():
     assert exc.value.argument == "order"
     state = closure.MomentGrid(t=0.0, values=np.ones((4, closure.MAX_ORDER + 2)))
     with pytest.raises(closure.ClosureInputError, match="MAX_ORDER") as exc:
-        closure.solve_closure(state, make_params(cells=4), closure.ClosureSpec(kind="pn"), 0.1)
+        closure.solve_closure(state, make_params(cells=4), None, 0.1)
     assert exc.value.argument == "order"
 
 
@@ -187,12 +223,11 @@ def test_dt_with_non_finite_courant_number_is_refused(dt):
     # but dt / (2 dx) overflows on this 4-cell grid
     params = make_params(cells=4)
     state = closure.MomentGrid(t=0.0, values=np.ones((4, 1)))
-    spec = closure.ClosureSpec(kind="pn")
     with pytest.raises(closure.ClosureInputError, match="Courant") as exc:
-        closure.solve_closure(state, params, spec, t_final=0.1, dt=dt)
+        closure.solve_closure(state, params, None, t_final=0.1, dt=dt)
     assert exc.value.argument == "dt"
     with pytest.raises(closure.ClosureInputError, match="Courant") as exc:
-        closure.step(state, params, spec, dt=dt)
+        closure.step(state, params, None, dt=dt)
     assert exc.value.argument == "dt"
 
 
@@ -201,7 +236,7 @@ def test_step_reports_blowup_location():
     params = make_params(cells=8, kappa=1e308)
     state = closure.MomentGrid(t=0.0, values=np.full((8, 1), 1e308))
     with pytest.raises(ValueError, match="non-finite"):
-        closure.step(state, params, closure.ClosureSpec(kind="pn"), dt=0.01)
+        closure.step(state, params, None, dt=0.01)
 
 
 def test_moment_grid_rejects_non_finite_values():
@@ -231,16 +266,8 @@ def test_block_diagonal_correlation_equals_truncation_bitwise():
     corr = np.eye(order + 2)
     corr[: order + 1, : order + 1] += 0.3  # coupled resolved block, zero coupling row
     dt = 0.005
-    pn = closure.solve_closure(
-        initial, params, closure.ClosureSpec(kind="pn"), t_final=50 * dt, dt=dt
-    )
-    op = closure.solve_closure(
-        initial,
-        params,
-        closure.ClosureSpec(kind="optimal_prediction", correlation=corr),
-        t_final=50 * dt,
-        dt=dt,
-    )
+    pn = closure.solve_closure(initial, params, None, t_final=50 * dt, dt=dt)
+    op = closure.solve_closure(initial, params, corr, t_final=50 * dt, dt=dt)
     for g1, g2 in zip(pn, op):
         assert np.array_equal(g1.values, g2.values)
 
@@ -252,16 +279,8 @@ def test_nontrivial_closure_row_changes_trajectory():
     corr = np.eye(order + 2)
     corr[order + 1, order] = corr[order, order + 1] = 0.4
     dt = 0.005
-    pn = closure.solve_closure(
-        initial, params, closure.ClosureSpec(kind="pn"), t_final=50 * dt, dt=dt
-    )
-    op = closure.solve_closure(
-        initial,
-        params,
-        closure.ClosureSpec(kind="optimal_prediction", correlation=corr),
-        t_final=50 * dt,
-        dt=dt,
-    )
+    pn = closure.solve_closure(initial, params, None, t_final=50 * dt, dt=dt)
+    op = closure.solve_closure(initial, params, corr, t_final=50 * dt, dt=dt)
     assert not np.allclose(pn[-1].values, op[-1].values, atol=1e-8, rtol=0)
 
 
@@ -272,10 +291,7 @@ def test_refinement_study_is_monotone():
 def test_solve_closure_snapshot_stride():
     params = make_params(cells=16)
     initial = closure.MomentGrid(t=0.0, values=np.ones((16, 2)))
-    run = closure.solve_closure(
-        initial, params, closure.ClosureSpec(kind="pn"),
-        t_final=0.05, dt=0.005, output_stride=3,
-    )
+    run = closure.solve_closure(initial, params, None, t_final=0.05, dt=0.005, output_stride=3)
     # initial + steps 3, 6, 9 + final step 10
     assert [round(s.t / 0.005) for s in run] == [0, 3, 6, 9, 10]
 
@@ -283,9 +299,7 @@ def test_solve_closure_snapshot_stride():
 def test_solve_closure_default_dt_respects_cfl():
     params = make_params(cells=32)
     initial = gaussian_bump(params, 2)
-    run = closure.solve_closure(
-        initial, params, closure.ClosureSpec(kind="pn"), t_final=0.1
-    )
+    run = closure.solve_closure(initial, params, None, t_final=0.1)
     assert run[-1].t == pytest.approx(0.1, rel=0.2)
 
 
@@ -300,25 +314,23 @@ ILL_POSED_CORRELATION = [[1.0, 0.0, -0.9], [0.0, 1.0, 0.0], [-0.9, 0.0, 1.0]]
 
 def test_non_hyperbolic_closure_is_rejected_by_both_entry_points():
     params = make_params(cells=16)
-    spec = closure.ClosureSpec(
-        kind="optimal_prediction", correlation=np.array(ILL_POSED_CORRELATION)
-    )
+    corr = np.array(ILL_POSED_CORRELATION)
     initial = gaussian_bump(params, 1)
     pattern = r"not hyperbolic: eigenvalue .*0\.516398j"
     with pytest.raises(ValueError, match=pattern):
-        closure.solve_closure(initial, params, spec, t_final=0.1)
+        closure.solve_closure(initial, params, corr, t_final=0.1)
     with pytest.raises(ValueError, match=pattern):
-        closure.solve_closure(initial, params, spec, t_final=0.1, dt=0.01)
+        closure.solve_closure(initial, params, corr, t_final=0.1, dt=0.01)
     with pytest.raises(ValueError, match=pattern):
-        closure.step(initial, params, spec, dt=0.01)
+        closure.step(initial, params, corr, dt=0.01)
 
 
-def _step_loop(initial, params, spec, dt, t_final, output_stride):
+def _step_loop(initial, params, correlation, dt, t_final, output_stride):
     """What solve_closure documents, written as a loop of public steps."""
     n_steps = max(1, round(t_final / dt))
     state, snapshots = initial, [initial]
     for i in range(1, n_steps + 1):
-        state = closure.step(state, params, spec, dt)
+        state = closure.step(state, params, correlation, dt)
         if i % output_stride == 0 or i == n_steps:
             snapshots.append(state)
     return snapshots
@@ -329,9 +341,9 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
     builds = []
     build = closure.closed_advection_matrix
 
-    def counted_build(order, spec):
+    def counted_build(order, correlation):
         builds.append(order)
-        return build(order, spec)
+        return build(order, correlation)
 
     monkeypatch.setattr(closure, "closed_advection_matrix", counted_build)
     order = 3
@@ -340,15 +352,14 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
         source=np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 40)),
     )
     corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
-    spec = closure.ClosureSpec(kind="optimal_prediction", correlation=corr)
     initial = gaussian_bump(params, order)
     t_final = 0.1
     run = closure.solve_closure(
-        initial, params, spec, t_final=t_final, dt=dt, output_stride=output_stride
+        initial, params, corr, t_final=t_final, dt=dt, output_stride=output_stride
     )
     assert len(builds) == 1
     step_dt = run[1].t if dt is None else dt
-    looped = _step_loop(initial, params, spec, step_dt, t_final, output_stride)
+    looped = _step_loop(initial, params, corr, step_dt, t_final, output_stride)
     n_steps = max(1, round(t_final / step_dt))
     assert len(builds) == 1 + n_steps
     assert len(run) == len(looped) > 3
@@ -357,10 +368,10 @@ def test_step_loop_reproduces_solve_closure_bitwise(monkeypatch, dt, output_stri
         assert np.array_equal(a.values, b.values)
 
 
-def _roll_reference(initial, params, spec, dt, t_final, output_stride):
+def _roll_reference(initial, params, correlation, dt, t_final, output_stride):
     """Lax-Friedrichs with two ``np.roll`` copies per step, in the
     expression order the marching loop must keep."""
-    b_closed = closure.closed_advection_matrix(initial.order, spec)
+    b_closed = closure.closed_advection_matrix(initial.order, correlation)
     n_steps = max(1, round(t_final / dt))
     courant = dt / (2.0 * params.dx)
     damping = dt * closure._absorption(params, initial.order)
@@ -386,16 +397,18 @@ def test_march_buffers_never_leak_into_results(kind, source):
         a=0.0, b=1.0, cells=24, sigma=0.4, kappa=0.6, source=source
     )
     corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
-    spec = closure.ClosureSpec(kind=kind, correlation=corr if kind != "pn" else None)
+    correlation = corr if kind != "pn" else None
     initial = gaussian_bump(params, order)
     before = initial.values.copy()
-    run = closure.solve_closure(initial, params, spec, t_final=0.2, dt=0.01, output_stride=3)
+    run = closure.solve_closure(
+        initial, params, correlation, t_final=0.2, dt=0.01, output_stride=3
+    )
     assert np.array_equal(initial.values, before)
     assert all(not snap.values.flags.writeable for snap in run)
     for i, a in enumerate(run):
         for b in run[i + 1 :]:
             assert not np.shares_memory(a.values, b.values)
-    reference = _roll_reference(initial, params, spec, 0.01, 0.2, 3)
+    reference = _roll_reference(initial, params, correlation, 0.01, 0.2, 3)
     assert len(run) == len(reference) == 8
     for snap, (t, values) in zip(run, reference):
         assert snap.t == t

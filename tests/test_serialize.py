@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from seqgauss import chaos, serialize, wick
-from seqgauss.closure import MAX_ORDER
+from seqgauss.closure import MAX_ORDER, solve_closure
 
 
 def test_matrix_round_trip(tmp_path):
@@ -126,6 +127,7 @@ def closure_doc():
 
 def test_closure_config_load():
     cfg = serialize.load_closure_config(closure_doc())
+    assert list(cfg) == list(inspect.signature(solve_closure).parameters)
     assert cfg["params"].cells == 10
     assert cfg["initial"].order == 2
     assert cfg["initial"].values.shape == (10, 3)
@@ -148,7 +150,20 @@ def test_closure_config_optimal_prediction():
     doc = closure_doc()
     doc["closure"] = {"kind": "optimal_prediction", "A": np.eye(4).tolist()}
     cfg = serialize.load_closure_config(doc)
-    assert cfg["spec"].kind == "optimal_prediction"
+    assert np.array_equal(cfg["correlation"], np.eye(4))
+
+
+def test_closure_config_kind_selects_the_correlation():
+    # the config's closure kind exists only here: truncation is no correlation
+    doc = closure_doc()
+    assert serialize.load_closure_config(doc)["correlation"] is None
+    for closure, pattern in [
+        ({"kind": "bogus"}, "field 'closure': unknown closure kind 'bogus'"),
+        ({"kind": "optimal_prediction"}, "field 'A': missing"),
+    ]:
+        doc["closure"] = closure
+        with pytest.raises(serialize.ConfigError, match=pattern):
+            serialize.load_closure_config(doc)
 
 
 def test_closure_config_field_errors():
@@ -156,7 +171,6 @@ def test_closure_config_field_errors():
         ("J", 0, "'J'"),
         ("N", -1, "'N'"),
         ("N", MAX_ORDER + 1, "'N'"),
-        ("T", -2.0, "'T'"),
         ("closure", {"kind": "bogus"}, "closure"),
         ("sigma", [1.0, 2.0], "sigma"),
         ("initial", [1.0], "initial"),
