@@ -60,7 +60,6 @@ from .measure import (
     SampleBatch,
     char_function_mc,
     isserlis_moment,
-    pairing,
     pairings,
     pushforward_check,
     sample_mu_a,

@@ -32,7 +32,8 @@ from math import factorial
 import numpy as np
 
 from .core import (
-    Covariance, _finite, apply_extended, check_orthonormal_a, gram_a, gram_schmidt, gram_schmidt_a,
+    Covariance, _as_array, _held, apply_extended, check_orthonormal_a, gram_a, gram_schmidt,
+    gram_schmidt_a,
 )
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, _eval_terms, _term_arrays, kernel_inner_a
@@ -78,14 +79,7 @@ class ConditioningSet:
     def __post_init__(self):
         if len(self.basis) == 0:
             raise ValueError("conditioning set must be non-empty")
-        if len({np.shape(b) for b in self.basis}) > 1:
-            raise ValueError("conditioning vectors must share one shape")
-        basis = np.array(self.basis, dtype=float)
-        if basis.ndim != 3:
-            raise ValueError(f"basis must be a (q, m, d) stack, got shape {basis.shape}")
-        _finite(basis, "basis")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _held(self.basis, 3, "basis"))
 
     @classmethod
     def from_vectors(cls, vectors, cov: Covariance) -> "ConditioningSet":
@@ -105,7 +99,7 @@ def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
     GEMM serving every degree, followed by the homogeneous Hermite
     recurrence over the degree-sorted prefix of the terms (see
     ``wick._eval_terms``)."""
-    w = _finite(np.asarray(w, dtype=float), "w")
+    w = _as_array(w, None, "w")
     return _eval_terms(*_term_arrays(expansion.kernels.values(), w.shape[-2:]), cov, w)
 
 
@@ -127,9 +121,7 @@ def project_onto_set(phi, conditioning: ConditioningSet, cov: Covariance) -> np.
     ``sum_k (phi, psi_k)_A psi_k``, of every vector in a (T, m, d) stack
     ``phi`` (one vector is a stack of one); the coefficients of the whole
     stack come from one ``gram_a`` call."""
-    stack = np.asarray(phi, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError(f"phi must be a (T, m, d) stack, got shape {stack.shape}")
+    stack = _as_array(phi, 3, "phi")
     return np.tensordot(gram_a(stack, conditioning.basis, cov), conditioning.basis, axes=1)
 
 

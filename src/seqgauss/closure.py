@@ -68,8 +68,11 @@ computed once per run.  Returned snapshots are read-only copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
+
+from .core import _frozen, _held
 
 __all__ = [
     "MaterialParams",
@@ -163,21 +166,16 @@ def _per_cell(values, cells: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentGrid:
-    """Moment values on the grid at one time: entry (j, k) is I_k at cell j."""
+    """Moment values on the grid at a finite time ``t``: entry (j, k) of
+    the (cells, N+1) ``values`` is I_k at cell j."""
 
     t: float
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"values must be (cells, N+1), got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("moment grid contains non-finite values")
-        if arr is self.values and arr.flags.writeable:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        if not isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+        object.__setattr__(self, "values", _held(self.values, 2, "values"))
 
     @property
     def order(self) -> int:
@@ -202,8 +200,7 @@ def build_moment_system(order: int) -> np.ndarray:
         b[k, k + 1] = (k + 1) / (2 * k + 1)
         if k >= 1:
             b[k, k - 1] = k / (2 * k + 1)
-    b.setflags(write=False)
-    return b
+    return _frozen(b)
 
 
 def closure_row(correlation: np.ndarray | None, order: int) -> np.ndarray:

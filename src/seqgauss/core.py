@@ -25,6 +25,17 @@ leading coordinates, and positive-semidefiniteness helpers (Schur
 products preserve PSD).
 
 All values are immutable after construction; every function is pure.
+
+Every array argument of the package is accepted in one place, this
+module's ``_as_array``: it must convert to a finite float array with the
+stated number of axes, and is otherwise refused with a ``ValueError``
+whose message begins with the argument's name.  The immutable value
+types hold ``_held``'s read-only copy of it.  Three intakes keep their
+own code, each for a stated reason: ``measure.SampleBatch`` keeps a
+read-only batch uncopied and tests it by its min and max, with no
+batch-sized temporary; ``closure``'s per-cell values and correlation
+must raise ``ClosureInputError``; ``serialize.matrix_from_lists`` must
+raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -63,22 +74,38 @@ ORTHONORMAL_TOL = 1e-8
 PSD_TOL = 1e-9  # psd_check's tolerance, relative to the spectral norm
 
 
-def _finite(arr: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+def _as_array(x, ndim: int | None, name: str, copy: bool = False) -> np.ndarray:
+    """``x`` as a finite float array with ``ndim`` axes (any number for
+    None), never ``x`` itself with ``copy``; anything else raises a
+    ``ValueError`` that begins with ``name``."""
+    try:
+        arr = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not a numeric array: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    # count_nonzero skips the reduction set-up that makes .all() cost
+    # about 1 us more on the small arrays most calls pass
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def _as_array(x, ndim: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
-    return _finite(arr, name)
+def _held(x, ndim: int, name: str) -> np.ndarray:
+    """``_as_array(x, ndim, name)`` as a read-only copy, which no later
+    write to ``x`` can change."""
+    return _frozen(_as_array(x, ndim, name, copy=True))
 
 
-def _check_length(x: np.ndarray, cov: Covariance) -> None:
-    if x.shape[-1] != cov.dim:
-        raise ValueError(f"sequence length {x.shape[-1]} does not match covariance dim {cov.dim}")
+def _check_length(n: int, cov: Covariance, name: str) -> None:
+    if n != cov.dim:
+        raise ValueError(f"{name}: sequence length {n} does not match covariance dim {cov.dim}")
+
+
+def _check_count(value, least: int, name: str) -> None:
+    """Raise unless ``value`` is an integer (a bool is not) of at least ``least``."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -103,14 +130,15 @@ def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncationDims:
-    """Truncation sizes: m entries per vector, d sequence positions."""
+    """Truncation sizes, each a positive integer: m entries per vector, d
+    sequence positions."""
 
     m: int
     d: int
 
     def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ValueError(f"dims must be positive, got m={self.m}, d={self.d}")
+        _check_count(self.m, 1, "m")
+        _check_count(self.d, 1, "d")
 
 
 class Covariance:
@@ -132,8 +160,8 @@ class Covariance:
     SYMMETRY_RTOL = 1e-12
 
     def __init__(self, matrix) -> None:
-        a = _as_array(matrix, 1 if np.ndim(matrix) == 1 else 2, "covariance matrix")
-        if not a.size or (a.ndim == 2 and a.shape[0] != a.shape[1]):
+        a = _as_array(matrix, None, "covariance matrix")
+        if a.ndim not in (1, 2) or not a.size or a.shape[0] != a.shape[-1]:
             raise ValueError(f"covariance matrix must be square and non-empty, got {a.shape}")
         if a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             a = np.diagonal(a)
@@ -184,7 +212,7 @@ class Covariance:
     def apply(self, x) -> np.ndarray:
         """Matrix-vector product A x on coefficient sequences."""
         xv = _as_array(x, 1, "x")
-        _check_length(xv, self)
+        _check_length(len(xv), self, "x")
         return self._weigh(xv)
 
     def inner(self, x, y) -> float:
@@ -272,7 +300,7 @@ def inner_a(f, g, cov: Covariance) -> float:
     gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
         raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
-    _check_length(fm, cov)
+    _check_length(fm.shape[1], cov, "f")
     return float(np.vdot(fm, cov._weigh(gm)))
 
 
@@ -289,7 +317,7 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     ga = _as_array(gs, 3, "gs")
     if fa.shape[1:] != ga.shape[1:]:
         raise ValueError(f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
-    _check_length(fa, cov)
+    _check_length(fa.shape[2], cov, "fs")
     return cov._weigh(fa).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
 
@@ -325,7 +353,7 @@ def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
     if len(vectors) == 0:
         raise ValueError("cannot orthonormalize an empty list")
     stack = _as_array(vectors, 3, "vectors")
-    _check_length(stack, cov)
+    _check_length(stack.shape[2], cov, "vectors")
     exponents = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
     # ldexp, not stack * 2.0**-e, which overflows for subnormal entries
     stack = np.ldexp(stack, -exponents[:, None, None])
@@ -349,13 +377,9 @@ def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
 def gram_schmidt_a(xs: Sequence, cov: Covariance) -> np.ndarray:
     """A-orthonormalize a list of coefficient sequences in R^d; the kept
     vectors are the rows of a (k, d) array."""
-    vecs = [_as_array(x, 1, "conditioning vector") for x in xs]
-    for v in vecs:
-        if v.shape[0] != cov.dim:
-            raise ValueError(
-                f"vector of length {v.shape[0]} does not match covariance dim {cov.dim}"
-            )
-    return gram_schmidt(np.reshape(vecs, (len(vecs), 1, cov.dim)), cov)[:, 0]
+    x = _as_array(xs, 2, "xs")
+    _check_length(x.shape[1], cov, "xs")
+    return gram_schmidt(x[:, np.newaxis], cov)[:, 0]
 
 
 def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:
@@ -385,9 +409,7 @@ def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:
     pt = np.zeros((d, d))
     pt[:cut, :cut] = np.eye(cut)
     pt[cut:, :cut] = coupling.T
-    p.setflags(write=False)
-    pt.setflags(write=False)
-    return ProjectionBlocks(cut=cut, p=p, pt=pt)
+    return ProjectionBlocks(cut=cut, p=_frozen(p), pt=_frozen(pt))
 
 
 def psd_check(m) -> bool:

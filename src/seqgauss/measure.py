@@ -28,14 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Covariance, TruncationDims, _finite, check_orthonormal_a, gram_a
+from .core import (
+    Covariance, TruncationDims, _as_array, _frozen, check_orthonormal_a, gram_a,
+)
 
 __all__ = [
     "SampleBatch",
     "McEstimate",
     "PushforwardReport",
     "sample_mu_a",
-    "pairing",
     "pairings",
     "char_function_mc",
     "isserlis_moment",
@@ -61,7 +62,7 @@ class SampleBatch:
             raise ValueError(f"samples must have shape (count, m, d), got {arr.shape}")
         # min and max carry a NaN and show an inf without the batch-sized
         # temporary that np.isfinite(arr) would hold
-        _finite(np.array([arr.min(initial=0.0), arr.max(initial=0.0)]), "samples")
+        _as_array([arr.min(initial=0.0), arr.max(initial=0.0)], 1, "samples")
         if arr is self.samples and arr.flags.writeable:
             arr = arr.copy()
         arr.setflags(write=False)
@@ -106,18 +107,7 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
     if dims.d != cov.dim:
         raise ValueError(f"dims.d={dims.d} does not match covariance dim {cov.dim}")
     z = np.random.default_rng(seed).standard_normal((count, dims.m, dims.d))
-    samples = cov._whiten(z.reshape(-1, dims.d)).reshape(z.shape)
-    samples.setflags(write=False)
-    return SampleBatch(samples)
-
-
-def pairing(phi, w) -> float:
-    """Frobenius pairing <phi, w> of two finite m-by-d matrices."""
-    p = np.asarray(phi, dtype=float)
-    w_arr = np.asarray(w, dtype=float)
-    if p.shape != w_arr.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {w_arr.shape}")
-    return float(np.sum(_finite(p, "phi") * _finite(w_arr, "w")))
+    return SampleBatch(_frozen(cov._whiten(z.reshape(-1, dims.d)).reshape(z.shape)))
 
 
 def pairings(phi, batch: SampleBatch) -> np.ndarray:
@@ -126,11 +116,10 @@ def pairings(phi, batch: SampleBatch) -> np.ndarray:
     array for a (q, m, d) stack.  Either is one product with the flattened
     (count, m*d) samples; a stack's is the (q, count) product seen through
     its transpose."""
-    p = np.asarray(phi, dtype=float)
+    p = _as_array(phi, None, "phi")
     count, m, d = batch.samples.shape
     if p.ndim not in (2, 3) or p.shape[-2:] != (m, d):
         raise ValueError(f"phi shape {p.shape} does not match batch sample shape {(m, d)}")
-    _finite(p, "phi")
     flat = batch.samples.reshape(count, m * d)
     if p.ndim == 2:
         return flat @ p.ravel()
@@ -197,15 +186,14 @@ def isserlis_moment(phis, cov: Covariance) -> float:
     factors; 0 for an odd number of factors, 1 for an empty product.
     Limited to 10 factors.
     """
-    phis = [np.asarray(p, dtype=float) for p in phis]
     n = len(phis)
     if n > ISSERLIS_MAX_FACTORS:
         raise ValueError(f"at most {ISSERLIS_MAX_FACTORS} factors supported, got {n}")
-    if n % 2 == 1:
-        return 0.0
     if n == 0:
         return 1.0
-    stack = np.stack(phis)
+    stack = _as_array(phis, 3, "phis")
+    if n % 2 == 1:
+        return 0.0
     return float(_sum_matchings(gram_a(stack, stack, cov).tolist()))
 
 

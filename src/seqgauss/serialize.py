@@ -103,9 +103,9 @@ def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
     return out
 
 
-def _require(doc: dict, field: str):
+def _require(doc: dict, field: str, name: str | None = None):
     if field not in doc:
-        raise ConfigError(field, "missing")
+        raise ConfigError(name or field, "missing")
     return doc[field]
 
 
@@ -207,7 +207,7 @@ def load_closure_config(doc: dict) -> dict:
     if kind == "pn":
         correlation = None
     elif kind == "optimal_prediction":
-        correlation = matrix_from_lists(_require(closure_doc, "A"), "closure.A")
+        correlation = matrix_from_lists(_require(closure_doc, "A", "closure.A"), "closure.A")
     else:
         raise ConfigError("closure", f"unknown closure kind {kind!r}")
 

@@ -420,7 +420,7 @@ def check_low_degree_wick_values(rng: np.random.Generator) -> None:
     cov = random_cov(rng, _D)
     phi = rng.standard_normal((_M, _D))
     w = rng.standard_normal((_M, _D))
-    p = measure.pairing(phi, w)
+    p = core.inner_l2(phi, w)
     na2 = core.inner_a(phi, phi, cov)
     _assert_close(
         wick.wick_eval(wick.SymKernel.constant(1.0, _M, _D), cov, w), 1.0, 0.0, "degree 0"
@@ -474,7 +474,7 @@ def check_monomials_from_wick(rng: np.random.Generator) -> None:
         phi = rng.standard_normal((_M, _D))
         rebuilt = wick.monomial_dense_from_wick(n, cov, w)
         lhs = float(np.sum(rebuilt * wick._tensor_product([phi.ravel()] * n)))
-        rhs = measure.pairing(phi, w) ** n
+        rhs = core.inner_l2(phi, w) ** n
         _assert_close(lhs, rhs, 1e-10 * max(1.0, abs(rhs)), f"degree {n}")
 
 
@@ -996,8 +996,8 @@ def check_weak_form_projection(rng: np.random.Generator) -> None:
         blocks = core.block_projection(cov, cut)
         phi = rng.standard_normal((m, d))
         omega = rng.standard_normal((m, d))
-        lhs = measure.pairing(core.apply_matrix(blocks.p, phi), omega)
-        rhs = measure.pairing(phi, core.apply_matrix(blocks.pt, omega))
+        lhs = core.inner_l2(core.apply_matrix(blocks.p, phi), omega)
+        rhs = core.inner_l2(phi, core.apply_matrix(blocks.pt, omega))
         _assert_close(lhs, rhs, 1e-12 * max(1.0, abs(lhs)), "adjoint pairing")
 
 

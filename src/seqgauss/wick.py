@@ -55,7 +55,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .core import Covariance, _finite, gram_a
+from .core import Covariance, _as_array, _check_count, _check_length, _held, gram_a
 
 __all__ = [
     "RankOnePower",
@@ -92,16 +92,11 @@ class RankOnePower:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be non-negative, got {self.degree}")
-        base = np.array(self.base, dtype=float)
-        if base.ndim != 2:
-            raise ValueError(f"base must be an m-by-d matrix, got shape {base.shape}")
+        _check_count(self.degree, 0, "degree")
+        object.__setattr__(self, "base", _held(self.base, 2, "base"))
         coeff = float(self.coeff)
         if not isfinite(coeff):
             raise ValueError(f"coeff must be finite, got {coeff}")
-        base.setflags(write=False)
-        object.__setattr__(self, "base", _finite(base, "base"))
         object.__setattr__(self, "coeff", coeff)
 
 
@@ -114,6 +109,7 @@ class SymKernel:
     terms: tuple[RankOnePower, ...]
 
     def __post_init__(self):
+        _check_count(self.degree, 0, "degree")
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
         for t in terms:
@@ -153,11 +149,10 @@ class DenseTensor:
         m, d = self.dims
         flat = m * d
         _check_dense_limits(self.degree, flat)
-        arr = np.array(self.array, dtype=float)
+        arr = _held(self.array, self.degree, "array")
         expected = (flat,) * self.degree
         if arr.shape != expected:
             raise ValueError(f"array shape {arr.shape} does not match {expected}")
-        arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
 
@@ -179,14 +174,10 @@ def polarize(xs) -> SymKernel:
     (sum_i signs_i x_i)^(x)n`` whose sum is the symmetrized product.  Term
     count doubles per factor; intended for small n.
     """
-    vecs = [np.asarray(x, dtype=float) for x in xs]
-    if not vecs:
+    if len(xs) == 0:
         raise ValueError("polarize requires at least one vector")
+    vecs = list(_as_array(xs, 3, "xs"))
     n = len(vecs)
-    shape = vecs[0].shape
-    for v in vecs:
-        if v.shape != shape or v.ndim != 2:
-            raise ValueError("polarize requires m-by-d matrices of equal shape")
     scale = 1.0 / (2**n * factorial(n))
     terms = []
     for signs in itertools.product((1.0, -1.0), repeat=n):
@@ -248,7 +239,7 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     this one kernel: one GEMM per block of samples, then the homogeneous
     Hermite recurrence, which never divides by ``||base||_A``.
     """
-    w = _finite(np.asarray(w, dtype=float), "w")
+    w = _as_array(w, None, "w")
     return _eval_terms(*_term_arrays([kernel], w.shape[-2:]), cov, w)
 
 
@@ -278,9 +269,8 @@ def _eval_terms(coeffs, bases, degrees, cov: Covariance, w):
     step k of the recurrence runs on the leading rows of degree >= k and
     adds ``coeffs[deg == k] @ P_k[deg == k]`` to the block's values.
     """
-    w_arr = np.asarray(w, dtype=float)
-    single = w_arr.ndim == 2
-    total = np.full(() if single else w_arr.shape[:-2], coeffs[degrees == 0].sum())
+    single = w.ndim == 2
+    total = np.full(() if single else w.shape[:-2], coeffs[degrees == 0].sum())
     order = np.argsort(-degrees, kind="stable")[: np.count_nonzero(degrees)]
     if order.size:
         coeffs, bases, degrees = coeffs[order], bases[order], degrees[order]
@@ -288,7 +278,7 @@ def _eval_terms(coeffs, bases, degrees, cov: Covariance, w):
         # ends[k]: the number of leading rows of degree >= k, for k = 0..top+1
         ends = np.searchsorted(-degrees, -np.arange(degrees[0] + 2), side="right")
         bases_flat = bases.reshape(len(bases), -1)
-        w_flat = w_arr.reshape(-1, bases_flat.shape[1])
+        w_flat = w.reshape(-1, bases_flat.shape[1])
         out = total.reshape(-1)  # a view: each block adds into total
         rows = max(1, _BLOCK_VALUES // len(bases))
         for start in range(0, len(w_flat), rows):
@@ -324,11 +314,10 @@ def _block_values(x, t, coeffs, ends):
 def wick_dense_tensor(n: int, cov: Covariance, w) -> np.ndarray:
     """Dense Wick functional of degree n at sample w, built by the two-term
     recursion with the weighted pairing matrix."""
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _as_array(w, 2, "w")
     m, d = w_arr.shape
     _check_dense_limits(n, m * d)
-    if d != cov.dim:
-        raise ValueError(f"sample has {d} columns but covariance dim is {cov.dim}")
+    _check_length(d, cov, "w")
     wf = w_arr.ravel()
     t_mat = weight_pairing_matrix(cov, m)
     prev2 = np.array(1.0)
@@ -349,9 +338,10 @@ def wick_dense_closed_form(n: int, cov: Covariance, w) -> np.ndarray:
 
     independent of the recursion in ``wick_dense_tensor``.
     """
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _as_array(w, 2, "w")
     m, d = w_arr.shape
     _check_dense_limits(n, m * d)
+    _check_length(d, cov, "w")
     wf = w_arr.ravel()
     t_mat = weight_pairing_matrix(cov, m)
     total = np.zeros((m * d,) * n)
@@ -369,9 +359,10 @@ def monomial_dense_from_wick(n: int, cov: Covariance, w) -> np.ndarray:
 
     sum_k n! / (2^k k! (n-2k)!) sym(T^(x)k (x) :w^(x)(n-2k):).
     """
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _as_array(w, 2, "w")
     m, d = w_arr.shape
     _check_dense_limits(n, m * d)
+    _check_length(d, cov, "w")
     t_mat = weight_pairing_matrix(cov, m)
     if n == 0:
         return np.array(1.0)
@@ -392,6 +383,9 @@ def wick_eval_dense(n: int, cov: Covariance, w, t: DenseTensor) -> float:
     """
     if t.degree != n:
         raise ValueError(f"kernel degree {t.degree} does not match n={n}")
+    w = _as_array(w, 2, "w")
+    if t.dims != w.shape:
+        raise ValueError(f"t: dims {t.dims} do not match the sample shape {w.shape}")
     functional = wick_dense_tensor(n, cov, w)
     return float(np.sum(functional * t.array))
 
@@ -420,7 +414,8 @@ def dense_inner_a(t1: DenseTensor, t2: DenseTensor, cov: Covariance) -> float:
         raise ValueError(f"degree mismatch: {t1.degree} vs {t2.degree}")
     if t1.dims != t2.dims:
         raise ValueError(f"dims mismatch: {t1.dims} vs {t2.dims}")
-    m, _ = t1.dims
+    m, d = t1.dims
+    _check_length(d, cov, "t1")
     t_mat = weight_pairing_matrix(cov, m)
     weighted = t2.array
     for _ in range(t2.degree):

@@ -295,6 +295,8 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
         ("b", 0.0, "b"),
         ("J", 1, "J"),
         ("sigma", -1.0, "sigma"),
+        # optimal prediction with no correlation matrix
+        ("closure", {"kind": "optimal_prediction"}, "closure.A"),
     ],
 )
 def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value, field):

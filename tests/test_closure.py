@@ -244,6 +244,9 @@ def test_moment_grid_rejects_non_finite_values():
     values[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         closure.MomentGrid(t=0.0, values=values)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            closure.MomentGrid(t=t, values=np.zeros((4, 2)))
 
 
 def test_material_params_validation():

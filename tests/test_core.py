@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqgauss import chaos, core
+from seqgauss import chaos, closure, core, measure, wick
 from seqgauss.verify import (
     check_bilinear_identities,
     check_block_projection_algebra,
@@ -523,3 +523,60 @@ def test_identity_of_a_million_positions_costs_vectors_not_a_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 8 * d  # a d x d array would take 8 * d * d bytes
+
+
+_NAN_W = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]])
+_DENSE = wick.DenseTensor(degree=1, dims=(2, 3), array=np.arange(6.0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: wick.DenseTensor(degree=1, dims=(2, 3), array=np.full(6, np.nan)), "array"),
+        (lambda: wick.wick_dense_tensor(2, core.Covariance.identity(3), _NAN_W), "w"),
+        (lambda: wick.wick_dense_closed_form(2, core.Covariance.identity(3), _NAN_W), "w"),
+        (lambda: wick.monomial_dense_from_wick(2, core.Covariance.identity(3), _NAN_W), "w"),
+        (lambda: wick.wick_eval_dense(1, core.Covariance.identity(3), _NAN_W, _DENSE), "w"),
+        (lambda: wick.wick_dense_closed_form(2, core.Covariance.identity(2), np.ones((2, 3))), "w"),
+        (lambda: wick.dense_inner_a(_DENSE, _DENSE, core.Covariance.identity(2)), "t1"),
+        (lambda: wick.wick_eval_dense(
+            1, core.Covariance.identity(2), np.ones((3, 2)), _DENSE), "t"),
+        (lambda: core.inner_a("ab", np.ones((2, 3)), core.Covariance.identity(3)), "f"),
+        (lambda: chaos.ConditioningSet(basis=[np.ones((2, 3)), np.ones((2, 2))]), "basis"),
+        (lambda: core.Covariance([[1.0, 0.0], [0.0]]), "covariance matrix"),
+        (lambda: wick.polarize([np.ones((2, 3)), np.ones((3, 2))]), "xs"),
+        (lambda: measure.isserlis_moment([np.ones((2, 3)), _NAN_W], core.Covariance.identity(3)),
+         "phis"),
+    ],
+    ids=[
+        "DenseTensor NaN array", "wick_dense_tensor NaN w", "wick_dense_closed_form NaN w",
+        "monomial_dense_from_wick NaN w", "wick_eval_dense NaN w",
+        "wick_dense_closed_form covariance dim", "dense_inner_a covariance dim",
+        "wick_eval_dense transposed sample",
+        "inner_a string f", "ConditioningSet ragged basis", "Covariance ragged matrix",
+        "polarize ragged xs", "isserlis_moment NaN phis",
+    ],
+)
+def test_array_arguments_are_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "build, shape, held",
+    [
+        (lambda a: wick.RankOnePower(1.0, a, 2), (2, 3), lambda v: v.base),
+        (lambda a: wick.DenseTensor(degree=1, dims=(2, 3), array=a), (6,), lambda v: v.array),
+        (lambda a: closure.MomentGrid(t=0.0, values=a), (2, 3), lambda v: v.values),
+        (lambda a: chaos.ConditioningSet(basis=a), (1, 2, 3), lambda v: v.basis),
+    ],
+    ids=["RankOnePower", "DenseTensor", "MomentGrid", "ConditioningSet"],
+)
+def test_held_arrays_are_read_only_copies(build, shape, held):
+    caller = np.arange(6.0).reshape(shape)
+    value = build(caller)
+    kept = held(value).copy()
+    assert not held(value).flags.writeable
+    caller[:] = -1.0
+    assert np.array_equal(held(value), kept)
+    assert caller.flags.writeable

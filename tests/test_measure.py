@@ -71,16 +71,13 @@ def test_sample_count_validation():
 def test_pairing_basics():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((M, D))
-    assert measure.pairing(np.zeros((M, D)), w) == 0.0
+    # the Frobenius pairing <phi, w> is core.inner_l2; its rank-one
+    # factorization is test_core's test_inner_l2_rank_one_factorization
+    assert core.inner_l2(np.zeros((M, D)), w) == 0.0
     phi, psi = rng.standard_normal((2, M, D))
     a, b = 1.7, -0.3
-    assert measure.pairing(a * phi + b * psi, w) == pytest.approx(
-        a * measure.pairing(phi, w) + b * measure.pairing(psi, w), rel=1e-12
-    )
-    h, g = rng.standard_normal((2, M))
-    x, y = rng.standard_normal((2, D))
-    assert measure.pairing(core.bullet(h, x), core.bullet(g, y)) == pytest.approx(
-        float(h @ g) * float(x @ y), rel=1e-12
+    assert core.inner_l2(a * phi + b * psi, w) == pytest.approx(
+        a * core.inner_l2(phi, w) + b * core.inner_l2(psi, w), rel=1e-12
     )
 
 
@@ -126,7 +123,7 @@ def test_pairings_match_the_per_sample_pairing_oracle():
         single = measure.pairings(phi, batch)
         assert single.shape == (300,)
         for i, w in enumerate(batch.samples):
-            expected = measure.pairing(phi, w)
+            expected = core.inner_l2(phi, w)
             bound = 1e-12 * np.abs(phi * w).sum()
             assert abs(single[i] - expected) <= bound
             assert abs(stacked[i, k] - expected) <= bound
@@ -138,10 +135,10 @@ def test_non_finite_phi_is_refused(bad):
     batch = measure.sample_mu_a(cov, DIMS, 20, seed=5)
     phi = np.ones((M, D))
     phi[1, 2] = bad
-    with pytest.raises(ValueError, match="phi contains non-finite"):
-        measure.pairing(phi, batch.samples[0])
-    with pytest.raises(ValueError, match="w contains non-finite"):
-        measure.pairing(np.ones((M, D)), phi)
+    with pytest.raises(ValueError, match="f contains non-finite"):
+        core.inner_l2(phi, batch.samples[0])
+    with pytest.raises(ValueError, match="g contains non-finite"):
+        core.inner_l2(np.ones((M, D)), phi)
     with pytest.raises(ValueError, match="phi contains non-finite"):
         measure.pairings(phi, batch)
     with pytest.raises(ValueError, match="phi contains non-finite"):

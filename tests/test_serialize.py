@@ -159,7 +159,7 @@ def test_closure_config_kind_selects_the_correlation():
     assert serialize.load_closure_config(doc)["correlation"] is None
     for closure, pattern in [
         ({"kind": "bogus"}, "field 'closure': unknown closure kind 'bogus'"),
-        ({"kind": "optimal_prediction"}, "field 'A': missing"),
+        ({"kind": "optimal_prediction"}, "field 'closure.A': missing"),
     ]:
         doc["closure"] = closure
         with pytest.raises(serialize.ConfigError, match=pattern):

@@ -196,6 +196,8 @@ def test_symkernel_validation():
                 wick.RankOnePower(1.0, np.ones((3, 2)), 1),
             ),
         )
+    # a numpy integer is an integer degree
+    assert wick.RankOnePower(1.0, np.ones((M, D)), np.int64(2)).degree == 2
 
 
 def per_term_wick_eval(kernel, cov, w):
@@ -376,3 +378,25 @@ def test_non_finite_input_is_refused_naming_its_field(call, field):
     kernel = wick.SymKernel.rank_one(np.ones((M, D)), 2)
     with pytest.raises(ValueError, match=rf"^{field} .*finite"):
         call(kernel, core.Covariance.identity(D))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda b: wick.RankOnePower(1.0, b, 1.5), "degree"),
+        (lambda b: wick.RankOnePower(1.0, b, True), "degree"),
+        (lambda b: wick.RankOnePower(1.0, b, -1), "degree"),
+        (lambda b: wick.SymKernel(1.5, ()), "degree"),
+        (lambda b: wick.SymKernel(-1, ()), "degree"),
+        (lambda b: chaos.ChaosExpansion({-1: wick.SymKernel(-1, ())}), "degree"),
+        (lambda b: core.TruncationDims(2.5, 3), "m"),
+        (lambda b: core.TruncationDims(2, 0), "d"),
+        (lambda b: core.TruncationDims(True, 3), "m"),
+    ],
+    ids=["RankOnePower 1.5", "RankOnePower True", "RankOnePower -1", "SymKernel 1.5",
+         "SymKernel -1", "ChaosExpansion -1", "TruncationDims m 2.5", "TruncationDims d 0",
+         "TruncationDims m True"],
+)
+def test_degrees_and_truncation_sizes_must_be_integers(build, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        build(np.ones((M, D)))
