@@ -18,7 +18,6 @@ from .chaos import (
     mc_cond_check,
 )
 from .closure import (
-    ClosureInputError,
     MaterialParams,
     MomentGrid,
     build_moment_system,
@@ -29,6 +28,7 @@ from .closure import (
 )
 from .core import (
     Covariance,
+    InputError,
     ProjectionBlocks,
     TruncationDims,
     apply_extended,

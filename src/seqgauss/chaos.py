@@ -32,8 +32,8 @@ from math import factorial
 import numpy as np
 
 from .core import (
-    Covariance, _as_array, _held, apply_extended, check_orthonormal_a, gram_a, gram_schmidt,
-    gram_schmidt_a,
+    Covariance, InputError, _as_array, _held, apply_extended, check_orthonormal_a, gram_a,
+    gram_schmidt, gram_schmidt_a,
 )
 from .measure import McEstimate, SampleBatch, _mean_estimate, pairings
 from .wick import RankOnePower, SymKernel, _eval_terms, _term_arrays, kernel_inner_a
@@ -60,7 +60,7 @@ class ChaosExpansion:
     def __post_init__(self):
         for n, k in self.kernels.items():
             if k.degree != n:
-                raise ValueError(f"kernel of degree {k.degree} stored under key {n}")
+                raise InputError("kernels", f"kernel of degree {k.degree} stored under key {n}")
 
     @property
     def degrees(self) -> list[int]:
@@ -77,9 +77,9 @@ class ConditioningSet:
     basis: np.ndarray
 
     def __post_init__(self):
-        if len(self.basis) == 0:
-            raise ValueError("conditioning set must be non-empty")
         object.__setattr__(self, "basis", _held(self.basis, 3, "basis"))
+        if len(self.basis) == 0:
+            raise InputError("basis", "conditioning set must be non-empty")
 
     @classmethod
     def from_vectors(cls, vectors, cov: Covariance) -> "ConditioningSet":
@@ -100,7 +100,7 @@ def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
     recurrence over the degree-sorted prefix of the terms (see
     ``wick._eval_terms``)."""
     w = _as_array(w, None, "w")
-    return _eval_terms(*_term_arrays(expansion.kernels.values(), w.shape[-2:]), cov, w)
+    return _eval_terms(*_term_arrays(expansion.kernels.values(), w.shape[-2:], "w"), cov, w)
 
 
 def chaos_inner(e1: ChaosExpansion, e2: ChaosExpansion, cov: Covariance) -> float:
@@ -183,11 +183,11 @@ def mc_cond_check(
     coefficients negated, go to the evaluator together.
     """
     if batch.count == 0:
-        raise ValueError("empty batch")
+        raise InputError("batch", "empty batch")
     conditioned = cond_exp_chaos(expansion, conditioning, cov)
     dims = batch.samples.shape[-2:]
-    coeffs, bases, degrees = _term_arrays(expansion.kernels.values(), dims)
-    p_coeffs, p_bases, p_degrees = _term_arrays(conditioned.kernels.values(), dims)
+    coeffs, bases, degrees = _term_arrays(expansion.kernels.values(), dims, "batch")
+    p_coeffs, p_bases, p_degrees = _term_arrays(conditioned.kernels.values(), dims, "batch")
     residual = _eval_terms(
         np.concatenate([coeffs, -p_coeffs]),
         np.concatenate([bases, p_bases]),
@@ -198,6 +198,6 @@ def mc_cond_check(
     coords = pairings(conditioning.basis, batch)
     gvals = np.asarray(g(coords), dtype=float)
     if gvals.shape != (batch.count,):
-        raise ValueError(f"g must return one value per sample, got shape {gvals.shape}")
+        raise InputError("g", f"g must return one value per sample, got shape {gvals.shape}")
     mean, se = _mean_estimate(residual * gvals)
     return McEstimate(value=mean, std_error=se, count=batch.count)

@@ -9,6 +9,10 @@ Subcommands:
 * ``hermite`` -- tabulate Hermite polynomial values to CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+A config error is a :class:`~seqgauss.core.InputError`, printed as
+``config error: field '<field>': <message>``: its ``argument`` is the
+config field or option where ``serialize`` or this module refuses it, and
+a library parameter, mapped to its field by ``_FIELDS``, where the library does.
 ``sample`` and ``verify`` refuse a batch of more than ``MAX_SAMPLE_VALUES``
 values, and ``hermite`` a table of more than ``MAX_HERMITE_CELLS`` values,
 before they allocate anything; ``hermite`` writes no table holding a
@@ -29,12 +33,11 @@ import sys
 import numpy as np
 
 from .chaos import ChaosExpansion, cond_exp_monomial
-from .closure import ClosureInputError, solve_closure
-from .core import Covariance, TruncationDims
+from .closure import solve_closure
+from .core import Covariance, InputError, TruncationDims, _as_array, _check_count
 from .hermite import _degrees
 from .measure import sample_mu_a
 from .serialize import (
-    ConfigError,
     expansion_to_jsonable,
     load_closure_config,
     load_condexp_config,
@@ -53,11 +56,13 @@ MAX_HERMITE_CELLS = 2**22
 # cells per piece of a ``sample`` CSV line; formatting one piece holds
 # about 10 MB of Python objects
 _CHUNK_CELLS = 65_536
-# config field behind each input a closure run can be rejected for
-_CLOSURE_FIELDS = {
-    "a": "a", "b": "b", "cells": "J", "sigma": "sigma", "kappa": "kappa", "source": "q",
-    "correlation": "closure.A", "dt": "dt", "cfl": "cfl", "order": "N", "t_final": "T",
-    "output_stride": "output_stride", "initial": "initial",
+# per command, the config field of each library parameter it can refuse
+# whose name is not that field's; any other name is already the field
+_FIELDS = {
+    "verify": {}, "hermite": {}, "sample": {"matrix": "A"},
+    "condexp": {"matrix": "A", "xs": "conditioning"},
+    "closure": {"cells": "J", "source": "q", "correlation": "closure.A", "order": "N",
+                "t_final": "T"},
 }
 
 
@@ -70,9 +75,8 @@ def _seed(flag: int | None) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            raise ConfigError(field, f"must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ConfigError(field, f"must be non-negative, got {seed}")
+            raise InputError(field, f"must be an integer, got {raw!r}") from None
+    _check_count(seed, 0, field)
     return seed
 
 
@@ -148,11 +152,10 @@ def _cells(row) -> str:
 
 def _cmd_verify(args) -> int:
     seed = _seed(args.seed)
-    if args.samples < 2:
-        raise ConfigError("samples", f"must be at least 2, got {args.samples}")
+    _check_count(args.samples, 2, "samples")
     if args.samples * _DIMS.m * _DIMS.d > MAX_SAMPLE_VALUES:
-        raise ConfigError("samples", f"{args.samples} samples of {_DIMS.m} x {_DIMS.d} values "
-                          f"exceed {MAX_SAMPLE_VALUES} values")
+        raise InputError("samples", f"{args.samples} samples of {_DIMS.m} x {_DIMS.d} values "
+                         f"exceed {MAX_SAMPLE_VALUES} values")
     results = run_suite(args.suite, seed=seed, samples=args.samples)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -167,25 +170,21 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _seed(args.seed)
-    if args.samples <= 0:
-        raise ConfigError("samples", "must be positive")
+    _check_count(args.samples, 1, "samples")
     if args.dim_h <= 0 or args.dim_seq <= 0:
-        raise ConfigError("dim-h/dim-seq", "must be positive")
+        raise InputError("dim-h/dim-seq", "must be positive")
     if args.samples * args.dim_h * args.dim_seq > MAX_SAMPLE_VALUES:
-        raise ConfigError("samples/dim-h/dim-seq", f"{args.samples} samples of "
-                          f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
+        raise InputError("samples/dim-h/dim-seq", f"{args.samples} samples of "
+                         f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
     if args.cov is not None:
         doc = load_document(args.cov)
         matrix = matrix_from_lists(doc.get("A", doc.get("matrix")), "A")
         # shapes before the factorization: a mismatch costs no Cholesky
         if matrix.shape[0] == matrix.shape[1] != args.dim_seq:
-            raise ConfigError(
+            raise InputError(
                 "A", f"covariance dim {matrix.shape[0]} does not match --dim-seq {args.dim_seq}"
             )
-        try:
-            cov = Covariance(matrix)
-        except ValueError as exc:
-            raise ConfigError("A", str(exc)) from None
+        cov = Covariance(matrix)
     else:
         cov = Covariance.identity(args.dim_seq)
     dims = TruncationDims(args.dim_h, args.dim_seq)
@@ -214,12 +213,8 @@ def _sample_pieces(rows, dim_seq: int):
 
 
 def _cmd_condexp(args) -> int:
-    doc = load_document(args.config)
-    cov, f, conditioning = load_condexp_config(doc)
-    try:
-        projected = cond_exp_monomial(f, conditioning, cov)
-    except ValueError as exc:
-        raise ConfigError("conditioning", str(exc)) from None
+    cov, f, conditioning = load_condexp_config(load_document(args.config))
+    projected = cond_exp_monomial(f, conditioning, cov)
     print("projected kernel (rows are inner components, columns sequence positions):")
     for row in projected:
         print("  " + "  ".join(f"{v: .12g}" for v in row))
@@ -230,14 +225,13 @@ def _cmd_condexp(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    doc = load_document(args.config)
+    cfg = load_closure_config(load_document(args.config))
     try:
-        cfg = load_closure_config(doc)
         snapshots = solve_closure(**cfg)
-    except ClosureInputError as exc:
-        raise ConfigError(_CLOSURE_FIELDS[exc.argument], str(exc)) from None
-    except ValueError as exc:
-        raise ConfigError("closure run", str(exc)) from None
+    except ValueError as exc:  # a refused input, or the one plain ValueError: a blow-up
+        if isinstance(exc, InputError):
+            raise
+        raise InputError("closure run", str(exc)) from None
     header = ["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)]
     _write_csv(args.out, header, _closure_lines(snapshots, cfg["params"].x_centers))
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
@@ -256,28 +250,25 @@ def _closure_lines(snapshots, x_centers):
 
 
 def _cmd_hermite(args) -> int:
-    if args.max_n < 0:
-        raise ConfigError("max-n", "must be non-negative")
-    if args.points < 1:
-        raise ConfigError("points", "must be positive")
+    _check_count(args.max_n, 0, "max-n")
+    _check_count(args.points, 1, "points")
     if args.points * (args.max_n + 1) > MAX_HERMITE_CELLS:
-        raise ConfigError("points/max-n", f"{args.points} points of degrees 0..{args.max_n} "
-                          f"exceed {MAX_HERMITE_CELLS} values")
-    for field, value in (("x-min", args.x_min), ("x-max", args.x_max)):
-        if not np.isfinite(value):
-            raise ConfigError(field, f"must be finite, got {value}")
+        raise InputError("points/max-n", f"{args.points} points of degrees 0..{args.max_n} "
+                         f"exceed {MAX_HERMITE_CELLS} values")
+    _as_array(args.x_min, 0, "x-min")
+    _as_array(args.x_max, 0, "x-max")
     # the whole table is checked before the file is opened
     table = []
     with np.errstate(over="ignore", invalid="ignore"):
         xs = np.linspace(args.x_min, args.x_max, args.points)
         if not np.isfinite(xs).all():
-            raise ConfigError("x-min/x-max", "the grid spacing overflows")
+            raise InputError("x-min/x-max", "the grid spacing overflows")
         degrees = _degrees(xs, 1 if args.kind == "prob" else 2)
         for n, values in zip(range(args.max_n + 1), degrees):
             bad = ~np.isfinite(values)
             if bad.any():
-                raise ConfigError("max-n/x-min/x-max", f"degree {n} overflows at x = "
-                                  f"{xs[bad.argmax()].item()!r}")
+                raise InputError("max-n/x-min/x-max", f"degree {n} overflows at x = "
+                                 f"{xs[bad.argmax()].item()!r}")
             table.append(values)
     x_list = xs.tolist()
     lines = (
@@ -304,8 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except InputError as exc:
+        field = _FIELDS[args.command].get(exc.argument, exc.argument)
+        print(f"config error: field '{field}': {exc}", file=sys.stderr)
         return 2
 
 

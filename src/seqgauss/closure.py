@@ -36,23 +36,25 @@ step.  The run enforces the CFL bound dt <= cfl * dx / rho.  A blow-up
 cell.
 
 Each refusal of an input, these two included, is a
-:class:`ClosureInputError` (a ``ValueError``) whose ``argument`` names
-it:
+:class:`~seqgauss.core.InputError` (a ``ValueError``) whose ``argument``
+names it.  Every number and array is taken through ``core``, so each of
+them is refused if it is not a finite number (or, for the per-cell values
+and the correlation, array); beyond that:
 
-* ``"a"``: not finite; ``"b"``: b - a not positive and finite;
+* ``"b"``: b - a not positive and finite;
 * ``"cells"``: not an integer of at least 2;
 * ``"sigma"``, ``"kappa"``, ``"source"``: not one number or a per-cell
-  array, or not finite; ``sigma`` and ``kappa`` also negative;
-* ``"correlation"``: not square or not finite, too small for the order,
-  a singular leading block, or a closed advection matrix with a non-real
-  eigenvalue (|imag| > 1e-12 max(rho, 1));
-* ``"order"``: N negative or above ``MAX_ORDER``;
+  array; ``sigma`` and ``kappa`` also negative;
+* ``"correlation"``: not square, too small for the order, a singular
+  leading block, or a closed advection matrix with a non-real eigenvalue
+  (|imag| > 1e-12 max(rho, 1));
+* ``"order"``: N not an integer in 0..``MAX_ORDER``;
 * ``"initial"``: a cell count other than the material's;
 * ``"t_final"``: not positive, more than ``MAX_STEPS`` steps, or more
   than ``MAX_SNAPSHOT_VALUES`` values in the returned snapshots;
 * ``"dt"``: not positive, above the CFL bound, or making the Courant
   number dt / (2 dx) not finite (possible only when rho = 0);
-* ``"cfl"``: not positive and finite;
+* ``"cfl"``: not positive;
 * ``"output_stride"``: not an integer of at least 1.
 
 The loop marches in place: u is kept in rows 1..J of one (J+2, N+1)
@@ -68,16 +70,14 @@ computed once per run.  Returned snapshots are read-only copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .core import _frozen, _held
+from .core import InputError, _as_array, _check_count, _frozen, _held
 
 __all__ = [
     "MaterialParams",
     "MomentGrid",
-    "ClosureInputError",
     "build_moment_system",
     "closure_row",
     "closed_advection_matrix",
@@ -98,24 +98,16 @@ MAX_SNAPSHOT_VALUES = 2**24
 MAX_ORDER = 256
 
 
-class ClosureInputError(ValueError):
-    """A closure input refused; ``argument`` names it (the module
-    docstring lists every name and what each is refused for)."""
-
-    def __init__(self, argument: str, message: str) -> None:
-        self.argument = argument
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class MaterialParams:
     """Material data on a uniform grid of J cells over (a, b).
 
-    ``sigma`` (scattering), ``kappa`` (absorption) and ``source`` are
-    each one finite number for every cell or a per-cell array of them;
-    anything else, a callable included, raises :class:`ClosureInputError`
-    naming the field, as does a negative ``sigma`` or ``kappa``, a domain
-    that is empty or not finite, and fewer than 2 cells.
+    ``a`` and ``b`` are held as floats.  ``sigma`` (scattering),
+    ``kappa`` (absorption) and ``source`` are each one finite number for
+    every cell or a per-cell array of them; anything else, a callable
+    included, raises :class:`~seqgauss.core.InputError` naming the field,
+    as does a negative ``sigma`` or ``kappa``, a domain that is empty or
+    not finite, and fewer than 2 cells.
     """
 
     a: float
@@ -126,19 +118,15 @@ class MaterialParams:
     source: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.a):
-            raise ClosureInputError("a", f"a must be finite, got {self.a}")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, float(_as_array(getattr(self, name), 0, name)))
         if not 0.0 < self.b - self.a < np.inf:
-            raise ClosureInputError("b", f"domain ({self.a}, {self.b}) is empty or not finite")
-        if not (isinstance(self.cells, (int, np.integer)) and self.cells >= 2):
-            raise ClosureInputError("cells", f"need an integer of at least 2 cells, "
-                                    f"got {self.cells!r}")
+            raise InputError("b", f"domain ({self.a}, {self.b}) is empty or not finite")
+        _check_count(self.cells, 2, "cells")
         for name in ("sigma", "kappa", "source"):
             values = _per_cell(getattr(self, name), self.cells, name)
-            if not np.isfinite(values).all():
-                raise ClosureInputError(name, f"{name} must be finite")
             if name != "source" and (values < 0).any():
-                raise ClosureInputError(name, f"{name} must be non-negative")
+                raise InputError(name, f"{name} must be non-negative")
             object.__setattr__(self, name, values)
 
     @property
@@ -151,30 +139,24 @@ class MaterialParams:
 
 
 def _per_cell(values, cells: int, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ClosureInputError(name, f"{name} must be scalar or length-{cells}, "
-                                f"got {type(values)}") from None
+    arr = _as_array(values, None, name)
     if arr.ndim == 0:
         arr = np.full(cells, float(arr))
     if arr.shape != (cells,):
-        raise ClosureInputError(name, f"{name} must be scalar or length-{cells}, "
-                                f"got shape {arr.shape}")
+        raise InputError(name, f"{name} must be scalar or length-{cells}, got shape {arr.shape}")
     return arr
 
 
 @dataclass(frozen=True)
 class MomentGrid:
-    """Moment values on the grid at a finite time ``t``: entry (j, k) of
-    the (cells, N+1) ``values`` is I_k at cell j."""
+    """Moment values on the grid at a finite time ``t``, held as a float:
+    entry (j, k) of the (cells, N+1) ``values`` is I_k at cell j."""
 
     t: float
     values: np.ndarray
 
     def __post_init__(self):
-        if not isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
+        object.__setattr__(self, "t", float(_as_array(self.t, 0, "t")))
         object.__setattr__(self, "values", _held(self.values, 2, "values"))
 
     @property
@@ -188,13 +170,12 @@ def build_moment_system(order: int) -> np.ndarray:
     its neighbours, b_{k,k+1} = (k+1)/(2k+1) and b_{k,k-1} = k/(2k+1),
     including the unresolved column N+1.
 
-    A negative order or one above ``MAX_ORDER`` raises
-    :class:`ClosureInputError`.
+    An order that is not an integer in 0..``MAX_ORDER`` raises
+    :class:`~seqgauss.core.InputError`.
     """
-    if order < 0:
-        raise ClosureInputError("order", f"order must be non-negative, got {order}")
+    _check_count(order, 0, "order")
     if order > MAX_ORDER:
-        raise ClosureInputError("order", f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
+        raise InputError("order", f"order {order} exceeds MAX_ORDER = {MAX_ORDER}")
     b = np.zeros((order + 1, order + 2))
     for k in range(order + 1):
         b[k, k + 1] = (k + 1) / (2 * k + 1)
@@ -212,25 +193,21 @@ def closure_row(correlation: np.ndarray | None, order: int) -> np.ndarray:
     (N+1) x (N+1) block; r is invariant under positive rescaling of the
     matrix.
     """
+    _check_count(order, 0, "order")
     if correlation is None:
         return np.zeros(order + 1)
-    corr = np.asarray(correlation, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise ClosureInputError("correlation", f"correlation matrix must be square, "
-                                f"got shape {corr.shape}")
-    if not np.isfinite(corr).all():
-        raise ClosureInputError("correlation", "correlation matrix contains non-finite entries")
+    corr = _as_array(correlation, 2, "correlation")
+    if corr.shape[0] != corr.shape[1]:
+        raise InputError("correlation", f"correlation matrix must be square, got {corr.shape}")
     if corr.shape[0] < order + 2:
-        raise ClosureInputError(
-            "correlation",
-            f"correlation matrix of size {corr.shape[0]} too small for order {order}",
-        )
+        raise InputError("correlation", f"correlation matrix of size {corr.shape[0]} too small "
+                         f"for order {order}")
     a_cc = corr[: order + 1, : order + 1]
     a_fc = corr[order + 1, : order + 1]
     try:
         return np.linalg.solve(a_cc.T, a_fc)
     except np.linalg.LinAlgError:
-        raise ClosureInputError("correlation", "leading correlation block is singular") from None
+        raise InputError("correlation", "leading correlation block is singular") from None
 
 
 def closed_advection_matrix(order: int, correlation: np.ndarray | None) -> np.ndarray:
@@ -290,47 +267,45 @@ def solve_closure(
     end time is ``steps * dt``.  Snapshots are the initial state, every
     ``output_stride``-th step, and the final state.  Every input the
     module docstring lists is checked before any step, and a refused one
-    raises :class:`ClosureInputError` naming it.
+    raises :class:`~seqgauss.core.InputError` naming it.
     """
-    if dt is not None and not dt > 0:
-        raise ClosureInputError("dt", f"dt must be positive, got {dt}")
-    if t_final <= 0:
-        raise ClosureInputError("t_final", f"t_final must be positive, got {t_final}")
-    if not (isinstance(output_stride, (int, np.integer)) and output_stride >= 1):
-        raise ClosureInputError("output_stride", f"output_stride must be an integer >= 1, "
-                                f"got {output_stride!r}")
+    if dt is not None and (dt := float(_as_array(dt, 0, "dt"))) <= 0:
+        raise InputError("dt", f"dt must be positive, got {dt}")
+    if (t_final := float(_as_array(t_final, 0, "t_final"))) <= 0:
+        raise InputError("t_final", f"t_final must be positive, got {t_final}")
+    _check_count(output_stride, 1, "output_stride")
     if initial.values.shape[0] != params.cells:
-        raise ClosureInputError("initial", f"state has {initial.values.shape[0]} cells, "
-                                f"params have {params.cells}")
-    if not 0.0 < cfl < np.inf:
-        raise ClosureInputError("cfl", f"cfl must be positive and finite, got {cfl}")
+        raise InputError("initial", f"state has {initial.values.shape[0]} cells, "
+                         f"params have {params.cells}")
+    if (cfl := float(_as_array(cfl, 0, "cfl"))) <= 0:
+        raise InputError("cfl", f"cfl must be positive, got {cfl}")
     b_closed = closed_advection_matrix(initial.order, correlation)
     eigenvalues = np.linalg.eigvals(b_closed)
     rho = float(np.abs(eigenvalues).max())
     worst = eigenvalues[np.abs(eigenvalues.imag).argmax()]
     if abs(worst.imag) > 1e-12 * max(rho, 1.0):
-        raise ClosureInputError("correlation", "closed advection matrix is not hyperbolic: "
-                                f"eigenvalue {complex(worst):.6g} is not real")
+        raise InputError("correlation", "closed advection matrix is not hyperbolic: "
+                         f"eigenvalue {complex(worst):.6g} is not real")
     if dt is None:
         if rho == 0.0:
-            raise ClosureInputError("dt", "advection-free system: provide dt explicitly")
+            raise InputError("dt", "advection-free system: provide dt explicitly")
         dt = cfl * params.dx / rho
     if rho > 0.0 and dt > cfl * params.dx / rho * (1.0 + 1e-12):
-        raise ClosureInputError("dt", f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * "
-                                f"dx / rho = {cfl * params.dx / rho:.6g}")
+        raise InputError("dt", f"CFL violation: dt = {dt:.6g} exceeds {cfl:.3g} * "
+                         f"dx / rho = {cfl * params.dx / rho:.6g}")
     courant = dt / (2.0 * params.dx)
     if not np.isfinite(courant):
         # only an advection-free system (rho = 0) gets here with such a dt
-        raise ClosureInputError("dt", f"dt = {dt:.6g} makes the Courant number "
-                                f"dt / (2 dx) = {courant} not finite")
+        raise InputError("dt", f"dt = {dt:.6g} makes the Courant number "
+                         f"dt / (2 dx) = {courant} not finite")
     if not t_final <= MAX_STEPS * dt:
-        raise ClosureInputError("t_final", f"t_final = {t_final:.6g} is not reached within "
-                                f"{MAX_STEPS} steps of dt = {dt:.6g}")
+        raise InputError("t_final", f"t_final = {t_final:.6g} is not reached within "
+                         f"{MAX_STEPS} steps of dt = {dt:.6g}")
     n_steps = max(1, round(t_final / dt))
     kept = 1 + n_steps // output_stride + (n_steps % output_stride > 0)
     if kept * initial.values.size > MAX_SNAPSHOT_VALUES:
-        raise ClosureInputError("t_final", f"{kept} snapshots of {initial.values.size} values "
-                                f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
+        raise InputError("t_final", f"{kept} snapshots of {initial.values.size} values "
+                         f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
     b_t = np.ascontiguousarray(b_closed.T)
     padded = np.concatenate([initial.values[-1:], initial.values, initial.values[:1]])
     u, left, right = padded[1:-1], padded[:-2], padded[2:]

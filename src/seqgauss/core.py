@@ -26,16 +26,16 @@ products preserve PSD).
 
 All values are immutable after construction; every function is pure.
 
-Every array argument of the package is accepted in one place, this
-module's ``_as_array``: it must convert to a finite float array with the
-stated number of axes, and is otherwise refused with a ``ValueError``
-whose message begins with the argument's name.  The immutable value
-types hold ``_held``'s read-only copy of it.  Three intakes keep their
-own code, each for a stated reason: ``measure.SampleBatch`` keeps a
-read-only batch uncopied and tests it by its min and max, with no
-batch-sized temporary; ``closure``'s per-cell values and correlation
-must raise ``ClosureInputError``; ``serialize.matrix_from_lists`` must
-raise ``ConfigError``.
+Every numeric argument of the package is accepted in one place, this
+module: ``_as_array`` for a number or an array, which must convert to a
+finite float array with the stated number of axes, and ``_check_count``
+for an integer count.  The immutable value types hold ``_held``'s
+read-only copy of an array.  Every refused input, there and elsewhere,
+raises the one refusal type ``InputError`` (a ``ValueError``) whose
+``argument`` is the parameter's name as the signature spells it.  One
+intake keeps its own code: ``measure.SampleBatch`` keeps a read-only
+batch uncopied and tests it by its min and max, with no batch-sized
+temporary.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "InputError",
     "TruncationDims",
     "Covariance",
     "ProjectionBlocks",
@@ -74,20 +75,34 @@ ORTHONORMAL_TOL = 1e-8
 PSD_TOL = 1e-9  # psd_check's tolerance, relative to the spectral norm
 
 
-def _as_array(x, ndim: int | None, name: str, copy: bool = False) -> np.ndarray:
+class InputError(ValueError):
+    """A refused input; ``argument`` names it (a parameter of the library,
+    or a config field or option where the CLI reads it)."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        self.argument = argument
+        super().__init__(message)
+
+
+def _as_array(x, ndim: int | None, name: str, copy: bool = False,
+              label: str | None = None) -> np.ndarray:
     """``x`` as a finite float array with ``ndim`` axes (any number for
-    None), never ``x`` itself with ``copy``; anything else raises a
-    ``ValueError`` that begins with ``name``."""
+    None), never ``x`` itself with ``copy``; an empty sequence is an empty
+    array of any number of axes.  Anything else raises ``InputError(name)``
+    whose message opens with ``label`` (``name`` by default)."""
+    label = label or name
     try:
         arr = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} is not a numeric array: {exc}") from None
+        raise InputError(name, f"{label} is not a numeric array: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+        if arr.shape != (0,) or not ndim:
+            raise InputError(name, f"{label} must be a {ndim}-D array, got shape {arr.shape}")
+        arr = arr.reshape((0,) * ndim)
     # count_nonzero skips the reduction set-up that makes .all() cost
     # about 1 us more on the small arrays most calls pass
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InputError(name, f"{label} contains non-finite entries")
     return arr
 
 
@@ -99,13 +114,14 @@ def _held(x, ndim: int, name: str) -> np.ndarray:
 
 def _check_length(n: int, cov: Covariance, name: str) -> None:
     if n != cov.dim:
-        raise ValueError(f"{name}: sequence length {n} does not match covariance dim {cov.dim}")
+        raise InputError(name, f"{name}: sequence length {n} does not match covariance dim "
+                               f"{cov.dim}")
 
 
 def _check_count(value, least: int, name: str) -> None:
     """Raise unless ``value`` is an integer (a bool is not) of at least ``least``."""
     if not (type(value) is int or isinstance(value, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InputError(name, f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -114,9 +130,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
-    """``0.5 * (a + a.T)`` of a square matrix; raises ``ValueError("<name>
-    is not symmetric")`` if an entry of ``a - a.T`` exceeds ``rtol`` times
-    the largest absolute entry."""
+    """``0.5 * (a + a.T)`` of a square matrix; raises ``InputError(name)``
+    if an entry of ``a - a.T`` exceeds ``rtol`` times the largest absolute
+    entry."""
     scale = np.abs(a).max()
     # from 2**1023 up, a + a.T or a - a.T can overflow; halving first is
     # exact there, and every smaller matrix keeps the bits of 0.5 (a + a.T)
@@ -124,7 +140,7 @@ def _symmetrized(a: np.ndarray, rtol: float, name: str) -> np.ndarray:
     if halve:
         a, scale = 0.5 * a, 0.5 * scale
     if np.abs(a - a.T).max() > rtol * scale:
-        raise ValueError(f"{name} is not symmetric")
+        raise InputError(name, f"{name} is not symmetric")
     return a + a.T if halve else 0.5 * (a + a.T)
 
 
@@ -160,26 +176,28 @@ class Covariance:
     SYMMETRY_RTOL = 1e-12
 
     def __init__(self, matrix) -> None:
-        a = _as_array(matrix, None, "covariance matrix")
+        a = _as_array(matrix, None, "matrix", label="covariance matrix")
         if a.ndim not in (1, 2) or not a.size or a.shape[0] != a.shape[-1]:
-            raise ValueError(f"covariance matrix must be square and non-empty, got {a.shape}")
+            raise InputError("matrix", f"covariance matrix must be square and non-empty, "
+                             f"got {a.shape}")
         if a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             a = np.diagonal(a)
         self._matrix = self._chol = self._diag = None
         if a.ndim == 1:
             if not (a > 0).all():
-                raise ValueError("covariance matrix is not positive definite")
+                raise InputError("matrix", "covariance matrix is not positive definite")
             self._diag = _frozen(np.array(a))
             return
-        a = _symmetrized(a, self.SYMMETRY_RTOL, "covariance matrix")
+        a = _symmetrized(a, self.SYMMETRY_RTOL, "matrix")
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            raise ValueError("covariance matrix is not positive definite") from None
+            raise InputError("matrix", "covariance matrix is not positive definite") from None
         self._matrix, self._chol = _frozen(a), _frozen(chol)
 
     @classmethod
     def identity(cls, d: int) -> "Covariance":
+        _check_count(d, 1, "d")
         return cls(np.ones(d))
 
     @property
@@ -250,8 +268,8 @@ def bracket(f, x) -> np.ndarray:
     fm = _as_array(f, 2, "f")
     xv = _as_array(x, 1, "x")
     if fm.shape[1] != xv.shape[0]:
-        raise ValueError(
-            f"sequence length mismatch: f has {fm.shape[1]} columns, x has {xv.shape[0]}"
+        raise InputError(
+            "x", f"sequence length mismatch: f has {fm.shape[1]} columns, x has {xv.shape[0]}"
         )
     return fm @ xv
 
@@ -261,7 +279,7 @@ def inner_l2(f, g) -> float:
     fm = _as_array(f, 2, "f")
     gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
-        raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
+        raise InputError("g", f"shape mismatch: {fm.shape} vs {gm.shape}")
     return float(np.sum(fm * gm))
 
 
@@ -273,7 +291,7 @@ def apply_matrix(m: np.ndarray, f) -> np.ndarray:
     basis (b_k) of R^d and mapping each b_k through M gives the same matrix.
     """
     fm = _as_array(f, 2, "f")
-    mm = _as_array(m, 2, "operator matrix")
+    mm = _as_array(m, 2, "m")
     _check_operator(mm.shape, fm)
     return fm @ mm.T
 
@@ -289,8 +307,8 @@ def _check_operator(shape: tuple[int, ...], fm: np.ndarray) -> None:
     """Raise unless an operator of ``shape`` is square and as wide as the
     sequence vector ``fm``."""
     if shape[0] != shape[1] or shape[0] != fm.shape[1]:
-        raise ValueError(
-            f"operator of shape {shape} cannot act on sequence of length {fm.shape[1]}"
+        raise InputError(
+            "f", f"operator of shape {shape} cannot act on sequence of length {fm.shape[1]}"
         )
 
 
@@ -299,7 +317,7 @@ def inner_a(f, g, cov: Covariance) -> float:
     fm = _as_array(f, 2, "f")
     gm = _as_array(g, 2, "g")
     if fm.shape != gm.shape:
-        raise ValueError(f"shape mismatch: {fm.shape} vs {gm.shape}")
+        raise InputError("g", f"shape mismatch: {fm.shape} vs {gm.shape}")
     _check_length(fm.shape[1], cov, "f")
     return float(np.vdot(fm, cov._weigh(gm)))
 
@@ -316,7 +334,7 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     fa = _as_array(fs, 3, "fs")
     ga = _as_array(gs, 3, "gs")
     if fa.shape[1:] != ga.shape[1:]:
-        raise ValueError(f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
+        raise InputError("gs", f"shape mismatch: {fa.shape[1:]} vs {ga.shape[1:]}")
     _check_length(fa.shape[2], cov, "fs")
     return cov._weigh(fa).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
@@ -325,6 +343,7 @@ def check_orthonormal_a(vectors, cov: Covariance, what: str) -> None:
     """Raise ``ValueError`` unless every entry of the Gram matrix of the
     (p, m, d) stack ``vectors`` is within ``ORTHONORMAL_TOL`` of the
     identity; the message names ``what`` and the worst pair."""
+    vectors = _as_array(vectors, 3, "vectors")
     gram = gram_a(vectors, vectors, cov)
     deviation = np.triu(np.abs(gram - np.eye(len(gram))))
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
@@ -346,14 +365,18 @@ def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
     scaling is exact, so wherever the unscaled input would not overflow or
     underflow the result is bitwise the same.  A vector whose residual
     norm falls to ``DEPENDENT_TOL`` times its input norm (or to zero) is
-    dropped as dependent; input order is preserved otherwise.  Raises if
-    the stack is empty, not finite or not of sequence length ``cov.dim``,
-    or if every vector is dropped.
+    dropped as dependent; input order is preserved otherwise.  Raises
+    ``InputError("vectors")`` if the stack is empty, not finite or not of
+    sequence length ``cov.dim``, or if every vector is dropped.
     """
-    if len(vectors) == 0:
-        raise ValueError("cannot orthonormalize an empty list")
-    stack = _as_array(vectors, 3, "vectors")
-    _check_length(stack.shape[2], cov, "vectors")
+    return _orthonormalized(_as_array(vectors, 3, "vectors"), cov, "vectors")
+
+
+def _orthonormalized(stack: np.ndarray, cov: Covariance, name: str) -> np.ndarray:
+    """``gram_schmidt`` of a converted stack, refusing it as ``name``."""
+    if len(stack) == 0:
+        raise InputError(name, "cannot orthonormalize an empty list")
+    _check_length(stack.shape[2], cov, name)
     exponents = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
     # ldexp, not stack * 2.0**-e, which overflows for subnormal entries
     stack = np.ldexp(stack, -exponents[:, None, None])
@@ -370,16 +393,14 @@ def gram_schmidt(vectors, cov: Covariance) -> np.ndarray:
         basis.append(w / residual)
         images.append(cov._weigh(basis[-1]))
     if not basis:
-        raise ValueError("all input vectors are zero or dependent")
+        raise InputError(name, "all input vectors are zero or dependent")
     return np.array(basis)
 
 
 def gram_schmidt_a(xs: Sequence, cov: Covariance) -> np.ndarray:
     """A-orthonormalize a list of coefficient sequences in R^d; the kept
     vectors are the rows of a (k, d) array."""
-    x = _as_array(xs, 2, "xs")
-    _check_length(x.shape[1], cov, "xs")
-    return gram_schmidt(x[:, np.newaxis], cov)[:, 0]
+    return _orthonormalized(_as_array(xs, 2, "xs")[:, np.newaxis], cov, "xs")[:, 0]
 
 
 def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:
@@ -394,8 +415,9 @@ def block_projection(cov: Covariance, cut: int) -> ProjectionBlocks:
     so (x, P y)_A = (P x, y)_A and ||P x||_A <= ||x||_A for all x.
     """
     d = cov.dim
-    if not 1 <= cut < d:
-        raise ValueError(f"cut must satisfy 1 <= cut < {d}, got {cut}")
+    _check_count(cut, 1, "cut")
+    if cut >= d:
+        raise InputError("cut", f"cut must satisfy 1 <= cut < {d}, got {cut}")
     a = cov.matrix
     a_cc = a[:cut, :cut]
     a_cf = a[:cut, cut:]
@@ -418,10 +440,10 @@ def psd_check(m) -> bool:
     The tolerance is relative to the spectral norm; raises on non-symmetric
     input (symmetry is checked against the same relative tolerance).
     """
-    mm = _as_array(m, 2, "matrix")
+    mm = _as_array(m, 2, "m", label="matrix")
     if mm.shape[0] != mm.shape[1] or not mm.size:
-        raise ValueError(f"matrix must be square and non-empty, got {mm.shape}")
-    eigs = np.linalg.eigvalsh(_symmetrized(mm, PSD_TOL, "matrix"))
+        raise InputError("m", f"matrix must be square and non-empty, got {mm.shape}")
+    eigs = np.linalg.eigvalsh(_symmetrized(mm, PSD_TOL, "m"))
     return bool(eigs.min() >= -PSD_TOL * np.abs(eigs).max())
 
 
@@ -430,5 +452,5 @@ def hadamard(m1, m2) -> np.ndarray:
     a = _as_array(m1, 2, "m1")
     b = _as_array(m2, 2, "m2")
     if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+        raise InputError("m2", f"shape mismatch: {a.shape} vs {b.shape}")
     return a * b

@@ -27,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import InputError, _as_array, _check_count
+
 __all__ = [
     "QuadratureRule",
     "hermite_prob",
@@ -62,9 +64,8 @@ def _degrees(xa: np.ndarray, s: int):
 
 def _recurrence(n: int, x, s: int):
     """H_n(x) for s = 1 (probabilists') or s = 2 (physicists')."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    xa = np.asarray(x, dtype=float)
+    _check_count(n, 0, "n")
+    xa = _as_array(x, None, "x")
     value = next(islice(_degrees(xa, s), n, None))
     return value if xa.ndim else float(value)
 
@@ -84,12 +85,12 @@ def hermite_prob_sum(n: int, x) -> float:
 
     sum_{k=0}^{floor(n/2)} (-1)^k n! / (2^k k! (n-2k)!) x^(n-2k)
     """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
+    _check_count(n, 0, "n")
+    x = float(_as_array(x, 0, "x"))
     total = 0.0
     for k in range(n // 2 + 1):
         coeff = (-1) ** k * factorial(n) / (2**k * factorial(k) * factorial(n - 2 * k))
-        total += coeff * float(x) ** (n - 2 * k)
+        total += coeff * x ** (n - 2 * k)
     return total
 
 
@@ -99,10 +100,10 @@ def hermite_binomial_sum(n: int, alpha: float, beta: float, x: float, y: float) 
 
     sum_k C(n, k) alpha^k beta^(n-k) H_k(x) H_{n-k}(y)
     """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    hx = [float(h) for h in islice(_degrees(np.asarray(x, dtype=float), 1), n + 1)]
-    hy = [float(h) for h in islice(_degrees(np.asarray(y, dtype=float), 1), n + 1)]
+    _check_count(n, 0, "n")
+    alpha, beta = float(_as_array(alpha, 0, "alpha")), float(_as_array(beta, 0, "beta"))
+    hx = [float(h) for h in islice(_degrees(_as_array(x, 0, "x"), 1), n + 1)]
+    hy = [float(h) for h in islice(_degrees(_as_array(y, 0, "y"), 1), n + 1)]
     total = 0.0
     for k in range(n + 1):
         # float exponentiation already follows 0.0 ** 0 == 1.0
@@ -126,10 +127,10 @@ def gh_expectation(g: Callable) -> float:
 
     Exact (to rounding) for polynomial g of degree < 2 * QUADRATURE_ORDER.
     g is called once, on the array of all nodes, and must return one value
-    per node; any other shape raises ``ValueError``.
+    per node; any other shape raises ``InputError("g")``.
     """
     rule = gaussian_quadrature()
     values = np.asarray(g(rule.nodes), dtype=float)
     if values.shape != rule.nodes.shape:
-        raise ValueError(f"g must return one value per node, got shape {values.shape}")
+        raise InputError("g", f"g must return one value per node, got shape {values.shape}")
     return float(np.sum(rule.weights * values))

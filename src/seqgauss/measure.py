@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Covariance, TruncationDims, _as_array, _frozen, check_orthonormal_a, gram_a,
+    Covariance, InputError, TruncationDims, _as_array, _check_count, _frozen, check_orthonormal_a,
+    gram_a,
 )
 
 __all__ = [
@@ -50,18 +51,21 @@ SIGMA_BAND = 4.0
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Read-only stack of finite samples with shape (count, m, d).
-    ``sample_mu_a`` with the same covariance, dims, seed and count
-    reproduces the identical batch within a build."""
+    """Read-only stack of finite samples with shape (count, m, d), refused
+    as ``InputError("samples")`` otherwise.  ``sample_mu_a`` with the same
+    covariance, dims, seed and count reproduces the identical batch within
+    a build."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        arr = self.samples
+        # a float array is tested by its min and max, which carry a NaN and
+        # show an inf without the batch-sized temporary of np.isfinite(arr)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == float):
+            arr = _as_array(arr, 3, "samples")
         if arr.ndim != 3:
-            raise ValueError(f"samples must have shape (count, m, d), got {arr.shape}")
-        # min and max carry a NaN and show an inf without the batch-sized
-        # temporary that np.isfinite(arr) would hold
+            raise InputError("samples", f"samples must have shape (count, m, d), got {arr.shape}")
         _as_array([arr.min(initial=0.0), arr.max(initial=0.0)], 1, "samples")
         if arr is self.samples and arr.flags.writeable:
             arr = arr.copy()
@@ -102,10 +106,10 @@ def sample_mu_a(cov: Covariance, dims: TruncationDims, count: int, seed: int) ->
     rows of Z are whitened at once: scaled in place for a diagonal A, so
     the batch is the only array held, and by one GEMM otherwise.
     """
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
+    _check_count(count, 1, "count")
+    _check_count(seed, 0, "seed")
     if dims.d != cov.dim:
-        raise ValueError(f"dims.d={dims.d} does not match covariance dim {cov.dim}")
+        raise InputError("dims", f"dims.d={dims.d} does not match covariance dim {cov.dim}")
     z = np.random.default_rng(seed).standard_normal((count, dims.m, dims.d))
     return SampleBatch(_frozen(cov._whiten(z.reshape(-1, dims.d)).reshape(z.shape)))
 
@@ -119,7 +123,7 @@ def pairings(phi, batch: SampleBatch) -> np.ndarray:
     p = _as_array(phi, None, "phi")
     count, m, d = batch.samples.shape
     if p.ndim not in (2, 3) or p.shape[-2:] != (m, d):
-        raise ValueError(f"phi shape {p.shape} does not match batch sample shape {(m, d)}")
+        raise InputError("phi", f"phi shape {p.shape} does not match batch sample shape {(m, d)}")
     flat = batch.samples.reshape(count, m * d)
     if p.ndim == 2:
         return flat @ p.ravel()
@@ -141,7 +145,7 @@ def char_function_mc(phi, batch: SampleBatch) -> McEstimate:
     by symmetry of the centered measure).
     """
     if batch.count == 0:
-        raise ValueError("empty batch")
+        raise InputError("batch", "empty batch")
     p = pairings(phi, batch)
     re_mean, re_se = _mean_estimate(np.cos(p))
     im_mean, im_se = _mean_estimate(np.sin(p))
@@ -186,12 +190,12 @@ def isserlis_moment(phis, cov: Covariance) -> float:
     factors; 0 for an odd number of factors, 1 for an empty product.
     Limited to 10 factors.
     """
-    n = len(phis)
+    stack = _as_array(phis, 3, "phis")
+    n = len(stack)
     if n > ISSERLIS_MAX_FACTORS:
-        raise ValueError(f"at most {ISSERLIS_MAX_FACTORS} factors supported, got {n}")
+        raise InputError("phis", f"at most {ISSERLIS_MAX_FACTORS} factors supported, got {n}")
     if n == 0:
         return 1.0
-    stack = _as_array(phis, 3, "phis")
     if n % 2 == 1:
         return 0.0
     return float(_sum_matchings(gram_a(stack, stack, cov).tolist()))
@@ -226,11 +230,12 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     Flags any mean, variance or pairwise covariance outside ``SIGMA_BAND``
     standard errors of (0, 1, 0), or with a non-finite value or error.
     """
+    phis = _as_array(phis, 3, "phis")
     q = len(phis)
     if q == 0:
-        raise ValueError("need at least one observable")
+        raise InputError("phis", "need at least one observable")
     if batch.count < 2:
-        raise ValueError(f"need at least 2 samples, got {batch.count}")
+        raise InputError("batch", f"need at least 2 samples, got {batch.count}")
     check_orthonormal_a(phis, cov, "observable family")
     coords = pairings(phis, batch)
     n = batch.count

@@ -2,8 +2,11 @@
 
 Matrices and vectors travel as nested lists of numbers in row-major
 order.  A chaos expansion becomes a list of ``{"degree": n, "terms":
-[{"coeff": c, "base": [[...]]}, ...]}`` entries.  Config loading reports
-missing or malformed entries by field name via :class:`ConfigError`.
+[{"coeff": c, "base": [[...]]}, ...]}`` entries.  Config loading refuses
+a missing or malformed entry with :class:`~seqgauss.core.InputError`
+whose ``argument`` is the config field, the name as the document spells
+it.  A value that only the library can judge is refused by the library,
+named as its parameter; the CLI maps that name to the config field.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ import numpy as np
 
 from .chaos import ChaosExpansion
 from .closure import DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, MaterialParams, MomentGrid
-from .core import Covariance, apply_extended
+from .core import Covariance, InputError, _as_array, _check_count, apply_extended
 
 __all__ = [
-    "ConfigError",
     "load_document",
     "save_document",
     "matrix_to_lists",
@@ -28,24 +30,16 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
-    """Config problem attributable to one named field."""
-
-    def __init__(self, field: str, message: str) -> None:
-        self.field = field
-        super().__init__(f"field '{field}': {message}")
-
-
 def load_document(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}") from None
+        raise InputError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
+        raise InputError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError("config", "top-level document must be an object")
+        raise InputError("config", "top-level document must be an object")
     return doc
 
 
@@ -74,17 +68,11 @@ def _is_numeric(data) -> bool:
 
 
 def matrix_from_lists(data, field: str, ndim: int = 2) -> np.ndarray:
+    """``data`` as a finite float array of ``ndim`` axes, refused as
+    ``field``; booleans and strings are refused although numpy reads them."""
     if not _is_numeric(data):
-        raise ConfigError(field, "must be a (nested) array of numbers")
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, "must be a (nested) array of numbers") from None
-    if arr.ndim != ndim:
-        raise ConfigError(field, f"must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(field, "contains non-finite values")
-    return arr
+        raise InputError(field, "must be a (nested) array of numbers")
+    return _as_array(data, ndim, field)
 
 
 def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
@@ -105,18 +93,12 @@ def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
 
 def _require(doc: dict, field: str, name: str | None = None):
     if field not in doc:
-        raise ConfigError(name or field, "missing")
+        raise InputError(name or field, "missing")
     return doc[field]
 
 
 def _number(doc: dict, field: str, default=None) -> float:
-    if field not in doc:
-        if default is None:
-            raise ConfigError(field, "missing")
-        return default
-    value = doc[field]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(field, f"must be a number, got {value!r}")
+    value = _require(doc, field) if default is None else doc.get(field, default)
     return float(matrix_from_lists(value, field, ndim=0))
 
 
@@ -124,49 +106,42 @@ def _cell_values(value, field: str, cells: int) -> np.ndarray:
     """A per-cell field: one number for every cell or a length-``cells`` array."""
     arr = matrix_from_lists(value if isinstance(value, list) else [value] * cells, field, 1)
     if arr.shape != (cells,):
-        raise ConfigError(field, f"must be a number or a length-{cells} array")
+        raise InputError(field, f"must be a number or a length-{cells} array")
     return arr
 
 
-def _integer(doc: dict, field: str, default=None) -> int:
-    if field not in doc:
-        if default is None:
-            raise ConfigError(field, "missing")
-        return default
-    value = doc[field]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(field, f"must be an integer, got {value!r}")
+def _integer(doc: dict, field: str, least: int, default=None) -> int:
+    value = _require(doc, field) if default is None else doc.get(field, default)
+    _check_count(value, least, field)
     return value
 
 
 def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndarray]]:
     """Read {A, f, conditioning} for the conditional-expectation command;
-    an f whose weighted image F A is not finite is refused as field f.
-    Every shape is compared with A's before A is factored."""
+    an f whose weighted image F A is not finite is refused as field f, and
+    an A that is not a covariance as ``Covariance``'s ``matrix``.  Every
+    shape is compared with A's before A is factored."""
     a = matrix_from_lists(_require(doc, "A"), "A")
     if a.shape[0] != a.shape[1]:
-        raise ConfigError("A", f"must be square, got shape {a.shape}")
+        raise InputError("A", f"must be square, got shape {a.shape}")
     dim = len(a)
     f = matrix_from_lists(_require(doc, "f"), "f")
     if f.shape[1] != dim:
-        raise ConfigError("f", f"must have {dim} columns to match A, got {f.shape[1]}")
+        raise InputError("f", f"must have {dim} columns to match A, got {f.shape[1]}")
     cond_raw = _require(doc, "conditioning")
     if not isinstance(cond_raw, list) or not cond_raw:
-        raise ConfigError("conditioning", "must be a non-empty list of vectors")
+        raise InputError("conditioning", "must be a non-empty list of vectors")
     conditioning = []
     for i, vec in enumerate(cond_raw):
         v = matrix_from_lists(vec, f"conditioning[{i}]", ndim=1)
         if v.shape[0] != dim:
-            raise ConfigError(f"conditioning[{i}]", f"must have length {dim} to match A")
+            raise InputError(f"conditioning[{i}]", f"must have length {dim} to match A")
         conditioning.append(v)
-    try:
-        cov = Covariance(a)
-    except ValueError as exc:
-        raise ConfigError("A", str(exc)) from None
+    cov = Covariance(a)
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = apply_extended(cov, f)
     if not np.isfinite(weighted).all():
-        raise ConfigError("f", "F A overflows: f is too large for the weight A")
+        raise InputError("f", "F A overflows: f is too large for the weight A")
     return cov, f, conditioning
 
 
@@ -179,37 +154,35 @@ def load_closure_config(doc: dict) -> dict:
     Only the JSON is checked here (types, shapes, finite numbers and the
     closure kind), with the bounds on N and J that the lists built here
     need.  Every other value is checked by the library: ``MaterialParams``
-    (built here) and the run raise
-    :class:`~seqgauss.closure.ClosureInputError` naming the argument.
+    (built here) and the run raise :class:`~seqgauss.core.InputError`
+    naming the parameter.
     """
     a = _number(doc, "a")
     b = _number(doc, "b")
-    cells = _integer(doc, "J")
-    order = _integer(doc, "N")
+    cells = _integer(doc, "J", 1)
+    order = _integer(doc, "N", 0)
     # N and J size the lists built below.  Every run keeps the initial and
     # the final snapshot, so a grid above the snapshot bound could never run.
-    if not 0 <= order <= MAX_ORDER:
-        raise ConfigError("N", f"must be an integer in 0..{MAX_ORDER}, got {order}")
-    if cells < 1:
-        raise ConfigError("J", f"must be positive, got {cells}")
+    if order > MAX_ORDER:
+        raise InputError("N", f"must be an integer in 0..{MAX_ORDER}, got {order}")
     if 2 * cells * (order + 1) > MAX_SNAPSHOT_VALUES:
-        raise ConfigError("J", f"{cells} cells of {order + 1} moments exceed "
-                          f"{MAX_SNAPSHOT_VALUES} values in the initial and final snapshots")
+        raise InputError("J", f"{cells} cells of {order + 1} moments exceed "
+                         f"{MAX_SNAPSHOT_VALUES} values in the initial and final snapshots")
     t_final = _number(doc, "T")
     dt = None if doc.get("dt") is None else _number(doc, "dt")
     cfl = _number(doc, "cfl", default=DEFAULT_CFL)
-    output_stride = _integer(doc, "output_stride", default=1)
+    output_stride = _integer(doc, "output_stride", 1, default=1)
 
     closure_doc = _require(doc, "closure")
     if not isinstance(closure_doc, dict) or "kind" not in closure_doc:
-        raise ConfigError("closure", "must be an object with a 'kind' entry")
+        raise InputError("closure", "must be an object with a 'kind' entry")
     kind = closure_doc["kind"]
     if kind == "pn":
         correlation = None
     elif kind == "optimal_prediction":
         correlation = matrix_from_lists(_require(closure_doc, "A", "closure.A"), "closure.A")
     else:
-        raise ConfigError("closure", f"unknown closure kind {kind!r}")
+        raise InputError("closure", f"unknown closure kind {kind!r}")
 
     sigma, kappa, source = (
         _cell_values(_require(doc, name), name, cells) for name in ("sigma", "kappa", "q")
@@ -218,7 +191,7 @@ def load_closure_config(doc: dict) -> dict:
 
     init_raw = _require(doc, "initial")
     if not isinstance(init_raw, list) or len(init_raw) != order + 1:
-        raise ConfigError("initial", f"must be a list of {order + 1} moment entries")
+        raise InputError("initial", f"must be a list of {order + 1} moment entries")
     columns = [_cell_values(entry, f"initial[{k}]", cells) for k, entry in enumerate(init_raw)]
     initial = MomentGrid(t=0.0, values=np.stack(columns, axis=1))
 

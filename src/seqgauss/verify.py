@@ -1023,7 +1023,7 @@ def check_cfl_guard() -> str:
     state = closure_mod.MomentGrid(t=0.0, values=np.ones((16, 3)))
     try:
         closure_mod.step(state, _params(16), None, dt=10.0)
-    except closure_mod.ClosureInputError as exc:
+    except core.InputError as exc:
         if exc.argument != "dt" or "CFL" not in str(exc):
             raise AssertionError(f"oversized step refused for the wrong reason: {exc}") from None
         return "oversized step rejected"

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import factorial
 
 import numpy as np
 
-from .core import Covariance, _as_array, _check_count, _check_length, _held, gram_a
+from .core import Covariance, InputError, _as_array, _check_count, _check_length, _held, gram_a
 
 __all__ = [
     "RankOnePower",
@@ -94,10 +94,7 @@ class RankOnePower:
     def __post_init__(self):
         _check_count(self.degree, 0, "degree")
         object.__setattr__(self, "base", _held(self.base, 2, "base"))
-        coeff = float(self.coeff)
-        if not isfinite(coeff):
-            raise ValueError(f"coeff must be finite, got {coeff}")
-        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "coeff", float(_as_array(self.coeff, 0, "coeff")))
 
 
 @dataclass(frozen=True)
@@ -114,12 +111,12 @@ class SymKernel:
         object.__setattr__(self, "terms", terms)
         for t in terms:
             if t.degree != self.degree:
-                raise ValueError(
-                    f"term of degree {t.degree} in kernel of degree {self.degree}"
+                raise InputError(
+                    "terms", f"term of degree {t.degree} in kernel of degree {self.degree}"
                 )
         shapes = {t.base.shape for t in terms}
         if len(shapes) > 1:
-            raise ValueError(f"inconsistent base shapes {shapes}")
+            raise InputError("terms", f"inconsistent base shapes {shapes}")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -138,32 +135,38 @@ class SymKernel:
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Dense degree-n tensor over flattened sequence vectors; oracle only,
-    limited to degree <= 4 and m*d <= 6."""
+    """Dense degree-n tensor over flattened sequence vectors of the
+    ``dims`` pair (m, d); oracle only, limited to degree <= 4 and m*d <= 6."""
 
     degree: int
     dims: tuple[int, int]
     array: np.ndarray
 
     def __post_init__(self):
-        m, d = self.dims
-        flat = m * d
-        _check_dense_limits(self.degree, flat)
+        if not (isinstance(self.dims, tuple) and len(self.dims) == 2):
+            raise InputError("dims", f"dims must be a pair (m, d), got {self.dims!r}")
+        for size in self.dims:
+            _check_count(size, 1, "dims")
+        flat = self.dims[0] * self.dims[1]
+        _check_dense_limits(self.degree, flat, ("degree", "dims"))
         arr = _held(self.array, self.degree, "array")
         expected = (flat,) * self.degree
         if arr.shape != expected:
-            raise ValueError(f"array shape {arr.shape} does not match {expected}")
+            raise InputError("array", f"array shape {arr.shape} does not match {expected}")
         object.__setattr__(self, "array", arr)
 
 
-def _check_dense_limits(degree: int, flat_dim: int) -> None:
+def _check_dense_limits(degree, flat_dim: int, names=("n", "w")) -> None:
+    """Refuse, as ``names``, a degree that is not an integer in
+    0..``DENSE_MAX_DEGREE`` or a flattened size above ``DENSE_MAX_FLAT_DIM``."""
+    _check_count(degree, 0, names[0])
     if degree > DENSE_MAX_DEGREE:
-        raise ValueError(
-            f"dense tensors are limited to degree {DENSE_MAX_DEGREE}, got {degree}"
+        raise InputError(
+            names[0], f"dense tensors are limited to degree {DENSE_MAX_DEGREE}, got {degree}"
         )
     if flat_dim > DENSE_MAX_FLAT_DIM:
-        raise ValueError(
-            f"dense tensors are limited to m*d <= {DENSE_MAX_FLAT_DIM}, got {flat_dim}"
+        raise InputError(
+            names[1], f"dense tensors are limited to m*d <= {DENSE_MAX_FLAT_DIM}, got {flat_dim}"
         )
 
 
@@ -174,9 +177,9 @@ def polarize(xs) -> SymKernel:
     (sum_i signs_i x_i)^(x)n`` whose sum is the symmetrized product.  Term
     count doubles per factor; intended for small n.
     """
-    if len(xs) == 0:
-        raise ValueError("polarize requires at least one vector")
     vecs = list(_as_array(xs, 3, "xs"))
+    if not vecs:
+        raise InputError("xs", "polarize requires at least one vector")
     n = len(vecs)
     scale = 1.0 / (2**n * factorial(n))
     terms = []
@@ -216,7 +219,7 @@ def dense_from_kernel(kernel: SymKernel) -> DenseTensor:
     """Expand a polarized kernel into its dense tensor."""
     m, d = kernel.dims
     flat = m * d
-    _check_dense_limits(kernel.degree, flat)
+    _check_dense_limits(kernel.degree, flat, ("kernel", "kernel"))
     arr = np.zeros((flat,) * kernel.degree)
     for t in kernel.terms:
         arr = arr + t.coeff * _tensor_product([t.base.ravel()] * kernel.degree)
@@ -226,6 +229,7 @@ def dense_from_kernel(kernel: SymKernel) -> DenseTensor:
 def weight_pairing_matrix(cov: Covariance, m: int) -> np.ndarray:
     """Matrix T of the weighted pairing on flattened sequence vectors:
     ``f.ravel() @ T @ g.ravel() == inner_a(f, g, cov)``."""
+    _check_count(m, 1, "m")
     return np.kron(np.eye(m), cov.matrix)
 
 
@@ -240,16 +244,16 @@ def wick_eval(kernel: SymKernel, cov: Covariance, w):
     Hermite recurrence, which never divides by ``||base||_A``.
     """
     w = _as_array(w, None, "w")
-    return _eval_terms(*_term_arrays([kernel], w.shape[-2:]), cov, w)
+    return _eval_terms(*_term_arrays([kernel], w.shape[-2:], "w"), cov, w)
 
 
-def _term_arrays(kernels, dims):
+def _term_arrays(kernels, dims, name: str):
     """Coefficients (T,), bases (T, m, d) and degrees (T,) of every term of
-    ``kernels``, in order; raises unless each kernel with terms has the
-    sample dims ``dims``."""
+    ``kernels``, in order; refuses the samples as ``name`` unless each
+    kernel with terms has their dims ``dims``."""
     for kernel in kernels:
         if kernel.terms and kernel.dims != dims:
-            raise ValueError(f"kernel dims {kernel.dims} do not match sample dims {dims}")
+            raise InputError(name, f"kernel dims {kernel.dims} do not match sample dims {dims}")
     terms = [t for kernel in kernels for t in kernel.terms]
     coeffs = np.array([t.coeff for t in terms], dtype=float)
     bases = np.array([t.base for t in terms], dtype=float).reshape(len(terms), *dims)
@@ -381,11 +385,12 @@ def wick_eval_dense(n: int, cov: Covariance, w, t: DenseTensor) -> float:
     functional is symmetric, so a non-symmetric ``t`` is implicitly read
     through its symmetrization).
     """
+    _check_count(n, 0, "n")
     if t.degree != n:
-        raise ValueError(f"kernel degree {t.degree} does not match n={n}")
+        raise InputError("t", f"kernel degree {t.degree} does not match n={n}")
     w = _as_array(w, 2, "w")
     if t.dims != w.shape:
-        raise ValueError(f"t: dims {t.dims} do not match the sample shape {w.shape}")
+        raise InputError("t", f"t: dims {t.dims} do not match the sample shape {w.shape}")
     functional = wick_dense_tensor(n, cov, w)
     return float(np.sum(functional * t.array))
 
@@ -397,7 +402,7 @@ def kernel_inner_a(k1: SymKernel, k2: SymKernel, cov: Covariance) -> float:
     entrywise to n (at degree 0, the product of the coefficient sums).
     A kernel with no terms gives 0.0."""
     if k1.degree != k2.degree:
-        raise ValueError(f"degree mismatch: {k1.degree} vs {k2.degree}")
+        raise InputError("k2", f"degree mismatch: {k1.degree} vs {k2.degree}")
     if not (k1.terms and k2.terms):
         return 0.0
     gram = gram_a([t.base for t in k1.terms], [t.base for t in k2.terms], cov)
@@ -411,9 +416,9 @@ def dense_inner_a(t1: DenseTensor, t2: DenseTensor, cov: Covariance) -> float:
     coupled through the weighted pairing matrix.  Oracle counterpart of
     ``kernel_inner_a``."""
     if t1.degree != t2.degree:
-        raise ValueError(f"degree mismatch: {t1.degree} vs {t2.degree}")
+        raise InputError("t2", f"degree mismatch: {t1.degree} vs {t2.degree}")
     if t1.dims != t2.dims:
-        raise ValueError(f"dims mismatch: {t1.dims} vs {t2.dims}")
+        raise InputError("t2", f"dims mismatch: {t1.dims} vs {t2.dims}")
     m, d = t1.dims
     _check_length(d, cov, "t1")
     t_mat = weight_pairing_matrix(cov, m)

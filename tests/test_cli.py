@@ -180,6 +180,32 @@ def test_condexp_overflowing_weighted_f_exits_2_naming_f(tmp_path, capsys):
     assert out == "" and not caught
 
 
+_SAMPLE_COV = ["sample", "--seed", "1", "--samples", "5", "--dim-h", "1", "--dim-seq", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, doc, field",
+    [
+        (["condexp", "--config"], {"A": [[2.0, 0.5], [0.5, 1.0]], "f": [[1.0, 2.0]],
+                                   "conditioning": [[0.0, 0.0], [0.0, 0.0]]}, "conditioning"),
+        (["condexp", "--config"], {"A": [[1.0, 2.0], [2.0, 1.0]], "f": [[1.0, 2.0]],
+                                   "conditioning": [[1.0, 0.0]]}, "A"),
+        (_SAMPLE_COV + ["--cov"], {"A": [[1.0, 2.0], [2.0, 1.0]]}, "A"),
+    ],
+    ids=["condexp dependent conditioning", "condexp indefinite A", "sample indefinite A"],
+)
+def test_library_refusal_is_reported_under_its_config_field(tmp_path, capsys, args, doc, field):
+    # the library names its own parameter (xs, matrix); the CLI reports
+    # the config field that parameter was read from
+    config = tmp_path / "doc.json"
+    serialize.save_document(config, doc)
+    out = tmp_path / "out.csv"
+    tail = ["--out", str(out)] if args[0] == "sample" else []
+    code, stdout, err = run_cli(args + [str(config)] + tail, capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert f"config error: field '{field}': " in err and "Traceback" not in err
+
+
 def _condexp_kernel(tmp_path, capsys, conditioning):
     config = tmp_path / "cond.json"
     serialize.save_document(

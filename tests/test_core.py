@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqgauss import chaos, closure, core, measure, wick
+from seqgauss import chaos, closure, core, hermite, measure, wick
 from seqgauss.verify import (
     check_bilinear_identities,
     check_block_projection_algebra,
@@ -527,6 +527,14 @@ def test_identity_of_a_million_positions_costs_vectors_not_a_matrix():
 
 _NAN_W = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]])
 _DENSE = wick.DenseTensor(degree=1, dims=(2, 3), array=np.arange(6.0))
+_MATERIAL = dict(a=0.0, b=1.0, cells=4, sigma=0.0, kappa=0.0, source=0.0)
+
+
+def _closure_run(**run):
+    """A P_1 run on 4 cells, valid but for what ``run`` changes."""
+    initial = closure.MomentGrid(t=0.0, values=np.ones((4, 2)))
+    run = {"t_final": 0.5, "dt": 0.1, **run}
+    return closure.solve_closure(initial, closure.MaterialParams(**_MATERIAL), None, **run)
 
 
 @pytest.mark.parametrize(
@@ -543,10 +551,27 @@ _DENSE = wick.DenseTensor(degree=1, dims=(2, 3), array=np.arange(6.0))
             1, core.Covariance.identity(2), np.ones((3, 2)), _DENSE), "t"),
         (lambda: core.inner_a("ab", np.ones((2, 3)), core.Covariance.identity(3)), "f"),
         (lambda: chaos.ConditioningSet(basis=[np.ones((2, 3)), np.ones((2, 2))]), "basis"),
-        (lambda: core.Covariance([[1.0, 0.0], [0.0]]), "covariance matrix"),
+        (lambda: core.Covariance([[1.0, 0.0], [0.0]]), "matrix"),
         (lambda: wick.polarize([np.ones((2, 3)), np.ones((3, 2))]), "xs"),
         (lambda: measure.isserlis_moment([np.ones((2, 3)), _NAN_W], core.Covariance.identity(3)),
          "phis"),
+        (lambda: hermite.hermite_prob(2, np.nan), "x"),
+        (lambda: hermite.hermite_prob(2, "ab"), "x"),
+        (lambda: hermite.hermite_prob(1.5, 0.0), "n"),
+        (lambda: hermite.hermite_prob(True, 0.0), "n"),
+        (lambda: hermite.hermite_prob_sum(2, np.nan), "x"),
+        (lambda: hermite.hermite_binomial_sum(2, 0.6, 0.8, np.nan, 0.0), "x"),
+        (lambda: hermite.hermite_binomial_sum(2, np.nan, 0.8, 0.0, 0.0), "alpha"),
+        (lambda: hermite.hermite_binomial_sum(2, 0.6, np.nan, 0.0, 0.0), "beta"),
+        (lambda: _closure_run(output_stride=True), "output_stride"),
+        (lambda: closure.MaterialParams(**{**_MATERIAL, "a": "ab"}), "a"),
+        (lambda: closure.MaterialParams(**{**_MATERIAL, "b": "ab"}), "b"),
+        (lambda: _closure_run(t_final="ab"), "t_final"),
+        (lambda: _closure_run(cfl="ab"), "cfl"),
+        (lambda: closure.MomentGrid(t="ab", values=np.ones((4, 2))), "t"),
+        (lambda: closure.build_moment_system(1.5), "order"),
+        (lambda: closure.closure_row([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], 1),
+         "correlation"),
     ],
     ids=[
         "DenseTensor NaN array", "wick_dense_tensor NaN w", "wick_dense_closed_form NaN w",
@@ -555,11 +580,19 @@ _DENSE = wick.DenseTensor(degree=1, dims=(2, 3), array=np.arange(6.0))
         "wick_eval_dense transposed sample",
         "inner_a string f", "ConditioningSet ragged basis", "Covariance ragged matrix",
         "polarize ragged xs", "isserlis_moment NaN phis",
+        "hermite_prob NaN x", "hermite_prob string x", "hermite_prob fractional n",
+        "hermite_prob bool n", "hermite_prob_sum NaN x", "hermite_binomial_sum NaN x",
+        "hermite_binomial_sum NaN alpha", "hermite_binomial_sum NaN beta",
+        "solve_closure bool output_stride", "MaterialParams string a",
+        "MaterialParams string b", "solve_closure string t_final", "solve_closure string cfl",
+        "MomentGrid string t", "build_moment_system fractional order",
+        "closure_row ragged correlation",
     ],
 )
 def test_array_arguments_are_refused_by_name(call, name):
-    with pytest.raises(ValueError, match=rf"^{name}\b"):
+    with pytest.raises(core.InputError) as exc:
         call()
+    assert exc.value.argument == name
 
 
 @pytest.mark.parametrize(

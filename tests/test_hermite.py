@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqgauss import hermite
+from seqgauss.core import InputError
 from seqgauss.verify import (
     check_binomial_expansion,
     check_convention_relations,
@@ -83,8 +84,9 @@ def test_binomial_sum_is_bitwise_the_per_degree_sum():
                            * hermite.hermite_prob(k, x) * hermite.hermite_prob(n - k, y))
         fast = hermite.hermite_binomial_sum(n, alpha, beta, x, y)
         assert np.float64(fast).tobytes() == np.float64(per_degree).tobytes(), (n, alpha, x, y)
-    with pytest.raises(ValueError, match="degree must be non-negative"):
+    with pytest.raises(InputError, match=r"^n must be an integer >= 0, got -1") as exc:
         hermite.hermite_binomial_sum(-1, 0.6, 0.8, 0.0, 0.0)
+    assert exc.value.argument == "n"
 
 
 def test_quadrature_rule_invariants():

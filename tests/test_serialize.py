@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from seqgauss import chaos, serialize, wick
+from seqgauss import chaos, cli, serialize, wick
+from seqgauss.core import InputError
 from seqgauss.closure import MAX_ORDER, solve_closure
 
 
@@ -18,12 +19,14 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_matrix_from_lists_validation():
-    with pytest.raises(serialize.ConfigError, match="'A'"):
-        serialize.matrix_from_lists("not a matrix", "A")
-    with pytest.raises(serialize.ConfigError, match="2-dimensional"):
-        serialize.matrix_from_lists([1.0, 2.0], "A")
-    with pytest.raises(serialize.ConfigError, match="non-finite"):
-        serialize.matrix_from_lists([[np.inf]], "A")
+    for data, pattern in [
+        ("not a matrix", "must be a .*numbers"),
+        ([1.0, 2.0], r"^A must be a 2-D array"),
+        ([[np.inf]], "non-finite"),
+    ]:
+        with pytest.raises(InputError, match=pattern) as exc:
+            serialize.matrix_from_lists(data, "A")
+        assert exc.value.argument == "A"
 
 
 @pytest.mark.parametrize(
@@ -40,8 +43,9 @@ def test_matrix_from_lists_validation():
 )
 def test_matrix_from_lists_rejects_booleans_and_strings(data, ndim):
     # np.asarray(..., dtype=float) would read each of these as numbers
-    with pytest.raises(serialize.ConfigError, match="field 'A': must be a .*numbers"):
+    with pytest.raises(InputError, match="^must be a .*numbers") as exc:
         serialize.matrix_from_lists(data, "A", ndim=ndim)
+    assert exc.value.argument == "A"
 
 
 def test_matrix_from_lists_accepts_ints_and_numpy_numbers():
@@ -51,12 +55,14 @@ def test_matrix_from_lists_accepts_ints_and_numpy_numbers():
 
 
 def test_load_document_errors(tmp_path):
-    with pytest.raises(serialize.ConfigError, match="not found"):
+    with pytest.raises(InputError, match="not found") as exc:
         serialize.load_document(tmp_path / "missing.json")
+    assert exc.value.argument == "config"
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    with pytest.raises(serialize.ConfigError, match="invalid JSON"):
+    with pytest.raises(InputError, match="invalid JSON") as exc:
         serialize.load_document(bad)
+    assert exc.value.argument == "config"
 
 
 def test_expansion_round_trip():
@@ -96,17 +102,21 @@ def test_condexp_config_load():
 def test_condexp_config_field_errors():
     doc = condexp_doc()
     del doc["f"]
-    with pytest.raises(serialize.ConfigError, match="'f'"):
+    with pytest.raises(InputError, match="missing") as exc:
         serialize.load_condexp_config(doc)
+    assert exc.value.argument == "f"
     doc = condexp_doc()
     doc["A"] = [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
                 [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]  # indefinite
-    with pytest.raises(serialize.ConfigError, match="'A'"):
+    # refused by ``Covariance`` as its ``matrix``, which the CLI reports as A
+    with pytest.raises(InputError, match="not positive definite") as exc:
         serialize.load_condexp_config(doc)
+    assert cli._FIELDS["condexp"][exc.value.argument] == "A"
     doc = condexp_doc()
     doc["conditioning"] = [[1.0, 0.0]]  # wrong length
-    with pytest.raises(serialize.ConfigError, match="conditioning"):
+    with pytest.raises(InputError, match="length 4") as exc:
         serialize.load_condexp_config(doc)
+    assert exc.value.argument == "conditioning[0]"
 
 
 def closure_doc():
@@ -157,29 +167,32 @@ def test_closure_config_kind_selects_the_correlation():
     # the config's closure kind exists only here: truncation is no correlation
     doc = closure_doc()
     assert serialize.load_closure_config(doc)["correlation"] is None
-    for closure, pattern in [
-        ({"kind": "bogus"}, "field 'closure': unknown closure kind 'bogus'"),
-        ({"kind": "optimal_prediction"}, "field 'closure.A': missing"),
+    for closure, field, pattern in [
+        ({"kind": "bogus"}, "closure", "unknown closure kind 'bogus'"),
+        ({"kind": "optimal_prediction"}, "closure.A", "missing"),
     ]:
         doc["closure"] = closure
-        with pytest.raises(serialize.ConfigError, match=pattern):
+        with pytest.raises(InputError, match=pattern) as exc:
             serialize.load_closure_config(doc)
+        assert exc.value.argument == field
 
 
 def test_closure_config_field_errors():
-    for field, value, pattern in [
-        ("J", 0, "'J'"),
-        ("N", -1, "'N'"),
-        ("N", MAX_ORDER + 1, "'N'"),
-        ("closure", {"kind": "bogus"}, "closure"),
-        ("sigma", [1.0, 2.0], "sigma"),
-        ("initial", [1.0], "initial"),
+    for field, value in [
+        ("J", 0),
+        ("N", -1),
+        ("N", MAX_ORDER + 1),
+        ("closure", {"kind": "bogus"}),
+        ("sigma", [1.0, 2.0]),
+        ("initial", [1.0]),
     ]:
         doc = closure_doc()
         doc[field] = value
-        with pytest.raises(serialize.ConfigError, match=pattern):
+        with pytest.raises(InputError) as exc:
             serialize.load_closure_config(doc)
+        assert exc.value.argument == field
     doc = closure_doc()
     del doc["kappa"]
-    with pytest.raises(serialize.ConfigError, match="kappa"):
+    with pytest.raises(InputError, match="missing") as exc:
         serialize.load_closure_config(doc)
+    assert exc.value.argument == "kappa"
