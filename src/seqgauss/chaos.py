@@ -88,7 +88,9 @@ class ConditioningSet:
         return cls(basis=gram_schmidt(vectors, cov))
 
     def validate(self, cov: Covariance) -> None:
-        check_orthonormal_a(self.basis, cov, "conditioning set")
+        """Raise ``InputError("conditioning")``, named as the functions that
+        take a conditioning set call it, unless the basis is A-orthonormal."""
+        check_orthonormal_a(self.basis, cov, "conditioning set", "conditioning")
 
 
 def eval_expansion(expansion: ChaosExpansion, cov: Covariance, w):
@@ -135,8 +137,9 @@ def cond_exp_chaos(
 
     Projects the stacked rank-one bases of each kernel onto the
     conditioning span in one call per degree (degree-0 kernels are
-    unchanged).  Idempotent and contractive in the chaos norm; raises if
-    the conditioning set is not A-orthonormal.
+    unchanged).  Idempotent and contractive in the chaos norm; raises
+    ``InputError("conditioning")`` if the conditioning set is not
+    A-orthonormal.
     """
     conditioning.validate(cov)
     kernels: dict[int, SymKernel] = {}

@@ -235,7 +235,9 @@ class Covariance:
 
     def inner(self, x, y) -> float:
         """Weighted inner product (x, A y) on R^d."""
-        return float(self.apply(x) @ _as_array(y, 1, "y"))
+        yv = _as_array(y, 1, "y")
+        _check_length(len(yv), self, "y")
+        return float(self.apply(x) @ yv)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Covariance(dim={self.dim})"
@@ -339,17 +341,18 @@ def gram_a(fs, gs, cov: Covariance) -> np.ndarray:
     return cov._weigh(fa).reshape(len(fa), -1) @ ga.reshape(len(ga), -1).T
 
 
-def check_orthonormal_a(vectors, cov: Covariance, what: str) -> None:
-    """Raise ``ValueError`` unless every entry of the Gram matrix of the
-    (p, m, d) stack ``vectors`` is within ``ORTHONORMAL_TOL`` of the
-    identity; the message names ``what`` and the worst pair."""
-    vectors = _as_array(vectors, 3, "vectors")
+def check_orthonormal_a(vectors, cov: Covariance, what: str, argument: str = "vectors") -> None:
+    """Raise ``InputError(argument)`` unless every entry of the Gram matrix
+    of the (p, m, d) stack ``vectors`` is within ``ORTHONORMAL_TOL`` of the
+    identity; the message names ``what`` and the worst pair.  A caller
+    checking one of its own parameters passes that parameter's name."""
+    vectors = _as_array(vectors, 3, argument)
     gram = gram_a(vectors, vectors, cov)
     deviation = np.triu(np.abs(gram - np.eye(len(gram))))
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
     if not deviation[i, j] <= ORTHONORMAL_TOL:
-        raise ValueError(
-            f"{what} is not A-orthonormal: worst pair ({i}, {j})_A = {gram[i, j]:.3e}"
+        raise InputError(
+            argument, f"{what} is not A-orthonormal: worst pair ({i}, {j})_A = {gram[i, j]:.3e}"
         )
 
 

@@ -226,7 +226,7 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
     standard normals.
 
     Requires the phis to be A-orthonormal within ``core.ORTHONORMAL_TOL``
-    and a batch of at least 2 samples.
+    (else ``InputError("phis")``) and a batch of at least 2 samples.
     Flags any mean, variance or pairwise covariance outside ``SIGMA_BAND``
     standard errors of (0, 1, 0), or with a non-finite value or error.
     """
@@ -236,7 +236,7 @@ def pushforward_check(phis, batch: SampleBatch, cov: Covariance) -> PushforwardR
         raise InputError("phis", "need at least one observable")
     if batch.count < 2:
         raise InputError("batch", f"need at least 2 samples, got {batch.count}")
-    check_orthonormal_a(phis, cov, "observable family")
+    check_orthonormal_a(phis, cov, "observable family", "phis")
     coords = pairings(phis, batch)
     n = batch.count
     with np.errstate(over="ignore", invalid="ignore"):

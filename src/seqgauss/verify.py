@@ -14,12 +14,19 @@ that generator first; a Monte Carlo check also takes the sample count and
 the seed of its batch (``seed + k``, with k given in its row).  Adding a
 check is one ``check_*`` function plus one row.  Every numeric comparison
 goes through ``_assert_close``, which fails a NaN error or tolerance.
+
+``run_suite("all")`` runs on two CPUs where it can: one forked worker
+process runs the ``FORKED_SUITES`` while the caller runs the rest.  The
+suites share no state, so the results and their order are those of the
+six suites run in one process (see ``run_suite``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
+import os
 from dataclasses import dataclass
 from math import factorial
 
@@ -31,11 +38,15 @@ from . import core, hermite, measure, wick
 
 # the check_* names are added from the table of checks at the end
 __all__ = [
-    "CheckResult", "SUITE_NAMES", "run_suite",
+    "CheckResult", "SUITE_NAMES", "FORKED_SUITES", "run_suite",
     "random_cov", "random_expansion", "wick_pair_expectation",
 ]
 
 SUITE_NAMES = ("core", "hermite", "wick", "measure", "chaos", "closure")
+# the suites that run_suite("all") runs in its forked worker, about 40 % of
+# the checks' time; wick and measure stay in the calling process, where the
+# benchmark's tracer sees their dense and pair-partition oracles
+FORKED_SUITES = ("chaos", "hermite")
 
 DEFAULT_SAMPLES = 100_000
 
@@ -1123,13 +1134,100 @@ def _run(suite: str, seed: int = 0, samples: int = DEFAULT_SAMPLES):
 _SUITES = {suite: functools.partial(_run, suite) for suite in SUITE_NAMES}
 
 
+def _serve(write_fd: int, seed: int, samples: int) -> None:
+    """Body of the forked worker: run the ``FORKED_SUITES`` and write each
+    one's ``[suite, name, passed, detail]`` rows to the pipe as one JSON
+    line.  It ends with ``os._exit``, so it never returns into the caller,
+    flushes no stdio buffer it inherited and runs no exit handler."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "w") as pipe:
+            for suite in FORKED_SUITES:
+                rows = [[suite, r.name, r.passed, r.detail]
+                        for r in _SUITES[suite](seed=seed, samples=samples)]
+                pipe.write(json.dumps(rows) + "\n")
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(data: bytes, status: int) -> dict[str, list[CheckResult]]:
+    """The worker's results by suite, read from the lines it sent; a suite
+    without a well-formed line is one failed check naming the exit status."""
+    results: dict[str, list[CheckResult]] = {}
+    for line in data.splitlines():
+        try:
+            rows = [(suite, CheckResult(name, passed, detail))
+                    for suite, name, passed, detail in json.loads(line)]
+        except (ValueError, TypeError):
+            break
+        for suite, row in rows:
+            results.setdefault(suite, []).append(row)
+    lost = CheckResult("worker process", False,
+                       f"sent no results for this suite (exit status {status})")
+    return {suite: results.get(suite) or [lost] for suite in FORKED_SUITES}
+
+
+def _run_all(seed: int, samples: int) -> dict[str, list[CheckResult]]:
+    """Every suite's results by name, the ``FORKED_SUITES`` from a forked
+    worker when there are two CPUs and a process to spare.  The worker is
+    always reaped: if this process raises first, it is killed."""
+    pid = pipe = None
+    # sched_getaffinity is missing on macOS, where forking after Accelerate
+    # has started is unsafe
+    cpus = getattr(os, "sched_getaffinity", None)
+    if cpus is not None and len(cpus(0)) >= 2:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: every suite runs here
+            os.close(read_fd)
+        else:
+            if pid == 0:
+                _serve(write_fd, seed, samples)  # never returns
+            pipe = os.fdopen(read_fd, "rb")
+        os.close(write_fd)
+    forked = FORKED_SUITES if pipe is not None else ()
+    try:
+        results = {
+            suite: _SUITES[suite](seed=seed, samples=samples)
+            for suite in SUITE_NAMES if suite not in forked
+        }
+        if pipe is not None:
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            results.update(_received(data, status))
+    finally:
+        if pipe is not None:
+            pipe.close()
+            if pid is not None:
+                import signal  # only this path needs it
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
 def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[CheckResult]:
-    """Run one module suite (or all of them) and return its check results."""
+    """Run one module suite (or all of them) and return its check results.
+
+    ``"all"`` gives every suite's results in ``SUITE_NAMES`` order, each
+    name prefixed with its suite.  Where ``os.sched_getaffinity`` reports
+    two CPUs or more, it forks one worker process that runs the
+    ``FORKED_SUITES`` and sends their results back through a pipe, while
+    this process runs the other suites; elsewhere all six run here.  The
+    results are the same either way.  A worker that dies or sends
+    malformed data leaves one failed check for each suite it sent no
+    results for, naming its exit status.  A single suite always runs in
+    this process."""
     if name == "all":
+        results = _run_all(seed, samples)
         return [
             CheckResult(f"{suite}: {res.name}", res.passed, res.detail)
             for suite in SUITE_NAMES
-            for res in _SUITES[suite](seed=seed, samples=samples)
+            for res in results[suite]
         ]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")

@@ -130,6 +130,10 @@ class SymKernel:
 
     @classmethod
     def constant(cls, value: float, m: int, d: int) -> "SymKernel":
+        """The degree-0 kernel ``value`` on m-by-d sequence vectors."""
+        value = _as_array(value, 0, "value")
+        _check_count(m, 1, "m")
+        _check_count(d, 1, "d")
         return cls.rank_one(np.zeros((m, d)), degree=0, coeff=value)
 
 

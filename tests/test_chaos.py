@@ -108,14 +108,35 @@ def test_conditioning_set_basis_is_one_read_only_array():
             chaos.ConditioningSet(basis=np.where(vectors > 1.0, bad, vectors))
 
 
-def test_cond_exp_chaos_rejects_non_orthonormal_set():
-    cov = core.Covariance.identity(D)
+NOT_ORTHONORMAL = r"^conditioning set is not A-orthonormal: worst pair \(0, 0\)_A = 4\.000e\+00$"
+
+
+def _doubled_unit_vector():
     phi = np.zeros((M, D))
     phi[0, 0] = 2.0
+    return phi
+
+
+def test_cond_exp_chaos_rejects_non_orthonormal_set():
+    cov = core.Covariance.identity(D)
+    phi = _doubled_unit_vector()
     cond = chaos.ConditioningSet(basis=(phi,))
     expansion = chaos.ChaosExpansion(kernels={1: wick.SymKernel.rank_one(phi, 1)})
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(core.InputError, match=NOT_ORTHONORMAL) as exc:
         chaos.cond_exp_chaos(expansion, cond, cov)
+    assert exc.value.argument == "conditioning"
+
+
+def test_mc_cond_check_rejects_non_orthonormal_set():
+    cov = core.Covariance.identity(D)
+    phi = _doubled_unit_vector()
+    expansion = chaos.ChaosExpansion(kernels={1: wick.SymKernel.rank_one(phi, 1)})
+    batch = measure.sample_mu_a(cov, DIMS, 10, seed=3)
+    with pytest.raises(core.InputError, match=NOT_ORTHONORMAL) as exc:
+        chaos.mc_cond_check(
+            expansion, chaos.ConditioningSet(basis=(phi,)), cov, lambda c: c[:, 0], batch,
+        )
+    assert exc.value.argument == "conditioning"
 
 
 def test_project_onto_set_stack_matches_single_vectors():

@@ -1,7 +1,8 @@
 """Every public callable refuses a bad number or array by its name.
 
 ``ROWS`` keeps one valid call, by keyword, of each callable in the
-``__all__`` of the library modules.  Each numeric argument of that call
+``__all__`` of the library modules and of each public method in
+``METHODS``.  Each numeric argument of that call
 (a number, an array, or a tuple of numbers) is swapped in turn for NaN,
 +inf, -inf, a string, a ragged list and a value with the wrong number of
 axes, and every swap must raise ``core.InputError`` whose ``argument`` is
@@ -38,7 +39,12 @@ ROWS = {
     "inner_a": dict(f=F, g=F, cov=COV),
     "norm_a": dict(f=F, cov=COV),
     "gram_a": dict(fs=STACK, gs=STACK, cov=COV),
-    "check_orthonormal_a": dict(vectors=CONDITIONING.basis, cov=COV, what="family"),
+    "check_orthonormal_a": dict(
+        vectors=CONDITIONING.basis, cov=COV, what="family", argument="vectors",
+    ),
+    "Covariance.identity": dict(d=3),
+    "Covariance.apply": dict(x=[1.0, 0.0, 2.0]),
+    "Covariance.inner": dict(x=[1.0, 0.0, 2.0], y=[0.5, 1.0, 0.0]),
     "apply_matrix": dict(m=np.eye(3), f=F),
     "apply_extended": dict(cov=COV, f=F),
     "gram_schmidt": dict(vectors=STACK, cov=COV),
@@ -63,6 +69,8 @@ ROWS = {
     # wick
     "RankOnePower": dict(coeff=0.5, base=F, degree=2),
     "SymKernel": dict(degree=2, terms=KERNEL.terms),
+    "SymKernel.rank_one": dict(base=F, degree=2, coeff=0.5),
+    "SymKernel.constant": dict(value=1.5, m=2, d=3),
     "DenseTensor": dict(degree=1, dims=(2, 3), array=np.arange(6.0)),
     "polarize": dict(xs=STACK),
     "symmetrize_dense": dict(t=DENSE),
@@ -78,6 +86,7 @@ ROWS = {
     # chaos
     "ChaosExpansion": dict(kernels={2: KERNEL}),
     "ConditioningSet": dict(basis=CONDITIONING.basis),
+    "ConditioningSet.from_vectors": dict(vectors=STACK, cov=COV),
     "eval_expansion": dict(expansion=EXPANSION, cov=COV, w=F),
     "chaos_inner": dict(e1=EXPANSION, e2=EXPANSION, cov=COV),
     "chaos_norm": dict(expansion=EXPANSION, cov=COV),
@@ -122,6 +131,16 @@ LEADING_AXES = {
 ANY_SHAPE = {("hermite_prob", "x"), ("hermite_phys", "x")}
 
 PUBLIC = {name: getattr(module, name) for module in MODULES for name in module.__all__}
+# public methods that take numbers or arrays; a method is called on COV
+METHODS = {
+    "Covariance.identity": core.Covariance.identity,
+    "Covariance.apply": COV.apply,
+    "Covariance.inner": COV.inner,
+    "SymKernel.rank_one": wick.SymKernel.rank_one,
+    "SymKernel.constant": wick.SymKernel.constant,
+    "ConditioningSet.from_vectors": chaos.ConditioningSet.from_vectors,
+}
+CALLABLES = {**PUBLIC, **METHODS}
 
 
 def _is_numeric(value) -> bool:
@@ -152,12 +171,12 @@ def _swaps(name, param, value):
 def test_every_public_callable_has_a_row_or_a_stated_exemption():
     assert len(PUBLIC) == sum(len(module.__all__) for module in MODULES)  # no name twice
     assert not set(ROWS) & set(EXEMPT)
-    assert set(ROWS) | set(EXEMPT) == set(PUBLIC)
+    assert set(ROWS) | set(EXEMPT) == set(CALLABLES)
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_each_numeric_argument_is_refused_by_name(name):
-    function, kwargs = PUBLIC[name], ROWS[name]
+    function, kwargs = CALLABLES[name], ROWS[name]
     # every parameter is in the row, so a default value hides none of them
     assert list(kwargs) == list(inspect.signature(function).parameters)
     function(**kwargs)

@@ -572,6 +572,9 @@ def _closure_run(**run):
         (lambda: closure.build_moment_system(1.5), "order"),
         (lambda: closure.closure_row([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], 1),
          "correlation"),
+        (lambda: core.Covariance.identity(3).inner(np.ones(3), np.ones(2)), "y"),
+        (lambda: wick.SymKernel.constant(np.nan, 2, 3), "value"),
+        (lambda: wick.SymKernel.constant(1.0, 1.5, 3), "m"),
     ],
     ids=[
         "DenseTensor NaN array", "wick_dense_tensor NaN w", "wick_dense_closed_form NaN w",
@@ -586,7 +589,8 @@ def _closure_run(**run):
         "solve_closure bool output_stride", "MaterialParams string a",
         "MaterialParams string b", "solve_closure string t_final", "solve_closure string cfl",
         "MomentGrid string t", "build_moment_system fractional order",
-        "closure_row ragged correlation",
+        "closure_row ragged correlation", "Covariance.inner short y",
+        "SymKernel.constant NaN value", "SymKernel.constant fractional m",
     ],
 )
 def test_array_arguments_are_refused_by_name(call, name):

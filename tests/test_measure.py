@@ -227,8 +227,12 @@ def test_pushforward_check_rejects_non_orthonormal_input():
     batch = measure.sample_mu_a(cov, DIMS, 100, seed=18)
     phi = np.zeros((M, D))
     phi[0, 0] = 2.0
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(
+        core.InputError,
+        match=r"^observable family is not A-orthonormal: worst pair \(0, 0\)_A = 4\.000e\+00$",
+    ) as exc:
         measure.pushforward_check([phi], batch, cov)
+    assert exc.value.argument == "phis"
 
 
 @pytest.mark.parametrize("count", [0, 1])
