@@ -20,18 +20,22 @@ non-finite value.
 The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
 within a build.  CSV values are written in shortest round-trip form, so
-full double precision is preserved.
+full double precision is preserved.  CSVs are formatted on two CPUs
+where there are two, in the same bytes, with no option (``_write_csv``).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
 
+from . import _fork
 from .chaos import ChaosExpansion, cond_exp_monomial
 from .closure import solve_closure
 from .core import Covariance, InputError, TruncationDims, _as_array, _check_count
@@ -129,17 +133,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path, header, lines) -> None:
-    """Write ``header`` and then ``lines`` to ``path`` as CSV.
+def _write_csv(path, header, lines, count) -> None:
+    """Write the text pieces ``header`` and then ``count`` rows to ``path``,
+    ``lines(a, b)`` yielding the text of rows a to b-1, each line ending in
+    CRLF.  Where ``_fork`` forks, its worker formats the rows from
+    ``count // 2`` on while this process writes those before them, then
+    this process copies the worker's text after its own; if the worker
+    fails, this process writes the whole file again.  No cell needs
+    quoting, so the ``csv`` module is not used; the bytes are the same as
+    ``csv.writer`` would write, on every path."""
+    cut = count // 2
 
-    ``lines`` is consumed lazily and holds one string per row, its cells
-    formatted by ``_cells`` and joined by commas.  Lines end in CRLF.  No
-    cell needs quoting, so the ``csv`` module is not used; the bytes are
-    the same as ``csv.writer`` would write.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line + "\r\n" for line in lines)
+    def serve(pipe):  # held whole: the pipe is read only after this process's own rows
+        text = io.TextIOWrapper(io.BytesIO(), "ascii", newline="")
+        text.writelines(lines(cut, count))
+        text.flush()
+        pipe.write(text.buffer.getbuffer())
+
+    with _fork.forked(serve) as worker:
+        while True:
+            with open(path, "w", newline="") as fh:
+                fh.writelines(header)
+                fh.writelines(lines(0, cut if worker else count))
+                if worker:
+                    fh.flush()
+                    shutil.copyfileobj(worker.pipe, fh.buffer)
+            if not worker or worker.wait() == 0:
+                return
+            worker = None
+
+
+def _blocks(a, b, size):
+    """``(k, lo, hi)``: rows a to b-1 take rows lo to hi-1 of block k of ``size`` rows."""
+    for k in range(a // size, -(-b // size)):
+        yield k, max(a - k * size, 0), min(b - k * size, size)
 
 
 def _cells(row) -> str:
@@ -189,27 +216,27 @@ def _cmd_sample(args) -> int:
         cov = Covariance.identity(args.dim_seq)
     dims = TruncationDims(args.dim_h, args.dim_seq)
     batch = sample_mu_a(cov, dims, args.samples, seed)
-    with open(args.out, "w", newline="") as fh:
-        fh.writelines(_sample_pieces(batch.samples.reshape(args.samples, -1), args.dim_seq))
+    header, lines = _sample_csv(batch.samples.reshape(args.samples, -1), args.dim_seq)
+    _write_csv(args.out, header, lines, args.samples)
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 
 
-def _sample_pieces(rows, dim_seq: int):
-    """CSV text of a flattened sample batch: the header ``w_i_k`` (entry i,
-    sequence position k) and then one line per row of ``rows``, each cell
-    as in ``_cells``.  Every line is yielded in pieces of at most
-    ``_CHUNK_CELLS`` cells, each ending in the comma or the CRLF that
-    follows it, so no string or list of a whole wide row is built; the
-    bytes are those ``_write_csv`` writes for the whole lines."""
+def _sample_csv(rows, dim_seq: int):
+    """The header and ``lines`` of a flattened sample batch's CSV: the
+    header ``w_i_k`` (entry i, sequence position k) and then one line per
+    row of ``rows``, each cell as in ``_cells``.  Every line is made in
+    pieces of at most ``_CHUNK_CELLS`` cells, each ending in the comma or
+    the CRLF that follows it, so no string or list of a whole wide row is
+    built."""
     width = rows.shape[1]
     spans = [(a, min(a + _CHUNK_CELLS, width)) for a in range(0, width, _CHUNK_CELLS)]
     ends = [","] * (len(spans) - 1) + ["\r\n"]
-    for (a, b), end in zip(spans, ends):
-        yield ",".join(f"w_{j // dim_seq}_{j % dim_seq}" for j in range(a, b)) + end
-    for row in rows:
-        for (a, b), end in zip(spans, ends):
-            yield _cells(row[a:b].tolist()) + end
+    header = [",".join(f"w_{j // dim_seq}_{j % dim_seq}" for j in range(a, b)) + end
+              for (a, b), end in zip(spans, ends)]
+    return header, lambda a, b: (
+        _cells(row[lo:hi].tolist()) + end for row in rows[a:b] for (lo, hi), end in zip(spans, ends)
+    )
 
 
 def _cmd_condexp(args) -> int:
@@ -232,21 +259,17 @@ def _cmd_closure(args) -> int:
         if isinstance(exc, InputError):
             raise
         raise InputError("closure run", str(exc)) from None
-    header = ["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)]
-    _write_csv(args.out, header, _closure_lines(snapshots, cfg["params"].x_centers))
+    header = ",".join(["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)])
+    xs = [x + "," for x in map(repr, cfg["params"].x_centers.tolist())]
+
+    def lines(a, b):  # one row per cell of each snapshot; each t formatted once per block
+        for k, lo, hi in _blocks(a, b, len(xs)):
+            t = repr(float(snapshots[k].t)) + ","
+            for x, values in zip(xs[lo:hi], snapshots[k].values[lo:hi].tolist()):
+                yield t + x + _cells(values) + "\r\n"
+    _write_csv(args.out, [header + "\r\n"], lines, len(snapshots) * len(xs))
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
-
-
-def _closure_lines(snapshots, x_centers):
-    """CSV lines ``t, x, I_0, ..., I_N`` of a closure run, one per cell of
-    each snapshot; each t is formatted once per snapshot and each x once
-    per run."""
-    xs = [x + "," for x in map(repr, x_centers.tolist())]
-    for snap in snapshots:
-        t = repr(float(snap.t)) + ","
-        for x, values in zip(xs, snap.values.tolist()):
-            yield t + x + _cells(values)
 
 
 def _cmd_hermite(args) -> int:
@@ -271,12 +294,12 @@ def _cmd_hermite(args) -> int:
                                  f"{xs[bad.argmax()].item()!r}")
             table.append(values)
     x_list = xs.tolist()
-    lines = (
-        _cells([n, x, value])
-        for n, values in enumerate(table)
-        for x, value in zip(x_list, values.tolist())
-    )
-    _write_csv(args.out, ["n", "x", "value"], lines)
+
+    def lines(a, b):
+        for n, lo, hi in _blocks(a, b, args.points):
+            for x, value in zip(x_list[lo:hi], table[n][lo:hi].tolist()):
+                yield _cells([n, x, value]) + "\r\n"
+    _write_csv(args.out, ["n,x,value\r\n"], lines, len(table) * args.points)
     print(f"wrote degrees 0..{args.max_n} to {args.out}")
     return 0
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import tempfile
 import time
 import tracemalloc
@@ -14,11 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgauss import cli, serialize
+from seqgauss import _fork, cli, serialize
 from seqgauss.closure import solve_closure
 from seqgauss.core import Covariance, TruncationDims
 from seqgauss.hermite import hermite_phys, hermite_prob
 from seqgauss.measure import sample_mu_a
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here ends with no child process: a CSV writer's forked
+    worker is always reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(args, capsys):
@@ -900,3 +910,124 @@ def test_hermite_overflow_exits_2_without_writing(tmp_path, capsys, args, error)
     assert code == 2
     assert f"config error: {error}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _forks(monkeypatch, cpus, fork=None):
+    """Report ``cpus`` as this process's CPUs, fork through ``fork`` (by
+    default ``os.fork``), and count the forks attempted."""
+    count = []
+    fork = fork or os.fork
+
+    def counted():
+        count.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
+def _fork_fails():
+    raise BlockingIOError("resource temporarily unavailable")
+
+
+# the CSV commands, each with the bytes csv.writer writes for its rows;
+# a row count that is odd or puts the writer's half-way cut inside a block
+def _closure_case(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.json"
+    serialize.save_document(cfg, base_closure_doc())  # 5 snapshots of 40 cells
+    loaded = serialize.load_closure_config(serialize.load_document(cfg))
+    x = loaded["params"].x_centers
+    rows = np.vstack([np.column_stack([np.full(len(x), snap.t), x, snap.values])
+                      for snap in solve_closure(**loaded)])
+    header = ["t", "x", "I_0", "I_1", "I_2", "I_3"]
+    return ["closure", "--config", str(cfg)], stdlib_csv_bytes(tmp_path, header, rows.tolist())
+
+
+def _sample_case(samples):
+    def case(tmp_path, monkeypatch):
+        # rows of 10 cells written in pieces of at most 4
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", 4)
+        batch = sample_mu_a(Covariance.identity(5), TruncationDims(2, 5), samples, 5)
+        header = [f"w_{i}_{k}" for i in range(2) for k in range(5)]
+        rows = batch.samples.reshape(samples, -1).tolist()
+        argv = ["sample", "--samples", str(samples), "--dim-h", "2", "--dim-seq", "5", "--seed", "5"]
+        return argv, stdlib_csv_bytes(tmp_path, header, rows)
+    return case
+
+
+def _hermite_case(tmp_path, monkeypatch):
+    xs = np.linspace(-2.0, 1.5, 7)
+    rows = [[n, x, hermite_prob(n, x)] for n in range(5) for x in xs.tolist()]
+    argv = ["hermite", "--max-n", "4", "--x-min", "-2", "--x-max", "1.5", "--points", "7"]
+    return argv, stdlib_csv_bytes(tmp_path, ["n", "x", "value"], rows)
+
+
+CSV_CASES = pytest.mark.parametrize(
+    "case", [_closure_case, _sample_case(5), _sample_case(1), _hermite_case],
+    ids=["closure", "sample", "sample-one-row", "hermite"],
+)
+
+
+@CSV_CASES
+def test_csv_bytes_are_the_same_on_every_path(tmp_path, capsys, monkeypatch, case):
+    argv, expected = case(tmp_path, monkeypatch)
+    # two CPUs: one worker; one CPU: no fork; no process to spare: one failed fork
+    for cpus, fork, forks in (({0, 1}, None, 1), ({0}, _refuse_fork, 0), ({0, 1}, _fork_fails, 1)):
+        out = tmp_path / "out.csv"
+        with monkeypatch.context() as patch:
+            count = _forks(patch, cpus, fork)
+            assert cli.main(argv + ["--out", str(out)]) == 0
+        assert len(count) == forks
+        assert out.read_bytes() == expected
+        out.unlink()
+    capsys.readouterr()
+
+
+@CSV_CASES
+def test_a_failed_writer_worker_still_leaves_the_whole_file(tmp_path, capsys, monkeypatch, case):
+    argv, expected = case(tmp_path, monkeypatch)
+    parent, cells, wait = os.getpid(), cli._cells, _fork.Worker.wait
+    statuses = []
+
+    def dying(row):
+        if os.getpid() != parent:
+            os._exit(3)
+        return cells(row)
+
+    def recorded(worker):
+        statuses.append(wait(worker))
+        return statuses[-1]
+
+    count = _forks(monkeypatch, {0, 1})
+    monkeypatch.setattr(cli, "_cells", dying)
+    monkeypatch.setattr(_fork.Worker, "wait", recorded)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert len(count) == 1 and statuses == [3]
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_the_writer_worker_is_killed_and_reaped_when_the_caller_raises(tmp_path, monkeypatch):
+    argv, _ = _closure_case(tmp_path, monkeypatch)
+    parent = os.getpid()
+
+    def cells(row):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError("boom")
+
+    count = _forks(monkeypatch, {0, 1})
+    monkeypatch.setattr(cli, "_cells", cells)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="boom"):
+        cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert time.monotonic() - start < 30
+    assert len(count) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
