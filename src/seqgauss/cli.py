@@ -27,11 +27,11 @@ where there are two, in the same bytes, with no option (``_write_csv``).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .verify import _DIMS, DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
-# ``sample`` holds the whole batch (2**22 doubles is 32 MiB) and formats its
-# CSV in pieces of at most _CHUNK_CELLS cells, however wide a row is.
+# ``sample`` holds the whole batch (2**22 doubles is 32 MiB); both processes of
+# ``_write_csv`` format its CSV in pieces of at most _CHUNK_CELLS cells.
 MAX_SAMPLE_VALUES = 2**22
 # ``hermite`` holds and checks its whole table before it writes it
 MAX_HERMITE_CELLS = 2**22
@@ -135,20 +135,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_csv(path, header, lines, count) -> None:
     """Write the text pieces ``header`` and then ``count`` rows to ``path``,
-    ``lines(a, b)`` yielding the text of rows a to b-1, each line ending in
-    CRLF.  Where ``_fork`` forks, its worker formats the rows from
-    ``count // 2`` on while this process writes those before them, then
-    this process copies the worker's text after its own; if the worker
+    ``lines(a, b)`` yielding the text of rows a to b-1 ending in CRLF.
+    Where ``_fork`` forks, its worker spools rows ``count // 2`` on to a
+    temporary file and pipes it here once this process has written the
+    rows before them, so no process holds the whole text; if the worker
     fails, this process writes the whole file again.  No cell needs
-    quoting, so the ``csv`` module is not used; the bytes are the same as
-    ``csv.writer`` would write, on every path."""
+    quoting: the bytes are those ``csv.writer`` would write, on every path."""
     cut = count // 2
 
-    def serve(pipe):  # held whole: the pipe is read only after this process's own rows
-        text = io.TextIOWrapper(io.BytesIO(), "ascii", newline="")
-        text.writelines(lines(cut, count))
-        text.flush()
-        pipe.write(text.buffer.getbuffer())
+    def serve(pipe):
+        with tempfile.TemporaryFile("w+", newline="") as spool:
+            spool.writelines(lines(cut, count))
+            spool.seek(0)
+            shutil.copyfileobj(spool.buffer, pipe)
 
     with _fork.forked(serve) as worker:
         while True:

@@ -1168,10 +1168,11 @@ def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[
     name prefixed with its suite.  Where ``os.sched_getaffinity`` reports
     two CPUs or more and a process can be forked, one worker process runs
     the ``FORKED_SUITES`` and sends their results back through a pipe,
-    while this process runs the other suites; elsewhere all six run here.  The results are the same either way.  A worker that
-    dies or sends malformed data leaves one failed check for each suite it
-    sent no results for, naming its exit status.  A single suite always
-    runs in this process."""
+    while this process runs the other suites; elsewhere all six run here.
+    The results are the same either way.  A worker that dies or sends
+    malformed data leaves one failed check for each suite it sent no
+    results for, naming its exit status.  A single suite always runs in
+    this process."""
     if name == "all":
         with _fork.forked(functools.partial(_serve, seed=seed, samples=samples)) as worker:
             forked = FORKED_SUITES if worker else ()

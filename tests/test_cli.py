@@ -662,6 +662,10 @@ def test_sample_wide_row_memory_does_not_grow_with_the_row(tmp_path, capsys, mon
     # one-sample batch of identity covariance; formatting each row at once
     # grew it 144 bytes per value.  (The ratio of the two peaks tells these
     # apart poorly, 2.7 against 3.9, because those arrays grow too.)
+    # one CPU, so that this process formats the whole row where tracemalloc
+    # sees it (the worker's memory is checked by
+    # test_the_writer_worker_holds_no_more_than_a_piece_at_once)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli, "_CHUNK_CELLS", 1024)
     out = tmp_path / "s.csv"
 
@@ -1031,3 +1035,36 @@ def test_the_writer_worker_is_killed_and_reaped_when_the_caller_raises(tmp_path,
     assert len(count) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypatch):
+    # the worker's half is 8 MiB in 64 KiB pieces; holding it whole, as an
+    # in-memory buffer did, put the worker's traced peak 8 MiB above its
+    # memory at the fork
+    parent, exit_, report = os.getpid(), os._exit, tmp_path / "worker-peak"
+    at_fork = []
+
+    def lines(a, b):
+        if os.getpid() != parent:
+            tracemalloc.reset_peak()
+            at_fork.append(tracemalloc.get_traced_memory()[0])
+        for _ in range(a, b):
+            yield from ("0" * 2**16 + "\r\n" for _ in range(128))
+
+    def exiting(status):
+        if os.getpid() != parent:
+            report.write_text(f"{status} {tracemalloc.get_traced_memory()[1] - at_fork[0]}")
+        exit_(status)
+
+    count = _forks(monkeypatch, {0, 1})
+    monkeypatch.setattr(os, "_exit", exiting)
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(out, ["h\r\n"], lines, 2)
+    finally:
+        tracemalloc.stop()
+    status, peak = map(int, report.read_text().split())
+    assert len(count) == 1 and status == 0
+    assert peak < 2**20
+    assert out.stat().st_size == 3 + 2 * 128 * (2**16 + 2)
