@@ -31,7 +31,6 @@ import json
 import os
 import shutil
 import sys
-import tempfile
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .serialize import (
     load_closure_config,
     load_condexp_config,
     load_document,
-    matrix_from_lists,
 )
 from .verify import _DIMS, DEFAULT_SAMPLES, SUITE_NAMES, run_suite
 from .wick import SymKernel
@@ -136,30 +134,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_csv(path, header, lines, count) -> None:
     """Write the text pieces ``header`` and then ``count`` rows to ``path``,
     ``lines(a, b)`` yielding the text of rows a to b-1 ending in CRLF.
-    Where ``_fork`` forks, its worker spools rows ``count // 2`` on to a
-    temporary file and pipes it here once this process has written the
-    rows before them, so no process holds the whole text; if the worker
-    fails, this process writes the whole file again.  No cell needs
-    quoting: the bytes are those ``csv.writer`` would write, on every path."""
+    Where ``_fork`` forks, its worker writes rows ``count // 2`` on to its
+    temporary file while this process writes the rows before them, and
+    then this process copies that file after them, or writes those rows
+    itself if the worker failed; no process holds the whole text.  No cell
+    needs quoting: the bytes are those ``csv.writer`` would write, on every
+    path."""
     cut = count // 2
-
-    def serve(pipe):
-        with tempfile.TemporaryFile("w+", newline="") as spool:
-            spool.writelines(lines(cut, count))
-            spool.seek(0)
-            shutil.copyfileobj(spool.buffer, pipe)
-
-    with _fork.forked(serve) as worker:
-        while True:
-            with open(path, "w", newline="") as fh:
-                fh.writelines(header)
-                fh.writelines(lines(0, cut if worker else count))
-                if worker:
-                    fh.flush()
-                    shutil.copyfileobj(worker.pipe, fh.buffer)
-            if not worker or worker.wait() == 0:
-                return
-            worker = None
+    with _fork.forked(lambda spool: spool.writelines(lines(cut, count))) as worker:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(header)
+            fh.writelines(lines(0, cut if worker else count))
+            if worker and worker.wait() == 0:
+                fh.flush()
+                shutil.copyfileobj(worker.spool.buffer, fh.buffer)
+            elif worker:  # it failed
+                fh.writelines(lines(cut, count))
 
 
 def _blocks(a, b, size):
@@ -204,7 +194,7 @@ def _cmd_sample(args) -> int:
                          f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
     if args.cov is not None:
         doc = load_document(args.cov)
-        matrix = matrix_from_lists(doc.get("A", doc.get("matrix")), "A")
+        matrix = _as_array(doc.get("A", doc.get("matrix")), 2, "A")
         # shapes before the factorization: a mismatch costs no Cholesky
         if matrix.shape[0] == matrix.shape[1] != args.dim_seq:
             raise InputError(

@@ -27,7 +27,8 @@ products preserve PSD).
 All values are immutable after construction; every function is pure.
 
 Every numeric argument of the package is accepted in one place, this
-module: ``_as_array`` for a number or an array, which must convert to a
+module: ``_as_array`` for a number or an array of ints and floats (not
+booleans or strings, which numpy would convert), which must convert to a
 finite float array with the stated number of axes, and ``_check_count``
 for an integer count.  The immutable value types hold ``_held``'s
 read-only copy of an array.  Every refused input, there and elsewhere,
@@ -84,13 +85,33 @@ class InputError(ValueError):
         super().__init__(message)
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
+def _is_numeric(x) -> bool:
+    """True for an int, float or numpy number, an int or float array, or a
+    (nested) list or tuple of these; booleans and strings are not numbers,
+    although numpy converts them."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iuf"
+    if isinstance(x, (list, tuple)):
+        # the set of leaf types keeps long flat lists cheap to check
+        return set(map(type, x)) <= _PLAIN_NUMBERS or all(map(_is_numeric, x))
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _as_array(x, ndim: int | None, name: str, copy: bool = False,
               label: str | None = None) -> np.ndarray:
     """``x`` as a finite float array with ``ndim`` axes (any number for
     None), never ``x`` itself with ``copy``; an empty sequence is an empty
-    array of any number of axes.  Anything else raises ``InputError(name)``
-    whose message opens with ``label`` (``name`` by default)."""
+    array of any number of axes.  Anything else, booleans and strings
+    included, raises ``InputError(name)`` whose message opens with
+    ``label`` (``name`` by default)."""
     label = label or name
+    # the array test inline: it is what most calls pass
+    if not (x.dtype.kind in "iuf" if isinstance(x, np.ndarray) else _is_numeric(x)):
+        raise InputError(name, f"{label} is not a numeric array: booleans, strings and "
+                               "other non-numbers are refused")
     try:
         arr = np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -23,7 +23,6 @@ __all__ = [
     "load_document",
     "save_document",
     "matrix_to_lists",
-    "matrix_from_lists",
     "expansion_to_jsonable",
     "load_condexp_config",
     "load_closure_config",
@@ -53,28 +52,6 @@ def matrix_to_lists(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-_PLAIN_NUMBERS = {int, float}
-
-
-def _is_numeric(data) -> bool:
-    """True for a number or a (nested) list of numbers.  Booleans and
-    strings are not numbers, even though ``np.asarray`` converts them."""
-    if isinstance(data, (list, tuple)):
-        # the set of leaf types keeps long per-cell lists cheap to check
-        return set(map(type, data)) <= _PLAIN_NUMBERS or all(map(_is_numeric, data))
-    if isinstance(data, np.ndarray):
-        return data.dtype.kind in "iuf"
-    return isinstance(data, (int, float, np.integer, np.floating)) and not isinstance(data, bool)
-
-
-def matrix_from_lists(data, field: str, ndim: int = 2) -> np.ndarray:
-    """``data`` as a finite float array of ``ndim`` axes, refused as
-    ``field``; booleans and strings are refused although numpy reads them."""
-    if not _is_numeric(data):
-        raise InputError(field, "must be a (nested) array of numbers")
-    return _as_array(data, ndim, field)
-
-
 def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
     out = []
     for n in expansion.degrees:
@@ -99,12 +76,12 @@ def _require(doc: dict, field: str, name: str | None = None):
 
 def _number(doc: dict, field: str, default=None) -> float:
     value = _require(doc, field) if default is None else doc.get(field, default)
-    return float(matrix_from_lists(value, field, ndim=0))
+    return float(_as_array(value, 0, field))
 
 
 def _cell_values(value, field: str, cells: int) -> np.ndarray:
     """A per-cell field: one number for every cell or a length-``cells`` array."""
-    arr = matrix_from_lists(value if isinstance(value, list) else [value] * cells, field, 1)
+    arr = _as_array(value if isinstance(value, list) else [value] * cells, 1, field)
     if arr.shape != (cells,):
         raise InputError(field, f"must be a number or a length-{cells} array")
     return arr
@@ -121,11 +98,11 @@ def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndar
     an f whose weighted image F A is not finite is refused as field f, and
     an A that is not a covariance as ``Covariance``'s ``matrix``.  Every
     shape is compared with A's before A is factored."""
-    a = matrix_from_lists(_require(doc, "A"), "A")
+    a = _as_array(_require(doc, "A"), 2, "A")
     if a.shape[0] != a.shape[1]:
         raise InputError("A", f"must be square, got shape {a.shape}")
     dim = len(a)
-    f = matrix_from_lists(_require(doc, "f"), "f")
+    f = _as_array(_require(doc, "f"), 2, "f")
     if f.shape[1] != dim:
         raise InputError("f", f"must have {dim} columns to match A, got {f.shape[1]}")
     cond_raw = _require(doc, "conditioning")
@@ -133,7 +110,7 @@ def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndar
         raise InputError("conditioning", "must be a non-empty list of vectors")
     conditioning = []
     for i, vec in enumerate(cond_raw):
-        v = matrix_from_lists(vec, f"conditioning[{i}]", ndim=1)
+        v = _as_array(vec, 1, f"conditioning[{i}]")
         if v.shape[0] != dim:
             raise InputError(f"conditioning[{i}]", f"must have length {dim} to match A")
         conditioning.append(v)
@@ -180,7 +157,7 @@ def load_closure_config(doc: dict) -> dict:
     if kind == "pn":
         correlation = None
     elif kind == "optimal_prediction":
-        correlation = matrix_from_lists(_require(closure_doc, "A", "closure.A"), "closure.A")
+        correlation = _as_array(_require(closure_doc, "A", "closure.A"), 2, "closure.A")
     else:
         raise InputError("closure", f"unknown closure kind {kind!r}")
 

@@ -16,9 +16,10 @@ check is one ``check_*`` function plus one row.  Every numeric comparison
 goes through ``_assert_close``, which fails a NaN error or tolerance.
 
 ``run_suite("all")`` runs on two CPUs where it can: one forked worker
-process runs the ``FORKED_SUITES`` while the caller runs the rest.  The
-suites share no state, so the results and their order are those of the
-six suites run in one process (see ``run_suite``).
+process runs the ``FORKED_SUITES`` while the caller runs the rest, and
+hands their results back in a temporary file.  The suites share no
+state, so the results and their order are those of the six suites run
+in one process (see ``run_suite``).
 """
 
 from __future__ import annotations
@@ -1133,19 +1134,19 @@ def _run(suite: str, seed: int = 0, samples: int = DEFAULT_SAMPLES):
 _SUITES = {suite: functools.partial(_run, suite) for suite in SUITE_NAMES}
 
 
-def _serve(pipe, seed: int, samples: int) -> None:
+def _serve(spool, seed: int, samples: int) -> None:
     """Body of the forked worker: run the ``FORKED_SUITES`` and write each
-    one's ``[suite, name, passed, detail]`` rows to ``pipe`` as one JSON
-    line, sent as soon as the suite is done."""
+    one's ``[suite, name, passed, detail]`` rows to ``spool`` as one JSON
+    line, flushed as soon as the suite is done."""
     for suite in FORKED_SUITES:
         rows = [[suite, r.name, r.passed, r.detail]
                 for r in _SUITES[suite](seed=seed, samples=samples)]
-        pipe.write(json.dumps(rows).encode() + b"\n")
-        pipe.flush()
+        spool.write(json.dumps(rows) + "\n")
+        spool.flush()
 
 
-def _received(data: bytes, status: int) -> dict[str, list[CheckResult]]:
-    """The worker's results by suite, read from the lines it sent; a suite
+def _received(data, status: int) -> dict[str, list[CheckResult]]:
+    """The worker's results by suite, read from the lines it wrote; a suite
     without a well-formed line is one failed check naming the exit status."""
     results: dict[str, list[CheckResult]] = {}
     for line in data.splitlines():
@@ -1167,19 +1168,20 @@ def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[
     ``"all"`` gives every suite's results in ``SUITE_NAMES`` order, each
     name prefixed with its suite.  Where ``os.sched_getaffinity`` reports
     two CPUs or more and a process can be forked, one worker process runs
-    the ``FORKED_SUITES`` and sends their results back through a pipe,
-    while this process runs the other suites; elsewhere all six run here.
-    The results are the same either way.  A worker that dies or sends
-    malformed data leaves one failed check for each suite it sent no
-    results for, naming its exit status.  A single suite always runs in
-    this process."""
+    the ``FORKED_SUITES`` and writes their results to a temporary file,
+    read here once it has exited, while this process runs the other
+    suites; elsewhere all six run here.  The results are the same either
+    way.  A worker that dies or writes malformed data leaves one failed
+    check for each suite it wrote no results for, naming its exit status.
+    A single suite always runs in this process."""
     if name == "all":
         with _fork.forked(functools.partial(_serve, seed=seed, samples=samples)) as worker:
             forked = FORKED_SUITES if worker else ()
             results = {suite: _SUITES[suite](seed=seed, samples=samples)
                        for suite in SUITE_NAMES if suite not in forked}
             if worker:
-                results.update(_received(worker.pipe.read(), worker.wait()))
+                status = worker.wait()
+                results.update(_received(worker.spool.read(), status))
         return [
             CheckResult(f"{suite}: {res.name}", res.passed, res.detail)
             for suite in SUITE_NAMES

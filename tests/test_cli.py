@@ -15,20 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_forks, fork_fails, no_temporary_file, refuse_fork
 from seqgauss import _fork, cli, serialize
 from seqgauss.closure import solve_closure
 from seqgauss.core import Covariance, TruncationDims
 from seqgauss.hermite import hermite_phys, hermite_prob
 from seqgauss.measure import sample_mu_a
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Every test here ends with no child process: a CSV writer's forked
-    worker is always reaped."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(args, capsys):
@@ -916,29 +908,6 @@ def test_hermite_overflow_exits_2_without_writing(tmp_path, capsys, args, error)
     assert not out.exists()
 
 
-def _forks(monkeypatch, cpus, fork=None):
-    """Report ``cpus`` as this process's CPUs, fork through ``fork`` (by
-    default ``os.fork``), and count the forks attempted."""
-    count = []
-    fork = fork or os.fork
-
-    def counted():
-        count.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(os, "fork", counted)
-    return count
-
-
-def _refuse_fork():
-    raise AssertionError("forked")
-
-
-def _fork_fails():
-    raise BlockingIOError("resource temporarily unavailable")
-
-
 # the CSV commands, each with the bytes csv.writer writes for its rows;
 # a row count that is odd or puts the writer's half-way cut inside a block
 def _closure_case(tmp_path, monkeypatch):
@@ -981,10 +950,10 @@ CSV_CASES = pytest.mark.parametrize(
 def test_csv_bytes_are_the_same_on_every_path(tmp_path, capsys, monkeypatch, case):
     argv, expected = case(tmp_path, monkeypatch)
     # two CPUs: one worker; one CPU: no fork; no process to spare: one failed fork
-    for cpus, fork, forks in (({0, 1}, None, 1), ({0}, _refuse_fork, 0), ({0, 1}, _fork_fails, 1)):
+    for cpus, fork, forks in (({0, 1}, None, 1), ({0}, refuse_fork, 0), ({0, 1}, fork_fails, 1)):
         out = tmp_path / "out.csv"
         with monkeypatch.context() as patch:
-            count = _forks(patch, cpus, fork)
+            count = count_forks(patch, cpus, fork)
             assert cli.main(argv + ["--out", str(out)]) == 0
         assert len(count) == forks
         assert out.read_bytes() == expected
@@ -993,7 +962,8 @@ def test_csv_bytes_are_the_same_on_every_path(tmp_path, capsys, monkeypatch, cas
 
 
 @CSV_CASES
-def test_a_failed_writer_worker_still_leaves_the_whole_file(tmp_path, capsys, monkeypatch, case):
+def test_a_failed_writer_worker_still_leaves_the_whole_file(tmp_path, capsys, monkeypatch, forks,
+                                                             case):
     argv, expected = case(tmp_path, monkeypatch)
     parent, cells, wait = os.getpid(), cli._cells, _fork.Worker.wait
     statuses = []
@@ -1007,17 +977,56 @@ def test_a_failed_writer_worker_still_leaves_the_whole_file(tmp_path, capsys, mo
         statuses.append(wait(worker))
         return statuses[-1]
 
-    count = _forks(monkeypatch, {0, 1})
     monkeypatch.setattr(cli, "_cells", dying)
     monkeypatch.setattr(_fork.Worker, "wait", recorded)
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
-    assert len(count) == 1 and statuses == [3]
+    assert len(forks) == 1 and statuses == [3]
     assert out.read_bytes() == expected
     capsys.readouterr()
 
 
-def test_the_writer_worker_is_killed_and_reaped_when_the_caller_raises(tmp_path, monkeypatch):
+def test_a_writer_worker_that_fails_midway_still_leaves_the_whole_file(tmp_path, monkeypatch,
+                                                                       forks):
+    # rows of 2048 cells, each longer than the temporary file's buffer, so
+    # the worker's first two rows reach its file before it exits with status 3
+    rows = np.random.default_rng(7).standard_normal((6, 2048)).tolist()
+    parent, wait, written = os.getpid(), _fork.Worker.wait, []
+
+    def lines(a, b):
+        for k in range(a, b):
+            if os.getpid() != parent and k == a + 2:
+                os._exit(3)
+            yield cli._cells(rows[k]) + "\r\n"
+
+    def recorded(worker):
+        status = wait(worker)
+        written.append((status, len(worker.spool.read())))
+        worker.spool.seek(0)
+        return status
+
+    monkeypatch.setattr(_fork.Worker, "wait", recorded)
+    out = tmp_path / "out.csv"
+    cli._write_csv(out, ["h\r\n"], lines, len(rows))
+    [(status, size)] = written
+    assert len(forks) == 1 and status == 3
+    assert size == sum(len(cli._cells(row)) + 2 for row in rows[3:5])
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, ["h"], rows)
+
+
+@CSV_CASES
+def test_without_a_temporary_file_nothing_is_forked(tmp_path, capsys, monkeypatch, case):
+    argv, expected = case(tmp_path, monkeypatch)
+    count_forks(monkeypatch, {0, 1}, refuse_fork)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_temporary_file)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_the_writer_worker_is_killed_and_reaped_when_the_caller_raises(tmp_path, monkeypatch,
+                                                                        forks):
     argv, _ = _closure_case(tmp_path, monkeypatch)
     parent = os.getpid()
 
@@ -1026,18 +1035,15 @@ def test_the_writer_worker_is_killed_and_reaped_when_the_caller_raises(tmp_path,
             time.sleep(60)
         raise ValueError("boom")
 
-    count = _forks(monkeypatch, {0, 1})
     monkeypatch.setattr(cli, "_cells", cells)
     start = time.monotonic()
     with pytest.raises(ValueError, match="boom"):
         cli.main(argv + ["--out", str(tmp_path / "out.csv")])
     assert time.monotonic() - start < 30
-    assert len(count) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
 
 
-def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypatch):
+def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypatch, forks):
     # the worker's half is 8 MiB in 64 KiB pieces; holding it whole, as an
     # in-memory buffer did, put the worker's traced peak 8 MiB above its
     # memory at the fork
@@ -1056,7 +1062,6 @@ def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypa
             report.write_text(f"{status} {tracemalloc.get_traced_memory()[1] - at_fork[0]}")
         exit_(status)
 
-    count = _forks(monkeypatch, {0, 1})
     monkeypatch.setattr(os, "_exit", exiting)
     out = tmp_path / "out.csv"
     tracemalloc.start()
@@ -1065,6 +1070,6 @@ def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypa
     finally:
         tracemalloc.stop()
     status, peak = map(int, report.read_text().split())
-    assert len(count) == 1 and status == 0
+    assert len(forks) == 1 and status == 0
     assert peak < 2**20
     assert out.stat().st_size == 3 + 2 * 128 * (2**16 + 2)

@@ -4,9 +4,10 @@
 ``__all__`` of the library modules and of each public method in
 ``METHODS``.  Each numeric argument of that call
 (a number, an array, or a tuple of numbers) is swapped in turn for NaN,
-+inf, -inf, a string, a ragged list and a value with the wrong number of
-axes, and every swap must raise ``core.InputError`` whose ``argument`` is
-that parameter's name as the signature spells it.
++inf, -inf, a string, an array of numeric strings, a boolean array, a
+ragged list and a value with the wrong number of axes, and every swap
+must raise ``core.InputError`` whose ``argument`` is that parameter's
+name as the signature spells it.
 """
 
 import inspect
@@ -159,6 +160,8 @@ def _swaps(name, param, value):
         ("inf", np.full(shape, np.inf)),
         ("-inf", np.full(shape, -np.inf)),
         ("string", "ab"),
+        ("numeric string", np.asarray(value).astype(str)),
+        ("boolean", np.ones(shape, bool)),
         ("ragged", [value, [value]]),
     ]
     if (name, param) in LEADING_AXES:

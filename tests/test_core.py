@@ -164,21 +164,21 @@ def test_gram_schmidt_a_rejects_empty_and_zero_input():
         core.gram_schmidt_a([np.zeros(2)], cov)
 
 
-def _per_pair_gram_schmidt(vectors, cov, tol=1e-12):
-    """The callable-driven loop gram_schmidt replaced: every coefficient is
-    a fresh inner_a call."""
-    basis = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        scale = np.sqrt(max(core.inner_a(w, w, cov), 0.0))
+def _dense_gram_schmidt(vectors, a, tol=1e-12):
+    """gram_schmidt's loop with every weighted product taken against the
+    explicit matrix ``a``."""
+    basis, images = [], []
+    for w in vectors:
+        scale = np.sqrt(max(np.vdot(w, w @ a), 0.0))
         for _ in range(2):
-            for b in basis:
-                w = w - core.inner_a(w, b, cov) * b
-        residual = np.sqrt(max(core.inner_a(w, w, cov), 0.0))
+            for b, b_a in zip(basis, images):
+                w = w - np.vdot(w, b_a) * b
+        residual = np.sqrt(max(np.vdot(w, w @ a), 0.0))
         if residual <= tol * scale or residual == 0.0:
             continue
         basis.append(w / residual)
-    return np.stack(basis)
+        images.append(basis[-1] @ a)
+    return np.array(basis)
 
 
 def test_gram_schmidt_is_bitwise_the_per_pair_loop():
@@ -188,7 +188,7 @@ def test_gram_schmidt_is_bitwise_the_per_pair_loop():
         cov = random_cov(rng, d)
         vectors = rng.standard_normal((q, m, d))
         vectors = np.concatenate([vectors, [vectors[0] - 2.0 * vectors[-1]]])
-        expected = _per_pair_gram_schmidt(vectors, cov).tobytes()
+        expected = _dense_gram_schmidt(vectors, cov.matrix).tobytes()
         assert core.gram_schmidt(vectors, cov).tobytes() == expected
         assert chaos.ConditioningSet.from_vectors(list(vectors), cov).basis.tobytes() == expected
 
@@ -427,23 +427,6 @@ def test_operator_norm_transfer_by_assembled_extension():
 def _wide_diagonals(rng):
     """Positive diagonals with entries from 1e-150 to 1e150."""
     return [np.exp(rng.uniform(-345.0, 345.0, size=d)) for d in (1, 2, 5, 16, 33)]
-
-
-def _dense_gram_schmidt(vectors, a, tol=1e-12):
-    """gram_schmidt's loop with every weighted product taken against the
-    explicit matrix ``a``."""
-    basis, images = [], []
-    for w in vectors:
-        scale = np.sqrt(max(np.vdot(w, w @ a), 0.0))
-        for _ in range(2):
-            for b, b_a in zip(basis, images):
-                w = w - np.vdot(w, b_a) * b
-        residual = np.sqrt(max(np.vdot(w, w @ a), 0.0))
-        if residual <= tol * scale or residual == 0.0:
-            continue
-        basis.append(w / residual)
-        images.append(basis[-1] @ a)
-    return np.array(basis)
 
 
 def test_diagonal_covariance_products_equal_the_explicit_matrix_products():

@@ -5,27 +5,29 @@ import numpy as np
 import pytest
 
 from seqgauss import chaos, cli, serialize, wick
-from seqgauss.core import InputError
+from seqgauss.core import InputError, _as_array
 from seqgauss.closure import MAX_ORDER, solve_closure
 
+
+# a config's matrices, vectors and numbers are read through core._as_array
 
 def test_matrix_round_trip(tmp_path):
     arr = np.array([[1.0, 2.5], [-3.0, 0.0]])
     path = tmp_path / "mat.json"
     serialize.save_document(path, {"A": serialize.matrix_to_lists(arr)})
     doc = serialize.load_document(path)
-    back = serialize.matrix_from_lists(doc["A"], "A")
+    back = _as_array(doc["A"], 2, "A")
     assert np.array_equal(back, arr)
 
 
 def test_matrix_from_lists_validation():
     for data, pattern in [
-        ("not a matrix", "must be a .*numbers"),
+        ("not a matrix", "^A is not a numeric array"),
         ([1.0, 2.0], r"^A must be a 2-D array"),
         ([[np.inf]], "non-finite"),
     ]:
         with pytest.raises(InputError, match=pattern) as exc:
-            serialize.matrix_from_lists(data, "A")
+            serialize.load_condexp_config({"A": data, "f": [[1.0]], "conditioning": [[1.0]]})
         assert exc.value.argument == "A"
 
 
@@ -43,15 +45,15 @@ def test_matrix_from_lists_validation():
 )
 def test_matrix_from_lists_rejects_booleans_and_strings(data, ndim):
     # np.asarray(..., dtype=float) would read each of these as numbers
-    with pytest.raises(InputError, match="^must be a .*numbers") as exc:
-        serialize.matrix_from_lists(data, "A", ndim=ndim)
+    with pytest.raises(InputError, match="^A is not a numeric array: booleans, strings") as exc:
+        _as_array(data, ndim, "A")
     assert exc.value.argument == "A"
 
 
 def test_matrix_from_lists_accepts_ints_and_numpy_numbers():
-    assert serialize.matrix_from_lists([[1, 2.5]], "A").tolist() == [[1.0, 2.5]]
-    assert serialize.matrix_from_lists(np.eye(2), "A").tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert serialize.matrix_from_lists([np.float64(0.5), np.int64(3)], "v", ndim=1).tolist() == [0.5, 3.0]
+    assert _as_array([[1, 2.5]], 2, "A").tolist() == [[1.0, 2.5]]
+    assert _as_array(np.eye(2), 2, "A").tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert _as_array([np.float64(0.5), np.int64(3)], 1, "v").tolist() == [0.5, 3.0]
 
 
 def test_load_document_errors(tmp_path):

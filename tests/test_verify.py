@@ -2,11 +2,13 @@ import inspect
 import json
 import math
 import os
+import tempfile
 import time
 from collections import Counter
 
 import pytest
 
+from conftest import count_forks, fork_fails, no_temporary_file, refuse_fork
 from seqgauss import verify
 from seqgauss.verify import _assert_close
 
@@ -60,57 +62,32 @@ def _concatenated(seed, samples=2000):
     ]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Report two CPUs, so that run_suite("all") forks its worker on any
-    machine, and count the forks."""
-    count = []
-    fork = os.fork
-
-    def counted_fork():
-        count.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return count
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _refuse_fork():
-    raise AssertionError("forked")
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_all_suites_equal_the_suites_run_one_at_a_time(forks, monkeypatch, seed):
     expected = _concatenated(seed)
     assert verify.run_suite("all", seed=seed, samples=2000) == expected
     assert len(forks) == 1
-    _no_child_left()
     # on one CPU every suite runs in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(os, "fork", refuse_fork)
     assert verify.run_suite("all", seed=seed, samples=2000) == expected
 
 
 def _no_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(os, "fork", refuse_fork)
 
 
 def _no_process(monkeypatch):
-    def fork():
-        raise BlockingIOError("resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
+    count_forks(monkeypatch, {0, 1}, fork_fails)
 
 
-@pytest.mark.parametrize("without_worker", [_no_affinity, _no_process])
+def _no_temporary_file(monkeypatch):
+    count_forks(monkeypatch, {0, 1}, refuse_fork)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_temporary_file)
+
+
+@pytest.mark.parametrize("without_worker", [_no_affinity, _no_process, _no_temporary_file])
 def test_without_a_worker_every_suite_runs_in_process(monkeypatch, without_worker):
     expected = _concatenated(0)
     without_worker(monkeypatch)
@@ -138,7 +115,6 @@ def test_a_dead_worker_is_a_failed_check_naming_its_status(forks, monkeypatch):
     monkeypatch.setattr(verify, "check_cond_exp_example", _dying)
     results = verify.run_suite("all", samples=2000)
     assert len(forks) == 1
-    _no_child_left()
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == [f"{suite}: worker process" for suite in ("hermite", "chaos")]
     assert all("exit status 3" in r.detail for r in failed)
@@ -175,7 +151,6 @@ def test_the_worker_is_killed_and_reaped_when_the_caller_raises(forks, monkeypat
         verify.run_suite("all", samples=2000)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
-    _no_child_left()
 
 
 def test_each_row_declares_what_its_check_takes():
