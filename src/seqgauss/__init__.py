@@ -23,6 +23,7 @@ from .closure import (
     build_moment_system,
     closed_advection_matrix,
     closure_row,
+    march,
     solve_closure,
     step,
 )

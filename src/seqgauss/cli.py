@@ -21,26 +21,34 @@ The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
 within a build.  CSV values are written in shortest round-trip form, so
 full double precision is preserved.  CSVs are formatted on two CPUs
-where there are two, in the same bytes, with no option (``_write_csv``).
+where there are two, in the same bytes, with no option (``_write_csv``);
+``closure`` rows are formatted while the run marches, and the output file
+is opened only once the run has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
+import mmap
 import os
 import shutil
+import struct
 import sys
+import tempfile
 
 import numpy as np
 
 from . import _fork
 from .chaos import ChaosExpansion, cond_exp_monomial
-from .closure import solve_closure
+from .closure import march
 from .core import Covariance, InputError, TruncationDims, _as_array, _check_count
 from .hermite import _degrees
 from .measure import sample_mu_a
 from .serialize import (
+    _require,
     expansion_to_jsonable,
     load_closure_config,
     load_condexp_config,
@@ -58,6 +66,9 @@ MAX_HERMITE_CELLS = 2**22
 # cells per piece of a ``sample`` CSV line; formatting one piece holds
 # about 10 MB of Python objects
 _CHUNK_CELLS = 65_536
+# a row bound handed to the CSV writer's worker, and the count of rows it
+# publishes as formatted
+_BOUND = struct.Struct("=q")
 # per command, the config field of each library parameter it can refuse
 # whose name is not that field's; any other name is already the field
 _FIELDS = {
@@ -131,25 +142,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path, header, lines, count) -> None:
-    """Write the text pieces ``header`` and then ``count`` rows to ``path``,
+def _write_csv(path, header, lines, rows) -> None:
+    """Write the text pieces ``header`` and then the rows to ``path``,
     ``lines(a, b)`` yielding the text of rows a to b-1 ending in CRLF.
-    Where ``_fork`` forks, its worker writes rows ``count // 2`` on to its
-    temporary file while this process writes the rows before them, and
-    then this process copies that file after them, or writes those rows
-    itself if the worker failed; no process holds the whole text.  No cell
-    needs quoting: the bytes are those ``csv.writer`` would write, on every
-    path."""
-    cut = count // 2
-    with _fork.forked(lambda spool: spool.writelines(lines(cut, count))) as worker:
+    ``rows`` is the row count of a table that is ready at once, or an
+    iterator yielding how many leading rows are ready each time more are,
+    the total last; ``path`` is opened only once it has run out.
+
+    Where ``_fork`` forks, its worker formats the leading rows into its
+    temporary file: each range of rows, as it becomes ready, is handed to
+    it through its pipe as an 8-byte row bound, unless it has two ranges
+    unfinished by the count it publishes in a shared page.  Once every row
+    is ready, those not handed out are split so that both processes have
+    about as many left.  This process formats its trailing share into a
+    temporary file of its own, then writes the header, the worker's rows
+    (formatted here if the worker failed) and its own.  No process holds
+    the whole text.  No cell needs quoting: the bytes are those
+    ``csv.writer`` would write, on every path."""
+    count, ready = (rows, ()) if isinstance(rows, int) else (0, rows)
+    with mmap.mmap(-1, _BOUND.size) as formatted, contextlib.ExitStack() as stack:
+
+        def serve(spool, orders):
+            done = 0
+            while bound := orders.read(_BOUND.size):
+                (end,) = _BOUND.unpack(bound)
+                spool.writelines(lines(done, end))
+                _BOUND.pack_into(formatted, 0, done := end)
+
+        worker = stack.enter_context(_fork.forked(serve))
+        # the count the worker publishes steers only how rows are split, never
+        # which bytes are written
+        handed = before = 0  # rows handed to the worker, and the bound before the last
+        waiting = collections.deque()  # the counts ready, each the end of a range not handed
+        for count in ready:
+            waiting.append(count)
+            while worker and waiting and before <= _BOUND.unpack_from(formatted)[0]:
+                before, handed = handed, _handed(worker, handed, waiting.popleft())
+        if worker is None:
+            with open(path, "w", newline="") as fh:
+                fh.writelines(header)
+                fh.writelines(lines(0, count))
+            return
+        queued = handed - _BOUND.unpack_from(formatted)[0]
+        cut = _handed(worker, handed, handed + max(0, (count - handed - queued + 1) // 2))
+        worker.orders.close()
+        try:
+            own = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+        except OSError:  # no file to spare: the trailing rows are formatted last, in place
+            own = None
+        else:
+            own.writelines(lines(cut, count))
+        status = worker.wait()
         with open(path, "w", newline="") as fh:
             fh.writelines(header)
-            fh.writelines(lines(0, cut if worker else count))
-            if worker and worker.wait() == 0:
+            if status == 0:
                 fh.flush()
                 shutil.copyfileobj(worker.spool.buffer, fh.buffer)
-            elif worker:  # it failed
+            else:
+                fh.writelines(lines(0, cut))
+            if own is None:
                 fh.writelines(lines(cut, count))
+            else:
+                fh.flush()
+                own.seek(0)
+                shutil.copyfileobj(own.buffer, fh.buffer)
+
+
+def _handed(worker, handed: int, bound: int) -> int:
+    """Hand the worker rows ``handed`` to ``bound``; the rows handed to it
+    after that, which are ``handed`` if it has gone."""
+    if bound > handed:
+        try:
+            worker.orders.write(_BOUND.pack(bound))
+        except BrokenPipeError:
+            return handed
+    return bound
 
 
 def _blocks(a, b, size):
@@ -193,8 +260,7 @@ def _cmd_sample(args) -> int:
         raise InputError("samples/dim-h/dim-seq", f"{args.samples} samples of "
                          f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
     if args.cov is not None:
-        doc = load_document(args.cov)
-        matrix = _as_array(doc.get("A", doc.get("matrix")), 2, "A")
+        matrix = _as_array(_require(load_document(args.cov), "A"), 2, "A")
         # shapes before the factorization: a mismatch costs no Cholesky
         if matrix.shape[0] == matrix.shape[1] != args.dim_seq:
             raise InputError(
@@ -242,23 +308,71 @@ def _cmd_condexp(args) -> int:
 
 def _cmd_closure(args) -> int:
     cfg = load_closure_config(load_document(args.config))
-    try:
-        snapshots = solve_closure(**cfg)
-    except ValueError as exc:  # a refused input, or the one plain ValueError: a blow-up
-        if isinstance(exc, InputError):
-            raise
-        raise InputError("closure run", str(exc)) from None
+    run = march(**cfg)  # every input is refused here, before anything is forked
     header = ",".join(["t", "x"] + [f"I_{k}" for k in range(cfg["initial"].order + 1)])
     xs = [x + "," for x in map(repr, cfg["params"].x_centers.tolist())]
+    with _Snapshots(cfg["initial"].values.shape) as snapshots:
 
-    def lines(a, b):  # one row per cell of each snapshot; each t formatted once per block
-        for k, lo, hi in _blocks(a, b, len(xs)):
-            t = repr(float(snapshots[k].t)) + ","
-            for x, values in zip(xs[lo:hi], snapshots[k].values[lo:hi].tolist()):
-                yield t + x + _cells(values) + "\r\n"
-    _write_csv(args.out, [header + "\r\n"], lines, len(snapshots) * len(xs))
+        def stored():  # the rows ready as each snapshot is stored
+            try:
+                for snapshot in run:
+                    snapshots.append(snapshot)
+                    yield len(snapshots) * len(xs)
+            except InputError:
+                raise
+            except ValueError as exc:  # the one plain ValueError of a run: a blow-up
+                raise InputError("closure run", str(exc)) from None
+
+        def lines(a, b):  # one row per cell of each snapshot; each t formatted once per block
+            for k, lo, hi in _blocks(a, b, len(xs)):
+                t, values = snapshots[k]
+                stamp = repr(t) + ","
+                for x, row in zip(xs[lo:hi], values[lo:hi].tolist()):
+                    yield stamp + x + _cells(row) + "\r\n"
+        _write_csv(args.out, [header + "\r\n"], lines, stored())
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
+
+
+class _Snapshots:
+    """A closure run's snapshots of ``shape``, stored as the march makes
+    them and read back by index, as ``(t, values)`` with ``t`` a float, in
+    either process of ``_write_csv``: as doubles in an unlinked temporary
+    file, which a worker forked after it was made reads too, or, where no
+    file can be made, in a list in this process."""
+
+    def __init__(self, shape) -> None:
+        self.shape, self._size = shape, 8 * (1 + shape[0] * shape[1])  # t, then the values
+        self._kept, self._count = [], 0
+        try:
+            self._file = tempfile.TemporaryFile()
+        except OSError:
+            self._file = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, snapshot) -> None:
+        self._count += 1
+        if self._file is None:
+            self._kept.append((snapshot.t, snapshot.values))
+            return
+        self._file.write(np.float64(snapshot.t).tobytes())
+        self._file.write(snapshot.values)
+        self._file.flush()  # where a worker's os.pread finds it
+
+    def __getitem__(self, k: int):
+        if self._file is None:
+            return self._kept[k]
+        raw = np.frombuffer(os.pread(self._file.fileno(), self._size, k * self._size))
+        return float(raw[0]), raw[1:].reshape(self.shape)
 
 
 def _cmd_hermite(args) -> int:

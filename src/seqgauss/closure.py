@@ -25,9 +25,13 @@ starting at 1, so a closure at order N corresponds to ``cut = N + 1``.
 
 Time integration is one-step explicit Lax-Friedrichs on a uniform
 periodic grid (conservative: spatial sums of each moment are exact
-invariants of the pure-advection system).  :func:`solve_closure` holds
-the marching loop and builds the closed advection matrix B and its
-eigenvalues once per run; :func:`step` is a one-step ``solve_closure``.
+invariants of the pure-advection system).  :func:`march` holds the
+marching loop: it checks every input and builds the closed advection
+matrix B and its eigenvalues once per run, when it is called, and returns
+a generator that yields each snapshot as the march reaches it, so a
+caller can use a snapshot while the next is computed.
+:func:`solve_closure` is ``list(march(...))``, and :func:`step` is a
+one-step ``solve_closure``.
 The eigenvalues are computed numerically since the closure row can
 enlarge the spectral radius rho(B) or even make the closed system
 non-hyperbolic; such a closure is ill-posed and is refused before any
@@ -69,6 +73,7 @@ computed once per run.  Returned snapshots are read-only copies.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +88,15 @@ __all__ = [
     "closed_advection_matrix",
     "step",
     "solve_closure",
+    "march",
 ]
 
 DEFAULT_CFL = 0.9
 # A step costs about 10 us on the smallest grid, so this caps a run at
 # minutes; a larger count almost always means T or dt in the wrong units.
 MAX_STEPS = 10**7
-# Snapshots stay in memory until the run returns: 2**24 doubles is 128 MiB
-# (and about 350 MB as CSV text).
+# solve_closure holds every snapshot until the run returns: 2**24 doubles is
+# 128 MiB (and about 350 MB as CSV text).
 MAX_SNAPSHOT_VALUES = 2**24
 # P_N closures run at orders of a few to a few dozen.  The dense (N+1)-sized
 # moment system and its eigenvalues cost O(N^3) before any step (on a 2-vCPU
@@ -258,16 +264,31 @@ def solve_closure(
     output_stride: int = 1,
     cfl: float = DEFAULT_CFL,
 ) -> list[MomentGrid]:
+    """The snapshots of a :func:`march` with the same arguments, as a list."""
+    return list(march(initial, params, correlation, t_final, dt, output_stride, cfl))
+
+
+def march(
+    initial: MomentGrid,
+    params: MaterialParams,
+    correlation: np.ndarray | None,
+    t_final: float,
+    dt: float | None = None,
+    output_stride: int = 1,
+    cfl: float = DEFAULT_CFL,
+) -> Iterator[MomentGrid]:
     """March the closure chosen by ``correlation`` (``None`` for
-    truncation) to ``t_final``, collecting snapshots.
+    truncation) to ``t_final``, yielding each snapshot as it is reached.
 
     The closed advection matrix and its eigenvalues are computed once per
     call.  With ``dt`` omitted the largest CFL-stable step is used.  The
     step count is ``round(t_final / dt)`` (at least one), so the reached
     end time is ``steps * dt``.  Snapshots are the initial state, every
     ``output_stride``-th step, and the final state.  Every input the
-    module docstring lists is checked before any step, and a refused one
-    raises :class:`~seqgauss.core.InputError` naming it.
+    module docstring lists is checked when ``march`` is called, before it
+    returns the generator, and a refused one raises
+    :class:`~seqgauss.core.InputError` naming it; a blow-up is raised by
+    the generator, after the snapshots before it.
     """
     if dt is not None and (dt := float(_as_array(dt, 0, "dt"))) <= 0:
         raise InputError("dt", f"dt must be positive, got {dt}")
@@ -306,30 +327,36 @@ def solve_closure(
     if kept * initial.values.size > MAX_SNAPSHOT_VALUES:
         raise InputError("t_final", f"{kept} snapshots of {initial.values.size} values "
                          f"exceed {MAX_SNAPSHOT_VALUES} values; raise output_stride")
+    return _marched(initial, params, b_closed, dt, courant, n_steps, output_stride)
+
+
+def _marched(initial, params, b_closed, dt, courant, n_steps, output_stride):
+    """The generator of :func:`march`, from inputs it has checked."""
     b_t = np.ascontiguousarray(b_closed.T)
     padded = np.concatenate([initial.values[-1:], initial.values, initial.values[:1]])
     u, left, right = padded[1:-1], padded[:-2], padded[2:]
     mean, flux, work = np.empty((3, *u.shape))
     finite = np.empty(u.shape, dtype=bool)
-    snapshots, t = [initial], initial.t
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports overflow
+    # the finiteness check reports overflow; each error state is left before
+    # a yield, so the caller's code never runs under it
+    with np.errstate(over="ignore", invalid="ignore"):
         damping = dt * _absorption(params, initial.order)
         source = dt * _source_term(params, initial.order)
-        for i in range(1, n_steps + 1):
-            padded[0], padded[-1] = padded[-2], padded[1]
-            # 0.5 (left + right) - (courant (right - left)) @ B^T - damping u + dt q
-            np.multiply(0.5, np.add(left, right, out=mean), out=mean)
-            np.multiply(courant, np.subtract(right, left, out=work), out=work)
-            np.subtract(mean, np.matmul(work, b_t, out=flux), out=mean)
-            np.subtract(mean, np.multiply(damping, u, out=work), out=mean)
-            np.add(mean, source, out=u)
-            t = t + dt
-            if not np.isfinite(u, out=finite).all():
-                bad = np.argwhere(~finite)[0]
-                raise ValueError(f"solution blew up at t = {t:.6g}: non-finite moment "
-                                 f"{bad[1]} in cell {bad[0]}")
-            if i % output_stride == 0 or i == n_steps:
-                snapshots.append(MomentGrid(t=t, values=u))
-    return snapshots
-
-
+    t = initial.t
+    yield initial
+    for first in range(1, n_steps + 1, output_stride):  # one snapshot per pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(first, min(first + output_stride, n_steps + 1)):
+                padded[0], padded[-1] = padded[-2], padded[1]
+                # 0.5 (left + right) - (courant (right - left)) @ B^T - damping u + dt q
+                np.multiply(0.5, np.add(left, right, out=mean), out=mean)
+                np.multiply(courant, np.subtract(right, left, out=work), out=work)
+                np.subtract(mean, np.matmul(work, b_t, out=flux), out=mean)
+                np.subtract(mean, np.multiply(damping, u, out=work), out=mean)
+                np.add(mean, source, out=u)
+                t = t + dt
+                if not np.isfinite(u, out=finite).all():
+                    bad = np.argwhere(~finite)[0]
+                    raise ValueError(f"solution blew up at t = {t:.6g}: non-finite moment "
+                                     f"{bad[1]} in cell {bad[0]}")
+        yield MomentGrid(t=t, values=u)

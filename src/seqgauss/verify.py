@@ -1134,10 +1134,10 @@ def _run(suite: str, seed: int = 0, samples: int = DEFAULT_SAMPLES):
 _SUITES = {suite: functools.partial(_run, suite) for suite in SUITE_NAMES}
 
 
-def _serve(spool, seed: int, samples: int) -> None:
+def _serve(spool, orders, seed: int, samples: int) -> None:
     """Body of the forked worker: run the ``FORKED_SUITES`` and write each
     one's ``[suite, name, passed, detail]`` rows to ``spool`` as one JSON
-    line, flushed as soon as the suite is done."""
+    line, flushed as soon as the suite is done.  It reads no ``orders``."""
     for suite in FORKED_SUITES:
         rows = [[suite, r.name, r.passed, r.detail]
                 for r in _SUITES[suite](seed=seed, samples=samples)]

@@ -103,6 +103,23 @@ def test_sample_dimension_mismatch_is_config_error(tmp_path, capsys):
     assert "config error" in err and "'A'" in err
 
 
+@pytest.mark.parametrize("doc", [
+    # said "not a numeric array"
+    {"B": [[2.0, 0.0], [0.0, 1.0]]},
+    # an undocumented second spelling, read when A was absent
+    {"matrix": [[2.0, 0.0], [0.0, 1.0]]},
+], ids=["no A", "matrix"])
+def test_sample_covariance_file_without_a_exits_2_saying_a_is_missing(tmp_path, capsys, doc):
+    cov_path = tmp_path / "cov.json"
+    serialize.save_document(cov_path, doc)
+    out = tmp_path / "x.csv"
+    args = ["sample", "--samples", "5", "--dim-h", "1", "--dim-seq", "2", "--cov", str(cov_path)]
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err == "config error: field 'A': missing\n"
+    assert not out.exists()
+
+
 def _refuse_cholesky(monkeypatch):
     def refuse(a):
         raise AssertionError("factored a covariance of a mismatched config")
@@ -946,14 +963,26 @@ CSV_CASES = pytest.mark.parametrize(
 )
 
 
+def _no_file_once_forked(patch, forks):
+    """Temporary files as usual until a fork has been attempted, then none."""
+    make = tempfile.TemporaryFile
+    patch.setattr(tempfile, "TemporaryFile",
+                  lambda *args, **kwargs: (no_temporary_file if forks else make)(*args, **kwargs))
+
+
 @CSV_CASES
 def test_csv_bytes_are_the_same_on_every_path(tmp_path, capsys, monkeypatch, case):
     argv, expected = case(tmp_path, monkeypatch)
-    # two CPUs: one worker; one CPU: no fork; no process to spare: one failed fork
-    for cpus, fork, forks in (({0, 1}, None, 1), ({0}, refuse_fork, 0), ({0, 1}, fork_fails, 1)):
+    # two CPUs: one worker; one CPU: no fork; no process to spare: one failed fork;
+    # two CPUs, but no file left for this process's own rows once the worker is forked
+    for cpus, fork, forks, files in (({0, 1}, None, 1, None), ({0}, refuse_fork, 0, None),
+                                     ({0, 1}, fork_fails, 1, None),
+                                     ({0, 1}, None, 1, _no_file_once_forked)):
         out = tmp_path / "out.csv"
         with monkeypatch.context() as patch:
             count = count_forks(patch, cpus, fork)
+            if files is not None:
+                files(patch, count)
             assert cli.main(argv + ["--out", str(out)]) == 0
         assert len(count) == forks
         assert out.read_bytes() == expected
@@ -968,28 +997,36 @@ def test_a_failed_writer_worker_still_leaves_the_whole_file(tmp_path, capsys, mo
     parent, cells, wait = os.getpid(), cli._cells, _fork.Worker.wait
     statuses = []
 
-    def dying(row):
-        if os.getpid() != parent:
-            os._exit(3)
-        return cells(row)
-
     def recorded(worker):
         statuses.append(wait(worker))
         return statuses[-1]
 
-    monkeypatch.setattr(cli, "_cells", dying)
     monkeypatch.setattr(_fork.Worker, "wait", recorded)
-    out = tmp_path / "out.csv"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert len(forks) == 1 and statuses == [3]
-    assert out.read_bytes() == expected
+    # the worker exits with status 3 at its first cell, or midway, at its third
+    for before_exit in (0, 2):
+        formatted = []
+
+        def dying(row):
+            if os.getpid() != parent:
+                if len(formatted) == before_exit:
+                    os._exit(3)
+                formatted.append(row)
+            return cells(row)
+
+        out = tmp_path / "out.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_cells", dying)
+            assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+    assert len(forks) == 2 and statuses == [3, 3]
     capsys.readouterr()
 
 
 def test_a_writer_worker_that_fails_midway_still_leaves_the_whole_file(tmp_path, monkeypatch,
                                                                        forks):
     # rows of 2048 cells, each longer than the temporary file's buffer, so
-    # the worker's first two rows reach its file before it exits with status 3
+    # the worker's first two rows reach its file before it exits with status 3;
+    # a table ready at once gives the worker its leading half, rows 0 to 2
     rows = np.random.default_rng(7).standard_normal((6, 2048)).tolist()
     parent, wait, written = os.getpid(), _fork.Worker.wait, []
 
@@ -1010,7 +1047,7 @@ def test_a_writer_worker_that_fails_midway_still_leaves_the_whole_file(tmp_path,
     cli._write_csv(out, ["h\r\n"], lines, len(rows))
     [(status, size)] = written
     assert len(forks) == 1 and status == 3
-    assert size == sum(len(cli._cells(row)) + 2 for row in rows[3:5])
+    assert size == sum(len(cli._cells(row)) + 2 for row in rows[0:2])
     assert out.read_bytes() == stdlib_csv_bytes(tmp_path, ["h"], rows)
 
 
@@ -1073,3 +1110,102 @@ def test_the_writer_worker_holds_no_more_than_a_piece_at_once(tmp_path, monkeypa
     assert len(forks) == 1 and status == 0
     assert peak < 2**20
     assert out.stat().st_size == 3 + 2 * 128 * (2**16 + 2)
+
+
+def test_the_writer_worker_is_handed_each_snapshot_while_the_run_marches(tmp_path, capsys,
+                                                                          monkeypatch, forks):
+    argv, expected = _closure_case(tmp_path, monkeypatch)  # 5 snapshots of 40 cells
+    march, hand, marched, handed = cli.march, cli._handed, [], []
+
+    def paused(*args, **kwargs):  # a march slow enough for the worker to keep up
+        for snapshot in march(*args, **kwargs):
+            marched.append(snapshot)
+            yield snapshot
+            time.sleep(0.05)
+
+    def recorded(worker, done, bound):
+        handed.append((len(marched), bound))
+        return hand(worker, done, bound)
+
+    monkeypatch.setattr(cli, "march", paused)
+    monkeypatch.setattr(cli, "_handed", recorded)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    # each snapshot is handed over as it is stored, before the next is
+    # marched: a worker that keeps up formats every row
+    assert handed[:5] == [(1, 40), (2, 80), (3, 120), (4, 160), (5, 200)]
+    assert len(forks) == 1
+    capsys.readouterr()
+
+
+def test_closure_refused_input_exits_2_before_anything_is_forked(tmp_path, capsys, monkeypatch):
+    count_forks(monkeypatch, {0, 1}, refuse_fork)
+    cfg, out = tmp_path / "run.json", tmp_path / "run.csv"
+    serialize.save_document(cfg, {**base_closure_doc(), "dt": 1.0})  # above the CFL bound
+    code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("config error: field 'dt': CFL violation")
+    assert not out.exists()
+
+
+def _blow_up_doc():
+    # dt * kappa = 5e147: the second step reaches 1e295 and the third
+    # overflows, after three snapshots are stored
+    return {**base_closure_doc(), "kappa": 1e150, "output_stride": 1}
+
+
+def test_closure_blow_up_after_the_fork_exits_2_and_leaves_the_output_alone(tmp_path, capsys,
+                                                                           monkeypatch, forks):
+    hand, handed = cli._handed, []
+
+    def recorded(worker, done, bound):
+        handed.append(bound)
+        return hand(worker, done, bound)
+
+    monkeypatch.setattr(cli, "_handed", recorded)
+    cfg, out = tmp_path / "run.json", tmp_path / "run.csv"
+    serialize.save_document(cfg, _blow_up_doc())
+    for existing in (None, b"an earlier run\r\n"):
+        if existing is not None:
+            out.write_bytes(existing)
+        handed.clear()
+        code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert err == ("config error: field 'closure run': solution blew up at t = 0.015: "
+                       "non-finite moment 0 in cell 0\n")
+        assert out.read_bytes() == existing if existing is not None else not out.exists()
+        # the worker was handed the first stored snapshots before the blow-up
+        assert handed[:2] == [40, 80]
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_closure_command_leaves_no_descriptor_open(tmp_path, capsys, monkeypatch, forks):
+    cfg, blow_up, out = tmp_path / "run.json", tmp_path / "blow-up.json", tmp_path / "run.csv"
+    serialize.save_document(cfg, base_closure_doc())
+    serialize.save_document(blow_up, _blow_up_doc())
+    parent, cells, formatted = os.getpid(), cli._cells, []
+
+    def dying(row):  # the worker exits with status 3 past its first snapshot's rows
+        if os.getpid() != parent:
+            if len(formatted) == 60:
+                os._exit(3)
+            formatted.append(row)
+        return cells(row)
+
+    def run(config, code, patch=None):
+        with monkeypatch.context() as patched:
+            if patch is not None:
+                patched.setattr(cli, "_cells", patch)
+            assert cli.main(["closure", "--config", str(config), "--out", str(out)]) == code
+
+    run(cfg, 0)  # anything opened once and kept is opened now
+    expected = out.read_bytes()
+    for config, code, patch in ((cfg, 0, None), (blow_up, 2, None), (cfg, 0, dying)):
+        before = os.listdir("/proc/self/fd")
+        run(config, code, patch)
+        assert os.listdir("/proc/self/fd") == before
+        assert out.read_bytes() == expected
+    assert len(forks) == 4
+    capsys.readouterr()

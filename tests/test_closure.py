@@ -429,3 +429,29 @@ def test_march_buffers_never_leak_into_results(kind, source):
     for snap, (t, values) in zip(run, reference):
         assert snap.t == t
         assert np.array_equal(snap.values, values)
+
+
+def test_march_yields_solve_closure_bitwise_and_checks_when_called():
+    order = 3
+    params = closure.MaterialParams(a=0.0, b=1.0, cells=24, sigma=0.4, kappa=0.6, source=0.5)
+    corr = 0.3 ** np.abs(np.subtract.outer(np.arange(order + 2), np.arange(order + 2)))
+    initial = gaussian_bump(params, order)
+    run = dict(t_final=0.2, dt=0.01, output_stride=3)
+    listed = closure.solve_closure(initial, params, corr, **run)
+    marched = closure.march(initial, params, corr, **run)
+    assert iter(marched) is marched
+    snapshots = list(marched)
+    assert [(s.t, s.values.tobytes()) for s in snapshots] == [
+        (s.t, s.values.tobytes()) for s in listed
+    ]
+    assert len(snapshots) == 8
+    # an input is refused when march is called, before there is a generator
+    with pytest.raises(core.InputError) as exc:
+        closure.march(initial, params, corr, t_final=0.2, dt=1.0)
+    assert exc.value.argument == "dt"
+    # a blow-up is raised by the generator, after the snapshots before it
+    blowing = closure.MaterialParams(a=0.0, b=1.0, cells=24, sigma=0.0, kappa=1e150, source=0.0)
+    marched = closure.march(initial, blowing, None, t_final=0.2, dt=0.01)
+    assert [s.t for s in (next(marched), next(marched), next(marched))] == [0.0, 0.01, 0.02]
+    with pytest.raises(ValueError, match="blew up at t = 0.03"):
+        next(marched)

@@ -110,6 +110,11 @@ ROWS = {
         initial=GRID, params=closure.MaterialParams(**MATERIAL), correlation=np.eye(4),
         t_final=0.05, dt=0.01, output_stride=2, cfl=0.9,
     ),
+    # march checks its inputs when called, before the generator runs
+    "march": dict(
+        initial=GRID, params=closure.MaterialParams(**MATERIAL), correlation=np.eye(4),
+        t_final=0.05, dt=0.01, output_stride=2, cfl=0.9,
+    ),
 }
 
 # Public callables without a row, each with its reason: the refusal type,

@@ -23,12 +23,12 @@ def _load_tracing():
 
 
 def test_every_traced_function_exists_and_is_restored():
-    originals = (cli.main, cli.solve_closure, closure.solve_closure)
+    originals = (cli.main, cli.load_closure_config, closure.solve_closure)
     tracer = _load_tracing().Tracer()
     try:
         tracer.install()
-        assert (cli.main, cli.solve_closure, closure.solve_closure) != originals
+        assert (cli.main, cli.load_closure_config, closure.solve_closure) != originals
     finally:
         tracer.uninstall()
     assert not tracer.missing, f"traced targets no longer in the program: {sorted(tracer.missing)}"
-    assert (cli.main, cli.solve_closure, closure.solve_closure) == originals
+    assert (cli.main, cli.load_closure_config, closure.solve_closure) == originals
