@@ -108,7 +108,7 @@ def test_sample_dimension_mismatch_is_config_error(tmp_path, capsys):
     {"B": [[2.0, 0.0], [0.0, 1.0]]},
     # an undocumented second spelling, read when A was absent
     {"matrix": [[2.0, 0.0], [0.0, 1.0]]},
-], ids=["no A", "matrix"])
+], ids=["no-A", "matrix"])
 def test_sample_covariance_file_without_a_exits_2_saying_a_is_missing(tmp_path, capsys, doc):
     cov_path = tmp_path / "cov.json"
     serialize.save_document(cov_path, doc)
