@@ -15,11 +15,9 @@ the seed of its batch (``seed + k``, with k given in its row).  Adding a
 check is one ``check_*`` function plus one row.  Every numeric comparison
 goes through ``_assert_close``, which fails a NaN error or tolerance.
 
-``run_suite("all")`` runs on two CPUs where it can: one forked worker
-process runs the ``FORKED_SUITES`` while the caller runs the rest, and
-hands their results back in a temporary file.  The suites share no
-state, so the results and their order are those of the six suites run
-in one process (see ``run_suite``).
+``run_suite("all")`` runs the ``FORKED_SUITES`` in a forked worker where
+it can; the suites share no state, so the results are those of the six
+suites run in one process (see ``run_suite``).
 """
 
 from __future__ import annotations
@@ -43,9 +41,8 @@ __all__ = [
 ]
 
 SUITE_NAMES = ("core", "hermite", "wick", "measure", "chaos", "closure")
-# the suites that run_suite("all") runs in its forked worker, about 40 % of
-# the checks' time; wick and measure stay in the calling process, where the
-# benchmark's tracer sees their dense and pair-partition oracles
+# the suites run_suite("all") runs in its forked worker, about 43 % of the
+# checks' time; the benchmark traces the other four in the calling process
 FORKED_SUITES = ("chaos", "hermite")
 
 DEFAULT_SAMPLES = 100_000
@@ -92,28 +89,24 @@ def check_bilinear_identities(rng: np.random.Generator) -> None:
         x, y = rng.standard_normal(d), rng.standard_normal(d)
         f = rng.standard_normal((m, d))
         cov = random_cov(rng, d)
+        hx, gy, xy, hg = core.bullet(h, x), core.bullet(g, y), x @ y, h @ g
+        fhx, cxy = core.inner_a(f, hx, cov), cov.inner(x, y)
         _assert_close(
-            core.bracket(core.bullet(h, x), y),
-            float(x @ y) * h,
-            1e-12 * max(1.0, float(np.abs(x @ y) * np.abs(h).max())),
+            core.bracket(hx, y), float(xy) * h,
+            1e-12 * max(1.0, float(np.abs(xy) * np.abs(h).max())),
             "bracket(bullet(h,x),y) = (x,y) h",
         )
         _assert_close(
-            core.inner_l2(core.bullet(h, x), core.bullet(g, y)),
-            float(h @ g) * float(x @ y),
-            1e-12 * max(1.0, abs(float(h @ g) * float(x @ y))),
+            core.inner_l2(hx, gy), float(hg) * float(xy),
+            1e-12 * max(1.0, abs(float(hg) * float(xy))),
             "rank-one inner product factorizes",
         )
         _assert_close(
-            core.inner_a(f, core.bullet(h, x), cov),
-            float(core.bracket(f, cov.apply(x)) @ h),
-            1e-12 * max(1.0, abs(core.inner_a(f, core.bullet(h, x), cov))),
+            fhx, float(core.bracket(f, cov.apply(x)) @ h), 1e-12 * max(1.0, abs(fhx)),
             "weighted pairing against a rank-one embedding",
         )
         _assert_close(
-            core.inner_a(core.bullet(h, x), core.bullet(g, y), cov),
-            float(h @ g) * cov.inner(x, y),
-            1e-12 * max(1.0, abs(float(h @ g) * cov.inner(x, y))),
+            core.inner_a(hx, gy, cov), float(hg) * cxy, 1e-12 * max(1.0, abs(float(hg) * cxy)),
             "weighted rank-one inner product factorizes",
         )
 
@@ -542,32 +535,44 @@ def check_repolarization(rng: np.random.Generator) -> None:
 # measure
 
 
-def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
-    """E[:phi^n: :psi^m:] by expanding both Wick monomials into plain
-    monomials and applying the pair-partition oracle.
-
-    The expansion is homogeneous of degree (n + m) / 2 in the float entries
-    (phi, phi)_A, (psi, psi)_A and (phi, psi)_A.  Each entry is an integer
-    over 2**s, so the expansion is summed exactly in Python integers over
-    the entries scaled by the largest 2**s and divided by that scale to the
-    degree once at the end: its terms cancel without rounding, unequal
-    degrees give exactly 0.0, and the one rounding is that division.
-    """
-    entries = [
-        core.inner_a(f, g, cov).as_integer_ratio() for f, g in ((phi, phi), (psi, psi), (phi, psi))
-    ]
+def _wick_pairs(aa: float, bb: float, ab: float):
+    """``wick_pair_expectation`` as a function of (n, m), given (phi, phi)_A,
+    (psi, psi)_A and (phi, psi)_A; each (p, q) matching sum is enumerated once."""
+    entries = [x.as_integer_ratio() for x in (aa, bb, ab)]
     scale = max(den for _, den in entries)
     aa, bb, ab = (num * (scale // den) for num, den in entries)
-    total = 0
-    for k in range(n // 2 + 1):
-        ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
-        for l in range(m_deg // 2 + 1):
-            cl = (-1) ** l * (factorial(m_deg) // (2**l * factorial(l) * factorial(m_deg - 2 * l)))
-            # Gram matrix of the n - 2k copies of phi followed by m - 2l of psi
-            p, q = n - 2 * k, m_deg - 2 * l
-            gram = [[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q
-            total += ck * cl * aa**k * bb**l * measure._sum_matchings(gram)
-    return total / scale ** ((n + m_deg) // 2)
+
+    @functools.cache
+    def matchings(p: int, q: int) -> int:
+        # over the Gram matrix of p copies of phi followed by q copies of psi
+        return measure._sum_matchings([[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q)
+
+    def expectation(n: int, m: int) -> float:
+        if (n + m) % 2:
+            return 0.0
+        total = 0
+        for k in range(n // 2 + 1):
+            ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
+            for l in range(m // 2 + 1):
+                cl = (-1) ** l * (factorial(m) // (2**l * factorial(l) * factorial(m - 2 * l)))
+                total += ck * cl * aa**k * bb**l * matchings(n - 2 * k, m - 2 * l)
+        return total / scale ** ((n + m) // 2)
+
+    return expectation
+
+
+def wick_pair_expectation(phi, n, psi, m_deg, cov) -> float:
+    """E[:phi^n: :psi^m:] by expanding both Wick monomials into plain
+    monomials and applying the pair-partition oracle; an odd total degree
+    n + m gives exactly 0.0 without enumerating.  Else the expansion is
+    homogeneous of degree (n + m) / 2 in the float entries (phi, phi)_A,
+    (psi, psi)_A and (phi, psi)_A, each an integer over 2**s: it is summed
+    exactly in Python integers over the entries scaled by the largest 2**s
+    and divided by that scale to the degree once, so its terms cancel
+    without rounding, unequal degrees give exactly 0.0, and the one
+    rounding is that division."""
+    entries = [core.inner_a(f, g, cov) for f, g in ((phi, phi), (psi, psi), (phi, psi))]
+    return _wick_pairs(*entries)(n, m_deg)
 
 
 def _sample(rng: np.random.Generator, samples: int, seed: int):
@@ -622,19 +627,14 @@ def check_isserlis_base_cases(rng: np.random.Generator) -> None:
     and the empty product."""
     cov = random_cov(rng, _D)
     phi, psi, chi = rng.standard_normal((3, _M, _D))
+    pair, quartic = core.inner_a(phi, psi, cov), 3.0 * core.inner_a(phi, phi, cov) ** 2
     _assert_close(
-        measure.isserlis_moment([phi, psi], cov),
-        core.inner_a(phi, psi, cov),
-        1e-12 * max(1.0, abs(core.inner_a(phi, psi, cov))),
-        "pair",
+        measure.isserlis_moment([phi, psi], cov), pair, 1e-12 * max(1.0, abs(pair)), "pair"
     )
     if measure.isserlis_moment([phi, psi, chi], cov) != 0.0:
         raise AssertionError("odd moment must vanish")
     _assert_close(
-        measure.isserlis_moment([phi] * 4, cov),
-        3.0 * core.inner_a(phi, phi, cov) ** 2,
-        1e-12 * max(1.0, 3.0 * core.inner_a(phi, phi, cov) ** 2),
-        "quartic",
+        measure.isserlis_moment([phi] * 4, cov), quartic, 1e-12 * max(1.0, quartic), "quartic"
     )
     if measure.isserlis_moment([], cov) != 1.0:
         raise AssertionError("empty product must be one")
@@ -657,14 +657,14 @@ def check_wick_orthogonality(rng: np.random.Generator) -> None:
     for _ in range(20):
         cov = random_cov(rng, _D)
         phi, psi = rng.standard_normal((2, _M, _D))
-        for n in range(5):
-            for m_deg in range(5):
-                val = wick_pair_expectation(phi, n, psi, m_deg, cov)
-                target = factorial(n) * core.inner_a(phi, psi, cov) ** n if n == m_deg else 0.0
-                _assert_close(
-                    val, target, 1e-9 * max(1.0, abs(target)),
-                    f"n={n}, m={m_deg}: {val} vs {target}",
-                )
+        entries = [core.inner_a(f, g, cov) for f, g in ((phi, phi), (psi, psi), (phi, psi))]
+        expectation = _wick_pairs(*entries)
+        for n, m_deg in itertools.product(range(5), repeat=2):
+            val = expectation(n, m_deg)
+            target = factorial(n) * entries[2] ** n if n == m_deg else 0.0
+            _assert_close(
+                val, target, 1e-9 * max(1.0, abs(target)), f"n={n}, m={m_deg}: {val} vs {target}"
+            )
 
 
 def check_pushforward(rng: np.random.Generator, samples: int, seed: int) -> None:
@@ -1041,8 +1041,6 @@ def check_cfl_guard() -> str:
     raise AssertionError("CFL violation went unnoticed")
 
 
-
-
 # ---------------------------------------------------------------------------
 # the suites
 
@@ -1165,15 +1163,19 @@ def _received(data, status: int) -> dict[str, list[CheckResult]]:
 def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[CheckResult]:
     """Run one module suite (or all of them) and return its check results.
 
-    ``"all"`` gives every suite's results in ``SUITE_NAMES`` order, each
-    name prefixed with its suite.  Where ``os.sched_getaffinity`` reports
-    two CPUs or more and a process can be forked, one worker process runs
-    the ``FORKED_SUITES`` and writes their results to a temporary file,
-    read here once it has exited, while this process runs the other
-    suites; elsewhere all six run here.  The results are the same either
-    way.  A worker that dies or writes malformed data leaves one failed
-    check for each suite it wrote no results for, naming its exit status.
-    A single suite always runs in this process."""
+    A single suite runs in this process.  ``"all"`` gives every suite's
+    results in ``SUITE_NAMES`` order, each name prefixed with its suite;
+    where ``os.sched_getaffinity`` reports two CPUs or more and a process
+    can be forked, a worker process runs the ``FORKED_SUITES`` meanwhile
+    and writes their results to a temporary file, read here once it has
+    exited.  The results are the same either way.  A worker that dies or
+    writes malformed data leaves one failed check for each suite it wrote
+    nothing for, naming its exit status.  An unknown ``name``, or a ``seed``
+    or ``samples`` not an integer >= 0 or >= 2, raises ``InputError`` first."""
+    if name != "all" and name not in SUITE_NAMES:
+        raise core.InputError("name", f"unknown suite {name!r}")
+    core._check_count(seed, 0, "seed")
+    core._check_count(samples, 2, "samples")
     if name == "all":
         with _fork.forked(functools.partial(_serve, seed=seed, samples=samples)) as worker:
             forked = FORKED_SUITES if worker else ()
@@ -1187,6 +1189,4 @@ def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[
             for suite in SUITE_NAMES
             for res in results[suite]
         ]
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
     return _SUITES[name](seed=seed, samples=samples)

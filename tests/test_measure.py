@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -314,32 +315,98 @@ def test_diagonal_sampling_scales_the_draws_in_place():
     assert peak < 1.1 * nbytes
 
 
-def _fraction_wick_pair_expectation(phi, n, psi, m_deg, cov):
-    """The expansion of ``wick_pair_expectation`` summed in ``Fraction``."""
-    aa, bb, ab = (
-        Fraction(core.inner_a(f, g, cov)) for f, g in ((phi, phi), (psi, psi), (phi, psi))
-    )
-    total = Fraction(0)
-    for k in range(n // 2 + 1):
-        ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
-        for l in range(m_deg // 2 + 1):
-            cl = (-1) ** l * (factorial(m_deg) // (2**l * factorial(l) * factorial(m_deg - 2 * l)))
-            p, q = n - 2 * k, m_deg - 2 * l
-            gram = [[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q
-            total += ck * cl * aa**k * bb**l * measure._sum_matchings(gram)
-    return float(total)
+def _fraction_wick_pairs(aa, bb, ab):
+    """The expansion of ``wick_pair_expectation`` summed in ``Fraction``, as
+    a function of the degrees, from the float entries (phi, phi)_A,
+    (psi, psi)_A and (phi, psi)_A of one draw."""
+    aa, bb, ab = (Fraction(x) for x in (aa, bb, ab))
+
+    @functools.cache
+    def matchings(p, q):
+        return measure._sum_matchings([[aa] * p + [ab] * q] * p + [[ab] * p + [bb] * q] * q)
+
+    def expectation(n, m):
+        total = Fraction(0)
+        for k in range(n // 2 + 1):
+            ck = (-1) ** k * (factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k)))
+            for l in range(m // 2 + 1):
+                cl = (-1) ** l * (factorial(m) // (2**l * factorial(l) * factorial(m - 2 * l)))
+                total += ck * cl * aa**k * bb**l * matchings(n - 2 * k, m - 2 * l)
+        return float(total)
+
+    return expectation
 
 
-def test_integer_wick_oracle_is_bitwise_the_fraction_sum(monkeypatch):
-    calls = []
+WICK_SEEDS = (0, 1, 2, 3, 8, 18)
 
-    def recording(*args):
-        calls.append((args, wick_pair_expectation(*args)))
-        return calls[-1][1]
 
-    monkeypatch.setattr(verify, "wick_pair_expectation", recording)
-    for seed in (0, 1, 2, 3, 8, 18):
-        check_wick_orthogonality(np.random.default_rng(seed))
-    assert len(calls) == 6 * 20 * 25
-    for args, value in calls:
-        assert value.hex() == _fraction_wick_pair_expectation(*args).hex()
+def _recorded_wick_orthogonality(seeds):
+    """Run ``check_wick_orthogonality`` for each seed and return one record
+    per draw: the entries handed to ``verify._wick_pairs``, the value its
+    function returned for each (n, m), and the Gram matrices that
+    ``measure._sum_matchings`` received during each of those calls."""
+    draws, log = [], []
+    wick_pairs, sum_matchings = verify._wick_pairs, measure._sum_matchings
+
+    def logged(gram):
+        log.append(gram)
+        return sum_matchings(gram)
+
+    def recording(*entries):
+        draw = {"entries": entries, "values": {}, "grams": {}}
+        draws.append(draw)
+        expectation = wick_pairs(*entries)
+
+        def recorded(n, m_deg):
+            start = len(log)
+            value = draw["values"][n, m_deg] = expectation(n, m_deg)
+            draw["grams"][n, m_deg] = log[start:]
+            return value
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(measure, "_sum_matchings", logged)
+        patched.setattr(verify, "_wick_pairs", recording)
+        for seed in seeds:
+            check_wick_orthogonality(np.random.default_rng(seed))
+    return draws
+
+
+def test_integer_wick_oracle_is_bitwise_the_fraction_sum():
+    draws = _recorded_wick_orthogonality(WICK_SEEDS)
+    assert len(draws) == len(WICK_SEEDS) * 20
+    for draw in draws:
+        fraction = _fraction_wick_pairs(*draw["entries"])
+        assert len(draw["values"]) == 25
+        for (n, m_deg), value in draw["values"].items():
+            assert value.hex() == fraction(n, m_deg).hex()
+
+
+def test_wick_orthogonality_compares_the_per_pair_oracle_bitwise(monkeypatch):
+    compared, assert_close = [], verify._assert_close
+
+    def recording(value, target, tol, label):
+        compared.append((value.hex(), target.hex()))
+        return assert_close(value, target, tol, label)
+
+    monkeypatch.setattr(verify, "_assert_close", recording)
+    draws = _recorded_wick_orthogonality(WICK_SEEDS)
+    expected = []
+    for seed in WICK_SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            cov = random_cov(rng, D)
+            phi, psi = rng.standard_normal((2, M, D))
+            for n in range(5):
+                for m_deg in range(5):
+                    value = wick_pair_expectation(phi, n, psi, m_deg, cov)
+                    target = factorial(n) * core.inner_a(phi, psi, cov) ** n if n == m_deg else 0.0
+                    expected.append((value.hex(), target.hex()))
+    assert compared == expected
+    # the pair-partition sums: none for an odd total degree, and each
+    # distinct (p, q) Gram matrix enumerated once per draw, 13 in all
+    for draw in draws:
+        assert all(not grams for (n, m_deg), grams in draw["grams"].items() if (n + m_deg) % 2)
+        keys = [repr(gram) for grams in draw["grams"].values() for gram in grams]
+        assert len(keys) == len(set(keys)) == 13

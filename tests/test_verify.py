@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import count_forks, fork_fails, no_temporary_file, refuse_fork
-from seqgauss import verify
+from seqgauss import core, verify
 from seqgauss.verify import _assert_close
 
 
@@ -71,6 +71,25 @@ def test_all_suites_equal_the_suites_run_one_at_a_time(forks, monkeypatch, seed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", refuse_fork)
     assert verify.run_suite("all", seed=seed, samples=2000) == expected
+
+
+@pytest.mark.parametrize(
+    "name, seed, samples, argument",
+    [
+        ("nope", 0, 2000, "name"),
+        ("all", -1, 2000, "seed"),
+        ("all", 1.5, 2000, "seed"),
+        ("all", True, 2000, "seed"),
+        ("all", 0, 1, "samples"),
+        ("measure", -1, 2000, "seed"),
+        ("measure", 0, 1, "samples"),
+    ],
+)
+def test_run_suite_refuses_its_inputs_before_forking(forks, name, seed, samples, argument):
+    with pytest.raises(core.InputError) as exc:
+        verify.run_suite(name, seed=seed, samples=samples)
+    assert exc.value.argument == argument
+    assert forks == []
 
 
 def _no_affinity(monkeypatch):
