@@ -19,8 +19,10 @@ before they allocate anything; ``hermite`` writes no table holding a
 non-finite value.
 The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
-within a build.  CSV values are written in shortest round-trip form, so
-full double precision is preserved.  CSVs are formatted on two CPUs
+within a build at one BLAS thread count (with a dense ``--cov``, the
+whitening GEMM of ``sample`` may round otherwise on another).  CSV values
+are written in shortest round-trip form, so full double precision is
+preserved.  CSVs are formatted on two CPUs
 where there are two, in the same bytes, with no option (``_write_csv``);
 ``closure`` rows are formatted while the run marches, and the output file
 is opened only once the run has succeeded.
@@ -142,23 +144,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path, header, lines, rows) -> None:
+def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
     """Write the text pieces ``header`` and then the rows to ``path``,
     ``lines(a, b)`` yielding the text of rows a to b-1 ending in CRLF.
     ``rows`` is the row count of a table that is ready at once, or an
     iterator yielding how many leading rows are ready each time more are,
     the total last; ``path`` is opened only once it has run out.
 
-    Where ``_fork`` forks, its worker formats the leading rows into its
-    temporary file: each range of rows, as it becomes ready, is handed to
-    it through its pipe as an 8-byte row bound, unless it has two ranges
-    unfinished by the count it publishes in a shared page.  Once every row
-    is ready, those not handed out are split so that both processes have
-    about as many left.  This process formats its trailing share into a
-    temporary file of its own, then writes the header, the worker's rows
-    (formatted here if the worker failed) and its own.  No process holds
-    the whole text.  No cell needs quoting: the bytes are those
-    ``csv.writer`` would write, on every path."""
+    Where ``fork`` is true and ``_fork`` forks, its worker formats the
+    leading rows into its temporary file: each range of rows, as it becomes
+    ready, is handed to it through its pipe as an 8-byte row bound, unless
+    it has two ranges unfinished by the count it publishes in a shared
+    page.  Once every row is ready, those not handed out are split so that
+    both processes have about as many left.  This process formats its
+    trailing share into a temporary file of its own, then writes the
+    header, the worker's rows (formatted here if the worker failed) and its
+    own.  No process holds the whole text.  No cell needs quoting: the
+    bytes are those ``csv.writer`` would write, on every path."""
     count, ready = (rows, ()) if isinstance(rows, int) else (0, rows)
     with mmap.mmap(-1, _BOUND.size) as formatted, contextlib.ExitStack() as stack:
 
@@ -169,7 +171,7 @@ def _write_csv(path, header, lines, rows) -> None:
                 spool.writelines(lines(done, end))
                 _BOUND.pack_into(formatted, 0, done := end)
 
-        worker = stack.enter_context(_fork.forked(serve))
+        worker = stack.enter_context(_fork.forked(serve)) if fork else None
         # the count the worker publishes steers only how rows are split, never
         # which bytes are written
         handed = before = 0  # rows handed to the worker, and the bound before the last
@@ -329,7 +331,7 @@ def _cmd_closure(args) -> int:
                 stamp = repr(t) + ","
                 for x, row in zip(xs[lo:hi], values[lo:hi].tolist()):
                     yield stamp + x + _cells(row) + "\r\n"
-        _write_csv(args.out, [header + "\r\n"], lines, stored())
+        _write_csv(args.out, [header + "\r\n"], lines, stored(), fork=snapshots.shared)
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
 
@@ -339,7 +341,8 @@ class _Snapshots:
     them and read back by index, as ``(t, values)`` with ``t`` a float, in
     either process of ``_write_csv``: as doubles in an unlinked temporary
     file, which a worker forked after it was made reads too, or, where no
-    file can be made, in a list in this process."""
+    file can be made, in a list in this process, which no worker would
+    see; ``shared`` tells which."""
 
     def __init__(self, shape) -> None:
         self.shape, self._size = shape, 8 * (1 + shape[0] * shape[1])  # t, then the values
@@ -348,6 +351,7 @@ class _Snapshots:
             self._file = tempfile.TemporaryFile()
         except OSError:
             self._file = None
+        self.shared = self._file is not None
 
     def __enter__(self):
         return self

@@ -60,12 +60,14 @@ class CheckResult:
 
 
 def _assert_close(value, target, tol, label: str) -> None:
-    """Raise unless the largest absolute difference is at most ``tol``.
-
-    Written as ``not err <= tol`` so that a NaN error or a NaN tolerance
-    fails instead of passing.
-    """
-    err = float(np.max(np.abs(np.asarray(value) - np.asarray(target))))
+    """Raise unless the largest absolute difference is at most ``tol``
+    (for two Python numbers, taken without numpy).  Written as
+    ``not err <= tol`` so that a NaN error or a NaN tolerance fails
+    instead of passing."""
+    if isinstance(value, (float, int)) and isinstance(target, (float, int)):
+        err = abs(value - target)
+    else:
+        err = float(np.max(np.abs(np.asarray(value) - np.asarray(target))))
     if not err <= tol:
         raise AssertionError(f"{label}: error {err:.3e} exceeds {tol:.1e}")
 
@@ -1184,9 +1186,6 @@ def run_suite(name: str, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list[
             if worker:
                 status = worker.wait()
                 results.update(_received(worker.spool.read(), status))
-        return [
-            CheckResult(f"{suite}: {res.name}", res.passed, res.detail)
-            for suite in SUITE_NAMES
-            for res in results[suite]
-        ]
+        return [CheckResult(f"{suite}: {res.name}", res.passed, res.detail)
+                for suite in SUITE_NAMES for res in results[suite]]
     return _SUITES[name](seed=seed, samples=samples)

@@ -22,7 +22,12 @@ private evaluator serves ``wick_eval`` and ``chaos.eval_expansion``: it
 takes the terms of any number of kernels of any degrees, sorts them by
 degree, highest first, and for each block of samples makes one GEMM
 ``x = bases @ w_block^T`` for every degree; step k of the recurrence then
-runs on the degree-sorted prefix of terms of degree >= k only.
+runs on the degree-sorted prefix of terms of degree >= k only.  Where the
+samples fill at least ``_FACTOR_BLOCKS`` blocks, each step's per-term
+factor (t, 2t or -k t) is built once per evaluation as a contiguous array
+as wide as a block, leading steps first within 3 * ``_BLOCK_VALUES``
+values, and reused in every block; otherwise each block broadcasts the
+factor's (terms, 1) column.
 
 The weighted inner product of two rank-one powers is the n-th power of
 the inner product of their bases, so that of two kernels is one weighted
@@ -80,6 +85,10 @@ DENSE_MAX_FLAT_DIM = 6
 # temporary stays at 256 KB, so its peak memory does not grow with the
 # sample count
 _BLOCK_VALUES = 32_768
+# blocks of samples from which the evaluator builds its per-step factors:
+# with fewer, allocating and filling them cost more than they saved (at 2-3
+# blocks of 192 terms, and up to 15 blocks of one term of each degree 1..40)
+_FACTOR_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -282,37 +291,58 @@ def _eval_terms(coeffs, bases, degrees, cov: Covariance, w):
     order = np.argsort(-degrees, kind="stable")[: np.count_nonzero(degrees)]
     if order.size:
         coeffs, bases, degrees = coeffs[order], bases[order], degrees[order]
-        t = np.diagonal(gram_a(bases, bases, cov))[:, np.newaxis]
+        # a copy of the diagonal, so that the (terms, terms) Gram matrix is
+        # freed before the blocks and their factors are allocated
+        t = np.diagonal(gram_a(bases, bases, cov))[:, np.newaxis].copy()
         # ends[k]: the number of leading rows of degree >= k, for k = 0..top+1
         ends = np.searchsorted(-degrees, -np.arange(degrees[0] + 2), side="right")
         bases_flat = bases.reshape(len(bases), -1)
         w_flat = w.reshape(-1, bases_flat.shape[1])
         out = total.reshape(-1)  # a view: each block adds into total
         rows = max(1, _BLOCK_VALUES // len(bases))
+        factors = _step_factors(t, ends, rows if len(w_flat) >= _FACTOR_BLOCKS * rows else 1)
         for start in range(0, len(w_flat), rows):
             block = slice(start, start + rows)
-            out[block] += _block_values(bases_flat @ w_flat[block].T, t, coeffs, ends)
+            out[block] += _block_values(bases_flat @ w_flat[block].T, factors, coeffs, ends)
     return float(total) if single else total
 
 
-def _block_values(x, t, coeffs, ends):
-    """``sum_i coeffs_i P_{deg_i}`` over one block of pairings ``x``, with
-    the terms sorted by degree, highest first, and ``ends`` as in
-    ``_eval_terms``.  ``x`` is P_1 and is never overwritten: P_3 is taken
-    as ``x (P_2 - 2t)``, and from P_4 on, P_{k+1} is written over P_{k-1}."""
-    values = coeffs[ends[2]:ends[1]] @ x[ends[2]:ends[1]]
-    prev, cur = None, x
+def _step_factors(t, ends, width):
+    """The factor that step k = 1, 2, ... of the recurrence applies to its
+    ``ends[k + 1]`` leading rows: t, then 2t, then -k t, as a (rows, 1)
+    column, which numpy broadcasts one row at a time.  Where ``width`` is
+    above 1, the leading steps whose copies total at most
+    3 * ``_BLOCK_VALUES`` values take a contiguous (rows, ``width``) copy
+    of it instead."""
+    factors, room = [], 3 * _BLOCK_VALUES
     for k in range(1, len(ends) - 2):
         r = ends[k + 1]
+        column = t[:r] if k == 1 else (2 if k == 2 else -k) * t[:r]
+        room -= r * width
+        factors.append(np.repeat(column, width, axis=1) if width > 1 and room >= 0 else column)
+    return factors
+
+
+def _block_values(x, factors, coeffs, ends):
+    """``sum_i coeffs_i P_{deg_i}`` over one block of pairings ``x``, with
+    the terms sorted by degree, highest first, ``ends`` as in
+    ``_eval_terms`` and ``factors`` from ``_step_factors``, of which a
+    block as wide as x takes the leading columns.  ``x`` is P_1 and is
+    never overwritten: P_3 is taken as ``x (P_2 - 2t)``, and from P_4 on,
+    P_{k+1} is written over P_{k-1}."""
+    values = coeffs[ends[2]:ends[1]] @ x[ends[2]:ends[1]]
+    prev, cur = None, x
+    for k, factor in enumerate(factors, 1):
+        r, f = ends[k + 1], factor[:, : x.shape[1]]
         if k == 1:
             nxt = x[:r] * x[:r]
-            nxt -= t[:r]
+            nxt -= f
         elif k == 2:
-            nxt = cur[:r] - 2 * t[:r]
+            nxt = cur[:r] - f
             nxt *= x[:r]
         else:
             nxt = prev[:r]
-            nxt *= -k * t[:r]
+            nxt *= f
             nxt += x[:r] * cur[:r]
         prev, cur = cur, nxt
         values += coeffs[ends[k + 2]:r] @ cur[ends[k + 2]:r]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_wick import _kernel, per_term_wick_eval
+from test_wick import _kernel, _mixed_expansion, per_term_wick_eval
 
 from seqgauss import chaos, core, measure, wick
 from seqgauss.verify import (
@@ -211,21 +211,8 @@ def test_eval_expansion_low_degrees():
     )
 
 
-# term counts of degrees 0..6: degree 2 is an empty kernel and degree 5
-# is absent, so the degree-sorted prefix skips both
-_MIXED_COUNTS = {0: 2, 1: 3, 2: 0, 3: 4, 4: 1, 6: 2}
-_MIXED_ZERO = {1: (0,), 3: (1, 2), 6: (1,)}  # zero-norm terms
 # rows of samples per block for the 10 terms of degree >= 1
 _ROWS_MIXED = wick._BLOCK_VALUES // 10
-
-
-def _mixed_expansion(rng):
-    return chaos.ChaosExpansion(
-        kernels={
-            n: _kernel(rng, n, count, _MIXED_ZERO.get(n, ()))
-            for n, count in _MIXED_COUNTS.items()
-        }
-    )
 
 
 def _assert_matches_per_degree(expansion, cov, w):

@@ -620,25 +620,46 @@ def test_seeded_sample_csv_bytes_are_pinned(tmp_path, capsys):
             assert batch.samples.tobytes() == (z @ cov.chol.T).tobytes()
 
 
-def test_closure_csv_bytes_are_pinned(tmp_path, capsys):
-    # optimal prediction with scattering, absorption and a source, every third
-    # step kept; the identity leading block makes the closure row exact
-    doc = {
-        "a": 0.0, "b": 1.0, "J": 16, "N": 2, "T": 0.1, "dt": 0.01, "output_stride": 3,
-        "closure": {"kind": "optimal_prediction",
-                    "A": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                          [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]},
-        "sigma": 0.5, "kappa": 0.25, "q": 0.75,
-        "initial": [[1.0 if 4 <= j < 12 else 0.25 for j in range(16)], 0.125, 0.0],
-    }
+# optimal prediction with scattering, absorption and a source, every third
+# step kept; the identity leading block makes the closure row exact
+_PINNED_CLOSURE_DOC = {
+    "a": 0.0, "b": 1.0, "J": 16, "N": 2, "T": 0.1, "dt": 0.01, "output_stride": 3,
+    "closure": {"kind": "optimal_prediction",
+                "A": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]]},
+    "sigma": 0.5, "kappa": 0.25, "q": 0.75,
+    "initial": [[1.0 if 4 <= j < 12 else 0.25 for j in range(16)], 0.125, 0.0],
+}
+
+
+def _assert_pinned_closure_csv(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    serialize.save_document(cfg, doc)
+    serialize.save_document(cfg, _PINNED_CLOSURE_DOC)
     out = tmp_path / "run.csv"
     assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 5 snapshots to {out}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "2a5096dfdba660496c1b3d9d2c28b83713534ea99c897431abd0f46c38071d24"
     )
+
+
+def test_closure_csv_bytes_are_pinned(tmp_path, capsys):
+    _assert_pinned_closure_csv(tmp_path, capsys)
+
+
+def test_closure_without_a_snapshot_file_forks_nothing(tmp_path, capsys, monkeypatch):
+    # the snapshots then stay in a list of this process, which a forked
+    # worker would see empty; every other temporary file can still be made,
+    # and the autouse no_child_left fixture checks that no child is left
+    count = count_forks(monkeypatch, {0, 1})
+    make = tempfile.TemporaryFile
+
+    def text_files_only(mode="w+b", *args, **kwargs):
+        return (no_temporary_file if "b" in mode else make)(mode, *args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", text_files_only)
+    _assert_pinned_closure_csv(tmp_path, capsys)
+    assert count == []
 
 
 def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):

@@ -27,6 +27,27 @@ def test_assert_close_fails_outside_the_tolerance_and_on_nan(value, target, tol)
         _assert_close(value, target, tol, "label")
 
 
+@pytest.mark.parametrize(
+    "value, target, tol",
+    [(math.nan, 1.0, 1.0), (1, 1, math.nan), (math.inf, math.inf, 1.0), (2.0, 1, 0.5)],
+)
+def test_assert_close_on_two_python_numbers_touches_no_numpy_and_fails_alike(
+    monkeypatch, value, target, tol
+):
+    monkeypatch.setattr(verify, "np", None)
+    with pytest.raises(AssertionError, match="^label: error "):
+        _assert_close(value, target, tol, "label")
+    _assert_close(0.1 + 0.2, 0.3, 1e-16, "label")
+    _assert_close(3, 3.0, 0.0, "label")
+
+
+def test_assert_close_on_arrays_reports_the_largest_error():
+    with pytest.raises(AssertionError, match=r"^label: error 5\.000e-01 exceeds 1\.0e-01$"):
+        _assert_close([1.0, 1.5, 0.75], [1.0, 1.0, 1.0], 0.1, "label")
+    with pytest.raises(AssertionError, match=r"^label: error 2\.500e-01 exceeds 1\.0e-01$"):
+        _assert_close(1.25, [1.0, 1.0], 0.1, "label")
+
+
 def test_every_shared_check_runs_in_a_suite(monkeypatch):
     # counted one suite at a time: a single suite always runs in this
     # process, while "all" may run some suites in a forked worker

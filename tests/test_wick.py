@@ -228,6 +228,26 @@ def _kernel(rng, n, count, zero=(), dims=(M, D)):
     return wick.SymKernel(n, tuple(wick.RankOnePower(c, b, n) for c, b in zip(coeffs, bases)))
 
 
+# term counts of degrees 0..6: degree 2 is an empty kernel and degree 5
+# is absent, so the degree-sorted prefix skips both
+_MIXED_COUNTS = {0: 2, 1: 3, 2: 0, 3: 4, 4: 1, 6: 2}
+_MIXED_ZERO = {1: (0,), 3: (1, 2), 6: (1,)}  # zero-norm terms
+
+
+def _mixed_expansion(rng):
+    return chaos.ChaosExpansion(
+        kernels={
+            n: _kernel(rng, n, count, _MIXED_ZERO.get(n, ()))
+            for n, count in _MIXED_COUNTS.items()
+        }
+    )
+
+
+def _deep_expansion(rng):
+    """One rank-one term of each degree 0..40."""
+    return chaos.ChaosExpansion(kernels={n: _kernel(rng, n, 1) for n in range(41)})
+
+
 def _assert_matches_per_term(kernel, cov, w):
     got = wick.wick_eval(kernel, cov, w)
     ref, magnitude = per_term_wick_eval(kernel, cov, w)
@@ -281,6 +301,111 @@ def test_wick_eval_peak_memory_does_not_grow_with_samples():
         tracemalloc.stop()
     # the output plus a few blocks of (sample, term) values; the (20 000, 32)
     # pairing array alone would be 5 MB
+    assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
+
+
+def _column_reference(kernels, cov, w):
+    """The evaluator with each step's (r, 1) column of t broadcast in every
+    block: the same blocks, GEMMs and operations in the same order as
+    ``wick._eval_terms``, which must match it bit for bit."""
+    coeffs, bases, degrees = wick._term_arrays(kernels, w.shape[-2:], "w")
+    total = np.full(w.shape[:-2], coeffs[degrees == 0].sum())
+    order = np.argsort(-degrees, kind="stable")[: np.count_nonzero(degrees)]
+    if order.size:
+        coeffs, bases, degrees = coeffs[order], bases[order], degrees[order]
+        t = np.diagonal(core.gram_a(bases, bases, cov))[:, np.newaxis]
+        ends = np.searchsorted(-degrees, -np.arange(degrees[0] + 2), side="right")
+        bases_flat = bases.reshape(len(bases), -1)
+        w_flat = w.reshape(-1, bases_flat.shape[1])
+        out = total.reshape(-1)
+        rows = max(1, wick._BLOCK_VALUES // len(bases))
+        for start in range(0, len(w_flat), rows):
+            x = bases_flat @ w_flat[start:start + rows].T
+            values = coeffs[ends[2]:ends[1]] @ x[ends[2]:ends[1]]
+            prev, cur = None, x
+            for k in range(1, len(ends) - 2):
+                r = ends[k + 1]
+                if k == 1:
+                    nxt = x[:r] * x[:r]
+                    nxt -= t[:r]
+                elif k == 2:
+                    nxt = cur[:r] - 2 * t[:r]
+                    nxt *= x[:r]
+                else:
+                    nxt = prev[:r]
+                    nxt *= -k * t[:r]
+                    nxt += x[:r] * cur[:r]
+                prev, cur = cur, nxt
+                values += coeffs[ends[k + 2]:r] @ cur[ends[k + 2]:r]
+            out[start:start + rows] += values
+    return total
+
+
+def _assert_bitwise_the_column_reference(expansion, cov, w):
+    kernels = list(expansion.kernels.values())
+    got = chaos.eval_expansion(expansion, cov, w)
+    assert np.asarray(got).tobytes() == _column_reference(kernels, cov, w).tobytes()
+    for kernel in kernels:
+        got = wick.wick_eval(kernel, cov, w)
+        assert np.asarray(got).tobytes() == _column_reference([kernel], cov, w).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (),  # one sample
+        (3, 4),  # two leading axes
+        (2 * (wick._BLOCK_VALUES // 10) + 17,),  # three blocks, the last one short
+        # enough blocks for built factors, the last one short
+        (wick._FACTOR_BLOCKS * (wick._BLOCK_VALUES // 10) + 17,),
+    ],
+)
+def test_eval_is_bitwise_the_column_reference(shape):
+    rng = np.random.default_rng(33)
+    cov = random_cov(rng, D)
+    _assert_bitwise_the_column_reference(
+        _mixed_expansion(rng), cov, rng.standard_normal(shape + (M, D))
+    )
+
+
+def test_eval_is_bitwise_the_column_reference_where_the_factors_run_out(monkeypatch):
+    # 40 terms of degree >= 1 in blocks of 10 samples, the last one short.
+    # At 16 blocks and more, steps 1-3 (39, 38 and 37 rows) fit the
+    # 3 * 400 values of factors, and the 36 rows of step 4 do not, so steps
+    # 4-39 keep their column; below 16 blocks every step keeps its column
+    monkeypatch.setattr(wick, "_BLOCK_VALUES", 400)
+    step_factors, widths = wick._step_factors, []
+
+    def recorded(t, ends, width):
+        factors = step_factors(t, ends, width)
+        widths.append([f.shape[1] for f in factors])
+        return factors
+
+    monkeypatch.setattr(wick, "_step_factors", recorded)
+    rng = np.random.default_rng(34)
+    cov = random_cov(rng, D)
+    expansion = _deep_expansion(rng)
+    for blocks, expected in ((wick._FACTOR_BLOCKS, [10] * 3 + [1] * 36),
+                             (wick._FACTOR_BLOCKS - 1, [1] * 39)):
+        widths.clear()
+        w = rng.standard_normal((10 * blocks + 5, M, D))
+        _assert_bitwise_the_column_reference(expansion, cov, w)
+        assert widths[0] == expected  # the call of eval_expansion
+
+
+def test_deep_eval_peak_memory_does_not_grow_with_samples():
+    rng = np.random.default_rng(35)
+    cov = random_cov(rng, D)
+    expansion = _deep_expansion(rng)
+    w = rng.standard_normal((20_000, M, D))
+    tracemalloc.start()
+    try:
+        out = chaos.eval_expansion(expansion, cov, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the built factors stay within 3 * _BLOCK_VALUES values, however many
+    # steps the recurrence takes
     assert peak <= out.nbytes + 8 * wick._BLOCK_VALUES * 8
 
 
