@@ -22,10 +22,10 @@ variable; identical arguments and seed produce byte-identical outputs
 within a build at one BLAS thread count (with a dense ``--cov``, the
 whitening GEMM of ``sample`` may round otherwise on another).  CSV values
 are written in shortest round-trip form, so full double precision is
-preserved.  CSVs are formatted on two CPUs
-where there are two, in the same bytes, with no option (``_write_csv``);
-``closure`` rows are formatted while the run marches, and the output file
-is opened only once the run has succeeded.
+preserved.  CSVs are formatted on two CPUs where there are two, in the
+same bytes, with no option (``_write_csv`` steers its worker through a
+pipe and a shared page; ``_fork`` makes only its spool); ``closure`` rows
+are formatted as the run marches, and ``--out`` is opened once it succeeds.
 """
 
 from __future__ import annotations
@@ -151,27 +151,36 @@ def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
     iterator yielding how many leading rows are ready each time more are,
     the total last; ``path`` is opened only once it has run out.
 
-    Where ``fork`` is true and ``_fork`` forks, its worker formats the
-    leading rows into its temporary file: each range of rows, as it becomes
-    ready, is handed to it through its pipe as an 8-byte row bound, unless
-    it has two ranges unfinished by the count it publishes in a shared
-    page.  Once every row is ready, those not handed out are split so that
-    both processes have about as many left.  This process formats its
-    trailing share into a temporary file of its own, then writes the
-    header, the worker's rows (formatted here if the worker failed) and its
+    Where ``fork`` is true, this process makes a temporary file for its own
+    rows and a pipe, then ``_fork`` may fork a worker that formats the
+    leading rows into its spool: each range of rows, as it becomes ready,
+    is handed to it through the pipe as an 8-byte row bound, unless it has
+    two ranges unfinished by the count it publishes in a shared page.  Once
+    every row is ready, those not handed out are split so that both
+    processes have about as many left.  The output is the header, the
+    worker's rows (formatted here if no worker did) and this process's
     own.  No process holds the whole text.  No cell needs quoting: the
     bytes are those ``csv.writer`` would write, on every path."""
     count, ready = (rows, ()) if isinstance(rows, int) else (0, rows)
     with mmap.mmap(-1, _BOUND.size) as formatted, contextlib.ExitStack() as stack:
 
-        def serve(spool, orders):
+        def serve(spool):
+            orders.close()  # so that this process's close is an end of file in the worker
             done = 0
-            while bound := orders.read(_BOUND.size):
+            while bound := inbox.read(_BOUND.size):
                 (end,) = _BOUND.unpack(bound)
                 spool.writelines(lines(done, end))
                 _BOUND.pack_into(formatted, 0, done := end)
 
-        worker = stack.enter_context(_fork.forked(serve)) if fork else None
+        worker = None
+        if fork:
+            with contextlib.suppress(OSError):  # no file or pipe to spare: nothing is forked
+                own = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                read_end, write_end = os.pipe()
+                inbox = stack.enter_context(open(read_end, "rb"))
+                orders = stack.enter_context(open(write_end, "wb", buffering=0))
+                worker = stack.enter_context(_fork.forked(serve))
+                inbox.close()
         # the count the worker publishes steers only how rows are split, never
         # which bytes are written
         handed = before = 0  # rows handed to the worker, and the bound before the last
@@ -179,22 +188,14 @@ def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
         for count in ready:
             waiting.append(count)
             while worker and waiting and before <= _BOUND.unpack_from(formatted)[0]:
-                before, handed = handed, _handed(worker, handed, waiting.popleft())
-        if worker is None:
-            with open(path, "w", newline="") as fh:
-                fh.writelines(header)
-                fh.writelines(lines(0, count))
-            return
-        queued = handed - _BOUND.unpack_from(formatted)[0]
-        cut = _handed(worker, handed, handed + max(0, (count - handed - queued + 1) // 2))
-        worker.orders.close()
-        try:
-            own = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
-        except OSError:  # no file to spare: the trailing rows are formatted last, in place
-            own = None
-        else:
+                before, handed = handed, _handed(orders, handed, waiting.popleft())
+        cut, status = count, None
+        if worker:
+            queued = handed - _BOUND.unpack_from(formatted)[0]
+            cut = _handed(orders, handed, handed + max(0, (count - handed - queued + 1) // 2))
+            orders.close()
             own.writelines(lines(cut, count))
-        status = worker.wait()
+            status = worker.wait()
         with open(path, "w", newline="") as fh:
             fh.writelines(header)
             if status == 0:
@@ -202,20 +203,18 @@ def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
                 shutil.copyfileobj(worker.spool.buffer, fh.buffer)
             else:
                 fh.writelines(lines(0, cut))
-            if own is None:
-                fh.writelines(lines(cut, count))
-            else:
+            if worker:
                 fh.flush()
                 own.seek(0)
                 shutil.copyfileobj(own.buffer, fh.buffer)
 
 
-def _handed(worker, handed: int, bound: int) -> int:
-    """Hand the worker rows ``handed`` to ``bound``; the rows handed to it
-    after that, which are ``handed`` if it has gone."""
+def _handed(orders, handed: int, bound: int) -> int:
+    """Hand the worker rows ``handed`` to ``bound`` through ``orders``; the
+    rows handed to it after that, which are ``handed`` if it has gone."""
     if bound > handed:
         try:
-            worker.orders.write(_BOUND.pack(bound))
+            orders.write(_BOUND.pack(bound))
         except BrokenPipeError:
             return handed
     return bound
@@ -237,7 +236,6 @@ def _cells(row) -> str:
 
 def _cmd_verify(args) -> int:
     seed = _seed(args.seed)
-    _check_count(args.samples, 2, "samples")
     if args.samples * _DIMS.m * _DIMS.d > MAX_SAMPLE_VALUES:
         raise InputError("samples", f"{args.samples} samples of {_DIMS.m} x {_DIMS.d} values "
                          f"exceed {MAX_SAMPLE_VALUES} values")

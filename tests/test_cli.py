@@ -984,28 +984,35 @@ CSV_CASES = pytest.mark.parametrize(
 )
 
 
-def _no_file_once_forked(patch, forks):
-    """Temporary files as usual until a fork has been attempted, then none."""
-    make = tempfile.TemporaryFile
-    patch.setattr(tempfile, "TemporaryFile",
-                  lambda *args, **kwargs: (no_temporary_file if forks else make)(*args, **kwargs))
+def _no_file_for_own_rows(patch):
+    """No temporary file for this process's own rows, the first text file
+    asked for; every other file can be made.  The refusals, listed."""
+    make, refused = tempfile.TemporaryFile, []
+
+    def first_text_file_fails(mode="w+b", *args, **kwargs):
+        if "b" not in mode and not refused:
+            refused.append(mode)
+            no_temporary_file()
+        return make(mode, *args, **kwargs)
+
+    patch.setattr(tempfile, "TemporaryFile", first_text_file_fails)
+    return refused
 
 
 @CSV_CASES
 def test_csv_bytes_are_the_same_on_every_path(tmp_path, capsys, monkeypatch, case):
     argv, expected = case(tmp_path, monkeypatch)
     # two CPUs: one worker; one CPU: no fork; no process to spare: one failed fork;
-    # two CPUs, but no file left for this process's own rows once the worker is forked
+    # two CPUs, but no file for this process's own rows: no fork
     for cpus, fork, forks, files in (({0, 1}, None, 1, None), ({0}, refuse_fork, 0, None),
                                      ({0, 1}, fork_fails, 1, None),
-                                     ({0, 1}, None, 1, _no_file_once_forked)):
+                                     ({0, 1}, refuse_fork, 0, _no_file_for_own_rows)):
         out = tmp_path / "out.csv"
         with monkeypatch.context() as patch:
             count = count_forks(patch, cpus, fork)
-            if files is not None:
-                files(patch, count)
+            refused = files(patch) if files is not None else []
             assert cli.main(argv + ["--out", str(out)]) == 0
-        assert len(count) == forks
+        assert len(count) == forks and len(refused) == (files is not None)
         assert out.read_bytes() == expected
         out.unlink()
     capsys.readouterr()
@@ -1069,6 +1076,39 @@ def test_a_writer_worker_that_fails_midway_still_leaves_the_whole_file(tmp_path,
     [(status, size)] = written
     assert len(forks) == 1 and status == 3
     assert size == sum(len(cli._cells(row)) + 2 for row in rows[0:2])
+    assert out.read_bytes() == stdlib_csv_bytes(tmp_path, ["h"], rows)
+
+
+def test_rows_ready_faster_than_the_worker_formats_are_split_at_the_end(tmp_path, monkeypatch,
+                                                                          forks):
+    # 20 rows ready two at a time, all at once, for a worker that takes 50 ms
+    # a row: it is handed the first two ranges, and the rows not handed out
+    # are split once every row is ready, so that this process formats a tail
+    rows = np.random.default_rng(11).standard_normal((20, 3)).tolist()
+    parent, wait, own, written = os.getpid(), _fork.Worker.wait, [], []
+
+    def lines(a, b):
+        if os.getpid() == parent:
+            own.append((a, b))
+        for k in range(a, b):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            yield cli._cells(rows[k]) + "\r\n"
+
+    def recorded(worker):
+        status = wait(worker)
+        written.append((status, worker.spool.read()))
+        worker.spool.seek(0)
+        return status
+
+    monkeypatch.setattr(_fork.Worker, "wait", recorded)
+    out = tmp_path / "out.csv"
+    cli._write_csv(out, ["h\r\n"], lines, iter(range(2, 21, 2)))
+    [(status, spooled)] = written
+    [(cut, end)] = own
+    assert len(forks) == 1 and status == 0
+    assert 0 < cut < end == 20
+    assert spooled == "".join(cli._cells(row) + "\r\n" for row in rows[:cut])
     assert out.read_bytes() == stdlib_csv_bytes(tmp_path, ["h"], rows)
 
 

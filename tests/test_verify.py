@@ -166,6 +166,20 @@ def test_a_dead_worker_is_a_failed_check_naming_its_status(forks, monkeypatch):
     ]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_fan_out_leaves_no_descriptor_open(forks, monkeypatch):
+    verify.run_suite("all", samples=2000)  # anything opened once and kept is opened now
+    for check, failed in ((None, 0), (_dying, 2)):
+        with monkeypatch.context() as patch:
+            if check is not None:
+                patch.setattr(verify, "check_cond_exp_example", check)
+            before = os.listdir("/proc/self/fd")
+            results = verify.run_suite("all", samples=2000)
+            assert os.listdir("/proc/self/fd") == before
+        assert len([r for r in results if not r.passed]) == failed
+    assert len(forks) == 3
+
+
 @pytest.mark.parametrize("sent", [b"", b"not json\n", b'[["chaos", "x"]]\n', b"{}\n"])
 def test_missing_or_malformed_worker_lines_fail_their_suites(sent):
     received = verify._received(sent, 0)
