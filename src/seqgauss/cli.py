@@ -71,10 +71,10 @@ _CHUNK_CELLS = 65_536
 # a row bound handed to the CSV writer's worker, and the count of rows it
 # publishes as formatted
 _BOUND = struct.Struct("=q")
-# per command, the config field of each library parameter it can refuse
-# whose name is not that field's; any other name is already the field
+# per command, the config field or option of each refused name that is not
+# one already: a library parameter, or ``config`` for a document serialize reads
 _FIELDS = {
-    "verify": {}, "hermite": {}, "sample": {"matrix": "A"},
+    "verify": {}, "hermite": {}, "sample": {"matrix": "A", "config": "cov"},
     "condexp": {"matrix": "A", "xs": "conditioning"},
     "closure": {"cells": "J", "source": "q", "correlation": "closure.A", "order": "N",
                 "t_final": "T"},

@@ -1,12 +1,13 @@
-"""JSON for matrices, chaos expansions (written only), and CLI configs.
+"""JSON for chaos expansions (written only) and CLI configs.
 
-Matrices and vectors travel as nested lists of numbers in row-major
-order.  A chaos expansion becomes a list of ``{"degree": n, "terms":
-[{"coeff": c, "base": [[...]]}, ...]}`` entries.  Config loading refuses
-a missing or malformed entry with :class:`~seqgauss.core.InputError`
-whose ``argument`` is the config field, the name as the document spells
-it.  A value that only the library can judge is refused by the library,
-named as its parameter; the CLI maps that name to the config field.
+A chaos expansion becomes a list of ``{"degree": n, "terms": [{"coeff":
+c, "base": [[...]]}, ...]}`` entries, each base a nested list of numbers
+in row-major order.  A config is read for its structure here: a missing
+field, a count that sizes what is built here, or a malformed entry is
+refused with :class:`~seqgauss.core.InputError` whose ``argument`` is the
+config field, the name as the document spells it.  Every other value is
+handed to the library unchanged and refused there, named as its
+parameter; the CLI maps that name to the config field.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import json
 import numpy as np
 
 from .chaos import ChaosExpansion
-from .closure import DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, MaterialParams, MomentGrid
+from .closure import (DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, MaterialParams, MomentGrid,
+                      _per_cell)
 from .core import Covariance, InputError, _as_array, _check_count, apply_extended
 
 __all__ = [
     "load_document",
-    "save_document",
-    "matrix_to_lists",
     "expansion_to_jsonable",
     "load_condexp_config",
     "load_closure_config",
@@ -31,25 +31,17 @@ __all__ = [
 
 def load_document(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise InputError("config", f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise InputError("config", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("config", "top-level document must be an object")
     return doc
-
-
-def save_document(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def matrix_to_lists(arr) -> list:
-    return np.asarray(arr, dtype=float).tolist()
 
 
 def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
@@ -60,7 +52,7 @@ def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
             {
                 "degree": n,
                 "terms": [
-                    {"coeff": t.coeff, "base": matrix_to_lists(t.base)}
+                    {"coeff": t.coeff, "base": t.base.tolist()}
                     for t in kernel.terms
                 ],
             }
@@ -74,21 +66,8 @@ def _require(doc: dict, field: str, name: str | None = None):
     return doc[field]
 
 
-def _number(doc: dict, field: str, default=None) -> float:
-    value = _require(doc, field) if default is None else doc.get(field, default)
-    return float(_as_array(value, 0, field))
-
-
-def _cell_values(value, field: str, cells: int) -> np.ndarray:
-    """A per-cell field: one number for every cell or a length-``cells`` array."""
-    arr = _as_array(value if isinstance(value, list) else [value] * cells, 1, field)
-    if arr.shape != (cells,):
-        raise InputError(field, f"must be a number or a length-{cells} array")
-    return arr
-
-
-def _integer(doc: dict, field: str, least: int, default=None) -> int:
-    value = _require(doc, field) if default is None else doc.get(field, default)
+def _integer(doc: dict, field: str, least: int) -> int:
+    value = _require(doc, field)
     _check_count(value, least, field)
     return value
 
@@ -128,14 +107,14 @@ def load_closure_config(doc: dict) -> dict:
     correlation (None for ``{"kind": "pn"}``), t_final, dt (None for the
     CFL-stable default), output_stride and cfl.
 
-    Only the JSON is checked here (types, shapes, finite numbers and the
-    closure kind), with the bounds on N and J that the lists built here
-    need.  Every other value is checked by the library: ``MaterialParams``
-    (built here) and the run raise :class:`~seqgauss.core.InputError`
-    naming the parameter.
+    Only what the output is built from is checked here: that every
+    required field is present, ``J`` and ``N`` (which size the lists built
+    here), the closure kind and the ``initial`` list, each entry read as
+    :class:`~seqgauss.closure.MaterialParams` reads a per-cell field.
+    Every other value is passed on unchanged and checked by the library:
+    ``MaterialParams`` (built here) and the run raise
+    :class:`~seqgauss.core.InputError` naming the parameter.
     """
-    a = _number(doc, "a")
-    b = _number(doc, "b")
     cells = _integer(doc, "J", 1)
     order = _integer(doc, "N", 0)
     # N and J size the lists built below.  Every run keeps the initial and
@@ -145,10 +124,6 @@ def load_closure_config(doc: dict) -> dict:
     if 2 * cells * (order + 1) > MAX_SNAPSHOT_VALUES:
         raise InputError("J", f"{cells} cells of {order + 1} moments exceed "
                          f"{MAX_SNAPSHOT_VALUES} values in the initial and final snapshots")
-    t_final = _number(doc, "T")
-    dt = None if doc.get("dt") is None else _number(doc, "dt")
-    cfl = _number(doc, "cfl", default=DEFAULT_CFL)
-    output_stride = _integer(doc, "output_stride", 1, default=1)
 
     closure_doc = _require(doc, "closure")
     if not isinstance(closure_doc, dict) or "kind" not in closure_doc:
@@ -161,23 +136,21 @@ def load_closure_config(doc: dict) -> dict:
     else:
         raise InputError("closure", f"unknown closure kind {kind!r}")
 
-    sigma, kappa, source = (
-        _cell_values(_require(doc, name), name, cells) for name in ("sigma", "kappa", "q")
-    )
+    a, b, sigma, kappa, source = (_require(doc, name) for name in ("a", "b", "sigma", "kappa", "q"))
     params = MaterialParams(a=a, b=b, cells=cells, sigma=sigma, kappa=kappa, source=source)
 
     init_raw = _require(doc, "initial")
     if not isinstance(init_raw, list) or len(init_raw) != order + 1:
         raise InputError("initial", f"must be a list of {order + 1} moment entries")
-    columns = [_cell_values(entry, f"initial[{k}]", cells) for k, entry in enumerate(init_raw)]
+    columns = [_per_cell(entry, cells, f"initial[{k}]") for k, entry in enumerate(init_raw)]
     initial = MomentGrid(t=0.0, values=np.stack(columns, axis=1))
 
     return {
         "initial": initial,
         "params": params,
         "correlation": correlation,
-        "t_final": t_final,
-        "dt": dt,
-        "output_stride": output_stride,
-        "cfl": cfl,
+        "t_final": _require(doc, "T"),
+        "dt": doc.get("dt"),
+        "output_stride": doc.get("output_stride", 1),
+        "cfl": doc.get("cfl", DEFAULT_CFL),
     }

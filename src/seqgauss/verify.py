@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import factorial
 
 import numpy as np
@@ -1136,11 +1136,11 @@ _SUITES = {suite: functools.partial(_run, suite) for suite in SUITE_NAMES}
 
 def _serve(spool, seed: int, samples: int) -> None:
     """Body of the forked worker: run the ``FORKED_SUITES`` and write each
-    one's ``[suite, name, passed, detail]`` rows to ``spool``, ``_fork``'s
-    one channel, as one JSON line flushed as soon as the suite is done."""
+    one's rows, ``[suite, *fields]`` with the ``CheckResult`` fields in
+    order, to ``spool``, ``_fork``'s one channel, as one JSON line flushed
+    as soon as the suite is done."""
     for suite in FORKED_SUITES:
-        rows = [[suite, r.name, r.passed, r.detail]
-                for r in _SUITES[suite](seed=seed, samples=samples)]
+        rows = [[suite, *astuple(r)] for r in _SUITES[suite](seed=seed, samples=samples)]
         spool.write(json.dumps(rows) + "\n")
         spool.flush()
 
@@ -1151,8 +1151,7 @@ def _received(data, status: int) -> dict[str, list[CheckResult]]:
     results: dict[str, list[CheckResult]] = {}
     for line in data.splitlines():
         try:
-            rows = [(suite, CheckResult(name, passed, detail))
-                    for suite, name, passed, detail in json.loads(line)]
+            rows = [(suite, CheckResult(*fields)) for suite, *fields in json.loads(line)]
         except (ValueError, TypeError):
             break
         for suite, row in rows:

@@ -23,6 +23,10 @@ from seqgauss.hermite import hermite_phys, hermite_prob
 from seqgauss.measure import sample_mu_a
 
 
+def write_json(path, doc):
+    Path(path).write_text(json.dumps(doc))
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -75,7 +79,7 @@ def test_sample_outputs_are_reproducible(tmp_path, capsys):
 
 def test_sample_with_covariance_file(tmp_path, capsys):
     cov_path = tmp_path / "cov.json"
-    serialize.save_document(cov_path, {"A": [[2.0, 0.0], [0.0, 1.0]]})
+    write_json(cov_path, {"A": [[2.0, 0.0], [0.0, 1.0]]})
     out = tmp_path / "samples.csv"
     code, _, _ = run_cli(
         [
@@ -91,7 +95,7 @@ def test_sample_with_covariance_file(tmp_path, capsys):
 
 def test_sample_dimension_mismatch_is_config_error(tmp_path, capsys):
     cov_path = tmp_path / "cov.json"
-    serialize.save_document(cov_path, {"A": [[1.0]]})
+    write_json(cov_path, {"A": [[1.0]]})
     code, _, err = run_cli(
         [
             "sample", "--seed", "1", "--samples", "5", "--dim-h", "1",
@@ -111,13 +115,39 @@ def test_sample_dimension_mismatch_is_config_error(tmp_path, capsys):
 ], ids=["no-A", "matrix"])
 def test_sample_covariance_file_without_a_exits_2_saying_a_is_missing(tmp_path, capsys, doc):
     cov_path = tmp_path / "cov.json"
-    serialize.save_document(cov_path, doc)
+    write_json(cov_path, doc)
     out = tmp_path / "x.csv"
     args = ["sample", "--samples", "5", "--dim-h", "1", "--dim-seq", "2", "--cov", str(cov_path)]
     code, _, err = run_cli(args + ["--out", str(out)], capsys)
     assert code == 2
     assert err == "config error: field 'A': missing\n"
     assert not out.exists()
+
+
+_CONFIG_OPTIONS = [
+    (["closure", "--config", "{doc}", "--out", "{out}"], "config"),
+    (["condexp", "--config", "{doc}"], "config"),
+    (["sample", "--samples", "5", "--cov", "{doc}", "--out", "{out}"], "cov"),
+]
+
+
+@pytest.mark.parametrize("args, field", _CONFIG_OPTIONS, ids=["closure", "condexp", "sample"])
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "file not found"),
+    (lambda path: path.write_text("[]"), "top-level document must be an object"),
+    (lambda path: path.mkdir(), "cannot read"),
+    (lambda path: path.write_bytes(b"\xff\xfe{}"), "cannot read"),
+], ids=["missing", "not an object", "directory", "not UTF-8"])
+def test_an_unusable_config_file_exits_2_naming_its_option(tmp_path, capsys, args, field, make,
+                                                             message):
+    # a directory or a file that is not UTF-8 was a traceback, and sample
+    # named its --cov document 'config'
+    doc, out = tmp_path / "doc.json", tmp_path / "o.csv"
+    make(doc)
+    code, stdout, err = run_cli([arg.format(doc=doc, out=out) for arg in args], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"config error: field '{field}': {message}")
+    assert "Traceback" not in err
 
 
 def _refuse_cholesky(monkeypatch):
@@ -132,7 +162,7 @@ def test_sample_shape_mismatch_exits_2_before_factoring(tmp_path, capsys, monkey
     args = ["sample", "--seed", "1", "--samples", "5", "--dim-h", "1", "--dim-seq", "3"]
     for matrix in ([[2.0, 0.5], [0.5, 1.0]], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0]]):
         cov_path = tmp_path / "cov.json"
-        serialize.save_document(cov_path, {"A": matrix})
+        write_json(cov_path, {"A": matrix})
         out = tmp_path / "x.csv"
         code, _, err = run_cli(args + ["--cov", str(cov_path), "--out", str(out)], capsys)
         assert code == 2
@@ -153,7 +183,7 @@ def test_condexp_shape_mismatch_exits_2_before_factoring(
     _refuse_cholesky(monkeypatch)
     config = tmp_path / "cond.json"
     doc = {"A": [[2.0, 0.5], [0.5, 1.0]], "f": [[1.0, 2.0]], "conditioning": [[1.0, 0.0]]}
-    serialize.save_document(config, {**doc, **change})
+    write_json(config, {**doc, **change})
     code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
     assert code == 2 and out == ""
     assert f"config error: field '{field}'" in err and "Traceback" not in err
@@ -161,7 +191,7 @@ def test_condexp_shape_mismatch_exits_2_before_factoring(
 
 def test_condexp_worked_example(tmp_path, capsys):
     config = tmp_path / "cond.json"
-    serialize.save_document(
+    write_json(
         config,
         {
             "A": [
@@ -188,7 +218,7 @@ def test_condexp_worked_example(tmp_path, capsys):
 
 def test_condexp_overflowing_weighted_f_exits_2_naming_f(tmp_path, capsys):
     config = tmp_path / "cond.json"
-    serialize.save_document(
+    write_json(
         config, {"A": [[1e200, 0.0], [0.0, 1e200]], "f": [[1e200, 1.0]], "conditioning": [[1, 0]]}
     )
     with warnings.catch_warnings(record=True) as caught:
@@ -217,7 +247,7 @@ def test_library_refusal_is_reported_under_its_config_field(tmp_path, capsys, ar
     # the library names its own parameter (xs, matrix); the CLI reports
     # the config field that parameter was read from
     config = tmp_path / "doc.json"
-    serialize.save_document(config, doc)
+    write_json(config, doc)
     out = tmp_path / "out.csv"
     tail = ["--out", str(out)] if args[0] == "sample" else []
     code, stdout, err = run_cli(args + [str(config)] + tail, capsys)
@@ -227,7 +257,7 @@ def test_library_refusal_is_reported_under_its_config_field(tmp_path, capsys, ar
 
 def _condexp_kernel(tmp_path, capsys, conditioning):
     config = tmp_path / "cond.json"
-    serialize.save_document(
+    write_json(
         config, {"A": [[2.0, 0.5], [0.5, 1.0]], "f": [[1.0, 2.0]], "conditioning": conditioning}
     )
     code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
@@ -246,7 +276,7 @@ def test_condexp_conditions_on_huge_and_tiny_vectors(tmp_path, capsys, scale):
 
 def test_condexp_missing_field_is_config_error(tmp_path, capsys):
     config = tmp_path / "cond.json"
-    serialize.save_document(config, {"A": [[1.0]]})
+    write_json(config, {"A": [[1.0]]})
     code, _, err = run_cli(["condexp", "--config", str(config)], capsys)
     assert code == 2
     assert "'f'" in err
@@ -277,11 +307,11 @@ def base_closure_doc():
 def test_closure_truncation_and_identity_prediction_match(tmp_path, capsys):
     doc = base_closure_doc()
     cfg_pn = tmp_path / "pn.json"
-    serialize.save_document(cfg_pn, doc)
+    write_json(cfg_pn, doc)
     doc_op = base_closure_doc()
     doc_op["closure"] = {"kind": "optimal_prediction", "A": np.eye(5).tolist()}
     cfg_op = tmp_path / "op.json"
-    serialize.save_document(cfg_op, doc_op)
+    write_json(cfg_op, doc_op)
     out_pn = tmp_path / "pn.csv"
     out_op = tmp_path / "op.csv"
     assert cli.main(["closure", "--config", str(cfg_pn), "--out", str(out_pn)]) == 0
@@ -297,7 +327,7 @@ def test_closure_truncation_and_identity_prediction_match(tmp_path, capsys):
 
 def test_closure_output_is_reproducible(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    serialize.save_document(cfg, base_closure_doc())
+    write_json(cfg, base_closure_doc())
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
     assert cli.main(["closure", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -310,7 +340,7 @@ def test_closure_rejects_bad_config(tmp_path, capsys):
     doc = base_closure_doc()
     del doc["J"]
     cfg = tmp_path / "bad.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys)
     assert code == 2
     assert "'J'" in err
@@ -348,7 +378,7 @@ def test_closure_bad_material_field_names_the_field(tmp_path, capsys, key, value
     doc = base_closure_doc()
     doc[key] = value
     cfg = tmp_path / "bad.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     out = tmp_path / "o.csv"
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
@@ -361,7 +391,7 @@ def test_closure_overlong_run_exits_2_naming_t_without_output(tmp_path, capsys):
     doc = base_closure_doc()
     doc["T"] = 1e9  # 2e11 steps of dt = 0.005
     cfg = tmp_path / "long.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     out = tmp_path / "o.csv"
     start = time.perf_counter()
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
@@ -388,7 +418,7 @@ def test_closure_unrunnable_size_exits_2_naming_the_field(tmp_path, capsys, chan
     doc = base_closure_doc()
     doc.update(changes)
     cfg = tmp_path / "huge.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     out = tmp_path / "o.csv"
     start = time.perf_counter()
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
@@ -408,7 +438,7 @@ def test_closure_non_hyperbolic_config_exits_2_without_output(tmp_path, capsys):
         "A": [[1.0, 0.0, -0.9], [0.0, 1.0, 0.0], [-0.9, 0.0, 1.0]],
     }
     cfg = tmp_path / "ill_posed.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     out = tmp_path / "o.csv"
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
@@ -470,7 +500,7 @@ def mutated_closure_docs(draw):
 def test_closure_fuzzed_config_exits_0_or_2_without_traceback(doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.json"
-        serialize.save_document(cfg, doc)
+        write_json(cfg, doc)
         out = Path(tmp) / "o.csv"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -508,7 +538,7 @@ def run_fuzzed(args, doc):
     file's text ("" when none was written)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"doc": str(Path(tmp) / "doc.json"), "out": str(Path(tmp) / "o.csv")}
-        serialize.save_document(paths["doc"], doc)
+        write_json(paths["doc"], doc)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -634,7 +664,7 @@ _PINNED_CLOSURE_DOC = {
 
 def _assert_pinned_closure_csv(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    serialize.save_document(cfg, _PINNED_CLOSURE_DOC)
+    write_json(cfg, _PINNED_CLOSURE_DOC)
     out = tmp_path / "run.csv"
     assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 5 snapshots to {out}\n"
@@ -727,7 +757,7 @@ def test_closure_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
     doc = base_closure_doc()
     doc["closure"] = {"kind": "optimal_prediction", "A": (np.eye(5) + 0.1).tolist()}
     cfg = tmp_path / "run.json"
-    serialize.save_document(cfg, doc)
+    write_json(cfg, doc)
     out = tmp_path / "run.csv"
     assert cli.main(["closure", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
@@ -858,7 +888,7 @@ def test_sample_with_covariance_file_writes_the_factor_product(tmp_path, capsys,
     g = rng.standard_normal((4, 4))
     a = np.diag(rng.uniform(0.1, 10.0, 4)) if kind == "diagonal" else g @ g.T / 4 + np.eye(4)
     cov_path = tmp_path / "cov.json"
-    serialize.save_document(cov_path, {"A": a.tolist()})
+    write_json(cov_path, {"A": a.tolist()})
     out = tmp_path / "s.csv"
     args = ["sample", "--seed", "9", "--samples", "50", "--dim-h", "3", "--dim-seq", "4"]
     assert cli.main(args + ["--cov", str(cov_path), "--out", str(out)]) == 0
@@ -950,7 +980,7 @@ def test_hermite_overflow_exits_2_without_writing(tmp_path, capsys, args, error)
 # a row count that is odd or puts the writer's half-way cut inside a block
 def _closure_case(tmp_path, monkeypatch):
     cfg = tmp_path / "run.json"
-    serialize.save_document(cfg, base_closure_doc())  # 5 snapshots of 40 cells
+    write_json(cfg, base_closure_doc())  # 5 snapshots of 40 cells
     loaded = serialize.load_closure_config(serialize.load_document(cfg))
     x = loaded["params"].x_centers
     rows = np.vstack([np.column_stack([np.full(len(x), snap.t), x, snap.values])
@@ -1203,7 +1233,7 @@ def test_the_writer_worker_is_handed_each_snapshot_while_the_run_marches(tmp_pat
 def test_closure_refused_input_exits_2_before_anything_is_forked(tmp_path, capsys, monkeypatch):
     count_forks(monkeypatch, {0, 1}, refuse_fork)
     cfg, out = tmp_path / "run.json", tmp_path / "run.csv"
-    serialize.save_document(cfg, {**base_closure_doc(), "dt": 1.0})  # above the CFL bound
+    write_json(cfg, {**base_closure_doc(), "dt": 1.0})  # above the CFL bound
     code, _, err = run_cli(["closure", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("config error: field 'dt': CFL violation")
@@ -1226,7 +1256,7 @@ def test_closure_blow_up_after_the_fork_exits_2_and_leaves_the_output_alone(tmp_
 
     monkeypatch.setattr(cli, "_handed", recorded)
     cfg, out = tmp_path / "run.json", tmp_path / "run.csv"
-    serialize.save_document(cfg, _blow_up_doc())
+    write_json(cfg, _blow_up_doc())
     for existing in (None, b"an earlier run\r\n"):
         if existing is not None:
             out.write_bytes(existing)
@@ -1244,8 +1274,8 @@ def test_closure_blow_up_after_the_fork_exits_2_and_leaves_the_output_alone(tmp_
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_the_closure_command_leaves_no_descriptor_open(tmp_path, capsys, monkeypatch, forks):
     cfg, blow_up, out = tmp_path / "run.json", tmp_path / "blow-up.json", tmp_path / "run.csv"
-    serialize.save_document(cfg, base_closure_doc())
-    serialize.save_document(blow_up, _blow_up_doc())
+    write_json(cfg, base_closure_doc())
+    write_json(blow_up, _blow_up_doc())
     parent, cells, formatted = os.getpid(), cli._cells, []
 
     def dying(row):  # the worker exits with status 3 past its first snapshot's rows

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seqgauss import chaos, cli, serialize, wick
+from seqgauss import chaos, cli, closure, serialize, wick
 from seqgauss.core import InputError, _as_array
 from seqgauss.closure import MAX_ORDER, solve_closure
 
@@ -14,7 +14,7 @@ from seqgauss.closure import MAX_ORDER, solve_closure
 def test_matrix_round_trip(tmp_path):
     arr = np.array([[1.0, 2.5], [-3.0, 0.0]])
     path = tmp_path / "mat.json"
-    serialize.save_document(path, {"A": serialize.matrix_to_lists(arr)})
+    path.write_text(json.dumps({"A": arr.tolist()}))
     doc = serialize.load_document(path)
     back = _as_array(doc["A"], 2, "A")
     assert np.array_equal(back, arr)
@@ -65,6 +65,17 @@ def test_load_document_errors(tmp_path):
     with pytest.raises(InputError, match="invalid JSON") as exc:
         serialize.load_document(bad)
     assert exc.value.argument == "config"
+
+
+def test_unreadable_document_is_refused_as_the_config(tmp_path):
+    # a directory, and a file that is not UTF-8, raised IsADirectoryError
+    # and UnicodeDecodeError, which the CLI showed as a traceback
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"A": [[1.0]]}'.encode("utf-16-le"))
+    for path in (tmp_path, utf16):
+        with pytest.raises(InputError, match=f"^cannot read {path}: ") as exc:
+            serialize.load_document(path)
+        assert exc.value.argument == "config"
 
 
 def test_expansion_round_trip():
@@ -198,3 +209,25 @@ def test_closure_config_field_errors():
     with pytest.raises(InputError, match="missing") as exc:
         serialize.load_closure_config(doc)
     assert exc.value.argument == "kappa"
+
+
+@pytest.mark.parametrize("value", [[1.0] * 9, [[1.0] * 10], [[1.0]] * 10, []],
+                         ids=["short", "nested row", "nested column", "empty"])
+@pytest.mark.parametrize("field", ["sigma", "kappa", "q", "initial[1]"])
+def test_closure_config_per_cell_refusal_is_the_library_s(field, value):
+    # the config's per-cell fields are read by the library's one per-cell
+    # rule, so a config refusal says what MaterialParams or _per_cell says
+    doc = closure_doc()
+    if field == "initial[1]":
+        doc["initial"][1] = value
+        with pytest.raises(InputError) as direct:
+            closure._per_cell(value, 10, field)
+    else:
+        materials = {"sigma": 0.0, "kappa": 0.1, "source": 0.0}
+        doc[field] = materials["source" if field == "q" else field] = value
+        with pytest.raises(InputError) as direct:
+            closure.MaterialParams(a=0.0, b=1.0, cells=10, **materials)
+    with pytest.raises(InputError) as exc:
+        serialize.load_closure_config(doc)
+    assert (exc.value.argument, str(exc.value)) == (direct.value.argument, str(direct.value))
+    assert cli._FIELDS["closure"].get(exc.value.argument, exc.value.argument) == field
