@@ -9,14 +9,16 @@ Subcommands:
 * ``hermite`` -- tabulate Hermite polynomial values to CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-A config error is a :class:`~seqgauss.core.InputError`, printed as
-``config error: field '<field>': <message>``: its ``argument`` is the
-config field or option where ``serialize`` or this module refuses it, and
-a library parameter, mapped to its field by ``_FIELDS``, where the library does.
+``serialize`` reads every input document, ``sample --cov`` included; this
+module writes every output, ``condexp``'s expansion JSON too.  A config
+error is a :class:`~seqgauss.core.InputError`, printed as ``config error:
+field '<field>': <message>``: its ``argument`` is the config field or
+option where ``serialize`` or this module refuses it, and a library
+parameter, mapped to its field by ``_FIELDS``, where the library does.
 ``sample`` and ``verify`` refuse a batch of more than ``MAX_SAMPLE_VALUES``
 values, and ``hermite`` a table of more than ``MAX_HERMITE_CELLS`` values,
-before they allocate anything; ``hermite`` writes no table holding a
-non-finite value.
+before they allocate anything; ``hermite`` writes no table, and
+``condexp`` prints no kernel (refused as ``f``), holding a non-finite value.
 The default seed is 0, overridable with the SEQGAUSS_SEED environment
 variable; identical arguments and seed produce byte-identical outputs
 within a build at one BLAS thread count (with a dense ``--cov``, the
@@ -44,20 +46,14 @@ import tempfile
 import numpy as np
 
 from . import _fork
-from .chaos import ChaosExpansion, cond_exp_monomial
+from .chaos import cond_exp_monomial
 from .closure import march
 from .core import Covariance, InputError, TruncationDims, _as_array, _check_count
 from .hermite import _degrees
 from .measure import sample_mu_a
-from .serialize import (
-    _require,
-    expansion_to_jsonable,
-    load_closure_config,
-    load_condexp_config,
-    load_document,
-)
+from .serialize import (load_closure_config, load_condexp_config, load_covariance_config,
+                        load_document)
 from .verify import _DIMS, DEFAULT_SAMPLES, SUITE_NAMES, run_suite
-from .wick import SymKernel
 
 SEED_ENV_VAR = "SEQGAUSS_SEED"
 # ``sample`` holds the whole batch (2**22 doubles is 32 MiB); both processes of
@@ -74,8 +70,8 @@ _BOUND = struct.Struct("=q")
 # per command, the config field or option of each refused name that is not
 # one already: a library parameter, or ``config`` for a document serialize reads
 _FIELDS = {
-    "verify": {}, "hermite": {}, "sample": {"matrix": "A", "config": "cov"},
-    "condexp": {"matrix": "A", "xs": "conditioning"},
+    "verify": {}, "hermite": {}, "condexp": {"matrix": "A", "xs": "conditioning"},
+    "sample": {"matrix": "A", "config": "cov", "m": "dim-h", "d": "dim-seq", "count": "samples"},
     "closure": {"cells": "J", "source": "q", "correlation": "closure.A", "order": "N",
                 "t_final": "T"},
 }
@@ -144,23 +140,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
+def _write_csv(path, header, lines, rows) -> None:
     """Write the text pieces ``header`` and then the rows to ``path``,
     ``lines(a, b)`` yielding the text of rows a to b-1 ending in CRLF.
     ``rows`` is the row count of a table that is ready at once, or an
     iterator yielding how many leading rows are ready each time more are,
     the total last; ``path`` is opened only once it has run out.
 
-    Where ``fork`` is true, this process makes a temporary file for its own
-    rows and a pipe, then ``_fork`` may fork a worker that formats the
-    leading rows into its spool: each range of rows, as it becomes ready,
-    is handed to it through the pipe as an 8-byte row bound, unless it has
-    two ranges unfinished by the count it publishes in a shared page.  Once
-    every row is ready, those not handed out are split so that both
-    processes have about as many left.  The output is the header, the
-    worker's rows (formatted here if no worker did) and this process's
-    own.  No process holds the whole text.  No cell needs quoting: the
-    bytes are those ``csv.writer`` would write, on every path."""
+    This process makes a temporary file for its own rows and a pipe, then
+    ``_fork`` may fork a worker that formats the leading rows into its
+    spool: each range of rows, as it becomes ready, is handed to it through
+    the pipe as an 8-byte row bound, unless it has two ranges unfinished by
+    the count it publishes in a shared page.  Once every row is ready, those
+    not handed out are split so that both processes have about as many
+    left.  The output is the header, the worker's rows (formatted here if
+    no worker did, or it failed) and this process's own.  No process holds
+    the whole text.  No cell needs quoting: the bytes are those
+    ``csv.writer`` would write, on every path."""
     count, ready = (rows, ()) if isinstance(rows, int) else (0, rows)
     with mmap.mmap(-1, _BOUND.size) as formatted, contextlib.ExitStack() as stack:
 
@@ -173,14 +169,13 @@ def _write_csv(path, header, lines, rows, fork: bool = True) -> None:
                 _BOUND.pack_into(formatted, 0, done := end)
 
         worker = None
-        if fork:
-            with contextlib.suppress(OSError):  # no file or pipe to spare: nothing is forked
-                own = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
-                read_end, write_end = os.pipe()
-                inbox = stack.enter_context(open(read_end, "rb"))
-                orders = stack.enter_context(open(write_end, "wb", buffering=0))
-                worker = stack.enter_context(_fork.forked(serve))
-                inbox.close()
+        with contextlib.suppress(OSError):  # no file or pipe to spare: nothing is forked
+            own = stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+            read_end, write_end = os.pipe()
+            inbox = stack.enter_context(open(read_end, "rb"))
+            orders = stack.enter_context(open(write_end, "wb", buffering=0))
+            worker = stack.enter_context(_fork.forked(serve))
+            inbox.close()
         # the count the worker publishes steers only how rows are split, never
         # which bytes are written
         handed = before = 0  # rows handed to the worker, and the bound before the last
@@ -253,23 +248,21 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _seed(args.seed)
-    _check_count(args.samples, 1, "samples")
-    if args.dim_h <= 0 or args.dim_seq <= 0:
-        raise InputError("dim-h/dim-seq", "must be positive")
-    if args.samples * args.dim_h * args.dim_seq > MAX_SAMPLE_VALUES:
-        raise InputError("samples/dim-h/dim-seq", f"{args.samples} samples of "
-                         f"{args.dim_h} x {args.dim_seq} values exceed {MAX_SAMPLE_VALUES} values")
+    dims = TruncationDims(args.dim_h, args.dim_seq)
+    # ``sample_mu_a`` checks the count, once the covariance is built; a batch
+    # of at least one sample must fit before that
+    count = max(args.samples, 1)
+    if count * dims.m * dims.d > MAX_SAMPLE_VALUES:
+        raise InputError("samples/dim-h/dim-seq", f"{count} samples of {dims.m} x {dims.d} "
+                         f"values exceed {MAX_SAMPLE_VALUES} values")
     if args.cov is not None:
-        matrix = _as_array(_require(load_document(args.cov), "A"), 2, "A")
+        matrix = load_covariance_config(load_document(args.cov))
         # shapes before the factorization: a mismatch costs no Cholesky
-        if matrix.shape[0] == matrix.shape[1] != args.dim_seq:
-            raise InputError(
-                "A", f"covariance dim {matrix.shape[0]} does not match --dim-seq {args.dim_seq}"
-            )
+        if len(matrix) != dims.d:
+            raise InputError("A", f"covariance dim {len(matrix)} does not match --dim-seq {dims.d}")
         cov = Covariance(matrix)
     else:
-        cov = Covariance.identity(args.dim_seq)
-    dims = TruncationDims(args.dim_h, args.dim_seq)
+        cov = Covariance.identity(dims.d)
     batch = sample_mu_a(cov, dims, args.samples, seed)
     header, lines = _sample_csv(batch.samples.reshape(args.samples, -1), args.dim_seq)
     _write_csv(args.out, header, lines, args.samples)
@@ -296,13 +289,17 @@ def _sample_csv(rows, dim_seq: int):
 
 def _cmd_condexp(args) -> int:
     cov, f, conditioning = load_condexp_config(load_document(args.config))
-    projected = cond_exp_monomial(f, conditioning, cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = cond_exp_monomial(f, conditioning, cov)
+    if not np.isfinite(projected).all():  # refused before anything is printed
+        raise InputError("f", "the projected kernel F A X^T X overflows: f is too large "
+                              "for the weight A and the conditioning")
     print("projected kernel (rows are inner components, columns sequence positions):")
     for row in projected:
         print("  " + "  ".join(f"{v: .12g}" for v in row))
-    expansion = ChaosExpansion(kernels={1: SymKernel.rank_one(projected, 1)})
-    print("serialized expansion:")
-    print(json.dumps(expansion_to_jsonable(expansion), indent=2))
+    print("serialized expansion:")  # the kernel as one term of degree 1
+    print(json.dumps([{"degree": 1, "terms": [{"coeff": 1.0, "base": projected.tolist()}]}],
+                     indent=2))
     return 0
 
 
@@ -329,7 +326,7 @@ def _cmd_closure(args) -> int:
                 stamp = repr(t) + ","
                 for x, row in zip(xs[lo:hi], values[lo:hi].tolist()):
                     yield stamp + x + _cells(row) + "\r\n"
-        _write_csv(args.out, [header + "\r\n"], lines, stored(), fork=snapshots.shared)
+        _write_csv(args.out, [header + "\r\n"], lines, stored())
     print(f"wrote {len(snapshots)} snapshots to {args.out}")
     return 0
 
@@ -339,8 +336,8 @@ class _Snapshots:
     them and read back by index, as ``(t, values)`` with ``t`` a float, in
     either process of ``_write_csv``: as doubles in an unlinked temporary
     file, which a worker forked after it was made reads too, or, where no
-    file can be made, in a list in this process, which no worker would
-    see; ``shared`` tells which."""
+    file can be made, in a list in this process.  A worker sees that list
+    empty, fails and exits 1, and this process then writes its rows."""
 
     def __init__(self, shape) -> None:
         self.shape, self._size = shape, 8 * (1 + shape[0] * shape[1])  # t, then the values
@@ -349,7 +346,6 @@ class _Snapshots:
             self._file = tempfile.TemporaryFile()
         except OSError:
             self._file = None
-        self.shared = self._file is not None
 
     def __enter__(self):
         return self

@@ -91,13 +91,21 @@ _PLAIN_NUMBERS = {int, float}
 def _is_numeric(x) -> bool:
     """True for an int, float or numpy number, an int or float array, or a
     (nested) list or tuple of these; booleans and strings are not numbers,
-    although numpy converts them."""
-    if isinstance(x, np.ndarray):
-        return x.dtype.kind in "iuf"
-    if isinstance(x, (list, tuple)):
-        # the set of leaf types keeps long flat lists cheap to check
-        return set(map(type, x)) <= _PLAIN_NUMBERS or all(map(_is_numeric, x))
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    although numpy converts them.  Nested lists are walked with a stack,
+    so no depth of nesting exhausts the interpreter's."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind not in "iuf":
+                return False
+        elif isinstance(x, (list, tuple)):
+            # the set of leaf types keeps long flat lists cheap to check
+            if not set(map(type, x)) <= _PLAIN_NUMBERS:
+                stack.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            return False
+    return True
 
 
 def _as_array(x, ndim: int | None, name: str, copy: bool = False,

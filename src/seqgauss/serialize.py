@@ -1,13 +1,12 @@
-"""JSON for chaos expansions (written only) and CLI configs.
+"""JSON configs, read for the CLI.
 
-A chaos expansion becomes a list of ``{"degree": n, "terms": [{"coeff":
-c, "base": [[...]]}, ...]}`` entries, each base a nested list of numbers
-in row-major order.  A config is read for its structure here: a missing
-field, a count that sizes what is built here, or a malformed entry is
-refused with :class:`~seqgauss.core.InputError` whose ``argument`` is the
-config field, the name as the document spells it.  Every other value is
-handed to the library unchanged and refused there, named as its
-parameter; the CLI maps that name to the config field.
+Every input document is read here: a config's structure is checked, and
+a missing field, a count that sizes what is built here, or a malformed
+entry is refused with :class:`~seqgauss.core.InputError` whose
+``argument`` is the config field, the name as the document spells it.
+Every other value is handed to the library unchanged and refused there,
+named as its parameter; the CLI maps that name to the config field.
+Nothing is written here: the CLI writes every output.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ import json
 
 import numpy as np
 
-from .chaos import ChaosExpansion
 from .closure import (DEFAULT_CFL, MAX_ORDER, MAX_SNAPSHOT_VALUES, MaterialParams, MomentGrid,
                       _per_cell)
-from .core import Covariance, InputError, _as_array, _check_count, apply_extended
+from .core import Covariance, InputError, _as_array, _check_count
 
 __all__ = [
     "load_document",
-    "expansion_to_jsonable",
+    "load_covariance_config",
     "load_condexp_config",
     "load_closure_config",
 ]
@@ -37,27 +35,11 @@ def load_document(path) -> dict:
         raise InputError("config", f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
         raise InputError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
         raise InputError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("config", "top-level document must be an object")
     return doc
-
-
-def expansion_to_jsonable(expansion: ChaosExpansion) -> list:
-    out = []
-    for n in expansion.degrees:
-        kernel = expansion.kernels[n]
-        out.append(
-            {
-                "degree": n,
-                "terms": [
-                    {"coeff": t.coeff, "base": t.base.tolist()}
-                    for t in kernel.terms
-                ],
-            }
-        )
-    return out
 
 
 def _require(doc: dict, field: str, name: str | None = None):
@@ -72,14 +54,21 @@ def _integer(doc: dict, field: str, least: int) -> int:
     return value
 
 
-def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndarray]]:
-    """Read {A, f, conditioning} for the conditional-expectation command;
-    an f whose weighted image F A is not finite is refused as field f, and
-    an A that is not a covariance as ``Covariance``'s ``matrix``.  Every
-    shape is compared with A's before A is factored."""
+def load_covariance_config(doc: dict) -> np.ndarray:
+    """Read the matrix ``A`` of a covariance document: present, 2-D, finite
+    and square.  It is not factored here, so that a caller can compare its
+    shape with others' first."""
     a = _as_array(_require(doc, "A"), 2, "A")
     if a.shape[0] != a.shape[1]:
         raise InputError("A", f"must be square, got shape {a.shape}")
+    return a
+
+
+def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndarray]]:
+    """Read {A, f, conditioning} for the conditional-expectation command;
+    an A that is not a covariance is refused as ``Covariance``'s
+    ``matrix``.  Every shape is compared with A's before A is factored."""
+    a = load_covariance_config(doc)
     dim = len(a)
     f = _as_array(_require(doc, "f"), 2, "f")
     if f.shape[1] != dim:
@@ -93,12 +82,7 @@ def load_condexp_config(doc: dict) -> tuple[Covariance, np.ndarray, list[np.ndar
         if v.shape[0] != dim:
             raise InputError(f"conditioning[{i}]", f"must have length {dim} to match A")
         conditioning.append(v)
-    cov = Covariance(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = apply_extended(cov, f)
-    if not np.isfinite(weighted).all():
-        raise InputError("f", "F A overflows: f is too large for the weight A")
-    return cov, f, conditioning
+    return Covariance(a), f, conditioning
 
 
 def load_closure_config(doc: dict) -> dict:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import count_forks, fork_fails, no_temporary_file, refuse_fork
 from seqgauss import _fork, cli, serialize
+from seqgauss.chaos import cond_exp_monomial
 from seqgauss.closure import solve_closure
 from seqgauss.core import Covariance, TruncationDims
 from seqgauss.hermite import hermite_phys, hermite_prob
@@ -229,6 +230,37 @@ def test_condexp_overflowing_weighted_f_exits_2_naming_f(tmp_path, capsys):
     assert out == "" and not caught
 
 
+def test_condexp_overflowing_projection_exits_2_naming_f_before_printing(tmp_path, capsys):
+    # F A is finite, but the oblique projection F A X^T X overflows: the
+    # command printed part of the kernel and a RuntimeWarning, then named 'base'
+    config = tmp_path / "cond.json"
+    write_json(config, {"A": [[1.0, 0.0], [0.0, 1e-300]], "f": [[1e200, 0.0]],
+                        "conditioning": [[1.0, 1e150]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["condexp", "--config", str(config)], capsys)
+    assert code == 2 and out == "" and not caught
+    assert err.startswith("config error: field 'f': ") and "overflows" in err
+
+
+def test_condexp_prints_the_kernel_of_cond_exp_monomial_exactly(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4))
+    doc = {"A": (g @ g.T + np.eye(4)).tolist(), "f": rng.standard_normal((3, 4)).tolist(),
+           "conditioning": rng.standard_normal((2, 4)).tolist()}
+    config = tmp_path / "cond.json"
+    write_json(config, doc)
+    code, out, _ = run_cli(["condexp", "--config", str(config)], capsys)
+    assert code == 0
+    [entry] = json.loads(out[out.index("[") :])
+    [term] = entry["terms"]
+    assert entry["degree"] == 1 and type(term["coeff"]) is float and term["coeff"] == 1.0
+    expected = cond_exp_monomial(np.array(doc["f"]), [np.array(v) for v in doc["conditioning"]],
+                                 Covariance(np.array(doc["A"])))
+    # the JSON round trip keeps every number intact
+    assert np.array(term["base"]).tobytes() == expected.tobytes()
+
+
 _SAMPLE_COV = ["sample", "--seed", "1", "--samples", "5", "--dim-h", "1", "--dim-seq", "2"]
 
 
@@ -302,6 +334,22 @@ def base_closure_doc():
         ],
         "output_stride": 5,
     }
+
+
+@pytest.mark.parametrize("command, depth, field", [
+    ("condexp", 500, "A"), ("condexp", 995, "config"), ("closure", 500, "initial[0]"),
+])
+def test_a_deeply_nested_config_exits_2_naming_the_field(tmp_path, capsys, command, depth, field):
+    # the leaf-type walk recursed once per level and json.load raised
+    # RecursionError, each a traceback
+    doc = {"A": "@", "f": [[1.0]], "conditioning": [[1.0]]} if command == "condexp" else \
+        {**base_closure_doc(), "initial": ["@", 0.0, 0.0, 0.0]}
+    path, out = tmp_path / "doc.json", tmp_path / "o.csv"
+    path.write_text(json.dumps(doc).replace('"@"', "[" * depth + "1.0" + "]" * depth))
+    args = [command, "--config", str(path)] + (["--out", str(out)] if command == "closure" else [])
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"config error: field '{field}': ") and "Traceback" not in err
 
 
 def test_closure_truncation_and_identity_prediction_match(tmp_path, capsys):
@@ -677,19 +725,27 @@ def test_closure_csv_bytes_are_pinned(tmp_path, capsys):
     _assert_pinned_closure_csv(tmp_path, capsys)
 
 
-def test_closure_without_a_snapshot_file_forks_nothing(tmp_path, capsys, monkeypatch):
-    # the snapshots then stay in a list of this process, which a forked
-    # worker would see empty; every other temporary file can still be made,
-    # and the autouse no_child_left fixture checks that no child is left
+def test_closure_without_a_snapshot_file_writes_the_rows_its_worker_cannot(
+    tmp_path, capsys, monkeypatch
+):
+    # the snapshots then stay in a list of this process, which the forked
+    # worker sees empty: it fails, and this process writes every row; every
+    # other temporary file can still be made, and the autouse no_child_left
+    # fixture checks that no child is left
     count = count_forks(monkeypatch, {0, 1})
-    make = tempfile.TemporaryFile
+    make, wait, statuses = tempfile.TemporaryFile, _fork.Worker.wait, []
 
     def text_files_only(mode="w+b", *args, **kwargs):
         return (no_temporary_file if "b" in mode else make)(mode, *args, **kwargs)
 
+    def recorded(worker):
+        statuses.append(wait(worker))
+        return statuses[-1]
+
     monkeypatch.setattr(tempfile, "TemporaryFile", text_files_only)
+    monkeypatch.setattr(_fork.Worker, "wait", recorded)
     _assert_pinned_closure_csv(tmp_path, capsys)
-    assert count == []
+    assert count == [1] and statuses == [1]
 
 
 def test_sample_csv_cells_are_exact_round_trip_values(tmp_path, capsys):
@@ -855,6 +911,9 @@ def test_seed_env_var_override(tmp_path, capsys, monkeypatch):
         (["verify", "--suite", "core", "--samples", "0"], None, "samples"),
         (["verify", "--suite", "core", "--samples", "1"], None, "samples"),
         (["verify", "--suite", "measure", "--samples", "-5"], None, "samples"),
+        (["sample", "--dim-h", "0"], None, "dim-h"),
+        (["sample", "--dim-seq", "-1"], None, "dim-seq"),
+        (["sample", "--samples", "0"], None, "samples"),
     ],
 )
 def test_out_of_range_number_exits_2_naming_the_field(
@@ -907,6 +966,9 @@ def test_sample_with_covariance_file_writes_the_factor_product(tmp_path, capsys,
         ["--dim-seq", "1000000000", "--samples", "1"],
         ["--samples", "10000000", "--dim-h", "1", "--dim-seq", "1"],
         ["--samples", "2048", "--dim-h", "2048", "--dim-seq", "2", "--cov", "missing.json"],
+        # even one sample is too many; the count itself is refused only once
+        # the covariance is built
+        ["--samples", "0", "--dim-seq", "1000000000"],
     ],
 )
 def test_oversized_sample_exits_2_before_allocating(tmp_path, capsys, sizes):

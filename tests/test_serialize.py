@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seqgauss import chaos, cli, closure, serialize, wick
+from seqgauss import cli, closure, serialize
 from seqgauss.core import InputError, _as_array
 from seqgauss.closure import MAX_ORDER, solve_closure
 
@@ -56,6 +56,16 @@ def test_matrix_from_lists_accepts_ints_and_numpy_numbers():
     assert _as_array([np.float64(0.5), np.int64(3)], 1, "v").tolist() == [0.5, 3.0]
 
 
+def test_a_deeply_nested_list_is_refused_naming_its_argument():
+    # the leaf-type walk recursed once per level and raised RecursionError
+    deep = [1.0]
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(InputError, match="^A is not a numeric array") as exc:
+        _as_array(deep, 2, "A")
+    assert exc.value.argument == "A"
+
+
 def test_load_document_errors(tmp_path):
     with pytest.raises(InputError, match="not found") as exc:
         serialize.load_document(tmp_path / "missing.json")
@@ -78,24 +88,6 @@ def test_unreadable_document_is_refused_as_the_config(tmp_path):
         assert exc.value.argument == "config"
 
 
-def test_expansion_round_trip():
-    rng = np.random.default_rng(0)
-    kernels = {
-        0: wick.SymKernel.constant(1.5, 2, 3),
-        2: wick.polarize(list(rng.standard_normal((2, 2, 3)))),
-    }
-    expansion = chaos.ChaosExpansion(kernels=kernels)
-    # the document survives a JSON round trip with every number intact
-    data = json.loads(json.dumps(serialize.expansion_to_jsonable(expansion)))
-    assert [entry["degree"] for entry in data] == expansion.degrees
-    for entry in data:
-        terms = expansion.kernels[entry["degree"]].terms
-        assert len(entry["terms"]) == len(terms)
-        for written, term in zip(entry["terms"], terms):
-            assert written["coeff"] == term.coeff
-            assert np.array_equal(np.array(written["base"]), term.base)
-
-
 def condexp_doc():
     return {
         "A": [[1.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0],
@@ -103,6 +95,17 @@ def condexp_doc():
         "f": [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]],
         "conditioning": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
     }
+
+
+def test_covariance_config_is_read_square_and_unfactored():
+    # an indefinite A is not factored here, so it is returned as read
+    indefinite = [[1.0, 2.0], [2.0, 1.0]]
+    assert serialize.load_covariance_config({"A": indefinite}).tolist() == indefinite
+    for doc, pattern in [({}, "^missing$"),
+                         ({"A": [[1.0, 0.0]]}, r"^must be square, got shape \(1, 2\)$")]:
+        with pytest.raises(InputError, match=pattern) as exc:
+            serialize.load_covariance_config(doc)
+        assert exc.value.argument == "A"
 
 
 def test_condexp_config_load():
